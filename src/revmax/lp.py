@@ -47,8 +47,8 @@ class LinearProgram:
         maximize: bool = True,
         names: Optional[Sequence[str]] = None,
     ):
-        if num_vars < 1:
-            raise InvalidInputError("need at least one variable")
+        if num_vars < 0:
+            raise InvalidInputError("negative number of variables")
         obj = list(objective)
         if len(obj) != num_vars:
             raise DimensionMismatchError("objective length does not match num_vars")

@@ -1,10 +1,25 @@
 """Revenue-optimal truthful-in-expectation auctions as a linear program.
 
-Per profile the mechanism is a convex lottery over feasible allocation
-vectors plus one payment per bidder; truthfulness and individual
-rationality are linear in those variables, so the exact optimum is an LP
-solve away.  Also home to the Caratheodory decomposition used to express
-interim allocations as ex-post lotteries.
+The LP is allocation-only.  Its variables are the lottery weights
+lambda(v, f) of each profile v on each nonzero feasible vector f; the zero
+vector's weight is the slack of the row sum_f lambda(v, f) <= 1, and
+x_i(v) = sum_{f: f_i = 1} lambda(v, f).  On each line (bidder i's values
+w_1 < ... < w_m with the others' values v_-i fixed) one row per adjacent
+pair keeps x_i monotone, and payments follow the chain
+p_t = p_{t-1} + w_t (x_t - x_{t-1}) from p_0 = x_0 = 0.  By Myerson (1981)
+these are the highest payments that keep a monotone x truthful and
+rational: IR binds at the lowest value and every downward adjacent IC
+constraint binds.  So the objective is sum_v sum_i phi_i(v) x_i(v) with
+
+    phi_i(w_t, v_-i) = q(w_t, v_-i) w_t - (w_{t+1} - w_t) sum_{s>t} q(w_s, v_-i),
+
+and the optimum equals that of the LP over weights and payments with every
+IC and IR row.  Chain payments are nonnegative, so allowing negative
+payments changes nothing.  Every row is <= with right-hand side 0 or 1:
+the slack basis is feasible and the simplex never runs phase 1.
+
+Also home to the Caratheodory decomposition used to express interim
+allocations as ex-post lotteries.
 """
 
 from __future__ import annotations
@@ -12,10 +27,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .errors import DimensionMismatchError, InvalidInputError
-from .lp import EQ, LEQ, LinearProgram, LPSolution, solve
+from .errors import DimensionMismatchError
+from .lp import EQ, LEQ, LinearProgram, solve
 from .model import (
     EXACT,
     FLOAT,
@@ -23,13 +38,18 @@ from .model import (
     ExplicitDistribution,
     FeasibilitySystem,
     InterimMechanism,
+    ValueGrid,
     convert,
 )
 
 
 @dataclass
 class SolveOptions:
-    """Knobs of the optimal solve: payment sign and arithmetic mode."""
+    """Knobs of the optimal solve: payment sign and arithmetic mode.
+
+    allow_negative_payments does not change solve_optimal's result: the
+    revenue-maximal payments of a truthful single-parameter mechanism are
+    nonnegative anyway.  It matters to solve_multi."""
 
     allow_negative_payments: bool = False
     mode: str = EXACT
@@ -37,14 +57,12 @@ class SolveOptions:
 
 @dataclass
 class OptimalResult:
-    """Optimal mechanism in both forms plus its exact revenue.
-
-    expost is None only when negative payments were allowed and the
-    optimum charges a bidder with zero allocation somewhere; no
-    losers-pay-zero lottery can carry that."""
+    """Optimal mechanism in both forms plus its exact revenue.  In the
+    ex-post form a winner of each outcome pays p_i(v) / x_i(v) and every
+    other bidder pays nothing."""
 
     interim: InterimMechanism
-    expost: Optional[ExPostMechanism]
+    expost: ExPostMechanism
     revenue: object
 
 
@@ -58,84 +76,67 @@ class HullDecomposition:
     certificate: Optional[tuple] = None
 
 
+def _lines(grid: ValueGrid, i: int) -> Iterator[list]:
+    """Bidder i's lines: the profiles at each of bidder i's grid values,
+    in increasing order, for each fixed choice of the others' values."""
+    others = [grid.values[j] for j in range(grid.n) if j != i]
+    for rest in itertools.product(*others):
+        yield [rest[:i] + (w,) + rest[i:] for w in grid.values[i]]
+
+
+def _columns(fs: FeasibilitySystem) -> list:
+    """Indices of the vectors that get an LP column: all but the zero."""
+    return [f for f in range(len(fs.vectors)) if f != fs.zero_index]
+
+
 def build_optimal_lp(
     dist: ExplicitDistribution,
     fs: FeasibilitySystem,
     options: Optional[SolveOptions] = None,
 ) -> LinearProgram:
-    """Assemble the revenue LP: lottery weights per (profile, vector),
-    payments per (profile, bidder); convexity equalities, truthfulness
-    and rationality inequalities; expected revenue objective."""
+    """Assemble the allocation-only revenue LP: lottery weights of the
+    nonzero vectors per profile, one <= 1 row per profile, adjacent
+    monotonicity rows per line, virtual-value objective."""
     options = options or SolveOptions()
     grid = dist.grid
     if fs.n != grid.n:
         raise DimensionMismatchError("feasibility system and grid disagree on n")
     n = grid.n
+    zero = 0.0 if options.mode == FLOAT else Fraction(0)
     profiles = list(grid.profiles())
     pindex = {v: k for k, v in enumerate(profiles)}
-    K = len(fs.vectors)
-    nlam = len(profiles) * K
+    cols = _columns(fs)
+    K = len(cols)
 
-    def lam(v_idx: int, f_idx: int) -> int:
-        return v_idx * K + f_idx
-
-    def pay(v_idx: int, i: int) -> int:
-        return nlam + v_idx * n + i
-
-    num_vars = nlam + len(profiles) * n
-    zero = 0.0 if options.mode == FLOAT else Fraction(0)
-    objective = [zero] * num_vars
-    for v, q in dist.support.items():
-        for i in range(n):
-            objective[pay(pindex[v], i)] = q
-    names = [None] * num_vars
-    for k in range(len(profiles)):
-        for f in range(K):
-            names[lam(k, f)] = f"lam_p{k}_f{f}"
-        for i in range(n):
-            names[pay(k, i)] = f"pay_p{k}_b{i}"
-
-    lp = LinearProgram(num_vars, objective, maximize=True, names=names)
-    if options.allow_negative_payments:
-        for k in range(len(profiles)):
-            for i in range(n):
-                lp.set_bounds(pay(k, i), None, None)
-
-    for k in range(len(profiles)):
-        lp.add_constraint({lam(k, f): 1 for f in range(K)}, EQ, 1)
-
-    def x_coeffs(v_idx: int, i: int, scale, into: dict) -> None:
-        # contribution of scale * x_i(v) in lottery-weight variables
-        for f, vec in enumerate(fs.vectors):
-            if vec[i]:
-                col = lam(v_idx, f)
-                into[col] = into.get(col, 0) + scale
-
+    phi = {v: [zero] * n for v in profiles}
+    monotone = []
     for i in range(n):
-        others = [grid.values[j] for j in range(n) if j != i]
-        for rest in itertools.product(*others):
-            def at(vi):
-                return rest[:i] + (vi,) + rest[i:]
+        w = grid.values[i]
+        wins = [c for c, f in enumerate(cols) if fs.vectors[f][i]]
+        for line in _lines(grid, i):
+            above = zero  # mass of the line above the current value
+            for v, wt, nxt in reversed(list(zip(line, w, w[1:] + w[-1:]))):
+                q = dist.support.get(v, zero)
+                phi[v][i] = q * wt - (nxt - wt) * above
+                above += q
+            if not wins:
+                continue
+            for lo, hi in zip(line, line[1:]):
+                row = {pindex[lo] * K + c: 1 for c in wins}
+                row.update({pindex[hi] * K + c: -1 for c in wins})
+                monotone.append(row)
 
-            for true_v in grid.values[i]:
-                k_true = pindex[at(true_v)]
-                for report_v in grid.values[i]:
-                    if report_v == true_v:
-                        continue
-                    k_rep = pindex[at(report_v)]
-                    # deviation utility minus truthful utility <= 0
-                    row: dict = {pay(k_rep, i): -1, pay(k_true, i): 1}
-                    x_coeffs(k_rep, i, true_v, row)
-                    x_coeffs(k_true, i, -true_v, row)
-                    lp.add_constraint(row, LEQ, 0)
-
-    for i in range(n):
-        for k in range(len(profiles)):
-            v_i = profiles[k][i]
-            row = {pay(k, i): 1}
-            x_coeffs(k, i, -v_i, row)
-            lp.add_constraint(row, LEQ, 0)
-
+    objective = [
+        sum((phi[v][i] for i in range(n) if fs.vectors[f][i]), zero)
+        for v in profiles
+        for f in cols
+    ]
+    names = [f"lam_p{k}_f{f}" for k in range(len(profiles)) for f in cols]
+    lp = LinearProgram(len(objective), objective, maximize=True, names=names)
+    for k in range(len(profiles)):
+        lp.add_constraint({k * K + c: 1 for c in range(K)}, LEQ, 1)
+    for row in monotone:
+        lp.add_constraint(row, LEQ, 0)
     return lp
 
 
@@ -144,58 +145,53 @@ def solve_optimal(
     fs: Optional[FeasibilitySystem] = None,
     options: Optional[SolveOptions] = None,
 ) -> OptimalResult:
-    """Solve the revenue LP and unpack the optimum into mechanism form."""
+    """Solve the revenue LP and unpack the optimum into mechanism form,
+    with chain payments along every line."""
     options = options or SolveOptions()
     if fs is None:
         fs = FeasibilitySystem.single_item(dist.grid.n)
     lp = build_optimal_lp(dist, fs, options)
     sol = solve(lp, mode=options.mode)
     if sol.status != "optimal":
-        # the LP admits the all-zero mechanism and revenue is IR-bounded
+        # the all-zero mechanism is feasible and every weight is at most 1
         raise RuntimeError(f"revenue LP reported {sol.status}; this cannot happen")
     grid = dist.grid
     n = grid.n
     profiles = list(grid.profiles())
-    K = len(fs.vectors)
-    nlam = len(profiles) * K
-    zero = 0.0 if options.mode == FLOAT else Fraction(0)
+    cols = _columns(fs)
+    K = len(cols)
+    float_mode = options.mode == FLOAT
+    zero = 0.0 if float_mode else Fraction(0)
+    one = 1.0 if float_mode else Fraction(1)
+    eps = 1e-12 if float_mode else 0
 
-    xs, ps, lotteries = {}, {}, {}
+    xs, lotteries = {}, {}
     for k, v in enumerate(profiles):
-        weights = sol.x[k * K : (k + 1) * K]
-        if options.mode == FLOAT:
-            weights = [0.0 if w < 1e-12 else w for w in weights]
-        xa = []
-        for i in range(n):
-            xi = sum(
-                (w * vec[i] for w, vec in zip(weights, fs.vectors) if vec[i]), zero
-            )
-            if options.mode == FLOAT:
-                xi = min(1.0, max(0.0, xi))
-            xa.append(xi)
-        xs[v] = tuple(xa)
-        ps[v] = tuple(sol.x[nlam + k * n : nlam + (k + 1) * n])
+        weights = dict(zip(cols, sol.x[k * K : (k + 1) * K]))
+        weights[fs.zero_index] = one - sum(weights.values(), zero)
+        weights = {f: w for f, w in sorted(weights.items()) if w > eps}
+        x = [sum((w for f, w in weights.items() if fs.vectors[f][i]), zero) for i in range(n)]
+        xs[v] = tuple(min(1.0, max(0.0, c)) for c in x) if float_mode else tuple(x)
         lotteries[v] = weights
+
+    ps = {v: [zero] * n for v in profiles}
+    for i in range(n):
+        for line in _lines(grid, i):
+            last_x = last_p = zero
+            for w, v in zip(grid.values[i], line):
+                last_p += w * (xs[v][i] - last_x)
+                last_x = xs[v][i]
+                ps[v][i] = last_p
     interim = InterimMechanism(grid, xs, ps, options.mode)
 
-    representable = all(
-        not (xs[v][i] == 0 and ps[v][i] != 0) for v in profiles for i in range(n)
-    )
-    expost = None
-    if representable:
-        rows = {}
-        for v in profiles:
-            entries = []
-            for f, w in enumerate(lotteries[v]):
-                if w == 0:
-                    continue
-                vec = fs.vectors[f]
-                charge = tuple(
-                    ps[v][i] / xs[v][i] if vec[i] else zero for i in range(n)
-                )
-                entries.append((f, charge, w))
-            rows[v] = entries
-        expost = ExPostMechanism(grid, fs, rows, options.mode)
+    rows = {}
+    for v in profiles:
+        charge = [ps[v][i] / xs[v][i] if xs[v][i] else zero for i in range(n)]
+        rows[v] = [
+            (f, tuple(c if on else zero for c, on in zip(charge, fs.vectors[f])), w)
+            for f, w in lotteries[v].items()
+        ]
+    expost = ExPostMechanism(grid, fs, rows, options.mode)
 
     revenue = sum((q * sum(ps[v]) for v, q in dist.support.items()), zero)
     return OptimalResult(interim, expost, revenue)

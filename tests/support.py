@@ -3,9 +3,13 @@
 The hull-membership oracle here deliberately avoids the package's LP
 machinery: it enumerates vector subsets and solves the barycentric
 systems by Gaussian elimination, so decomposition results are checked
-against a second, unrelated method.
+against a second, unrelated method.  The reference revenue LP keeps
+payments as variables with every truthfulness and rationality
+constraint, so the allocation-only LP is checked against the full
+formulation it reduces.
 """
 
+import itertools
 from fractions import Fraction
 from itertools import combinations
 
@@ -17,6 +21,7 @@ from revmax import (
     Valuation,
     ValueGrid,
 )
+from revmax.lp import EQ, LEQ, LinearProgram, solve
 
 
 def random_grid(rng, max_bidders=3, max_values=3, min_values=1):
@@ -205,3 +210,77 @@ def random_m1_instance(rng, max_bidders=2, max_types=3):
         types.append([Valuation(1, [0, v]) for v in vals])
     support = _random_type_support(rng, types)
     return MultiItemInstance(1, types, support)
+
+
+def reference_optimal_lp(dist, fs, allow_negative_payments=False):
+    """The revenue LP in its largest form: lottery weights per (profile,
+    vector) including the zero vector, payments per (profile, bidder),
+    convexity equalities, truthfulness between every pair of reports,
+    and rationality at every profile; expected revenue objective."""
+    grid = dist.grid
+    n = grid.n
+    profiles = list(grid.profiles())
+    pindex = {v: k for k, v in enumerate(profiles)}
+    K = len(fs.vectors)
+    nlam = len(profiles) * K
+
+    def lam(v_idx, f_idx):
+        return v_idx * K + f_idx
+
+    def pay(v_idx, i):
+        return nlam + v_idx * n + i
+
+    num_vars = nlam + len(profiles) * n
+    objective = [Fraction(0)] * num_vars
+    for v, q in dist.support.items():
+        for i in range(n):
+            objective[pay(pindex[v], i)] = q
+    lp = LinearProgram(num_vars, objective, maximize=True)
+    if allow_negative_payments:
+        for k in range(len(profiles)):
+            for i in range(n):
+                lp.set_bounds(pay(k, i), None, None)
+
+    for k in range(len(profiles)):
+        lp.add_constraint({lam(k, f): 1 for f in range(K)}, EQ, 1)
+
+    def x_coeffs(v_idx, i, scale, into):
+        # contribution of scale * x_i(v) in lottery-weight variables
+        for f, vec in enumerate(fs.vectors):
+            if vec[i]:
+                col = lam(v_idx, f)
+                into[col] = into.get(col, 0) + scale
+
+    for i in range(n):
+        others = [grid.values[j] for j in range(n) if j != i]
+        for rest in itertools.product(*others):
+            def at(vi):
+                return rest[:i] + (vi,) + rest[i:]
+
+            for true_v in grid.values[i]:
+                k_true = pindex[at(true_v)]
+                for report_v in grid.values[i]:
+                    if report_v == true_v:
+                        continue
+                    k_rep = pindex[at(report_v)]
+                    # deviation utility minus truthful utility <= 0
+                    row = {pay(k_rep, i): -1, pay(k_true, i): 1}
+                    x_coeffs(k_rep, i, true_v, row)
+                    x_coeffs(k_true, i, -true_v, row)
+                    lp.add_constraint(row, LEQ, 0)
+
+    for i in range(n):
+        for k in range(len(profiles)):
+            row = {pay(k, i): 1}
+            x_coeffs(k, i, -profiles[k][i], row)
+            lp.add_constraint(row, LEQ, 0)
+    return lp
+
+
+def reference_revenue(dist, fs=None, allow_negative_payments=False):
+    """Exact optimum of the reference revenue LP."""
+    if fs is None:
+        fs = FeasibilitySystem.single_item(dist.grid.n)
+    sol = solve(reference_optimal_lp(dist, fs, allow_negative_payments))
+    assert sol.status == "optimal", sol.status
+    return sol.objective

@@ -1,6 +1,7 @@
 """Revenue LP construction and solving, the ex-post extraction, and the
 convex-hull decomposition with its certificates."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -10,6 +11,7 @@ from revmax import (
     ExplicitDistribution,
     FeasibilitySystem,
     SolveOptions,
+    ValueGrid,
     build_optimal_lp,
     check_feasible,
     check_ir,
@@ -19,12 +21,13 @@ from revmax import (
     interim_of,
     solve_optimal,
 )
-from revmax.lp import EQ
+from revmax.lp import LEQ
 from support import (
     in_hull_by_enumeration,
     random_distribution,
     random_feasibility,
     random_hull_point,
+    reference_revenue,
 )
 
 PAIR = ExplicitDistribution.from_support({(1, 1): F(1, 2), (2, 2): F(1, 2)})
@@ -33,17 +36,25 @@ PAIR = ExplicitDistribution.from_support({(1, 1): F(1, 2), (2, 2): F(1, 2)})
 def test_lp_shape_for_two_by_two():
     fs = FeasibilitySystem.single_item(2)
     lp = build_optimal_lp(PAIR, fs)
-    # 4 profiles x 3 vectors of lottery weight + 8 payments
-    assert lp.num_vars == 20
-    eqs = [c for c in lp.constraints if c[1] == EQ]
-    assert len(eqs) == 4
-    assert len(lp.constraints) - len(eqs) == 16
+    # 4 profiles x 2 nonzero vectors of lottery weight, no payments
+    assert lp.num_vars == 8
+    # one mass row per profile, then one monotonicity row per adjacent
+    # pair on each of the 2 lines of each bidder
+    assert all(rel == LEQ for _, rel, _ in lp.constraints)
+    assert [rhs for _, _, rhs in lp.constraints] == [1] * 4 + [0] * 4
 
 
 def test_pair_instance_extracts_full_surplus():
     result = solve_optimal(PAIR)
     assert result.revenue == F(3, 2)
     assert expected_revenue(result.interim, PAIR) == F(3, 2)
+
+
+def test_feasibility_without_winners_sells_nothing():
+    # the LP has no variables: only the zero vector is feasible
+    result = solve_optimal(PAIR, FeasibilitySystem(2, [(0, 0)]))
+    assert result.revenue == 0
+    assert set(result.interim.x.values()) == {(0, 0)}
 
 
 def test_single_bidder_uniform_two_values():
@@ -61,19 +72,62 @@ def test_solution_passes_its_own_constraints():
 
 def test_expost_form_round_trips_to_interim():
     result = solve_optimal(PAIR)
-    assert result.expost is not None
     assert interim_of(result.expost) == result.interim
 
 
 def test_negative_payments_never_hurt():
+    # the flag cannot change the optimum: chain payments are nonnegative
     rng = random.Random(5)
     for _ in range(10):
         dist = random_distribution(rng, max_bidders=2)
-        base = solve_optimal(dist).revenue
+        base = solve_optimal(dist)
         signed = solve_optimal(
             dist, options=SolveOptions(allow_negative_payments=True)
-        ).revenue
-        assert signed >= base
+        )
+        assert signed.revenue == base.revenue
+        assert signed.interim == base.interim
+
+
+def _reference_instances(rng, count):
+    """Single-item systems, random feasibility systems, and single-item
+    systems on padded grids, in turn."""
+    for case in range(count):
+        kind = case % 3
+        if kind == 1:
+            fs = random_feasibility(rng, max_bidders=3)
+        else:
+            fs = FeasibilitySystem.single_item(rng.randint(2, 3))
+        top = 3 if fs.n < 3 else 2
+        grid = ValueGrid(
+            [sorted(rng.sample(range(1, 10), rng.randint(2, top))) for _ in range(fs.n)]
+        )
+        if kind < 2:
+            yield random_distribution(rng, grid=grid), fs
+            continue
+        picked = rng.sample(list(grid.profiles()), rng.randint(1, grid.cells() - 1))
+        weights = {v: rng.randint(1, 3) for v in picked}
+        total = sum(weights.values())
+        support = {v: F(w, total) for v, w in weights.items()}
+        yield ExplicitDistribution(grid, support, strict=False), fs
+
+
+def test_allocation_lp_matches_reference_lp():
+    rng = random.Random(21)
+    for dist, fs in _reference_instances(rng, 42):
+        result = solve_optimal(dist, fs)
+        assert result.revenue == reference_revenue(dist, fs)
+        grid, x, p = dist.grid, result.interim.x, result.interim.p
+        for i in range(grid.n):
+            others = [grid.values[j] for j in range(grid.n) if j != i]
+            for rest in itertools.product(*others):
+                line = [rest[:i] + (w,) + rest[i:] for w in grid.values[i]]
+                assert all(x[a][i] <= x[b][i] for a, b in zip(line, line[1:]))
+                low = line[0]
+                assert p[low][i] == low[i] * x[low][i]
+        assert check_truthful(result.interim).passed
+        assert check_ir(result.interim).passed
+        assert check_feasible(result.interim, fs).passed
+        assert interim_of(result.expost) == result.interim
 
 
 def test_randomized_weakly_beats_posted_prices():
@@ -138,8 +192,6 @@ def test_decompose_dimension_mismatch():
 
 def test_solver_handles_padded_grids():
     # a zero-probability grid value changes nothing
-    from revmax import ValueGrid
-
     grid = ValueGrid([[1, 2, 3], [1, 2]])
     dist = ExplicitDistribution(
         grid, {(1, 1): F(1, 2), (2, 2): F(1, 2)}, strict=False
