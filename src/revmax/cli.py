@@ -4,7 +4,8 @@ Subcommands: solve, solve-det, solve-multi, verify, revenue, ratio,
 decompose, oracle-stats.  Results go to stdout (or --output for file
 artifacts), diagnostics to stderr.  Exit codes: 0 success/pass, 1
 verification failed (witnesses reported) or point outside the hull
-(certificate reported), 2 input error, 3 resource limit or query budget.
+(certificate reported), 2 input error, 3 resource limit, query budget or
+simplex pivot limit.
 
 Runs are fully deterministic: identical inputs and flags give
 byte-identical output, with every quantity an exact rational string in
@@ -21,7 +22,7 @@ from typing import Optional
 
 from . import io
 from .brute import EnumLimits, enumerate_deterministic_optimal
-from .errors import BudgetError, InvalidInputError, SizeLimitError
+from .errors import BudgetError, InvalidInputError, PivotLimitError, SizeLimitError
 from .model import (
     EXACT,
     FLOAT,
@@ -373,7 +374,7 @@ def main(argv=None) -> int:
     except (InvalidInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SizeLimitError, BudgetError) as exc:
+    except (SizeLimitError, BudgetError, PivotLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

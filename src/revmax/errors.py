@@ -2,7 +2,8 @@
 
 The CLI maps these onto exit codes: invalid input and undefined
 quantities exit 2, resource limits (enumeration size, assignment
-count, query budget) exit 3, failed verification exits 1.
+count, query budget, simplex pivot limit) exit 3, failed verification
+exits 1.
 """
 
 
@@ -34,3 +35,7 @@ class SizeLimitError(RuntimeError):
 
 class BudgetError(RuntimeError):
     """Oracle query budget exhausted."""
+
+
+class PivotLimitError(RuntimeError):
+    """Simplex run past its pivot limit without terminating."""

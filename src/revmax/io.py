@@ -373,6 +373,14 @@ class ParsedMechanism:
     parts: Optional[tuple] = None
 
 
+def _field(obj: dict, key: str):
+    """A required key of a mechanism body line; a line without it (such as
+    a solver's trailing report line) is an input error, not a KeyError."""
+    if key not in obj:
+        raise InvalidInputError(f"mechanism line {obj} lacks {key!r}")
+    return obj[key]
+
+
 def read_mechanism(text: str, mode: Optional[str] = None) -> ParsedMechanism:
     """Decode a mechanism file; mode, when given, overrides the header's
     arithmetic mode."""
@@ -394,8 +402,11 @@ def read_mechanism(text: str, mode: Optional[str] = None) -> ParsedMechanism:
     if grid is None:
         raise InvalidInputError("mechanism file lacks a grid line")
     if kind == INTERIM:
-        x = {tuple(_parse_row(o["profile"], mode)): _parse_row(o["alloc"], mode) for o in body}
-        p = {tuple(_parse_row(o["profile"], mode)): _parse_row(o["pay"], mode) for o in body}
+        x, p = {}, {}
+        for o in body:
+            v = _parse_row(_field(o, "profile"), mode)
+            x[v] = _parse_row(_field(o, "alloc"), mode)
+            p[v] = _parse_row(_field(o, "pay"), mode)
         return ParsedMechanism(kind, mode, mech=InterimMechanism(grid, x, p, mode))
     fs = (
         FeasibilitySystem(grid.n, vectors)
@@ -405,9 +416,13 @@ def read_mechanism(text: str, mode: Optional[str] = None) -> ParsedMechanism:
     if kind == EXPOST:
         outcomes: dict = {}
         for o in body:
-            v = _parse_row(o["profile"], mode)
+            v = _parse_row(_field(o, "profile"), mode)
             outcomes.setdefault(v, []).append(
-                (o["vector"], _parse_row(o["pay"], mode), parse_number(o["prob"], mode))
+                (
+                    _field(o, "vector"),
+                    _parse_row(_field(o, "pay"), mode),
+                    parse_number(_field(o, "prob"), mode),
+                )
             )
         return ParsedMechanism(
             kind, mode, mech=ExPostMechanism(grid, fs, outcomes, mode), fs=fs
@@ -416,9 +431,9 @@ def read_mechanism(text: str, mode: Optional[str] = None) -> ParsedMechanism:
         choice = {}
         payments = {}
         for o in body:
-            v = _parse_row(o["profile"], mode)
-            choice[v] = o["vector"]
-            payments[v] = _parse_row(o["pay"], mode)
+            v = _parse_row(_field(o, "profile"), mode)
+            choice[v] = _field(o, "vector")
+            payments[v] = _parse_row(_field(o, "pay"), mode)
         return ParsedMechanism(
             kind, mode, mech=DeterministicMechanism(grid, fs, choice, payments, mode), fs=fs
         )
@@ -431,11 +446,11 @@ def read_mechanism(text: str, mode: Optional[str] = None) -> ParsedMechanism:
             if not isinstance(k, int):
                 raise InvalidInputError(f"universal line lacks a part index: {o}")
             if "profile" not in o:
-                probs[k] = parse_number(o["prob"], mode)
+                probs[k] = parse_number(_field(o, "prob"), mode)
                 continue
             v = _parse_row(o["profile"], mode)
-            choices.setdefault(k, {})[v] = o["vector"]
-            pays.setdefault(k, {})[v] = _parse_row(o["pay"], mode)
+            choices.setdefault(k, {})[v] = _field(o, "vector")
+            pays.setdefault(k, {})[v] = _parse_row(_field(o, "pay"), mode)
         if sorted(probs) != list(range(len(probs))) or sorted(choices) != sorted(probs):
             raise InvalidInputError("universal parts must be numbered 0..k-1")
         parts = tuple(
@@ -458,14 +473,16 @@ def _read_multi_mechanism(rows: list, head: dict, mode: str) -> ParsedMechanism:
     for obj in rows[1:]:
         if "bidder" in obj:
             tables[obj["bidder"]] = [
-                Valuation(m, _parse_row(t, mode), mode) for t in obj["tables"]
+                Valuation(m, _parse_row(t, mode), mode) for t in _field(obj, "tables")
             ]
         elif "support" in obj:
-            support.append((tuple(obj["support"]), parse_number(obj["prob"], mode)))
+            support.append(
+                (tuple(obj["support"]), parse_number(_field(obj, "prob"), mode))
+            )
         elif "assignment" in obj:
             owner_rows.append(obj)
         elif "pay" in obj:
-            payments[tuple(obj["profile"])] = _parse_row(obj["pay"], mode)
+            payments[tuple(_field(obj, "profile"))] = _parse_row(obj["pay"], mode)
         else:
             raise InvalidInputError(f"unrecognized mechanism line {obj}")
     if sorted(tables) != list(range(len(tables))):
@@ -479,8 +496,8 @@ def _read_multi_mechanism(rows: list, head: dict, mode: str) -> ParsedMechanism:
         owners = tuple(-1 if o is None else o for o in obj["assignment"])
         if owners not in index:
             raise InvalidInputError(f"assignment {obj['assignment']} is invalid")
-        lotteries.setdefault(tuple(obj["profile"]), []).append(
-            (index[owners], parse_number(obj["prob"], mode))
+        lotteries.setdefault(tuple(_field(obj, "profile")), []).append(
+            (index[owners], parse_number(_field(obj, "prob"), mode))
         )
     mech = MultiMechanism(inst, lotteries, payments)
     return ParsedMechanism(MULTI, mode, mech=mech)

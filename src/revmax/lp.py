@@ -1,11 +1,19 @@
 """Exact linear programming: a two-phase primal simplex over
 fractions.Fraction with Bland's anti-cycling rule.
 
-Dantzig pricing runs while the objective moves; after a stretch of
-degenerate pivots the solver switches to Bland's rule for the rest of the
-run, which guarantees termination without giving up determinism.  A float
-mode with the same pivoting and a 1e-9 feasibility tolerance exists for
-instances too large for exact arithmetic.
+The tableau is sparse: each row, and the reduced-cost row, is a
+{column: coefficient} map of its nonzeros, and a pivot touches only the
+rows with a nonzero in the entering column, at the pivot row's nonzeros,
+deleting entries that cancel to exactly zero.  Sign tests read a
+Fraction's numerator instead of comparing against Fraction(0).
+
+Dantzig pricing (largest reduced cost, lowest column index on ties) runs
+while the objective moves; after a stretch of degenerate pivots the
+solver switches to Bland's rule for the rest of the run, which
+guarantees termination without giving up determinism.  The ratio test
+breaks ties on the lowest basis index.  A float mode with the same code,
+the same pivoting and a 1e-9 feasibility tolerance exists for instances
+too large for exact arithmetic.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .errors import DimensionMismatchError, InvalidInputError
+from .errors import DimensionMismatchError, InvalidInputError, PivotLimitError
 from .model import EXACT, FLOAT
 
 LEQ = "<="
@@ -29,11 +37,14 @@ _MAX_PIVOTS = 2_000_000
 @dataclass
 class LPSolution:
     """Outcome of a solve: status is optimal, infeasible, or unbounded;
-    x and objective are set only when optimal."""
+    x and objective are set only when optimal.  pivots counts the
+    simplex pivots of (phase 1, phase 2); phase 1 includes the pivots
+    that drive leftover artificials out of the basis."""
 
     status: str
     x: Optional[tuple] = None
     objective: Optional[Union[Fraction, float]] = None
+    pivots: tuple = (0, 0)
 
 
 class LinearProgram:
@@ -119,81 +130,94 @@ class LinearProgram:
         return "\n".join(lines)
 
 
-def _pivot(rows, rhs, red, leave: int, enter: int):
-    """In-place tableau pivot; returns the objective gain term."""
-    piv = rows[leave][enter]
-    inv = 1 / piv
+def _positives(pairs, tol) -> list:
+    """Keys of the (key, value) pairs whose value exceeds tol, in order.
+
+    tol is 0 in exact mode, where every value is a Fraction: the sign of
+    its numerator decides, which spares a Fraction comparison per entry.
+    """
+    if tol:
+        return [k for k, v in pairs if v > tol]
+    return [k for k, v in pairs if v.numerator > 0]
+
+
+def _add_scaled(target: dict, f, items) -> None:
+    """target += f * items over sparse rows, in place; entries that
+    cancel to exactly zero are deleted."""
+    for j, b in items:
+        a = target.get(j)
+        if a is None:
+            target[j] = f * b
+        else:
+            a += f * b
+            if a:
+                target[j] = a
+            else:
+                del target[j]
+
+
+def _pivot(rows, rhs, red: dict, leave: int, enter: int, column: dict):
+    """In-place pivot on rows[leave][enter]; column maps each row index
+    to its nonzero entry in the entering column.  Returns the objective
+    gain term, 0 when red holds no reduced cost for the entering
+    column."""
     prow = rows[leave]
+    piv = prow[enter]
     if piv != 1:
-        rows[leave] = prow = [a * inv for a in prow]
+        inv = 1 / piv
+        rows[leave] = prow = {j: a * inv for j, a in prow.items()}
         rhs[leave] = rhs[leave] * inv
     pb = rhs[leave]
-    for i in range(len(rows)):
-        if i == leave:
-            continue
-        f = rows[i][enter]
-        if f:
-            ri = rows[i]
-            rows[i] = [a - f * b if b else a for a, b in zip(ri, prow)]
+    pitems = list(prow.items())
+    for i, f in column.items():
+        if i != leave:
+            _add_scaled(rows[i], -f, pitems)
             rhs[i] -= f * pb
-    f = red[enter]
-    if f:
-        for j in range(len(red)):
-            if prow[j]:
-                red[j] -= f * prow[j]
+    f = red.get(enter)
+    if f is None:
+        return 0
+    _add_scaled(red, -f, pitems)
     return f * pb
 
 
 def _run_simplex(rows, rhs, basis, cost, tol):
     """Maximize cost over the equality system in basic form.
 
-    Returns ('optimal', objective) or ('unbounded', None).  red costs and
-    the running objective derive from the basis on entry.
+    Returns ('optimal', objective, pivots) or ('unbounded', None,
+    pivots).  Reduced costs (a sparse row like the others) and the
+    running objective derive from the basis on entry.
     """
-    ncols = len(cost)
-    red = list(cost)
+    red = {j: c for j, c in enumerate(cost) if c}
     obj = 0
     for i, bi in enumerate(basis):
         cb = cost[bi]
         if cb:
             obj += cb * rhs[i]
-            row = rows[i]
-            for j in range(ncols):
-                if row[j]:
-                    red[j] -= cb * row[j]
+            _add_scaled(red, -cb, rows[i].items())
     bland = False
     stall = 0
-    for _ in range(_MAX_PIVOTS):
-        enter = -1
-        if bland:
-            for j in range(ncols):
-                if red[j] > tol:
-                    enter = j
-                    break
-        else:
-            best = tol
-            for j in range(ncols):
-                if red[j] > best:
-                    best = red[j]
-                    enter = j
-        if enter < 0:
-            return "optimal", obj
+    for pivots in range(_MAX_PIVOTS):
+        # Dantzig's rule with the lowest index winning ties (max keeps
+        # the first maximum), or Bland's lowest index once stalled
+        candidates = sorted(_positives(red.items(), tol))
+        if not candidates:
+            return "optimal", obj, pivots
+        enter = candidates[0] if bland else max(candidates, key=red.__getitem__)
+        column = {i: r[enter] for i, r in enumerate(rows) if enter in r}
         leave = -1
         best_ratio = None
-        for i in range(len(rows)):
-            a = rows[i][enter]
-            if a > tol:
-                ratio = rhs[i] / a
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leave])
-                ):
-                    best_ratio = ratio
-                    leave = i
+        for i in _positives(column.items(), tol):
+            ratio = rhs[i] / column[i]
+            if (
+                best_ratio is None
+                or ratio < best_ratio
+                or (ratio == best_ratio and basis[i] < basis[leave])
+            ):
+                best_ratio = ratio
+                leave = i
         if leave < 0:
-            return "unbounded", None
-        gain = _pivot(rows, rhs, red, leave, enter)
+            return "unbounded", None, pivots
+        gain = _pivot(rows, rhs, red, leave, enter, column)
         basis[leave] = enter
         obj += gain
         if gain > tol:
@@ -202,7 +226,7 @@ def _run_simplex(rows, rhs, basis, cost, tol):
             stall += 1
             if stall > _STALL_LIMIT:
                 bland = True
-    raise RuntimeError("simplex did not terminate within the pivot limit")
+    raise PivotLimitError(f"simplex did not terminate within {_MAX_PIVOTS} pivots")
 
 
 def solve(lp: LinearProgram, mode: str = EXACT) -> LPSolution:
@@ -211,7 +235,7 @@ def solve(lp: LinearProgram, mode: str = EXACT) -> LPSolution:
         tol = 1e-9
         num = float
     elif mode == EXACT:
-        tol = Fraction(0)
+        tol = 0
         num = lambda v: v if isinstance(v, Fraction) else Fraction(v)
     else:
         raise InvalidInputError(f"unknown arithmetic mode {mode!r}")
@@ -244,87 +268,76 @@ def solve(lp: LinearProgram, mode: str = EXACT) -> LPSolution:
             ncols += 2
 
     # Equality system rows over internal columns, slacks appended for <=.
+    # A column belongs to one variable, so each row sets it at most once.
+    zero, one = num(0), num(1)
     raw = []
     for row, rel, rhs in lp.constraints:
         body = {}
-        shift = num(0)
+        shift = zero
         for j, c in row.items():
             c = num(c)
-            if c == 0:
+            if not c:
                 continue
-            shift += c * offsets[j]
+            if offsets[j]:
+                shift += c * offsets[j]
             for col, s in col_of[j]:
-                body[col] = body.get(col, num(0)) + c * s
+                body[col] = c if s > 0 else -c
         raw.append((body, rel, num(rhs) - shift))
     for body, rhs in extra_rows:
-        raw.append((dict(body), LEQ, rhs))
+        raw.append((body, LEQ, rhs))
 
-    nslack = sum(1 for _, rel, _ in raw if rel == LEQ)
-    width = ncols + nslack
-    rows, rhs_col, slack_col = [], [], []
+    # Sparse tableau rows {column: nonzero}.  Rows with a negative rhs
+    # are negated, so their slack stops being a basis candidate; every
+    # row without a ready slack gets an artificial column past the slacks.
+    width = ncols + sum(1 for _, rel, _ in raw if rel == LEQ)
+    rows, rhs_col, basis, art_cols = [], [], [], []
     si = ncols
-    zero = num(0)
-    for body, rel, rhs in raw:
-        dense = [zero] * width
-        for col, c in body.items():
-            dense[col] = c
-        if rel == LEQ:
-            dense[si] = num(1)
-            slack_col.append(si)
+    for row, rel, rhs in raw:
+        ready = rel == LEQ
+        if ready:
+            row[si] = one
             si += 1
-        else:
-            slack_col.append(-1)
-        rows.append(dense)
-        rhs_col.append(rhs)
-
-    # Normalize rhs >= 0; flipped slack columns stop being basis candidates.
-    basis_ready = {}
-    for i in range(len(rows)):
-        if rhs_col[i] < 0:
-            rows[i] = [-a for a in rows[i]]
-            rhs_col[i] = -rhs_col[i]
-        elif slack_col[i] >= 0:
-            basis_ready[i] = slack_col[i]
-
-    # Phase 1: artificials on rows without a ready slack basis.
-    art_cols = []
-    basis = []
-    for i in range(len(rows)):
-        if i in basis_ready:
-            basis.append(basis_ready[i])
+        if rhs < 0:
+            row = {j: -a for j, a in row.items()}
+            rhs = -rhs
+            ready = False
+        if ready:
+            basis.append(si - 1)
         else:
             col = width + len(art_cols)
             art_cols.append(col)
+            row[col] = one
             basis.append(col)
+        rows.append(row)
+        rhs_col.append(rhs)
+
+    phase1 = 0
     if art_cols:
-        total = width + len(art_cols)
-        for i in range(len(rows)):
-            rows[i] = rows[i] + [zero] * len(art_cols)
-            if basis[i] >= width:
-                rows[i][basis[i]] = num(1)
-        cost1 = [zero] * total
+        cost1 = [zero] * (width + len(art_cols))
         for col in art_cols:
             cost1[col] = num(-1)
-        status, val = _run_simplex(rows, rhs_col, basis, cost1, tol)
+        status, val, phase1 = _run_simplex(rows, rhs_col, basis, cost1, tol)
         infeas = (-val) > (1e-7 if mode == FLOAT else 0)
         if status != "optimal" or infeas:
-            return LPSolution("infeasible")
+            return LPSolution("infeasible", pivots=(phase1, 0))
         # Drive leftover artificials out of the basis or drop their rows.
         drop = []
         for i in range(len(rows)):
             if basis[i] >= width:
-                enter = next(
-                    (j for j in range(width) if abs(rows[i][j]) > tol), None
+                enter = min(
+                    (j for j, a in rows[i].items() if j < width and abs(a) > tol),
+                    default=None,
                 )
                 if enter is None:
                     drop.append(i)
                 else:
-                    red = [zero] * (width + len(art_cols))
-                    _pivot(rows, rhs_col, red, i, enter)
+                    column = {k: r[enter] for k, r in enumerate(rows) if enter in r}
+                    _pivot(rows, rhs_col, {}, i, enter, column)
                     basis[i] = enter
+                    phase1 += 1
         for i in reversed(drop):
             del rows[i], rhs_col[i], basis[i]
-        rows = [r[:width] for r in rows]
+        rows = [{j: a for j, a in r.items() if j < width} for r in rows]
 
     cost2 = [zero] * width
     for j in range(lp.num_vars):
@@ -332,9 +345,10 @@ def solve(lp: LinearProgram, mode: str = EXACT) -> LPSolution:
         if c:
             for col, s in col_of[j]:
                 cost2[col] += c * s
-    status, val = _run_simplex(rows, rhs_col, basis, cost2, tol)
+    status, val, phase2 = _run_simplex(rows, rhs_col, basis, cost2, tol)
+    pivots = (phase1, phase2)
     if status == "unbounded":
-        return LPSolution("unbounded")
+        return LPSolution("unbounded", pivots=pivots)
 
     yv = [zero] * width
     for i, bi in enumerate(basis):
@@ -348,4 +362,4 @@ def solve(lp: LinearProgram, mode: str = EXACT) -> LPSolution:
     objective = sum(
         (num(lp.objective[j]) * x[j] for j in range(lp.num_vars)), zero
     )
-    return LPSolution("optimal", tuple(x), objective)
+    return LPSolution("optimal", tuple(x), objective, pivots)

@@ -6,7 +6,9 @@ systems by Gaussian elimination, so decomposition results are checked
 against a second, unrelated method.  The reference revenue LP keeps
 payments as variables with every truthfulness and rationality
 constraint, so the allocation-only LP is checked against the full
-formulation it reduces.
+formulation it reduces.  The reference simplex keeps dense tableau
+rows with the same pivot rule, so the sparse solver in revmax.lp must
+take the same pivots to the same vertex.
 """
 
 import itertools
@@ -17,11 +19,21 @@ from revmax import (
     ExplicitDistribution,
     FeasibilitySystem,
     InterimMechanism,
+    InvalidInputError,
     MultiItemInstance,
     Valuation,
     ValueGrid,
 )
-from revmax.lp import EQ, LEQ, LinearProgram, solve
+from revmax.lp import (
+    _MAX_PIVOTS,
+    _STALL_LIMIT,
+    EQ,
+    LEQ,
+    LinearProgram,
+    LPSolution,
+    solve,
+)
+from revmax.model import EXACT, FLOAT
 
 
 def random_grid(rng, max_bidders=3, max_values=3, min_values=1):
@@ -284,3 +296,239 @@ def reference_revenue(dist, fs=None, allow_negative_payments=False):
     sol = solve(reference_optimal_lp(dist, fs, allow_negative_payments))
     assert sol.status == "optimal", sol.status
     return sol.objective
+
+
+def _reference_pivot(rows, rhs, red, leave: int, enter: int):
+    """In-place tableau pivot; returns the objective gain term."""
+    piv = rows[leave][enter]
+    inv = 1 / piv
+    prow = rows[leave]
+    if piv != 1:
+        rows[leave] = prow = [a * inv for a in prow]
+        rhs[leave] = rhs[leave] * inv
+    pb = rhs[leave]
+    for i in range(len(rows)):
+        if i == leave:
+            continue
+        f = rows[i][enter]
+        if f:
+            ri = rows[i]
+            rows[i] = [a - f * b if b else a for a, b in zip(ri, prow)]
+            rhs[i] -= f * pb
+    f = red[enter]
+    if f:
+        for j in range(len(red)):
+            if prow[j]:
+                red[j] -= f * prow[j]
+    return f * pb
+
+
+def _reference_run_simplex(rows, rhs, basis, cost, tol):
+    """Maximize cost over the equality system in basic form.
+
+    Returns ('optimal', objective, pivots) or ('unbounded', None,
+    pivots).  red costs and the running objective derive from the basis
+    on entry.
+    """
+    ncols = len(cost)
+    red = list(cost)
+    obj = 0
+    for i, bi in enumerate(basis):
+        cb = cost[bi]
+        if cb:
+            obj += cb * rhs[i]
+            row = rows[i]
+            for j in range(ncols):
+                if row[j]:
+                    red[j] -= cb * row[j]
+    bland = False
+    stall = 0
+    for pivots in range(_MAX_PIVOTS):
+        enter = -1
+        if bland:
+            for j in range(ncols):
+                if red[j] > tol:
+                    enter = j
+                    break
+        else:
+            best = tol
+            for j in range(ncols):
+                if red[j] > best:
+                    best = red[j]
+                    enter = j
+        if enter < 0:
+            return "optimal", obj, pivots
+        leave = -1
+        best_ratio = None
+        for i in range(len(rows)):
+            a = rows[i][enter]
+            if a > tol:
+                ratio = rhs[i] / a
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[i] < basis[leave])
+                ):
+                    best_ratio = ratio
+                    leave = i
+        if leave < 0:
+            return "unbounded", None, pivots
+        gain = _reference_pivot(rows, rhs, red, leave, enter)
+        basis[leave] = enter
+        obj += gain
+        if gain > tol:
+            stall = 0
+        else:
+            stall += 1
+            if stall > _STALL_LIMIT:
+                bland = True
+    raise RuntimeError("simplex did not terminate within the pivot limit")
+
+
+def reference_solve(lp: LinearProgram, mode: str = EXACT) -> LPSolution:
+    """Two-phase simplex solve of the program in the requested arithmetic,
+    over dense tableau rows."""
+    if mode == FLOAT:
+        tol = 1e-9
+        num = float
+    elif mode == EXACT:
+        tol = Fraction(0)
+        num = lambda v: v if isinstance(v, Fraction) else Fraction(v)
+    else:
+        raise InvalidInputError(f"unknown arithmetic mode {mode!r}")
+
+    sign = 1 if lp.maximize else -1
+
+    # Internal columns: every original variable becomes one or two
+    # nonnegative columns via shift (finite lower), mirror (upper only),
+    # or a free split.  x_j = offset_j + sum of signed columns.
+    col_of: list[list[tuple[int, int]]] = [[] for _ in range(lp.num_vars)]
+    offsets = []
+    ncols = 0
+    extra_rows = []  # upper-bound rows y <= u - l for doubly bounded vars
+    for j in range(lp.num_vars):
+        lo, hi = lp.lower[j], lp.upper[j]
+        if lo is not None:
+            offsets.append(num(lo))
+            col_of[j].append((ncols, 1))
+            if hi is not None:
+                extra_rows.append(({ncols: num(1)}, num(hi) - num(lo)))
+            ncols += 1
+        elif hi is not None:
+            offsets.append(num(hi))
+            col_of[j].append((ncols, -1))
+            ncols += 1
+        else:
+            offsets.append(num(0))
+            col_of[j].append((ncols, 1))
+            col_of[j].append((ncols + 1, -1))
+            ncols += 2
+
+    # Equality system rows over internal columns, slacks appended for <=.
+    raw = []
+    for row, rel, rhs in lp.constraints:
+        body = {}
+        shift = num(0)
+        for j, c in row.items():
+            c = num(c)
+            if c == 0:
+                continue
+            shift += c * offsets[j]
+            for col, s in col_of[j]:
+                body[col] = body.get(col, num(0)) + c * s
+        raw.append((body, rel, num(rhs) - shift))
+    for body, rhs in extra_rows:
+        raw.append((dict(body), LEQ, rhs))
+
+    nslack = sum(1 for _, rel, _ in raw if rel == LEQ)
+    width = ncols + nslack
+    rows, rhs_col, slack_col = [], [], []
+    si = ncols
+    zero = num(0)
+    for body, rel, rhs in raw:
+        dense = [zero] * width
+        for col, c in body.items():
+            dense[col] = c
+        if rel == LEQ:
+            dense[si] = num(1)
+            slack_col.append(si)
+            si += 1
+        else:
+            slack_col.append(-1)
+        rows.append(dense)
+        rhs_col.append(rhs)
+
+    # Normalize rhs >= 0; flipped slack columns stop being basis candidates.
+    basis_ready = {}
+    for i in range(len(rows)):
+        if rhs_col[i] < 0:
+            rows[i] = [-a for a in rows[i]]
+            rhs_col[i] = -rhs_col[i]
+        elif slack_col[i] >= 0:
+            basis_ready[i] = slack_col[i]
+
+    # Phase 1: artificials on rows without a ready slack basis.
+    phase1 = 0
+    art_cols = []
+    basis = []
+    for i in range(len(rows)):
+        if i in basis_ready:
+            basis.append(basis_ready[i])
+        else:
+            col = width + len(art_cols)
+            art_cols.append(col)
+            basis.append(col)
+    if art_cols:
+        total = width + len(art_cols)
+        for i in range(len(rows)):
+            rows[i] = rows[i] + [zero] * len(art_cols)
+            if basis[i] >= width:
+                rows[i][basis[i]] = num(1)
+        cost1 = [zero] * total
+        for col in art_cols:
+            cost1[col] = num(-1)
+        status, val, phase1 = _reference_run_simplex(rows, rhs_col, basis, cost1, tol)
+        infeas = (-val) > (1e-7 if mode == FLOAT else 0)
+        if status != "optimal" or infeas:
+            return LPSolution("infeasible", pivots=(phase1, 0))
+        # Drive leftover artificials out of the basis or drop their rows.
+        drop = []
+        for i in range(len(rows)):
+            if basis[i] >= width:
+                enter = next(
+                    (j for j in range(width) if abs(rows[i][j]) > tol), None
+                )
+                if enter is None:
+                    drop.append(i)
+                else:
+                    red = [zero] * (width + len(art_cols))
+                    _reference_pivot(rows, rhs_col, red, i, enter)
+                    basis[i] = enter
+                    phase1 += 1
+        for i in reversed(drop):
+            del rows[i], rhs_col[i], basis[i]
+        rows = [r[:width] for r in rows]
+
+    cost2 = [zero] * width
+    for j in range(lp.num_vars):
+        c = num(lp.objective[j]) * sign
+        if c:
+            for col, s in col_of[j]:
+                cost2[col] += c * s
+    status, val, phase2 = _reference_run_simplex(rows, rhs_col, basis, cost2, tol)
+    if status == "unbounded":
+        return LPSolution("unbounded", pivots=(phase1, phase2))
+
+    yv = [zero] * width
+    for i, bi in enumerate(basis):
+        yv[bi] = rhs_col[i]
+    x = []
+    for j in range(lp.num_vars):
+        v = offsets[j]
+        for col, s in col_of[j]:
+            v = v + s * yv[col]
+        x.append(v)
+    objective = sum(
+        (num(lp.objective[j]) * x[j] for j in range(lp.num_vars)), zero
+    )
+    return LPSolution("optimal", tuple(x), objective, (phase1, phase2))

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 from revmax import ExplicitDistribution, MultiItemInstance, Valuation
 from revmax import io as rio
+from revmax import lp
 from revmax.cli import main
 from revmax.mechanisms import first_price, vickrey, zero_mechanism
 
@@ -193,6 +194,24 @@ def test_wrong_model_for_solver_is_input_error(tmp_path, capsys):
     assert "solve-multi" in err
     code, _, err = run(capsys, ["solve-multi", pair_file(tmp_path)])
     assert code == 2
+
+
+def test_verify_of_full_solver_stdout_is_input_error(tmp_path, capsys):
+    # the trailing report line is not a mechanism line
+    inst = pair_file(tmp_path)
+    _, out, _ = run(capsys, ["solve", inst])
+    code, out, err = run(capsys, ["verify", inst, write(tmp_path, "full.ndjson", out)])
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "'profile'" in err
+
+
+def test_pivot_limit_is_resource_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(lp, "_MAX_PIVOTS", 1)
+    code, out, err = run(capsys, ["solve", pair_file(tmp_path)])
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and "pivot" in err
 
 
 def test_missing_file_is_input_error(tmp_path, capsys):

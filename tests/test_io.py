@@ -150,6 +150,27 @@ def test_rejects_malformed_files():
         rio.read_mechanism('{"format":1,"kind":"mystery"}\n{"grid":[["1"]]}\n')
 
 
+def test_mechanism_line_missing_a_key_is_input_error():
+    multi, _ = solve_multi(random_m1_instance(random.Random(29)))
+    parts = [(vickrey(PAIR.grid), F(1, 4)), (first_price(PAIR.grid), F(3, 4))]
+    result = solve_optimal(PAIR)
+    texts = [
+        rio.write_mechanism(m)
+        for m in (result.interim, result.expost, vickrey(PAIR.grid), multi)
+    ]
+    texts.append(rio.write_mechanism(None, parts=parts))
+    for text in texts:
+        lines = text.splitlines()
+        body = next(k for k, line in enumerate(lines) if '"profile"' in line)
+        obj = rio.loads_line(lines[body])
+        for key in obj:
+            cut = dict(obj)
+            del cut[key]
+            broken = lines[:body] + [rio.dumps_line(cut).strip()] + lines[body + 1 :]
+            with pytest.raises(InvalidInputError):
+                rio.read_mechanism("\n".join(broken) + "\n")
+
+
 def test_float_file_round_trip():
     dist = ExplicitDistribution.from_support(
         {(1.0, 1.0): 0.5, (2.0, 2.0): 0.5}, mode="float"

@@ -1,6 +1,6 @@
 """Exact two-phase simplex: classic fixtures, degenerate/cycling cases,
-variable transforms, and a brute-force vertex cross-check on random
-programs."""
+variable transforms, a brute-force vertex cross-check on random
+programs, and pivot-for-pivot parity with the dense reference solver."""
 
 import itertools
 import random
@@ -8,8 +8,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from revmax import LinearProgram, solve
-from revmax.lp import EQ, LEQ
+from revmax import LinearProgram, PivotLimitError, lp as lp_module, solve
+from revmax.lp import EQ, GEQ, LEQ
+from revmax.model import FLOAT
+from support import reference_solve
 
 
 def test_two_variable_maximum():
@@ -74,7 +76,7 @@ def test_shifted_and_boxed_bounds():
     assert sol.objective == F(6)
 
 
-def test_degenerate_cycling_fixture():
+def _cycling_lp():
     # the classic cycling example; Dantzig pricing alone can loop forever
     lp = LinearProgram(
         4, [F(3, 4), F(-150), F(1, 50), F(-6)], maximize=True
@@ -82,7 +84,11 @@ def test_degenerate_cycling_fixture():
     lp.add_constraint({0: F(1, 4), 1: F(-60), 2: F(-1, 25), 3: F(9)}, LEQ, F(0))
     lp.add_constraint({0: F(1, 2), 1: F(-90), 2: F(-1, 50), 3: F(3)}, LEQ, F(0))
     lp.add_constraint({2: F(1)}, LEQ, F(1))
-    sol = solve(lp)
+    return lp
+
+
+def test_degenerate_cycling_fixture():
+    sol = solve(_cycling_lp())
     assert sol.status == "optimal"
     assert sol.objective == F(1, 20)
 
@@ -191,3 +197,74 @@ def test_rejects_malformed_input():
         lp.add_constraint({5: F(1)}, LEQ, F(1))
     with pytest.raises(Exception):
         lp.add_constraint({0: F(1)}, "!=", F(1))
+
+
+def _random_program(rng):
+    """Small random program with every bound shape and relation, negative
+    right-hand sides, and sometimes a redundant copy of an equality."""
+    n = rng.randint(1, 6)
+    lp = LinearProgram(
+        n, [F(rng.randint(-3, 4)) for _ in range(n)], maximize=rng.random() < 0.7
+    )
+    for j in range(n):
+        shape = rng.choice(["plain", "plain", "shifted", "boxed", "upper", "free"])
+        if shape == "shifted":
+            lp.set_bounds(j, F(rng.randint(-3, 3)), None)
+        elif shape == "boxed":
+            lo = rng.randint(-3, 2)
+            lp.set_bounds(j, F(lo), F(lo + rng.randint(0, 4)))
+        elif shape == "upper":
+            lp.set_bounds(j, None, F(rng.randint(-2, 5)))
+        elif shape == "free":
+            lp.set_bounds(j, None, None)
+    for _ in range(rng.randint(1, 7)):
+        coeffs = {
+            j: F(rng.randint(-4, 4), rng.randint(1, 2))
+            for j in range(n)
+            if rng.random() < 0.7
+        }
+        rel = rng.choice([LEQ, LEQ, LEQ, GEQ, GEQ, EQ])
+        rhs = F(rng.randint(-8, 2) if rel == GEQ else rng.randint(-2, 8))
+        lp.add_constraint(coeffs, rel, rhs)
+        if rel == EQ and rng.random() < 0.4:
+            k = rng.randint(2, 3)
+            lp.add_constraint({j: k * c for j, c in coeffs.items()}, EQ, k * rhs)
+    return lp
+
+
+def test_sparse_simplex_matches_dense_reference():
+    rng = random.Random(20101111)
+    programs = [_random_program(rng) for _ in range(240)] + [_cycling_lp()]
+    seen = set()
+    for lp in programs:
+        got, want = solve(lp), reference_solve(lp)
+        assert got.status == want.status
+        assert got.x == want.x
+        assert got.objective == want.objective
+        assert got.pivots == want.pivots
+        seen.add(got.status)
+        got, want = solve(lp, mode=FLOAT), reference_solve(lp, mode=FLOAT)
+        assert got.status == want.status
+        assert got.pivots == want.pivots
+        if want.x is not None:
+            assert all(abs(a - b) <= 1e-9 for a, b in zip(got.x, want.x))
+    assert seen == {"optimal", "infeasible", "unbounded"}
+
+
+def test_pivot_counts_per_phase():
+    # an equality row needs an artificial, so phase 1 pivots before phase 2
+    lp = LinearProgram(2, [F(1), F(2)])
+    lp.add_constraint({0: F(1), 1: F(1)}, EQ, F(1))
+    lp.add_constraint({1: F(1)}, LEQ, F(1, 2))
+    sol = solve(lp)
+    assert sol.x == (F(1, 2), F(1, 2))
+    assert sol.pivots[0] >= 1 and sol.pivots[1] >= 1
+    lp = LinearProgram(1, [F(1)])
+    lp.add_constraint({0: F(1)}, LEQ, F(3))
+    assert solve(lp).pivots == (0, 1)
+
+
+def test_pivot_limit_raises_typed_error(monkeypatch):
+    monkeypatch.setattr(lp_module, "_MAX_PIVOTS", 1)
+    with pytest.raises(PivotLimitError):
+        solve(_cycling_lp())
