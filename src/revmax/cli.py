@@ -183,12 +183,13 @@ def _cmd_verify(args) -> int:
         parts = []
         if mech.kind == io.EXPOST:
             parts.append(check_expost_ir(mech.mech))
+        truthful = check_truthful(interim)
         parts.extend(
             [
-                check_truthful(interim),
+                truthful,
                 check_ir(interim),
                 check_feasible(interim, fs),
-                check_extension(interim),
+                check_extension(interim, truthful),
             ]
         )
         report = VerifyReport.merge(*parts)

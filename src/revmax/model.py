@@ -232,7 +232,11 @@ class FeasibilitySystem:
         return cls(n, vecs)
 
     def is_single_item(self) -> bool:
-        return set(self.vectors) == set(FeasibilitySystem.single_item(self.n).vectors)
+        # the constructor guarantees distinct 0/1 vectors including zero,
+        # so n + 1 vectors with at most one 1 each are zero and every unit
+        return len(self.vectors) == self.n + 1 and all(
+            sum(vec) <= 1 for vec in self.vectors
+        )
 
     def winner_index(self, bidder: int) -> int:
         """Index of the vector allocating exactly to one bidder."""
@@ -528,7 +532,7 @@ def execute(mech: ExPostMechanism, bids: Sequence[Number], seed: int):
     profile = []
     null_bidders = []
     for i, bid in enumerate(bids):
-        b = Fraction(bid) if not isinstance(bid, float) else Fraction(bid)
+        b = Fraction(bid)
         if b < 0:
             raise InvalidInputError(f"negative bid {bid}")
         below = [g for g in mech.grid.values[i] if Fraction(g) <= b]

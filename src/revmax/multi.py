@@ -267,13 +267,14 @@ def build_multi_lp(
     for k in range(len(profiles)):
         lp.add_constraint({lam(k, a): 1 for a in range(A)}, EQ, 1)
 
-    # value of assignment a to bidder i holding type ti
-    def val(i: int, ti: int, a_idx: int):
-        return inst.types[i][ti].of(bundle_mask(assigns[a_idx], i))
+    # values[i][ti][a]: value of assignment a to bidder i holding type ti
+    values = [
+        [[t.of(bundle_mask(a, i)) for a in assigns] for t in inst.types[i]]
+        for i in range(n)
+    ]
 
     def value_coeffs(t_idx: int, i: int, ti: int, sign: int, into: dict) -> None:
-        for a_idx in range(A):
-            v = val(i, ti, a_idx)
+        for a_idx, v in enumerate(values[i][ti]):
             if v:
                 col = lam(t_idx, a_idx)
                 into[col] = into.get(col, zero) + sign * v

@@ -6,6 +6,14 @@ Witness carrying both sides of the broken relation, so re-evaluating the
 quoted inequality at the witness reproduces the failure exactly.  Exact
 mode compares rationals strictly; float mode flags a constraint once its
 deficit exceeds 1e-9 times max(1, |lhs|, |rhs|).
+
+The interim checks read the x and p tables as flat lists in canonical
+profile order and reach a deviation by index arithmetic (a bidder's
+stride), never by building and hashing the deviating profile; walking
+the indices in order yields the documented witness order without a
+sort.  On a single-item system, feasibility is the direct test
+sum(x) <= 1; the hull LP runs only for allocations that fail it, to
+decide them and supply the certificate.
 """
 
 from __future__ import annotations
@@ -85,22 +93,45 @@ def violated(lhs, rhs, relation: str, mode: str) -> bool:
     raise InvalidInputError(f"unknown relation {relation!r}")
 
 
+def _lines(mech: InterimMechanism):
+    """Walk bidders, then profiles in canonical order.  Yields (i, v, k,
+    xs, ps): k is the index of v[i] on bidder i's grid, and xs/ps are
+    bidder i's allocation and payment as v[i] sweeps the grid with the
+    other values held.  The tables are read as flat lists in canonical
+    order, where moving bidder i's value index from k to j moves a
+    profile's index by (j - k) * stride; each line is gathered once, at
+    its lowest value, which canonical order visits first."""
+    profiles = list(mech.x)
+    xrows, prows = list(mech.x.values()), list(mech.p.values())
+    stride = len(profiles)
+    for i, vals in enumerate(mech.grid.values):
+        K = len(vals)
+        stride //= K
+        lines = {}
+        for idx, v in enumerate(profiles):
+            k = idx // stride % K
+            if k == 0:
+                line = lines[idx] = (
+                    [xrows[idx + j * stride][i] for j in range(K)],
+                    [prows[idx + j * stride][i] for j in range(K)],
+                )
+            else:
+                line = lines[idx - k * stride]
+            yield i, v, k, line[0], line[1]
+
+
 def check_truthful(mech: InterimMechanism) -> VerifyReport:
     """No type gains by reporting a different grid value, in expectation."""
-    grid = mech.grid
     out = []
-    for i in range(grid.n):
-        for v in grid.profiles():
-            truth = v[i] * mech.x[v][i] - mech.p[v][i]
-            for rep in grid.values[i]:
-                if rep == v[i]:
-                    continue
-                q = v[:i] + (rep,) + v[i + 1 :]
-                dev = v[i] * mech.x[q][i] - mech.p[q][i]
-                if violated(truth, dev, ">=", mech.mode):
-                    out.append(
-                        Witness("truthful", i, v, rep, ">=", truth, dev)
-                    )
+    for i, v, k, xs, ps in _lines(mech):
+        vi = v[i]
+        truth = vi * xs[k] - ps[k]
+        for j, rep in enumerate(mech.grid.values[i]):
+            if j == k:
+                continue
+            dev = vi * xs[j] - ps[j]
+            if violated(truth, dev, ">=", mech.mode):
+                out.append(Witness("truthful", i, v, rep, ">=", truth, dev))
     return VerifyReport.build("truthful", out)
 
 
@@ -109,12 +140,10 @@ def check_ir(mech: InterimMechanism) -> VerifyReport:
     worth."""
     out = []
     for i in range(mech.grid.n):
-        for v in mech.grid.profiles():
-            worth = v[i] * mech.x[v][i]
-            if violated(worth, mech.p[v][i], ">=", mech.mode):
-                out.append(
-                    Witness("ir", i, v, None, ">=", worth, mech.p[v][i])
-                )
+        for (v, x), p in zip(mech.x.items(), mech.p.values()):
+            worth = v[i] * x[i]
+            if violated(worth, p[i], ">=", mech.mode):
+                out.append(Witness("ir", i, v, None, ">=", worth, p[i]))
     return VerifyReport.build("ir", out)
 
 
@@ -145,15 +174,21 @@ def check_expost_ir(mech: ExPostMechanism) -> VerifyReport:
 
 def check_feasible(mech: InterimMechanism, fs: FeasibilitySystem) -> VerifyReport:
     """Each profile's expected allocation lies in the convex hull of the
-    feasible vectors; failures quote a separating certificate."""
+    feasible vectors; failures quote a separating certificate.  On a
+    single-item system an allocation summing to at most 1 is in the hull
+    directly (0 <= x <= 1 holds by construction); only the others reach
+    the LP, which also supplies the certificate."""
     if fs.n != mech.grid.n:
         raise DimensionMismatchError("feasibility system and grid disagree on n")
+    single = fs.is_single_item()
     out = []
-    for v in mech.grid.profiles():
-        dec = decompose_allocation(mech.x[v], fs, mech.mode)
+    for v, x in mech.x.items():
+        if single and sum(x) <= 1:
+            continue
+        dec = decompose_allocation(x, fs, mech.mode)
         if not dec.in_hull:
             a, b = dec.certificate
-            lhs = sum(c * xi for c, xi in zip(a, mech.x[v]))
+            lhs = sum(c * xi for c, xi in zip(a, x))
             out.append(
                 Witness(
                     "feasible", None, v, None, "<=", lhs, b,
@@ -163,85 +198,78 @@ def check_feasible(mech: InterimMechanism, fs: FeasibilitySystem) -> VerifyRepor
     return VerifyReport.build("feasible", out)
 
 
-def _column(mech: InterimMechanism, i: int, v: tuple):
-    """Own-value sweep of (x_i, p_i) with the other coordinates fixed."""
-    xs, ps = [], []
-    for g in mech.grid.values[i]:
-        q = v[:i] + (g,) + v[i + 1 :]
-        xs.append(mech.x[q][i])
-        ps.append(mech.p[q][i])
-    return xs, ps
-
-
-def check_extension(mech: InterimMechanism) -> VerifyReport:
+def check_extension(
+    mech: InterimMechanism, truthful: Optional[VerifyReport] = None
+) -> VerifyReport:
     """Truthfulness of the round-down extension to all real values.
 
     Finitely many conditions cover every off-grid type: (a) grid
     truthfulness; (b) just below each next grid value, the lower outcome
     still beats every menu entry; (c) at the top, the slope is maximal,
     with cheaper payment on ties; (d) below the grid, every menu entry
-    has non-positive utility.
+    has non-positive utility.  Condition (a) restates the witnesses of
+    truthful, a check_truthful report of this same mechanism; it is
+    computed here when not given.
     """
     grid = mech.grid
+    if truthful is None:
+        truthful = check_truthful(mech)
     out = []
-    for w in check_truthful(mech).witnesses:
+    for w in truthful.witnesses:
         out_w = Witness(
             "extension", w.bidder, w.profile, w.deviation, w.relation,
             w.lhs, w.rhs, detail="condition a (grid truthfulness)",
         )
         out.append(out_w)
-    for i in range(grid.n):
+    for i, v, k, xs, ps in _lines(mech):
         K = len(grid.values[i])
-        for v in grid.profiles():
-            k = grid.index(i, v[i])
-            xs, ps = _column(mech, i, v)
-            if k < K - 1:
-                g = grid.values[i][k + 1]
-                for j in range(K):
-                    if j == k:
-                        continue
-                    lhs = g * xs[k] - ps[k]
-                    rhs = g * xs[j] - ps[j]
-                    if violated(lhs, rhs, ">=", mech.mode):
-                        out.append(
-                            Witness(
-                                "extension", i, v, grid.values[i][j], ">=",
-                                lhs, rhs,
-                                detail=f"condition b (true value just below {g})",
-                            )
+        if k < K - 1:
+            g = grid.values[i][k + 1]
+            lhs = g * xs[k] - ps[k]
+            for j in range(K):
+                if j == k:
+                    continue
+                rhs = g * xs[j] - ps[j]
+                if violated(lhs, rhs, ">=", mech.mode):
+                    out.append(
+                        Witness(
+                            "extension", i, v, grid.values[i][j], ">=",
+                            lhs, rhs,
+                            detail=f"condition b (true value just below {g})",
                         )
-            if k == K - 1:
-                for j in range(K - 1):
-                    if violated(xs[k], xs[j], ">=", mech.mode):
-                        out.append(
-                            Witness(
-                                "extension", i, v, grid.values[i][j], ">=",
-                                xs[k], xs[j],
-                                detail="condition c (slope above the top value)",
-                            )
+                    )
+        if k == K - 1:
+            for j in range(K - 1):
+                if violated(xs[k], xs[j], ">=", mech.mode):
+                    out.append(
+                        Witness(
+                            "extension", i, v, grid.values[i][j], ">=",
+                            xs[k], xs[j],
+                            detail="condition c (slope above the top value)",
                         )
-                    elif not violated(xs[j], xs[k], ">=", mech.mode):
-                        # slopes tie; the top outcome must not cost more
-                        if violated(ps[k], ps[j], "<=", mech.mode):
-                            out.append(
-                                Witness(
-                                    "extension", i, v, grid.values[i][j], "<=",
-                                    ps[k], ps[j],
-                                    detail="condition c (payment at tied top slope)",
-                                )
-                            )
-            if k == 0:
-                g = grid.values[i][0]
-                for j in range(K):
-                    lhs = g * xs[j] - ps[j]
-                    if violated(lhs, 0, "<=", mech.mode):
+                    )
+                elif not violated(xs[j], xs[k], ">=", mech.mode):
+                    # slopes tie; the top outcome must not cost more
+                    if violated(ps[k], ps[j], "<=", mech.mode):
                         out.append(
                             Witness(
                                 "extension", i, v, grid.values[i][j], "<=",
-                                lhs, 0,
-                                detail="condition d (true value below the grid)",
+                                ps[k], ps[j],
+                                detail="condition c (payment at tied top slope)",
                             )
                         )
+        if k == 0:
+            g = grid.values[i][0]
+            for j in range(K):
+                lhs = g * xs[j] - ps[j]
+                if violated(lhs, 0, "<=", mech.mode):
+                    out.append(
+                        Witness(
+                            "extension", i, v, grid.values[i][j], "<=",
+                            lhs, 0,
+                            detail="condition d (true value below the grid)",
+                        )
+                    )
     return VerifyReport.build("extension", out)
 
 
@@ -266,7 +294,8 @@ def check_universal(parts: Sequence[tuple]) -> VerifyReport:
         if part.grid != grid:
             raise DimensionMismatchError(f"part {idx} is on a different grid")
         interim = part.as_interim()
-        for rep in (check_truthful(interim), check_extension(interim)):
+        truthful = check_truthful(interim)
+        for rep in (truthful, check_extension(interim, truthful)):
             for w in rep.witnesses:
                 prefix = f"part {idx}"
                 detail = f"{prefix}: {w.detail}" if w.detail else prefix

@@ -8,7 +8,10 @@ payments as variables with every truthfulness and rationality
 constraint, so the allocation-only LP is checked against the full
 formulation it reduces.  The reference simplex keeps dense tableau
 rows with the same pivot rule, so the sparse solver in revmax.lp must
-take the same pivots to the same vertex.
+take the same pivots to the same vertex.  The reference checkers look
+every deviation up by building its profile, sweep each profile's own
+column afresh, and solve one hull LP per profile, so the indexed walks
+in revmax.verify must return the same witnesses in the same order.
 """
 
 import itertools
@@ -16,6 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from revmax import (
+    DimensionMismatchError,
     ExplicitDistribution,
     FeasibilitySystem,
     InterimMechanism,
@@ -34,6 +38,8 @@ from revmax.lp import (
     solve,
 )
 from revmax.model import EXACT, FLOAT
+from revmax.optimal import decompose_allocation
+from revmax.verify import VerifyReport, Witness, violated
 
 
 def random_grid(rng, max_bidders=3, max_values=3, min_values=1):
@@ -89,8 +95,9 @@ def random_interim(rng, grid, violate_ir=False):
     return InterimMechanism(grid, x, p)
 
 
-def random_feasibility(rng, max_bidders=4, max_vectors=8):
-    n = rng.randint(1, max_bidders)
+def random_feasibility(rng, max_bidders=4, max_vectors=8, n=None):
+    if n is None:
+        n = rng.randint(1, max_bidders)
     pool = [
         tuple((mask >> i) & 1 for i in range(n)) for mask in range(1, 2**n)
     ]
@@ -532,3 +539,124 @@ def reference_solve(lp: LinearProgram, mode: str = EXACT) -> LPSolution:
         (num(lp.objective[j]) * x[j] for j in range(lp.num_vars)), zero
     )
     return LPSolution("optimal", tuple(x), objective, (phase1, phase2))
+
+
+def reference_check_truthful(mech: InterimMechanism) -> VerifyReport:
+    """No type gains by reporting a different grid value, in expectation."""
+    grid = mech.grid
+    out = []
+    for i in range(grid.n):
+        for v in grid.profiles():
+            truth = v[i] * mech.x[v][i] - mech.p[v][i]
+            for rep in grid.values[i]:
+                if rep == v[i]:
+                    continue
+                q = v[:i] + (rep,) + v[i + 1 :]
+                dev = v[i] * mech.x[q][i] - mech.p[q][i]
+                if violated(truth, dev, ">=", mech.mode):
+                    out.append(
+                        Witness("truthful", i, v, rep, ">=", truth, dev)
+                    )
+    return VerifyReport.build("truthful", out)
+
+
+def reference_check_feasible(mech: InterimMechanism, fs: FeasibilitySystem) -> VerifyReport:
+    """Each profile's expected allocation lies in the convex hull of the
+    feasible vectors; failures quote a separating certificate."""
+    if fs.n != mech.grid.n:
+        raise DimensionMismatchError("feasibility system and grid disagree on n")
+    out = []
+    for v in mech.grid.profiles():
+        dec = decompose_allocation(mech.x[v], fs, mech.mode)
+        if not dec.in_hull:
+            a, b = dec.certificate
+            lhs = sum(c * xi for c, xi in zip(a, mech.x[v]))
+            out.append(
+                Witness(
+                    "feasible", None, v, None, "<=", lhs, b,
+                    detail=f"separating certificate a={tuple(map(str, a))}, b={b}",
+                )
+            )
+    return VerifyReport.build("feasible", out)
+
+
+def _reference_column(mech: InterimMechanism, i: int, v: tuple):
+    """Own-value sweep of (x_i, p_i) with the other coordinates fixed."""
+    xs, ps = [], []
+    for g in mech.grid.values[i]:
+        q = v[:i] + (g,) + v[i + 1 :]
+        xs.append(mech.x[q][i])
+        ps.append(mech.p[q][i])
+    return xs, ps
+
+
+def reference_check_extension(mech: InterimMechanism) -> VerifyReport:
+    """Truthfulness of the round-down extension to all real values.
+
+    Finitely many conditions cover every off-grid type: (a) grid
+    truthfulness; (b) just below each next grid value, the lower outcome
+    still beats every menu entry; (c) at the top, the slope is maximal,
+    with cheaper payment on ties; (d) below the grid, every menu entry
+    has non-positive utility.
+    """
+    grid = mech.grid
+    out = []
+    for w in reference_check_truthful(mech).witnesses:
+        out_w = Witness(
+            "extension", w.bidder, w.profile, w.deviation, w.relation,
+            w.lhs, w.rhs, detail="condition a (grid truthfulness)",
+        )
+        out.append(out_w)
+    for i in range(grid.n):
+        K = len(grid.values[i])
+        for v in grid.profiles():
+            k = grid.index(i, v[i])
+            xs, ps = _reference_column(mech, i, v)
+            if k < K - 1:
+                g = grid.values[i][k + 1]
+                for j in range(K):
+                    if j == k:
+                        continue
+                    lhs = g * xs[k] - ps[k]
+                    rhs = g * xs[j] - ps[j]
+                    if violated(lhs, rhs, ">=", mech.mode):
+                        out.append(
+                            Witness(
+                                "extension", i, v, grid.values[i][j], ">=",
+                                lhs, rhs,
+                                detail=f"condition b (true value just below {g})",
+                            )
+                        )
+            if k == K - 1:
+                for j in range(K - 1):
+                    if violated(xs[k], xs[j], ">=", mech.mode):
+                        out.append(
+                            Witness(
+                                "extension", i, v, grid.values[i][j], ">=",
+                                xs[k], xs[j],
+                                detail="condition c (slope above the top value)",
+                            )
+                        )
+                    elif not violated(xs[j], xs[k], ">=", mech.mode):
+                        # slopes tie; the top outcome must not cost more
+                        if violated(ps[k], ps[j], "<=", mech.mode):
+                            out.append(
+                                Witness(
+                                    "extension", i, v, grid.values[i][j], "<=",
+                                    ps[k], ps[j],
+                                    detail="condition c (payment at tied top slope)",
+                                )
+                            )
+            if k == 0:
+                g = grid.values[i][0]
+                for j in range(K):
+                    lhs = g * xs[j] - ps[j]
+                    if violated(lhs, 0, "<=", mech.mode):
+                        out.append(
+                            Witness(
+                                "extension", i, v, grid.values[i][j], "<=",
+                                lhs, 0,
+                                detail="condition d (true value below the grid)",
+                            )
+                        )
+    return VerifyReport.build("extension", out)

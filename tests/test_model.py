@@ -116,6 +116,15 @@ def test_feasibility_single_item():
     assert fs.vectors[fs.winner_index(1)] == (0, 1, 0)
 
 
+def test_is_single_item_is_a_direct_test():
+    assert FeasibilitySystem(1, [(1,), (0,)]).is_single_item()
+    assert FeasibilitySystem(3, [(0, 1, 0), (0, 0, 0), (0, 0, 1), (1, 0, 0)]).is_single_item()
+    two_units = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)]
+    assert not FeasibilitySystem(3, two_units).is_single_item()
+    assert not FeasibilitySystem(3, [(0, 0, 0), (1, 0, 0), (0, 0, 1)]).is_single_item()
+    assert not FeasibilitySystem(2, [(0, 0), (1, 0), (1, 1)]).is_single_item()
+
+
 def test_feasibility_rejects_bad_vectors():
     with pytest.raises(InvalidInputError):
         FeasibilitySystem(2, [(0, 0), (0, 2)])

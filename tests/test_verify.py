@@ -19,13 +19,25 @@ from revmax import (
     check_ir,
     check_truthful,
     check_universal,
+    decompose_allocation,
     first_price,
     posted_price,
     second_price,
+    solve_optimal,
     vickrey,
     zero_mechanism,
 )
-from support import random_distribution, random_grid
+from revmax.io import write_report
+from revmax.model import EXACT, FLOAT
+from support import (
+    random_distribution,
+    random_feasibility,
+    random_grid,
+    random_interim,
+    reference_check_extension,
+    reference_check_feasible,
+    reference_check_truthful,
+)
 
 GRID = ValueGrid([[1, 2], [1, 2]])
 
@@ -188,3 +200,136 @@ def test_random_truthful_mechanisms_stay_truthful_under_padding():
         interim = vickrey(grid).as_interim()
         assert check_truthful(interim).passed
         assert check_extension(interim).passed
+
+
+def _parity_grid(rng):
+    """n = 1..4 bidders, some holding a single value."""
+    n = rng.randint(1, 4)
+    top = {1: 5, 2: 4, 3: 3, 4: 2}[n]
+    return ValueGrid(
+        [sorted(rng.sample(range(1, 10), rng.randint(1, top))) for _ in range(n)]
+    )
+
+
+def _parity_distribution(rng, grid):
+    """Strict half the time; otherwise a support on a random subset of
+    profiles over the padded grid."""
+    if rng.random() < 0.5:
+        return random_distribution(rng, grid=grid)
+    picked = rng.sample(list(grid.profiles()), rng.randint(1, grid.cells()))
+    weights = {v: rng.randint(1, 3) for v in picked}
+    total = sum(weights.values())
+    support = {v: F(w, total) for v, w in weights.items()}
+    return ExplicitDistribution(grid, support, strict=False)
+
+
+def _random_tables(rng, grid):
+    """Independent coarse entries: x in quarters (ties and oversold
+    profiles are common), p between -v/4 and v."""
+    x = {v: tuple(F(rng.randint(0, 4), 4) for _ in v) for v in grid.profiles()}
+    p = {v: tuple(c * F(rng.randint(-1, 4), 4) for c in v) for v in grid.profiles()}
+    return InterimMechanism(grid, x, p)
+
+
+def _as_float(mech):
+    grid = ValueGrid([[float(g) for g in vals] for vals in mech.grid.values], FLOAT)
+
+    def table(t):
+        return {tuple(map(float, v)): tuple(map(float, row)) for v, row in t.items()}
+
+    return InterimMechanism(grid, table(mech.x), table(mech.p), FLOAT)
+
+
+def _parity_cases(rng, rounds):
+    for _ in range(rounds):
+        grid = _parity_grid(rng)
+        single = FeasibilitySystem.single_item(grid.n)
+        fs = single if rng.random() < 0.5 else random_feasibility(rng, n=grid.n)
+        prices = [rng.choice(list(vals) + [None]) for vals in grid.values]
+        cases = [
+            (vickrey(grid).as_interim(), single, True),
+            (posted_price(grid, prices).as_interim(), single, True),
+            (solve_optimal(_parity_distribution(rng, grid), fs).interim, fs, True),
+            (_random_tables(rng, grid), fs, False),
+            (random_interim(rng, grid), fs, False),
+            (first_price(grid).as_interim(), fs, False),
+            (second_price(grid).as_interim(), fs, False),
+        ]
+        for mech, mech_fs, must_pass in cases:
+            yield mech, mech_fs, must_pass
+            yield _as_float(mech), mech_fs, must_pass
+
+
+def test_indexed_verifier_matches_reference():
+    """The indexed checkers return the reference checkers' witnesses, in
+    order, and the same report bytes, on 336 seeded mechanisms in both
+    arithmetic modes."""
+    rng = random.Random(404)
+    seen, failed, mechanisms = set(), 0, 0
+    for mech, fs, must_pass in _parity_cases(rng, 24):
+        mechanisms += 1
+        truthful = check_truthful(mech)
+        new = [
+            truthful,
+            check_ir(mech),
+            check_feasible(mech, fs),
+            check_extension(mech, truthful),
+        ]
+        ref = [
+            reference_check_truthful(mech),
+            check_ir(mech),
+            reference_check_feasible(mech, fs),
+            reference_check_extension(mech),
+        ]
+        for got, want in zip(new, ref):
+            assert got.witnesses == want.witnesses
+            assert got.checks == want.checks
+            assert got.passed == want.passed
+        assert check_extension(mech) == new[3]
+        merged = VerifyReport.merge(*new)
+        assert write_report(merged, mech.mode) == write_report(
+            VerifyReport.merge(*ref), mech.mode
+        )
+        assert merged.passed or not must_pass
+        failed += not merged.passed
+        seen.update((mech.mode, w.check, w.detail[:11]) for w in merged.witnesses)
+    assert mechanisms >= 150
+    assert 0 < failed < mechanisms
+    for mode in (EXACT, FLOAT):
+        for kind in ("truthful", "ir", "feasible"):
+            assert any(m == mode and c == kind for m, c, _ in seen)
+        for cond in "abcd":
+            assert (mode, "extension", f"condition {cond}") in seen
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+@pytest.mark.parametrize("n", [2, 3])
+def test_single_item_feasibility_is_a_direct_sum_test(mode, n):
+    third, half, tiny = F(1, 3), F(1, 2), F(1, 10**6)
+    points = [
+        (third, third),  # below 1
+        (half, half),  # exactly 1
+        (half, half + tiny),  # just above 1
+        (F(1), F(0)),
+        (F(0), F(0)),
+        (F(3, 4), half),
+    ]
+    grid = ValueGrid([list(range(1, len(points) + 1))] + [[1]] * (n - 1), mode)
+    rows = [pt + (F(0),) * (n - 2) for pt in points]
+    conv = float if mode == FLOAT else F
+    x = {
+        v: tuple(map(conv, row)) for v, row in zip(grid.profiles(), rows)
+    }
+    p = {v: (conv(0),) * n for v in grid.profiles()}
+    mech = InterimMechanism(grid, x, p, mode)
+    fs = FeasibilitySystem.single_item(n)
+    report = check_feasible(mech, fs)
+    outside = {w.profile for w in report.witnesses}
+    for v, row in zip(grid.profiles(), rows):
+        in_hull = decompose_allocation(mech.x[v], fs, mode).in_hull
+        assert in_hull == (v not in outside) == (sum(row) <= 1)
+    assert len(outside) == 2
+    assert all(w.detail.startswith("separating certificate") for w in report.witnesses)
+    reference = reference_check_feasible(mech, fs)
+    assert report == reference
+    assert write_report(report, mode) == write_report(reference, mode)
