@@ -23,6 +23,7 @@ from .model import (
     ExplicitDistribution,
     FeasibilitySystem,
     ValueGrid,
+    lines,
 )
 
 
@@ -82,21 +83,15 @@ def enumerate_deterministic_optimal(
         )
 
     profiles = list(grid.profiles())
-    pindex = {v: k for k, v in enumerate(profiles)}
     # down[k][i]: profile index one own-value step below, or -1 at the floor;
     # stepping down is lexicographically smaller, hence already assigned in DFS
-    down = []
-    for v in profiles:
-        row = []
-        for i in range(n):
-            pos = grid.index(i, v[i])
-            if pos == 0:
-                row.append(-1)
-            else:
-                q = v[:i] + (grid.values[i][pos - 1],) + v[i + 1 :]
-                row.append(pindex[q])
-        down.append(row)
-    support_items = [(pindex[v], q) for v, q in dist.support.items()]
+    down = [[-1] * n for _ in profiles]
+    for i, idx, k, line in lines([len(vi) for vi in grid.values]):
+        if k:
+            down[idx][i] = line[k - 1]
+    support_items = [
+        (k, dist.support[v]) for k, v in enumerate(profiles) if v in dist.support
+    ]
     zero = 0.0 if dist.mode == FLOAT else Fraction(0)
 
     choice = [0] * cells

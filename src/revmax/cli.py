@@ -75,16 +75,9 @@ def _single(args) -> io.ParsedInstance:
     return inst
 
 
-def _options(inst: io.ParsedInstance, args) -> SolveOptions:
-    return SolveOptions(
-        allow_negative_payments=getattr(args, "allow_negative_payments", False),
-        mode=inst.mode,
-    )
-
-
 def _cmd_solve(args) -> int:
     inst = _single(args)
-    result = solve_optimal(inst.dist, inst.fs, _options(inst, args))
+    result = solve_optimal(inst.dist, inst.fs, SolveOptions(mode=inst.mode))
     _emit(io.write_mechanism(result.interim), args.output)
     _report(
         "solve",
@@ -227,10 +220,11 @@ def _cmd_ratio(args) -> int:
     inst = _instance(args)
     mech = io.read_mechanism(_read(args.mechanism), args.mode)
     revenue = _mechanism_revenue(mech, inst)
+    options = SolveOptions(mode=inst.mode)
     if inst.model == io.MULTI_ITEM:
-        _, opt = solve_multi(inst.multi, SolveOptions(mode=inst.mode))
+        _, opt = solve_multi(inst.multi, options)
     else:
-        opt = solve_optimal(inst.dist, inst.fs, _options(inst, args)).revenue
+        opt = solve_optimal(inst.dist, inst.fs, options).revenue
     alpha = approximation_ratio(revenue, opt)
     sys.stdout.write(f"{io.format_number(alpha, mech.mode)}\n")
     return 0
@@ -318,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="revenue-optimal truthful-in-expectation LP")
     p.add_argument("instance")
-    p.add_argument("--allow-negative-payments", action="store_true")
     _add_common(p)
     p.set_defaults(fn=_cmd_solve)
 
@@ -350,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ratio", help="approximation ratio against the LP optimum")
     p.add_argument("instance")
     p.add_argument("mechanism")
-    p.add_argument("--allow-negative-payments", action="store_true")
     _add_common(p)
     p.set_defaults(fn=_cmd_ratio)
 

@@ -31,7 +31,13 @@ from .model import (
     ValueGrid,
     convert,
 )
-from .multi import MultiItemInstance, MultiMechanism, Valuation
+from .multi import (
+    UNSOLD,
+    MultiItemInstance,
+    MultiMechanism,
+    Valuation,
+    enumerate_assignments,
+)
 from .oracle import QueryLedger
 from .verify import VerifyReport, Witness
 
@@ -117,7 +123,8 @@ def write_instance(inst, fs: Optional[FeasibilitySystem] = None) -> str:
     """Serialize an ExplicitDistribution (with an optional non-default
     feasibility system) or a MultiItemInstance."""
     if isinstance(inst, MultiItemInstance):
-        return _write_multi_instance(inst)
+        head = {"format": FORMAT_VERSION, "items": inst.m, "model": MULTI_ITEM, "mode": inst.mode}
+        return "".join([dumps_line(head)] + _multi_instance_lines(inst))
     if not isinstance(inst, ExplicitDistribution):
         raise InvalidInputError(f"cannot serialize {type(inst).__name__} as an instance")
     mode = inst.mode
@@ -138,25 +145,17 @@ def write_instance(inst, fs: Optional[FeasibilitySystem] = None) -> str:
     return "".join(out)
 
 
-def _write_multi_instance(inst: MultiItemInstance) -> str:
+def _multi_instance_lines(inst: MultiItemInstance) -> list:
+    """The bidder type-table and support lines shared by multi-item
+    instance and mechanism files."""
     mode = inst.mode
     out = [
-        dumps_line(
-            {
-                "format": FORMAT_VERSION,
-                "items": inst.m,
-                "model": MULTI_ITEM,
-                "mode": mode,
-            }
-        )
+        dumps_line({"bidder": i, "tables": [_fmt_row(t.values, mode) for t in ts]})
+        for i, ts in enumerate(inst.types)
     ]
-    for i, ts in enumerate(inst.types):
-        out.append(
-            dumps_line({"bidder": i, "tables": [_fmt_row(t.values, mode) for t in ts]})
-        )
     for t, prob in inst.support.items():
         out.append(dumps_line({"prob": format_number(prob, mode), "support": list(t)}))
-    return "".join(out)
+    return out
 
 
 @dataclass
@@ -178,7 +177,10 @@ def read_instance(text: str, mode: Optional[str] = None) -> ParsedInstance:
     head, mode = _header(rows, "model", mode)
     model = head["model"]
     if model == MULTI_ITEM:
-        return _read_multi_instance(rows, head, mode)
+        multi, rest = _read_multi_body(rows, head, mode)
+        if rest:
+            raise InvalidInputError(f"unrecognized instance line {rest[0]}")
+        return ParsedInstance(MULTI_ITEM, mode, multi=multi)
     if model not in (SINGLE_ITEM, SINGLE_PARAMETER):
         raise InvalidInputError(f"unknown model {model!r}")
     grid = None
@@ -209,32 +211,44 @@ def read_instance(text: str, mode: Optional[str] = None) -> ParsedInstance:
     return ParsedInstance(model, mode, dist=dist, fs=fs)
 
 
-def _read_multi_instance(rows: list, head: dict, mode: str) -> ParsedInstance:
+def _index_list(obj: dict, key: str) -> tuple:
+    """A line's list of type indices (support, profile) or item owners
+    (assignment, where null marks an unsold item and reads as -1)."""
+    raw = _field(obj, key)
+    if isinstance(raw, list):
+        out = tuple(UNSOLD if c is None and key == "assignment" else c for c in raw)
+        if all(type(c) is int for c in out):
+            return out
+    raise InvalidInputError(f"{key} {raw!r} in line {obj} must be a list of indices")
+
+
+def _read_multi_body(rows: list, head: dict, mode: str):
+    """Parse the item count, bidder type-table and support lines of a
+    multi-item file into its instance; returns (instance, other lines)."""
     m = head.get("items")
-    if not isinstance(m, int) or m < 1:
+    if type(m) is not int or m < 1:
         raise InvalidInputError(f"multi-item header needs a positive item count: {head}")
     tables = {}
     support = []
+    rest = []
     for obj in rows[1:]:
         if "bidder" in obj:
-            i = obj["bidder"]
+            i, ts = obj["bidder"], _field(obj, "tables")
+            if type(i) is not int or not isinstance(ts, list):
+                raise InvalidInputError(f"malformed type line {obj}")
             if i in tables:
                 raise InvalidInputError(f"duplicate type line for bidder {i}")
-            tables[i] = [
-                Valuation(m, _parse_row(t, mode), mode) for t in obj["tables"]
-            ]
+            tables[i] = [Valuation(m, _parse_row(t, mode), mode) for t in ts]
         elif "support" in obj:
-            t = obj["support"]
-            if not all(isinstance(k, int) for k in t):
-                raise InvalidInputError(f"type profile {t} must hold type indices")
-            support.append((tuple(t), parse_number(obj["prob"], mode)))
+            support.append(
+                (_index_list(obj, "support"), parse_number(_field(obj, "prob"), mode))
+            )
         else:
-            raise InvalidInputError(f"unrecognized instance line {obj}")
+            rest.append(obj)
     if sorted(tables) != list(range(len(tables))):
         raise InvalidInputError("bidder type lines must cover 0..n-1")
     types = [tables[i] for i in range(len(tables))]
-    inst = MultiItemInstance(m, types, support, mode)
-    return ParsedInstance(MULTI_ITEM, mode, multi=inst)
+    return MultiItemInstance(m, types, support, mode), rest
 
 
 # ---------------------------------------------------------------------------
@@ -336,13 +350,7 @@ def _write_universal(parts: Sequence[tuple]) -> str:
 def _write_multi_mechanism(mech: MultiMechanism) -> str:
     inst = mech.inst
     mode = inst.mode
-    out = [_mech_header(MULTI, mode, items=inst.m)]
-    for i, ts in enumerate(inst.types):
-        out.append(
-            dumps_line({"bidder": i, "tables": [_fmt_row(t.values, mode) for t in ts]})
-        )
-    for t, prob in inst.support.items():
-        out.append(dumps_line({"prob": format_number(prob, mode), "support": list(t)}))
+    out = [_mech_header(MULTI, mode, items=inst.m)] + _multi_instance_lines(inst)
     for t in inst.type_profiles():
         for a_idx, w in mech.lotteries[t]:
             owners = [o if o >= 0 else None for o in mech.assignments[a_idx]]
@@ -374,11 +382,13 @@ class ParsedMechanism:
 
 
 def _field(obj: dict, key: str):
-    """A required key of a mechanism body line; a line without it (such as
-    a solver's trailing report line) is an input error, not a KeyError."""
+    """A required key of a body line; a line without it (such as a
+    solver's trailing report line in a mechanism file) is an input error,
+    not a KeyError."""
     if key not in obj:
-        raise InvalidInputError(f"mechanism line {obj} lacks {key!r}")
+        raise InvalidInputError(f"line {obj} lacks {key!r}")
     return obj[key]
+
 
 
 def read_mechanism(text: str, mode: Optional[str] = None) -> ParsedMechanism:
@@ -462,43 +472,22 @@ def read_mechanism(text: str, mode: Optional[str] = None) -> ParsedMechanism:
 
 
 def _read_multi_mechanism(rows: list, head: dict, mode: str) -> ParsedMechanism:
-    m = head.get("items")
-    if not isinstance(m, int) or m < 1:
-        raise InvalidInputError(f"multi mechanism header needs an item count: {head}")
-    tables = {}
-    support = []
+    inst, rest = _read_multi_body(rows, head, mode)
+    index = {a: k for k, a in enumerate(enumerate_assignments(inst.n, inst.m))}
     lotteries: dict = {}
     payments: dict = {}
-    owner_rows = []
-    for obj in rows[1:]:
-        if "bidder" in obj:
-            tables[obj["bidder"]] = [
-                Valuation(m, _parse_row(t, mode), mode) for t in _field(obj, "tables")
-            ]
-        elif "support" in obj:
-            support.append(
-                (tuple(obj["support"]), parse_number(_field(obj, "prob"), mode))
+    for obj in rest:
+        if "assignment" in obj:
+            owners = _index_list(obj, "assignment")
+            if owners not in index:
+                raise InvalidInputError(f"assignment {obj['assignment']} is invalid")
+            lotteries.setdefault(_index_list(obj, "profile"), []).append(
+                (index[owners], parse_number(_field(obj, "prob"), mode))
             )
-        elif "assignment" in obj:
-            owner_rows.append(obj)
         elif "pay" in obj:
-            payments[tuple(_field(obj, "profile"))] = _parse_row(obj["pay"], mode)
+            payments[_index_list(obj, "profile")] = _parse_row(obj["pay"], mode)
         else:
             raise InvalidInputError(f"unrecognized mechanism line {obj}")
-    if sorted(tables) != list(range(len(tables))):
-        raise InvalidInputError("bidder type lines must cover 0..n-1")
-    types = [tables[i] for i in range(len(tables))]
-    inst = MultiItemInstance(m, types, support, mode)
-    from .multi import enumerate_assignments
-
-    index = {a: k for k, a in enumerate(enumerate_assignments(inst.n, m))}
-    for obj in owner_rows:
-        owners = tuple(-1 if o is None else o for o in obj["assignment"])
-        if owners not in index:
-            raise InvalidInputError(f"assignment {obj['assignment']} is invalid")
-        lotteries.setdefault(tuple(_field(obj, "profile")), []).append(
-            (index[owners], parse_number(_field(obj, "prob"), mode))
-        )
     mech = MultiMechanism(inst, lotteries, payments)
     return ParsedMechanism(MULTI, mode, mech=mech)
 

@@ -61,6 +61,28 @@ def _check_unit_total(total, mode: str, what: str) -> None:
         raise InvalidInputError(f"{what} sum to {total}, not 1")
 
 
+def lines(sizes: Sequence[int]) -> Iterator[tuple]:
+    """Walk the lines of a product of per-bidder axes of the given sizes.
+
+    Profiles are numbered by their flat index in canonical (lexicographic)
+    order.  For each bidder i, then each flat index idx, yields
+    (i, idx, k, line): k is the profile's entry for bidder i, and line is
+    the range of flat indices of the profiles that differ from it only in
+    that entry, in increasing entry order, so line[k] == idx.  A line's
+    first profile (k == 0) comes first in canonical order.
+    """
+    total = 1
+    for size in sizes:
+        total *= size
+    stride = total
+    for i, size in enumerate(sizes):
+        stride //= size
+        for idx in range(total):
+            k = idx // stride % size
+            base = idx - k * stride
+            yield i, idx, k, range(base, base + size * stride, stride)
+
+
 class ValueGrid:
     """Per-bidder strictly increasing value supports.
 
@@ -477,8 +499,10 @@ def interim_of(mech: ExPostMechanism) -> InterimMechanism:
         for vec_idx, pay, prob in rows:
             vec = mech.fs.vectors[vec_idx]
             for i in range(mech.grid.n):
-                xa[i] += prob * vec[i]
-                pa[i] += prob * pay[i]
+                if vec[i]:
+                    xa[i] += prob
+                if pay[i]:
+                    pa[i] += prob * pay[i]
         x[v] = tuple(xa)
         p[v] = tuple(pa)
     return InterimMechanism(mech.grid, x, p, mech.mode)

@@ -22,7 +22,15 @@ from .errors import (
     SizeLimitError,
 )
 from .lp import EQ, LEQ, LinearProgram, solve
-from .model import EXACT, FLOAT, ExplicitDistribution, ValueGrid, convert
+from .model import (
+    EXACT,
+    FLOAT,
+    ExplicitDistribution,
+    ValueGrid,
+    _check_unit_total,
+    convert,
+    lines,
+)
 from .optimal import SolveOptions
 from .verify import VerifyReport, Witness, violated
 
@@ -111,11 +119,7 @@ class MultiItemInstance:
             total += q
         if not table:
             raise InvalidInputError("empty support")
-        if mode == FLOAT:
-            if abs(total - 1.0) > 1e-12:
-                raise InvalidInputError(f"probabilities sum to {total!r}, not 1")
-        elif total != 1:
-            raise InvalidInputError(f"probabilities sum to {total}, not 1")
+        _check_unit_total(total, mode, "probabilities")
         for i, ts in enumerate(types):
             used = {key[i] for key in table}
             for k in range(len(ts)):
@@ -185,11 +189,7 @@ class MultiMechanism:
                     raise InvalidInputError(f"lottery weight {w} is not positive")
                 total += w
                 rows.append((a_idx, w))
-            if inst.mode == FLOAT:
-                if abs(total - 1.0) > 1e-12:
-                    raise InvalidInputError(f"lottery at {t} sums to {total!r}")
-            elif total != 1:
-                raise InvalidInputError(f"lottery at {t} sums to {total}")
+            _check_unit_total(total, inst.mode, f"lottery weights at {t}")
             p = tuple(convert(c, inst.mode) for c in payments[t])
             if len(p) != inst.n:
                 raise DimensionMismatchError(f"payment row at {t} has wrong length")
@@ -214,6 +214,14 @@ class MultiMechanism:
         return f"MultiMechanism(n={self.inst.n}, m={self.inst.m})"
 
 
+def _bundle_values(inst: MultiItemInstance, assigns: Sequence[tuple]) -> list:
+    """values[i][ti][a]: value of assignment a to bidder i holding type ti."""
+    return [
+        [[t.of(bundle_mask(a, i)) for a in assigns] for t in inst.types[i]]
+        for i in range(inst.n)
+    ]
+
+
 def _guard(n: int, m: int, max_assignments: int) -> None:
     count = (n + 1) ** m
     if count > max_assignments:
@@ -236,7 +244,6 @@ def build_multi_lp(
     assigns = enumerate_assignments(n, inst.m)
     A = len(assigns)
     profiles = inst.type_profiles()
-    tindex = {t: k for k, t in enumerate(profiles)}
     nlam = len(profiles) * A
 
     def lam(t_idx: int, a_idx: int) -> int:
@@ -248,9 +255,9 @@ def build_multi_lp(
     zero = 0.0 if options.mode == FLOAT else Fraction(0)
     num_vars = nlam + len(profiles) * n
     objective = [zero] * num_vars
-    for t, q in inst.support.items():
+    for k, t in enumerate(profiles):
         for i in range(n):
-            objective[pay(tindex[t], i)] = q
+            objective[pay(k, i)] = inst.support.get(t, zero)
     names = [None] * num_vars
     for k in range(len(profiles)):
         for a in range(A):
@@ -267,11 +274,7 @@ def build_multi_lp(
     for k in range(len(profiles)):
         lp.add_constraint({lam(k, a): 1 for a in range(A)}, EQ, 1)
 
-    # values[i][ti][a]: value of assignment a to bidder i holding type ti
-    values = [
-        [[t.of(bundle_mask(a, i)) for a in assigns] for t in inst.types[i]]
-        for i in range(n)
-    ]
+    values = _bundle_values(inst, assigns)
 
     def value_coeffs(t_idx: int, i: int, ti: int, sign: int, into: dict) -> None:
         for a_idx, v in enumerate(values[i][ti]):
@@ -279,22 +282,17 @@ def build_multi_lp(
                 col = lam(t_idx, a_idx)
                 into[col] = into.get(col, zero) + sign * v
 
-    for i in range(n):
-        others = [range(len(inst.types[j])) for j in range(n) if j != i]
-        for rest in itertools.product(*others):
-            def at(ti):
-                return rest[:i] + (ti,) + rest[i:]
-
-            for true_t in range(len(inst.types[i])):
-                k_true = tindex[at(true_t)]
-                for rep_t in range(len(inst.types[i])):
-                    if rep_t == true_t:
-                        continue
-                    k_rep = tindex[at(rep_t)]
-                    row: dict = {pay(k_rep, i): -1, pay(k_true, i): 1}
-                    value_coeffs(k_rep, i, true_t, 1, row)
-                    value_coeffs(k_true, i, true_t, -1, row)
-                    lp.add_constraint(row, LEQ, 0)
+    for i, _, k, line in lines([len(ts) for ts in inst.types]):
+        if k:
+            continue
+        for true_t, k_true in enumerate(line):
+            for rep_t, k_rep in enumerate(line):
+                if rep_t == true_t:
+                    continue
+                row: dict = {pay(k_rep, i): -1, pay(k_true, i): 1}
+                value_coeffs(k_rep, i, true_t, 1, row)
+                value_coeffs(k_true, i, true_t, -1, row)
+                lp.add_constraint(row, LEQ, 0)
 
     for i in range(n):
         for k, t in enumerate(profiles):
@@ -345,36 +343,40 @@ def solve_multi(
 
 def check_multi(mech: MultiMechanism) -> VerifyReport:
     """Replay the LP's truthfulness and rationality rows against the
-    mechanism tables."""
+    mechanism tables.
+
+    Walks model.lines in the order of verify.check_truthful (bidder,
+    type profile, misreport).  Once per line of bidder i, worth[a][j] is
+    type a's expected bundle value under the lottery at the line's j-th
+    profile; a misreport keeps the true type at the misreport's lottery,
+    and rationality reads the same table's diagonal."""
     inst = mech.inst
     mode = inst.mode
+    zero = 0.0 if mode == FLOAT else Fraction(0)
+    values = _bundle_values(inst, mech.assignments)
+    profiles = list(mech.payments)
+    lots, pays = list(mech.lotteries.values()), list(mech.payments.values())
+    cache = {}
     ic, ir = [], []
-    for i in range(inst.n):
-        for t in inst.type_profiles():
-            truth = mech.expected_value(t, i) - mech.payments[t][i]
-            for rep in range(len(inst.types[i])):
-                if rep == t[i]:
-                    continue
-                q = t[:i] + (rep,) + t[i + 1 :]
-                # deviation keeps the true valuation, at the misreport's lottery
-                val = inst.types[i][t[i]]
-                zero = 0.0 if mode == FLOAT else Fraction(0)
-                dev_value = sum(
-                    (w * val.of(bundle_mask(mech.assignments[a], i)) for a, w in mech.lotteries[q]),
-                    zero,
-                )
-                dev = dev_value - mech.payments[q][i]
-                if violated(truth, dev, ">=", mode):
-                    ic.append(
-                        Witness("multi_ic", i, t, rep, ">=", truth, dev)
-                    )
-    for i in range(inst.n):
-        for t in inst.type_profiles():
-            worth = mech.expected_value(t, i)
-            if violated(worth, mech.payments[t][i], ">=", mode):
-                ir.append(
-                    Witness("multi_ir", i, t, None, ">=", worth, mech.payments[t][i])
-                )
+    for i, idx, k, line in lines([len(ts) for ts in inst.types]):
+        if k == 0:
+            # keyed by the line's first index, which this visit overwrites
+            cache[line.start] = [
+                [sum((w * vals[a] for a, w in lots[j]), zero) for j in line]
+                for vals in values[i]
+            ]
+        worth = cache[line.start][k]
+        t = profiles[idx]
+        paid = pays[idx][i]
+        truth = worth[k] - paid
+        for j, q in enumerate(line):
+            if j == k:
+                continue
+            dev = worth[j] - pays[q][i]
+            if violated(truth, dev, ">=", mode):
+                ic.append(Witness("multi_ic", i, t, j, ">=", truth, dev))
+        if violated(worth[k], paid, ">=", mode):
+            ir.append(Witness("multi_ir", i, t, None, ">=", worth[k], paid))
     return VerifyReport.merge(
         VerifyReport.build("multi_ic", ic), VerifyReport.build("multi_ir", ir)
     )

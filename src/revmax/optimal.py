@@ -24,10 +24,9 @@ allocations as ex-post lotteries.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import DimensionMismatchError
 from .lp import EQ, LEQ, LinearProgram, solve
@@ -38,8 +37,8 @@ from .model import (
     ExplicitDistribution,
     FeasibilitySystem,
     InterimMechanism,
-    ValueGrid,
     convert,
+    lines,
 )
 
 
@@ -76,14 +75,6 @@ class HullDecomposition:
     certificate: Optional[tuple] = None
 
 
-def _lines(grid: ValueGrid, i: int) -> Iterator[list]:
-    """Bidder i's lines: the profiles at each of bidder i's grid values,
-    in increasing order, for each fixed choice of the others' values."""
-    others = [grid.values[j] for j in range(grid.n) if j != i]
-    for rest in itertools.product(*others):
-        yield [rest[:i] + (w,) + rest[i:] for w in grid.values[i]]
-
-
 def _columns(fs: FeasibilitySystem) -> list:
     """Indices of the vectors that get an LP column: all but the zero."""
     return [f for f in range(len(fs.vectors)) if f != fs.zero_index]
@@ -103,37 +94,36 @@ def build_optimal_lp(
         raise DimensionMismatchError("feasibility system and grid disagree on n")
     n = grid.n
     zero = 0.0 if options.mode == FLOAT else Fraction(0)
-    profiles = list(grid.profiles())
-    pindex = {v: k for k, v in enumerate(profiles)}
+    mass = [dist.support.get(v, zero) for v in grid.profiles()]
     cols = _columns(fs)
     K = len(cols)
+    wins = [[c for c, f in enumerate(cols) if fs.vectors[f][i]] for i in range(n)]
 
-    phi = {v: [zero] * n for v in profiles}
+    phi = [[zero] * n for _ in mass]
     monotone = []
-    for i in range(n):
+    for i, _, k, line in lines([len(w) for w in grid.values]):
+        if k:
+            continue
         w = grid.values[i]
-        wins = [c for c, f in enumerate(cols) if fs.vectors[f][i]]
-        for line in _lines(grid, i):
-            above = zero  # mass of the line above the current value
-            for v, wt, nxt in reversed(list(zip(line, w, w[1:] + w[-1:]))):
-                q = dist.support.get(v, zero)
-                phi[v][i] = q * wt - (nxt - wt) * above
-                above += q
-            if not wins:
-                continue
-            for lo, hi in zip(line, line[1:]):
-                row = {pindex[lo] * K + c: 1 for c in wins}
-                row.update({pindex[hi] * K + c: -1 for c in wins})
-                monotone.append(row)
+        above = zero  # mass of the line above the current value
+        for v, wt, nxt in reversed(list(zip(line, w, w[1:] + w[-1:]))):
+            phi[v][i] = mass[v] * wt - (nxt - wt) * above
+            above += mass[v]
+        if not wins[i]:
+            continue
+        for lo, hi in zip(line, line[1:]):
+            row = {lo * K + c: 1 for c in wins[i]}
+            row.update({hi * K + c: -1 for c in wins[i]})
+            monotone.append(row)
 
     objective = [
-        sum((phi[v][i] for i in range(n) if fs.vectors[f][i]), zero)
-        for v in profiles
+        sum((phi_v[i] for i in range(n) if fs.vectors[f][i]), zero)
+        for phi_v in phi
         for f in cols
     ]
-    names = [f"lam_p{k}_f{f}" for k in range(len(profiles)) for f in cols]
+    names = [f"lam_p{k}_f{f}" for k in range(len(mass)) for f in cols]
     lp = LinearProgram(len(objective), objective, maximize=True, names=names)
-    for k in range(len(profiles)):
+    for k in range(len(mass)):
         lp.add_constraint({k * K + c: 1 for c in range(K)}, LEQ, 1)
     for row in monotone:
         lp.add_constraint(row, LEQ, 0)
@@ -165,35 +155,36 @@ def solve_optimal(
     one = 1.0 if float_mode else Fraction(1)
     eps = 1e-12 if float_mode else 0
 
-    xs, lotteries = {}, {}
-    for k, v in enumerate(profiles):
+    xs, lotteries = [], []
+    for k in range(len(profiles)):
         weights = dict(zip(cols, sol.x[k * K : (k + 1) * K]))
         weights[fs.zero_index] = one - sum(weights.values(), zero)
         weights = {f: w for f, w in sorted(weights.items()) if w > eps}
         x = [sum((w for f, w in weights.items() if fs.vectors[f][i]), zero) for i in range(n)]
-        xs[v] = tuple(min(1.0, max(0.0, c)) for c in x) if float_mode else tuple(x)
-        lotteries[v] = weights
+        xs.append(tuple(min(1.0, max(0.0, c)) for c in x) if float_mode else tuple(x))
+        lotteries.append(weights)
 
-    ps = {v: [zero] * n for v in profiles}
-    for i in range(n):
-        for line in _lines(grid, i):
-            last_x = last_p = zero
-            for w, v in zip(grid.values[i], line):
-                last_p += w * (xs[v][i] - last_x)
-                last_x = xs[v][i]
-                ps[v][i] = last_p
-    interim = InterimMechanism(grid, xs, ps, options.mode)
+    ps = [[zero] * n for _ in profiles]
+    for i, idx, k, line in lines([len(w) for w in grid.values]):
+        # one chain step up from the value below, which canonical order visits first
+        last_x = last_p = zero
+        if k:
+            last_x, last_p = xs[line[k - 1]][i], ps[line[k - 1]][i]
+        ps[idx][i] = last_p + grid.values[i][k] * (xs[idx][i] - last_x)
+    interim = InterimMechanism(
+        grid, dict(zip(profiles, xs)), dict(zip(profiles, ps)), options.mode
+    )
 
     rows = {}
-    for v in profiles:
-        charge = [ps[v][i] / xs[v][i] if xs[v][i] else zero for i in range(n)]
+    for v, x, p, weights in zip(profiles, xs, ps, lotteries):
+        charge = [p[i] / x[i] if x[i] else zero for i in range(n)]
         rows[v] = [
             (f, tuple(c if on else zero for c, on in zip(charge, fs.vectors[f])), w)
-            for f, w in lotteries[v].items()
+            for f, w in weights.items()
         ]
     expost = ExPostMechanism(grid, fs, rows, options.mode)
 
-    revenue = sum((q * sum(ps[v]) for v, q in dist.support.items()), zero)
+    revenue = sum((q * sum(interim.p[v]) for v, q in dist.support.items()), zero)
     return OptimalResult(interim, expost, revenue)
 
 

@@ -8,10 +8,10 @@ mode compares rationals strictly; float mode flags a constraint once its
 deficit exceeds 1e-9 times max(1, |lhs|, |rhs|).
 
 The interim checks read the x and p tables as flat lists in canonical
-profile order and reach a deviation by index arithmetic (a bidder's
-stride), never by building and hashing the deviating profile; walking
-the indices in order yields the documented witness order without a
-sort.  On a single-item system, feasibility is the direct test
+profile order and reach a deviation along model.lines (a bidder's line
+of flat indices), never by building and hashing the deviating profile;
+walking the indices in order yields the documented witness order
+without a sort.  On a single-item system, feasibility is the direct test
 sum(x) <= 1; the hull LP runs only for allocations that fail it, to
 decide them and supply the certificate.
 """
@@ -28,6 +28,7 @@ from .model import (
     ExPostMechanism,
     FeasibilitySystem,
     InterimMechanism,
+    lines,
 )
 from .optimal import decompose_allocation
 
@@ -98,26 +99,20 @@ def _lines(mech: InterimMechanism):
     xs, ps): k is the index of v[i] on bidder i's grid, and xs/ps are
     bidder i's allocation and payment as v[i] sweeps the grid with the
     other values held.  The tables are read as flat lists in canonical
-    order, where moving bidder i's value index from k to j moves a
-    profile's index by (j - k) * stride; each line is gathered once, at
-    its lowest value, which canonical order visits first."""
+    order along model.lines; each line is gathered once, at its lowest
+    value, and cached by its first index (which that visit overwrites,
+    so a previous bidder's entry is never read)."""
     profiles = list(mech.x)
     xrows, prows = list(mech.x.values()), list(mech.p.values())
-    stride = len(profiles)
-    for i, vals in enumerate(mech.grid.values):
-        K = len(vals)
-        stride //= K
-        lines = {}
-        for idx, v in enumerate(profiles):
-            k = idx // stride % K
-            if k == 0:
-                line = lines[idx] = (
-                    [xrows[idx + j * stride][i] for j in range(K)],
-                    [prows[idx + j * stride][i] for j in range(K)],
-                )
-            else:
-                line = lines[idx - k * stride]
-            yield i, v, k, line[0], line[1]
+    cache = {}
+    for i, idx, k, line in lines([len(vals) for vals in mech.grid.values]):
+        if k == 0:
+            cache[line.start] = (
+                [xrows[j][i] for j in line],
+                [prows[j][i] for j in line],
+            )
+        xs, ps = cache[line.start]
+        yield i, profiles[idx], k, xs, ps
 
 
 def check_truthful(mech: InterimMechanism) -> VerifyReport:

@@ -12,6 +12,10 @@ take the same pivots to the same vertex.  The reference checkers look
 every deviation up by building its profile, sweep each profile's own
 column afresh, and solve one hull LP per profile, so the indexed walks
 in revmax.verify must return the same witnesses in the same order.
+The reference multi-item checker rebuilds each deviating type profile
+and recomputes every expected bundle value per report, so the line walk
+of revmax.multi.check_multi must return the same witnesses in the same
+order.
 """
 
 import itertools
@@ -25,6 +29,7 @@ from revmax import (
     InterimMechanism,
     InvalidInputError,
     MultiItemInstance,
+    MultiMechanism,
     Valuation,
     ValueGrid,
 )
@@ -38,6 +43,7 @@ from revmax.lp import (
     solve,
 )
 from revmax.model import EXACT, FLOAT
+from revmax.multi import bundle_mask, enumerate_assignments
 from revmax.optimal import decompose_allocation
 from revmax.verify import VerifyReport, Witness, violated
 
@@ -209,6 +215,32 @@ def _random_type_support(rng, types):
                 weights[rng.choice(candidates)] += 1
     total = sum(weights.values())
     return {t: Fraction(w, total) for t, w in weights.items() if w}
+
+
+def random_multi_mechanism(rng, inst):
+    """Random lotteries of one to three assignments per type profile, and
+    payments that are random fractions (up to 3/2) of the bidder's own
+    expected bundle value, so both truthfulness and rationality can fail."""
+    A = len(enumerate_assignments(inst.n, inst.m))
+    lotteries, payments = {}, {}
+    for t in inst.type_profiles():
+        picks = rng.sample(range(A), rng.randint(1, min(3, A)))
+        weights = [rng.randint(1, 4) for _ in picks]
+        lotteries[t] = [(a, Fraction(w, sum(weights))) for a, w in zip(picks, weights)]
+        payments[t] = (0,) * inst.n
+    mech = MultiMechanism(inst, lotteries, payments)
+    for t in inst.type_profiles():
+        payments[t] = tuple(
+            mech.expected_value(t, i) * Fraction(rng.randint(0, 6), 4)
+            for i in range(inst.n)
+        )
+    return lotteries, payments
+
+
+def float_multi_instance(inst):
+    """The same instance in float arithmetic."""
+    types = [[Valuation(inst.m, t.values, FLOAT) for t in ts] for ts in inst.types]
+    return MultiItemInstance(inst.m, types, dict(inst.support), FLOAT)
 
 
 def scale_multi_instance(inst, c):
@@ -660,3 +692,40 @@ def reference_check_extension(mech: InterimMechanism) -> VerifyReport:
                             )
                         )
     return VerifyReport.build("extension", out)
+
+
+def reference_check_multi(mech: MultiMechanism) -> VerifyReport:
+    """Replay the LP's truthfulness and rationality rows against the
+    mechanism tables."""
+    inst = mech.inst
+    mode = inst.mode
+    ic, ir = [], []
+    for i in range(inst.n):
+        for t in inst.type_profiles():
+            truth = mech.expected_value(t, i) - mech.payments[t][i]
+            for rep in range(len(inst.types[i])):
+                if rep == t[i]:
+                    continue
+                q = t[:i] + (rep,) + t[i + 1 :]
+                # deviation keeps the true valuation, at the misreport's lottery
+                val = inst.types[i][t[i]]
+                zero = 0.0 if mode == FLOAT else Fraction(0)
+                dev_value = sum(
+                    (w * val.of(bundle_mask(mech.assignments[a], i)) for a, w in mech.lotteries[q]),
+                    zero,
+                )
+                dev = dev_value - mech.payments[q][i]
+                if violated(truth, dev, ">=", mode):
+                    ic.append(
+                        Witness("multi_ic", i, t, rep, ">=", truth, dev)
+                    )
+    for i in range(inst.n):
+        for t in inst.type_profiles():
+            worth = mech.expected_value(t, i)
+            if violated(worth, mech.payments[t][i], ">=", mode):
+                ir.append(
+                    Witness("multi_ir", i, t, None, ">=", worth, mech.payments[t][i])
+                )
+    return VerifyReport.merge(
+        VerifyReport.build("multi_ic", ic), VerifyReport.build("multi_ir", ir)
+    )

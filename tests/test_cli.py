@@ -3,7 +3,9 @@ stdout/stderr split."""
 
 from fractions import Fraction as F
 
-from revmax import ExplicitDistribution, MultiItemInstance, Valuation
+import pytest
+
+from revmax import ExplicitDistribution, MultiItemInstance, Valuation, solve_multi
 from revmax import io as rio
 from revmax import lp
 from revmax.cli import main
@@ -252,3 +254,61 @@ def test_float_flag_switches_arithmetic(tmp_path, capsys):
     report = rio.loads_line(out.splitlines()[-1])
     assert report["mode"] == "float"
     assert abs(float(report["revenue"]) - 1.5) < 1e-9
+
+
+def _multi_files():
+    v1 = Valuation(1, [0, 1])
+    v2 = Valuation(1, [0, 2])
+    inst = MultiItemInstance(1, [[v1, v2]], {(0,): F(1, 2), (1,): F(1, 2)})
+    mech, _ = solve_multi(inst)
+    return rio.write_instance(inst), rio.write_mechanism(mech)
+
+
+def _edit(text, key, value):
+    """Set key on the first line holding it; value None repeats that line."""
+    lines = text.splitlines(keepends=True)
+    k = next(n for n, line in enumerate(lines) if key in rio.loads_line(line))
+    if value is None:
+        lines.insert(k, lines[k])
+    else:
+        obj = rio.loads_line(lines[k])
+        obj[key] = value
+        lines[k] = rio.dumps_line(obj)
+    return "".join(lines)
+
+
+@pytest.mark.parametrize(
+    "target,key,value",
+    [
+        ("mechanism", "support", ["a"]),
+        ("instance", "support", 0),
+        ("mechanism", "assignment", 0),
+        ("mechanism", "profile", 0),
+        ("mechanism", "bidder", None),
+    ],
+)
+def test_malformed_multi_file_is_input_error(tmp_path, capsys, target, key, value):
+    inst, mech = _multi_files()
+    if target == "instance":
+        path = write(tmp_path, "bad.ndjson", _edit(inst, key, value))
+        argv = ["solve-multi", path]
+    else:
+        ipath = write(tmp_path, "multi.ndjson", inst)
+        argv = ["verify", ipath, write(tmp_path, "bad.ndjson", _edit(mech, key, value))]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_allow_negative_payments_only_on_solve_multi(tmp_path, capsys):
+    path = pair_file(tmp_path)
+    for argv in (["solve", path], ["ratio", path, path]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--allow-negative-payments"])
+        assert exc.value.code == 2
+    inst, _ = _multi_files()
+    mpath = write(tmp_path, "multi.ndjson", inst)
+    code, out, _ = run(capsys, ["solve-multi", mpath, "--allow-negative-payments"])
+    assert code == 0
+    assert rio.loads_line(out.splitlines()[-1])["revenue"] == "1"

@@ -1,6 +1,7 @@
 """Core model types: grids, distributions, feasibility systems, the three
 mechanism representations, and the revenue/ratio/execution operations."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -25,6 +26,7 @@ from revmax import (
     second_price,
     zero_mechanism,
 )
+from revmax.model import lines
 from support import random_distribution, random_interim
 
 PAIR = {(1, 1): F(1, 2), (2, 2): F(1, 2)}
@@ -289,3 +291,22 @@ def test_execute_rejects_negative_bids():
     ep = second_price(grid).as_expost()
     with pytest.raises(InvalidInputError):
         execute(ep, [F(-1)], seed=0)
+
+
+def test_lines_matches_tuple_definition():
+    rng = random.Random(5)
+    cases = [[1], [3], [1, 1, 1, 1], [2, 1, 3], [3, 1, 2, 1]]
+    cases += [[rng.randint(1, 3) for _ in range(rng.randint(1, 4))] for _ in range(60)]
+    for sizes in cases:
+        profiles = list(itertools.product(*(range(s) for s in sizes)))
+        expected = []
+        for i in range(len(sizes)):
+            for idx, v in enumerate(profiles):
+                rest = v[:i] + v[i + 1 :]
+                line = [
+                    q for q, u in enumerate(profiles) if u[:i] + u[i + 1 :] == rest
+                ]
+                line.sort(key=lambda q: profiles[q][i])
+                expected.append((i, idx, v[i], line))
+        got = [(i, idx, k, list(line)) for i, idx, k, line in lines(sizes)]
+        assert got == expected, sizes

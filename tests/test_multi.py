@@ -26,7 +26,14 @@ from revmax import (
 )
 from revmax.lp import EQ
 from revmax.multi import bundle_mask
-from support import random_m1_instance, random_multi_instance, scale_multi_instance
+from support import (
+    float_multi_instance,
+    random_m1_instance,
+    random_multi_instance,
+    random_multi_mechanism,
+    reference_check_multi,
+    scale_multi_instance,
+)
 
 
 def unit(x):
@@ -216,3 +223,29 @@ def test_deterministic_lottery_single_outcome_charge():
     rows = ep.outcomes[(0,)]
     assert len(rows) == 1
     assert rows[0][1] == (F(4),)
+
+
+def test_check_multi_matches_reference():
+    rng = random.Random(29)
+    seen = set()
+    for _ in range(200):
+        inst = random_multi_instance(rng, max_bidders=3, max_items=2, max_types=3)
+        lotteries, payments = random_multi_mechanism(rng, inst)
+        for copy in (inst, float_multi_instance(inst)):
+            mech = MultiMechanism(copy, lotteries, payments)
+            got, want = check_multi(mech), reference_check_multi(mech)
+            assert got.witnesses == want.witnesses
+            assert got.checks == want.checks and got.passed == want.passed
+            seen.update((copy.mode, w.check) for w in got.witnesses)
+            seen.add((copy.mode, got.passed))
+    assert seen == {
+        (mode, kind)
+        for mode in ("exact", "float")
+        for kind in ("multi_ic", "multi_ir", True, False)
+    }
+    for _ in range(20):
+        inst = random_multi_instance(rng, max_bidders=3, max_items=2, max_types=3)
+        for copy in (inst, float_multi_instance(inst)):
+            mech, _ = solve_multi(copy)
+            got = check_multi(mech)
+            assert got.passed and got == reference_check_multi(mech)
