@@ -390,6 +390,14 @@ def _field(obj: dict, key: str):
     return obj[key]
 
 
+def _vector(obj: dict) -> int:
+    """A body line's feasible-vector index; the mechanism checks its
+    range."""
+    raw = _field(obj, "vector")
+    if type(raw) is not int:
+        raise InvalidInputError(f"vector {raw!r} in line {obj} must be an index")
+    return raw
+
 
 def read_mechanism(text: str, mode: Optional[str] = None) -> ParsedMechanism:
     """Decode a mechanism file; mode, when given, overrides the header's
@@ -429,7 +437,7 @@ def read_mechanism(text: str, mode: Optional[str] = None) -> ParsedMechanism:
             v = _parse_row(_field(o, "profile"), mode)
             outcomes.setdefault(v, []).append(
                 (
-                    _field(o, "vector"),
+                    _vector(o),
                     _parse_row(_field(o, "pay"), mode),
                     parse_number(_field(o, "prob"), mode),
                 )
@@ -442,7 +450,7 @@ def read_mechanism(text: str, mode: Optional[str] = None) -> ParsedMechanism:
         payments = {}
         for o in body:
             v = _parse_row(_field(o, "profile"), mode)
-            choice[v] = _field(o, "vector")
+            choice[v] = _vector(o)
             payments[v] = _parse_row(_field(o, "pay"), mode)
         return ParsedMechanism(
             kind, mode, mech=DeterministicMechanism(grid, fs, choice, payments, mode), fs=fs
@@ -459,7 +467,7 @@ def read_mechanism(text: str, mode: Optional[str] = None) -> ParsedMechanism:
                 probs[k] = parse_number(_field(o, "prob"), mode)
                 continue
             v = _parse_row(o["profile"], mode)
-            choices.setdefault(k, {})[v] = _field(o, "vector")
+            choices.setdefault(k, {})[v] = _vector(o)
             pays.setdefault(k, {})[v] = _parse_row(_field(o, "pay"), mode)
         if sorted(probs) != list(range(len(probs))) or sorted(choices) != sorted(probs):
             raise InvalidInputError("universal parts must be numbered 0..k-1")
@@ -485,7 +493,10 @@ def _read_multi_mechanism(rows: list, head: dict, mode: str) -> ParsedMechanism:
                 (index[owners], parse_number(_field(obj, "prob"), mode))
             )
         elif "pay" in obj:
-            payments[_index_list(obj, "profile")] = _parse_row(obj["pay"], mode)
+            t = _index_list(obj, "profile")
+            if t in payments:
+                raise InvalidInputError(f"duplicate pay line for type profile {t}")
+            payments[t] = _parse_row(obj["pay"], mode)
         else:
             raise InvalidInputError(f"unrecognized mechanism line {obj}")
     mech = MultiMechanism(inst, lotteries, payments)

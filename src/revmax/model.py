@@ -29,11 +29,28 @@ Number = Union[Fraction, int, float]
 Profile = tuple
 
 
+def _rational(s: str) -> Fraction:
+    """Fraction(s).  The plain forms every writer emits, ASCII -?digits
+    and -?digits/digits with a nonzero denominator, skip Fraction's
+    regex; every other string goes through Fraction(s) itself, so the
+    accepted strings, values and errors are Fraction's."""
+    num, slash, den = s.partition("/")
+    digits = num[1:] if num[:1] == "-" else num
+    if s.isascii() and digits.isdigit() and (den.isdigit() or not slash):
+        d = int(den) if slash else 1
+        if d:
+            return Fraction(int(num), d)
+    return Fraction(s)
+
+
 def convert(x: object, mode: str = EXACT):
-    """Coerce one numeric input to the arithmetic of the given mode."""
+    """Coerce one numeric input to the arithmetic of the given mode.
+
+    A string is read as Fraction(x) reads it (plain integers and p/q
+    without its regex); float mode then rounds that rational once."""
     if mode == FLOAT:
         if isinstance(x, str):
-            return float(Fraction(x))
+            return float(_rational(x))
         return float(x)
     if mode != EXACT:
         raise InvalidInputError(f"unknown arithmetic mode {mode!r}")
@@ -43,7 +60,7 @@ def convert(x: object, mode: str = EXACT):
         return Fraction(x)
     if isinstance(x, str):
         try:
-            return Fraction(x)
+            return _rational(x)
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidInputError(f"cannot parse rational {x!r}") from exc
     if isinstance(x, float):
@@ -91,7 +108,7 @@ class ValueGrid:
     by value index.
     """
 
-    __slots__ = ("values", "mode")
+    __slots__ = ("values", "mode", "_positions")
 
     def __init__(self, values: Sequence[Sequence[Number]], mode: str = EXACT):
         rows = []
@@ -108,6 +125,7 @@ class ValueGrid:
             raise InvalidInputError("grid needs at least one bidder")
         self.values = tuple(rows)
         self.mode = mode
+        self._positions = [{x: k for k, x in enumerate(row)} for row in rows]
 
     @property
     def n(self) -> int:
@@ -125,16 +143,21 @@ class ValueGrid:
 
     def index(self, bidder: int, value) -> int:
         try:
-            return self.values[bidder].index(value)
-        except ValueError as exc:
+            return self._positions[bidder][value]
+        except (KeyError, TypeError) as exc:
             raise InvalidInputError(
                 f"value {value} not on bidder {bidder}'s grid"
             ) from exc
 
     def on_grid(self, profile: Profile) -> bool:
-        return len(profile) == self.n and all(
-            v in self.values[i] for i, v in enumerate(profile)
-        )
+        """Every entry is on its bidder's grid: one hash per entry, where
+        scanning the value tuple would compare up to len(row) rationals."""
+        try:
+            return len(profile) == self.n and all(
+                v in at for at, v in zip(self._positions, profile)
+            )
+        except TypeError:  # an unhashable entry is on no grid
+            return False
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ValueGrid) and self.values == other.values
@@ -273,9 +296,15 @@ class FeasibilitySystem:
 
 
 def _check_table_domain(grid: ValueGrid, table: Mapping, what: str) -> dict:
-    """Reorder a per-profile table canonically, requiring the full grid."""
+    """Reorder a per-profile table canonically, requiring the full grid;
+    the keys become the grid's own profile tuples.  A table already in
+    canonical order, as every writer emits, is matched key by key against
+    the grid's profiles and built in one pass, hashing each profile once."""
+    profiles = list(grid.profiles())
+    if list(table) == profiles:
+        return dict(zip(profiles, table.values()))
     out = {}
-    for profile in grid.profiles():
+    for profile in profiles:
         if profile not in table:
             raise InvalidInputError(f"{what} missing profile {profile}")
         out[profile] = table[profile]

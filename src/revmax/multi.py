@@ -195,6 +195,12 @@ class MultiMechanism:
                 raise DimensionMismatchError(f"payment row at {t} has wrong length")
             lot[t] = tuple(rows)
             pay[t] = p
+        for what, table in (("lottery", lotteries), ("payment", payments)):
+            if len(table) != len(lot):
+                extra = next(t for t in table if t not in lot)
+                raise InvalidInputError(
+                    f"{what} at type profile {extra} outside the type product"
+                )
         self.inst = inst
         self.assignments = assigns
         self.lotteries = lot

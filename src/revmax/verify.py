@@ -11,14 +11,20 @@ The interim checks read the x and p tables as flat lists in canonical
 profile order and reach a deviation along model.lines (a bidder's line
 of flat indices), never by building and hashing the deviating profile;
 walking the indices in order yields the documented witness order
-without a sort.  On a single-item system, feasibility is the direct test
-sum(x) <= 1; the hull LP runs only for allocations that fail it, to
-decide them and supply the certificate.
+without a sort.  In exact mode the truthfulness and round-down checks
+compare ints: each line's grid values, allocations and payments are put
+on one positive integer scale (see _lines), under which a utility is an
+int multiple of the rational one, so every comparison keeps its outcome.
+A witness quotes the rational expressions themselves, computed only for
+a comparison that fails.  On a single-item system, feasibility is the
+direct test sum(x) <= 1; the hull LP runs only for allocations that fail
+it, to decide them and supply the certificate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatchError, InvalidInputError
@@ -94,39 +100,65 @@ def violated(lhs, rhs, relation: str, mode: str) -> bool:
     raise InvalidInputError(f"unknown relation {relation!r}")
 
 
+def _scaled(vals) -> tuple:
+    """(d, [c * d for c in vals]) with d the lcm of the denominators, so
+    the scaled entries are ints in the order of the rationals."""
+    d = lcm(*[c.denominator for c in vals])
+    return d, [c.numerator * (d // c.denominator) for c in vals]
+
+
 def _lines(mech: InterimMechanism):
     """Walk bidders, then profiles in canonical order.  Yields (i, v, k,
-    xs, ps): k is the index of v[i] on bidder i's grid, and xs/ps are
-    bidder i's allocation and payment as v[i] sweeps the grid with the
-    other values held.  The tables are read as flat lists in canonical
-    order along model.lines; each line is gathered once, at its lowest
-    value, and cached by its first index (which that visit overwrites,
-    so a previous bidder's entry is never read)."""
+    xs, ps, G, X, P): k is the index of v[i] on bidder i's grid g, and
+    xs/ps are bidder i's allocation and payment as v[i] sweeps the grid
+    with the other values held.  The tables are read as flat lists in
+    canonical order along model.lines; each line is gathered once, at its
+    lowest value, and cached by its first index (which that visit
+    overwrites, so a previous bidder's entry is never read).
+
+    G, X and P are g, xs and ps on one positive scale, where type a's
+    utility for report j is G[a] * X[j] - P[j] times the scale's constant.
+    In exact mode they are ints: G[a] = g[a] * Dg, X[j] = xs[j] * Dx * Dp
+    and P[j] = ps[j] * Dp * Dg * Dx, with Dg, Dx and Dp the lcm of each
+    list's denominators, so the constant is Dg * Dx * Dp.  In float mode
+    they are g, xs and ps themselves."""
+    exact = mech.mode != FLOAT
+    grids = [_scaled(g) if exact else (1, g) for g in mech.grid.values]
     profiles = list(mech.x)
     xrows, prows = list(mech.x.values()), list(mech.p.values())
     cache = {}
     for i, idx, k, line in lines([len(vals) for vals in mech.grid.values]):
         if k == 0:
-            cache[line.start] = (
-                [xrows[j][i] for j in line],
-                [prows[j][i] for j in line],
-            )
-        xs, ps = cache[line.start]
-        yield i, profiles[idx], k, xs, ps
+            xs = [xrows[j][i] for j in line]
+            ps = [prows[j][i] for j in line]
+            dg, G = grids[i]
+            if exact:
+                dx, X = _scaled(xs)
+                dp, P = _scaled(ps)
+                X = [c * dp for c in X]
+                P = [c * dg * dx for c in P]
+            else:
+                X, P = xs, ps
+            cache[line.start] = (xs, ps, G, X, P)
+        yield (i, profiles[idx], k, *cache[line.start])
 
 
 def check_truthful(mech: InterimMechanism) -> VerifyReport:
     """No type gains by reporting a different grid value, in expectation."""
+    mode = mech.mode
     out = []
-    for i, v, k, xs, ps in _lines(mech):
-        vi = v[i]
-        truth = vi * xs[k] - ps[k]
+    for i, v, k, xs, ps, G, X, P in _lines(mech):
+        gk = G[k]
+        truth = gk * X[k] - P[k]
         for j, rep in enumerate(mech.grid.values[i]):
-            if j == k:
-                continue
-            dev = vi * xs[j] - ps[j]
-            if violated(truth, dev, ">=", mech.mode):
-                out.append(Witness("truthful", i, v, rep, ">=", truth, dev))
+            if j != k and violated(truth, gk * X[j] - P[j], ">=", mode):
+                vi = v[i]
+                out.append(
+                    Witness(
+                        "truthful", i, v, rep, ">=",
+                        vi * xs[k] - ps[k], vi * xs[j] - ps[j],
+                    )
+                )
     return VerifyReport.build("truthful", out)
 
 
@@ -216,52 +248,46 @@ def check_extension(
             w.lhs, w.rhs, detail="condition a (grid truthfulness)",
         )
         out.append(out_w)
-    for i, v, k, xs, ps in _lines(mech):
-        K = len(grid.values[i])
+    mode = mech.mode
+    for i, v, k, xs, ps, G, X, P in _lines(mech):
+        g = grid.values[i]
+        K = len(g)
         if k < K - 1:
-            g = grid.values[i][k + 1]
-            lhs = g * xs[k] - ps[k]
+            gn = G[k + 1]
+            lhs = gn * X[k] - P[k]
             for j in range(K):
-                if j == k:
-                    continue
-                rhs = g * xs[j] - ps[j]
-                if violated(lhs, rhs, ">=", mech.mode):
+                if j != k and violated(lhs, gn * X[j] - P[j], ">=", mode):
                     out.append(
                         Witness(
-                            "extension", i, v, grid.values[i][j], ">=",
-                            lhs, rhs,
-                            detail=f"condition b (true value just below {g})",
+                            "extension", i, v, g[j], ">=",
+                            g[k + 1] * xs[k] - ps[k], g[k + 1] * xs[j] - ps[j],
+                            detail=f"condition b (true value just below {g[k + 1]})",
                         )
                     )
         if k == K - 1:
             for j in range(K - 1):
-                if violated(xs[k], xs[j], ">=", mech.mode):
+                if violated(X[k], X[j], ">=", mode):
                     out.append(
                         Witness(
-                            "extension", i, v, grid.values[i][j], ">=",
-                            xs[k], xs[j],
+                            "extension", i, v, g[j], ">=", xs[k], xs[j],
                             detail="condition c (slope above the top value)",
                         )
                     )
-                elif not violated(xs[j], xs[k], ">=", mech.mode):
+                elif not violated(X[j], X[k], ">=", mode):
                     # slopes tie; the top outcome must not cost more
-                    if violated(ps[k], ps[j], "<=", mech.mode):
+                    if violated(P[k], P[j], "<=", mode):
                         out.append(
                             Witness(
-                                "extension", i, v, grid.values[i][j], "<=",
-                                ps[k], ps[j],
+                                "extension", i, v, g[j], "<=", ps[k], ps[j],
                                 detail="condition c (payment at tied top slope)",
                             )
                         )
         if k == 0:
-            g = grid.values[i][0]
             for j in range(K):
-                lhs = g * xs[j] - ps[j]
-                if violated(lhs, 0, "<=", mech.mode):
+                if violated(G[0] * X[j] - P[j], 0, "<=", mode):
                     out.append(
                         Witness(
-                            "extension", i, v, grid.values[i][j], "<=",
-                            lhs, 0,
+                            "extension", i, v, g[j], "<=", g[0] * xs[j] - ps[j], 0,
                             detail="condition d (true value below the grid)",
                         )
                     )

@@ -12,7 +12,9 @@ take the same pivots to the same vertex.  The reference checkers look
 every deviation up by building its profile, sweep each profile's own
 column afresh, and solve one hull LP per profile, so the indexed walks
 in revmax.verify must return the same witnesses in the same order.
-The reference multi-item checker rebuilds each deviating type profile
+The reference table check looks every grid profile up in the table, so
+the in-order fast path of revmax.model._check_table_domain must return
+the same table and raise the same errors.  The reference multi-item checker rebuilds each deviating type profile
 and recomputes every expected bundle value per report, so the line walk
 of revmax.multi.check_multi must return the same witnesses in the same
 order.
@@ -571,6 +573,20 @@ def reference_solve(lp: LinearProgram, mode: str = EXACT) -> LPSolution:
         (num(lp.objective[j]) * x[j] for j in range(lp.num_vars)), zero
     )
     return LPSolution("optimal", tuple(x), objective, (phase1, phase2))
+
+
+def reference_check_table_domain(grid: ValueGrid, table, what: str) -> dict:
+    """Reorder a per-profile table canonically, requiring the full grid:
+    one lookup per grid profile, whatever the table's order."""
+    out = {}
+    for profile in grid.profiles():
+        if profile not in table:
+            raise InvalidInputError(f"{what} missing profile {profile}")
+        out[profile] = table[profile]
+    if len(table) != grid.cells():
+        extra = set(table) - set(out)
+        raise InvalidInputError(f"{what} has off-grid profiles {sorted(extra)[:3]}")
+    return out
 
 
 def reference_check_truthful(mech: InterimMechanism) -> VerifyReport:

@@ -2,6 +2,7 @@
 stdout/stderr split."""
 
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -285,6 +286,7 @@ def _edit(text, key, value):
         ("mechanism", "assignment", 0),
         ("mechanism", "profile", 0),
         ("mechanism", "bidder", None),
+        ("mechanism", "pay", None),
     ],
 )
 def test_malformed_multi_file_is_input_error(tmp_path, capsys, target, key, value):
@@ -312,3 +314,66 @@ def test_allow_negative_payments_only_on_solve_multi(tmp_path, capsys):
     code, out, _ = run(capsys, ["solve-multi", mpath, "--allow-negative-payments"])
     assert code == 0
     assert rio.loads_line(out.splitlines()[-1])["revenue"] == "1"
+
+
+@pytest.mark.parametrize("kind", ["deterministic", "expost", "universal"])
+@pytest.mark.parametrize("vector", ["a", True, 1.0])
+def test_non_integer_vector_index_is_input_error(tmp_path, capsys, kind, vector):
+    mech = vickrey(PAIR.grid)
+    if kind == "deterministic":
+        text = rio.write_mechanism(mech)
+    elif kind == "expost":
+        text = rio.write_mechanism(mech.as_expost())
+    else:
+        text = rio.write_mechanism(None, parts=[(mech, F(1))])
+    path = write(tmp_path, "bad.ndjson", _edit(text, "vector", vector))
+    code, out, err = run(capsys, ["verify", pair_file(tmp_path), path])
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "vector" in err
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        '{"pay":["100"],"profile":[7]}',
+        '{"assignment":[0],"prob":"1","profile":[9]}',
+    ],
+)
+def test_multi_mechanism_line_outside_the_product_is_input_error(tmp_path, capsys, extra):
+    inst, mech = _multi_files()
+    ipath = write(tmp_path, "multi.ndjson", inst)
+    mpath = write(tmp_path, "bad.ndjson", mech + extra + "\n")
+    code, out, err = run(capsys, ["verify", ipath, mpath])
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "outside the type product" in err
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("mech", ["first", "second", "interim"])
+def test_verify_report_bytes_are_golden(tmp_path, capsys, mech, mode):
+    """Reports on a 3x3 grid with gaps, a 0 value and fractional values:
+    first price, textbook second price and a random interim table give
+    truthful, IR, feasibility and extension (a)-(d) witnesses.  The
+    committed reports were written by `revmax verify` before it compared
+    utilities as ints; every later verifier must keep their bytes."""
+    out = tmp_path / "report.ndjson"
+    argv = ["verify", str(DATA / "golden.ndjson"), str(DATA / f"golden.{mech}.ndjson")]
+    code, stdout, err = run(capsys, argv + [f"--{mode}", "--output", str(out)])
+    assert (code, stdout, err) == (1, "", "")
+    golden = (DATA / f"golden.{mech}.{mode}.report.ndjson").read_text()
+    assert out.read_text() == golden
+
+
+def test_golden_reports_cover_every_interim_witness_kind():
+    kinds = set()
+    for path in DATA.glob("golden.*.exact.report.ndjson"):
+        _, _, witnesses = rio.read_report(path.read_text())
+        kinds.update((w["check"], w["detail"][:11]) for w in witnesses)
+    assert {("truthful", ""), ("ir", ""), ("feasible", "separating ")} <= kinds
+    for cond in "abcd":
+        assert ("extension", f"condition {cond}") in kinds

@@ -26,8 +26,8 @@ from revmax import (
     second_price,
     zero_mechanism,
 )
-from revmax.model import lines
-from support import random_distribution, random_interim
+from revmax.model import EXACT, FLOAT, _check_table_domain, convert, lines
+from support import random_distribution, random_interim, reference_check_table_domain
 
 PAIR = {(1, 1): F(1, 2), (2, 2): F(1, 2)}
 
@@ -310,3 +310,60 @@ def test_lines_matches_tuple_definition():
                 expected.append((i, idx, v[i], line))
         got = [(i, idx, k, list(line)) for i, idx, k, line in lines(sizes)]
         assert got == expected, sizes
+
+
+def _outcome(call):
+    try:
+        value = call()
+    except Exception as exc:  # the error class is the outcome compared
+        return type(exc), None
+    return type(value), value
+
+
+def test_table_domain_matches_reference_in_any_order():
+    grid = ValueGrid([[0, F(1, 2), 3], [1, 2], [F(7, 3)]])
+    profiles = list(grid.profiles())
+    rng = random.Random(11)
+    off = (F(1, 2), F(3), F(7, 3))
+
+    def fresh(v):  # new key objects, as a file reader builds them
+        return tuple(F(c.numerator, c.denominator) for c in v)
+
+    orders = [profiles] + [rng.sample(profiles, len(profiles)) for _ in range(8)]
+    tables = [{fresh(v): ("row", v) for v in order} for order in orders]
+    tables.append({fresh(v): 0 for v in profiles[:-1]})  # missing profile
+    tables.append({fresh(v): 0 for v in profiles + [off]})  # off-grid profile
+    tables.append({fresh(v): 0 for v in profiles[:-1] + [off]})
+    tables.append({fresh(v): 0 for v in profiles[::-1] + [off]})
+    for table in tables:
+        try:
+            want = reference_check_table_domain(grid, table, "test table")
+        except InvalidInputError as exc:
+            with pytest.raises(InvalidInputError) as got:
+                _check_table_domain(grid, table, "test table")
+            assert str(got.value) == str(exc)
+            continue
+        got = _check_table_domain(grid, table, "test table")
+        assert list(got.items()) == list(want.items())
+        # keys are the grid's own value objects, not the table's
+        for key, profile in zip(got, grid.profiles()):
+            assert all(a is b for a, b in zip(key, profile))
+
+
+def test_convert_strings_read_as_fraction_reads_them():
+    def fraction(s):
+        try:
+            return F(s)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InvalidInputError(str(s)) from exc
+
+    listed = [" 3", "+3", "1_000", "3/-4", "3/0", "-0", "1.5", "1e3", "٣", "²",
+              "0/0", "-3/4", "007/010", "-", "/", "3/", "/4", "", " 3/4 ", "3 / 4",
+              "--3", "-+3", "3/4/5", "1" * 60, "-" + "9" * 30 + "/" + "7" * 25, "٣/4"]
+    rng = random.Random(17)
+    alphabet = "0123456789" * 3 + "-/-/ +_.eE٣²\t"
+    fuzz = ["".join(rng.choice(alphabet) for _ in range(rng.randint(0, 7)))
+            for _ in range(3000)]
+    for s in listed + fuzz:
+        assert _outcome(lambda: convert(s, EXACT)) == _outcome(lambda: fraction(s)), s
+        assert _outcome(lambda: convert(s, FLOAT)) == _outcome(lambda: float(F(s))), s

@@ -333,3 +333,65 @@ def test_single_item_feasibility_is_a_direct_sum_test(mode, n):
     reference = reference_check_feasible(mech, fs)
     assert report == reference
     assert write_report(report, mode) == write_report(reference, mode)
+
+
+# pairwise coprime denominators of at least 10**12
+_BIG = [10**12, 10**12 + 1, 10**12 + 3]
+
+
+def _kernel_grid(rng):
+    """One to three bidders; values may be 0, fractional or over a huge
+    denominator, and some bidders hold a single value."""
+    pool = [F(0), F(1, 3), F(3, 2), F(2), F(7, 3), F(5)]
+    pool += [F(10**12 + 7, _BIG[0]), F(2 * 10**12 + 1, _BIG[1]), F(5 * 10**12, _BIG[2])]
+    n = rng.randint(1, 3)
+    return ValueGrid([sorted(rng.sample(pool, rng.randint(1, 4))) for _ in range(n)])
+
+
+def _kernel_tables(rng, grid):
+    """Allocations from a few levels, so that top slopes often tie;
+    payments from a pool with negative, fractional and huge-denominator
+    entries."""
+    levels = [F(0), F(1, 2), F(1), F(1, _BIG[0]), F(_BIG[1] - 1, _BIG[1])]
+    pays = [F(0), F(-1), F(-5, 7), F(2, 3), F(3), F(-1, _BIG[2]), F(10**12, _BIG[1])]
+    x, p = {}, {}
+    for v in grid.profiles():
+        x[v] = tuple(rng.choice(levels) for _ in v)
+        p[v] = tuple(rng.choice(pays + [c * rng.choice(levels)]) for c in v)
+    return InterimMechanism(grid, x, p)
+
+
+def test_integer_line_tables_match_reference():
+    """The scaled-integer comparisons give the reference checkers'
+    witnesses, in order and with the same lhs/rhs types, on grids with a
+    0 value, fractional and 10**12-denominator values, one-value bidders,
+    negative payments and tied top slopes, in both arithmetic modes."""
+    rng = random.Random(8)
+    seen, compared = set(), 0
+    for _ in range(40):
+        grid = _kernel_grid(rng)
+        mechs = [_kernel_tables(rng, grid), first_price(grid).as_interim()]
+        for mech in mechs + [_as_float(m) for m in mechs]:
+            truthful = check_truthful(mech)
+            pairs = [
+                (truthful, reference_check_truthful(mech)),
+                (check_extension(mech, truthful), reference_check_extension(mech)),
+            ]
+            for got, want in pairs:
+                assert got == want
+                for g, w in zip(got.witnesses, want.witnesses):
+                    assert (type(g.lhs), type(g.rhs)) == (type(w.lhs), type(w.rhs))
+                    cond = w.detail if w.detail.startswith("condition c") else w.detail[:11]
+                    seen.add((mech.mode, cond, type(w.lhs).__name__, type(w.rhs).__name__))
+                    compared += 1
+    assert compared > 2000
+    for mode, num in ((EXACT, "Fraction"), (FLOAT, "float")):
+        for cond in (
+            "",  # truthful
+            "condition a",
+            "condition b",
+            "condition c (slope above the top value)",
+            "condition c (payment at tied top slope)",
+        ):
+            assert (mode, cond, num, num) in seen
+        assert (mode, "condition d", num, "int") in seen
