@@ -112,7 +112,19 @@ def _grid_line(grid: ValueGrid, mode: str) -> str:
 
 
 def _parse_grid(obj, mode: str) -> ValueGrid:
+    if not isinstance(obj, list):
+        raise InvalidInputError(f"expected a list of value lists, got {obj!r}")
     return ValueGrid([_parse_row(vi, mode) for vi in obj], mode)
+
+
+def _feasible(obj: dict) -> list:
+    """A feasible line's vector of ints (not bools, which would be echoed
+    back as true/false); FeasibilitySystem checks its length and that
+    each entry is 0 or 1."""
+    raw = obj["feasible"]
+    if not isinstance(raw, list) or not all(type(c) is int for c in raw):
+        raise InvalidInputError(f"feasible {raw!r} in line {obj} must be a 0/1 list")
+    return raw
 
 
 # ---------------------------------------------------------------------------
@@ -192,9 +204,11 @@ def read_instance(text: str, mode: Optional[str] = None) -> ParsedInstance:
                 raise InvalidInputError("duplicate grid line")
             grid = _parse_grid(obj["grid"], mode)
         elif "feasible" in obj:
-            vectors.append(obj["feasible"])
+            vectors.append(_feasible(obj))
         elif "support" in obj:
-            support.append((_parse_row(obj["support"], mode), parse_number(obj["prob"], mode)))
+            support.append(
+                (_parse_row(obj["support"], mode), parse_number(_field(obj, "prob"), mode))
+            )
         else:
             raise InvalidInputError(f"unrecognized instance line {obj}")
     if grid is None:
@@ -414,7 +428,7 @@ def read_mechanism(text: str, mode: Optional[str] = None) -> ParsedMechanism:
         if "grid" in obj:
             grid = _parse_grid(obj["grid"], mode)
         elif "feasible" in obj:
-            vectors.append(obj["feasible"])
+            vectors.append(_feasible(obj))
         else:
             body.append(obj)
     if grid is None:

@@ -1,6 +1,15 @@
 """Exact linear programming: a two-phase primal simplex over
 fractions.Fraction with Bland's anti-cycling rule.
 
+A LinearProgram maximizes a linear objective subject to <= and = rows
+over variables that are nonnegative, or free once set_free splits them
+into two nonnegative columns.  Rows that are <= with a nonnegative
+right-hand side start in the slack basis; an = row, or a row whose
+right-hand side is negative, gets an artificial column and phase 1
+drives it out.  Both revenue LPs (revmax.optimal and revmax.multi) have
+only the first kind of row, so they run no phase 1; the hull and
+separation LPs of decompose_allocation use the second.
+
 The tableau is sparse: each row, and the reduced-cost row, is a
 {column: coefficient} map of its nonzeros, and a pivot touches only the
 rows with a nonzero in the entering column, at the pivot row's nonzeros,
@@ -26,7 +35,6 @@ from .errors import DimensionMismatchError, InvalidInputError, PivotLimitError
 from .model import EXACT, FLOAT
 
 LEQ = "<="
-GEQ = ">="
 EQ = "="
 
 # consecutive non-improving pivots tolerated before Bland's rule takes over
@@ -48,86 +56,35 @@ class LPSolution:
 
 
 class LinearProgram:
-    """A maximization (or minimization) problem over named variables with
-    <=/= constraints and per-variable bounds, infinities allowed."""
+    """Maximize objective . x subject to <= and = rows, over variables
+    that are nonnegative unless set_free makes them free."""
 
-    def __init__(
-        self,
-        num_vars: int,
-        objective: Sequence,
-        maximize: bool = True,
-        names: Optional[Sequence[str]] = None,
-    ):
+    def __init__(self, num_vars: int, objective: Sequence):
         if num_vars < 0:
             raise InvalidInputError("negative number of variables")
         obj = list(objective)
         if len(obj) != num_vars:
             raise DimensionMismatchError("objective length does not match num_vars")
-        if names is None:
-            names = [f"x{j}" for j in range(num_vars)]
-        else:
-            names = list(names)
-            if len(names) != num_vars:
-                raise DimensionMismatchError("names length does not match num_vars")
-            if len(set(names)) != num_vars:
-                raise InvalidInputError("variable names must be unique")
         self.num_vars = num_vars
         self.objective = obj
-        self.maximize = maximize
-        self.names = names
         self.constraints: list[tuple[dict, str, object]] = []
-        self.lower: list[Optional[object]] = [Fraction(0)] * num_vars
-        self.upper: list[Optional[object]] = [None] * num_vars
+        self.free = [False] * num_vars
 
-    def add_constraint(self, coeffs, rel: str, rhs) -> None:
-        """coeffs is a dict {var index: coefficient} or a full row; >= rows
-        are stored negated as <=."""
-        if rel not in (LEQ, GEQ, EQ):
+    def add_constraint(self, coeffs: dict, rel: str, rhs) -> None:
+        """coeffs maps variable index to coefficient; rel is LEQ or EQ."""
+        if rel not in (LEQ, EQ):
             raise InvalidInputError(f"unsupported relation {rel!r}")
-        if isinstance(coeffs, dict):
-            row = dict(coeffs)
-        else:
-            if len(coeffs) != self.num_vars:
-                raise DimensionMismatchError("constraint row length mismatch")
-            row = {j: c for j, c in enumerate(coeffs) if c != 0}
+        row = dict(coeffs)
         for j in row:
             if not 0 <= j < self.num_vars:
                 raise InvalidInputError(f"constraint references unknown variable {j}")
-        if rel == GEQ:
-            row = {j: -c for j, c in row.items()}
-            rel, rhs = LEQ, -rhs
         self.constraints.append((row, rel, rhs))
 
-    def set_bounds(self, var: int, lower, upper) -> None:
-        """None means unbounded on that side."""
+    def set_free(self, var: int) -> None:
+        """Let the variable take any sign."""
         if not 0 <= var < self.num_vars:
             raise InvalidInputError(f"unknown variable {var}")
-        if lower is not None and upper is not None and lower > upper:
-            raise InvalidInputError(f"empty bound interval for variable {var}")
-        self.lower[var] = lower
-        self.upper[var] = upper
-
-    def to_text(self) -> str:
-        """Human-readable dump with exact coefficients, for debugging."""
-
-        def term(c, name):
-            return f"{c} {name}"
-
-        goal = "max" if self.maximize else "min"
-        lines = [
-            f"{goal}: "
-            + " + ".join(
-                term(c, self.names[j]) for j, c in enumerate(self.objective) if c != 0
-            )
-        ]
-        for k, (row, rel, rhs) in enumerate(self.constraints):
-            body = " + ".join(term(c, self.names[j]) for j, c in sorted(row.items()))
-            lines.append(f"c{k}: {body} {rel} {rhs}")
-        for j in range(self.num_vars):
-            lo = "-inf" if self.lower[j] is None else str(self.lower[j])
-            hi = "+inf" if self.upper[j] is None else str(self.upper[j])
-            lines.append(f"bound: {lo} <= {self.names[j]} <= {hi}")
-        return "\n".join(lines)
+        self.free[var] = True
 
 
 def _positives(pairs, tol) -> list:
@@ -240,59 +197,31 @@ def solve(lp: LinearProgram, mode: str = EXACT) -> LPSolution:
     else:
         raise InvalidInputError(f"unknown arithmetic mode {mode!r}")
 
-    sign = 1 if lp.maximize else -1
-
-    # Internal columns: every original variable becomes one or two
-    # nonnegative columns via shift (finite lower), mirror (upper only),
-    # or a free split.  x_j = offset_j + sum of signed columns.
-    col_of: list[list[tuple[int, int]]] = [[] for _ in range(lp.num_vars)]
-    offsets = []
+    # Internal columns: a nonnegative variable is one column, a free one
+    # the difference of two.  x_j = sum of its signed columns.
+    col_of = []
     ncols = 0
-    extra_rows = []  # upper-bound rows y <= u - l for doubly bounded vars
-    for j in range(lp.num_vars):
-        lo, hi = lp.lower[j], lp.upper[j]
-        if lo is not None:
-            offsets.append(num(lo))
-            col_of[j].append((ncols, 1))
-            if hi is not None:
-                extra_rows.append(({ncols: num(1)}, num(hi) - num(lo)))
-            ncols += 1
-        elif hi is not None:
-            offsets.append(num(hi))
-            col_of[j].append((ncols, -1))
-            ncols += 1
-        else:
-            offsets.append(num(0))
-            col_of[j].append((ncols, 1))
-            col_of[j].append((ncols + 1, -1))
-            ncols += 2
+    for free in lp.free:
+        col_of.append(((ncols, 1), (ncols + 1, -1)) if free else ((ncols, 1),))
+        ncols += 2 if free else 1
 
-    # Equality system rows over internal columns, slacks appended for <=.
-    # A column belongs to one variable, so each row sets it at most once.
+    # Sparse tableau rows {column: nonzero} over the internal columns,
+    # slacks appended for <=; a column belongs to one variable, so each
+    # row sets it at most once.  Rows with a negative rhs are negated, so
+    # their slack stops being a basis candidate; every row without a
+    # ready slack gets an artificial column past the slacks.
     zero, one = num(0), num(1)
-    raw = []
-    for row, rel, rhs in lp.constraints:
-        body = {}
-        shift = zero
-        for j, c in row.items():
-            c = num(c)
-            if not c:
-                continue
-            if offsets[j]:
-                shift += c * offsets[j]
-            for col, s in col_of[j]:
-                body[col] = c if s > 0 else -c
-        raw.append((body, rel, num(rhs) - shift))
-    for body, rhs in extra_rows:
-        raw.append((body, LEQ, rhs))
-
-    # Sparse tableau rows {column: nonzero}.  Rows with a negative rhs
-    # are negated, so their slack stops being a basis candidate; every
-    # row without a ready slack gets an artificial column past the slacks.
-    width = ncols + sum(1 for _, rel, _ in raw if rel == LEQ)
+    width = ncols + sum(1 for _, rel, _ in lp.constraints if rel == LEQ)
     rows, rhs_col, basis, art_cols = [], [], [], []
     si = ncols
-    for row, rel, rhs in raw:
+    for coeffs, rel, rhs in lp.constraints:
+        row = {}
+        for j, c in coeffs.items():
+            c = num(c)
+            if c:
+                for col, s in col_of[j]:
+                    row[col] = c if s > 0 else -c
+        rhs = num(rhs)
         ready = rel == LEQ
         if ready:
             row[si] = one
@@ -341,7 +270,7 @@ def solve(lp: LinearProgram, mode: str = EXACT) -> LPSolution:
 
     cost2 = [zero] * width
     for j in range(lp.num_vars):
-        c = num(lp.objective[j]) * sign
+        c = num(lp.objective[j])
         if c:
             for col, s in col_of[j]:
                 cost2[col] += c * s
@@ -353,12 +282,7 @@ def solve(lp: LinearProgram, mode: str = EXACT) -> LPSolution:
     yv = [zero] * width
     for i, bi in enumerate(basis):
         yv[bi] = rhs_col[i]
-    x = []
-    for j in range(lp.num_vars):
-        v = offsets[j]
-        for col, s in col_of[j]:
-            v = v + s * yv[col]
-        x.append(v)
+    x = [sum((s * yv[col] for col, s in cols), zero) for cols in col_of]
     objective = sum(
         (num(lp.objective[j]) * x[j] for j in range(lp.num_vars)), zero
     )

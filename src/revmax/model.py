@@ -49,9 +49,12 @@ def convert(x: object, mode: str = EXACT):
     A string is read as Fraction(x) reads it (plain integers and p/q
     without its regex); float mode then rounds that rational once."""
     if mode == FLOAT:
-        if isinstance(x, str):
-            return float(_rational(x))
-        return float(x)
+        try:
+            return float(_rational(x) if isinstance(x, str) else x)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InvalidInputError(f"cannot parse rational {x!r}") from exc
+        except (TypeError, OverflowError) as exc:
+            raise InvalidInputError(f"cannot interpret {x!r} as a number") from exc
     if mode != EXACT:
         raise InvalidInputError(f"unknown arithmetic mode {mode!r}")
     if isinstance(x, Fraction):

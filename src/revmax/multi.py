@@ -21,7 +21,7 @@ from .errors import (
     NonRepresentableError,
     SizeLimitError,
 )
-from .lp import EQ, LEQ, LinearProgram, solve
+from .lp import LEQ, LinearProgram, solve
 from .model import (
     EXACT,
     FLOAT,
@@ -241,19 +241,26 @@ def build_multi_lp(
     options: Optional[SolveOptions] = None,
     max_assignments: int = MAX_ASSIGNMENTS,
 ) -> LinearProgram:
-    """Revenue LP over assignment lotteries: same convexity, truthfulness
-    and rationality rows as the single-item program, with bundle values
-    in place of unit values."""
+    """Revenue LP over assignment lotteries: lottery weights and payments
+    per type profile, with the single-item program's truthfulness and
+    rationality rows and bundle values in place of unit values.
+
+    Assignment 0 leaves every item unsold, so every bidder values it at 0
+    and its weight would appear only in the profile's convexity row.  It
+    gets no column: its weight is the slack of the row
+    sum_{a>0} lambda(t, a) <= 1, and solve_multi writes it back as
+    1 - sum.  Every row is <= with right-hand side 0 or 1, so the slack
+    basis is feasible and the simplex runs no phase 1."""
     options = options or SolveOptions()
     _guard(inst.n, inst.m, max_assignments)
     n = inst.n
     assigns = enumerate_assignments(n, inst.m)
-    A = len(assigns)
+    K = len(assigns) - 1
     profiles = inst.type_profiles()
-    nlam = len(profiles) * A
+    nlam = len(profiles) * K
 
     def lam(t_idx: int, a_idx: int) -> int:
-        return t_idx * A + a_idx
+        return t_idx * K + a_idx - 1
 
     def pay(t_idx: int, i: int) -> int:
         return nlam + t_idx * n + i
@@ -264,25 +271,20 @@ def build_multi_lp(
     for k, t in enumerate(profiles):
         for i in range(n):
             objective[pay(k, i)] = inst.support.get(t, zero)
-    names = [None] * num_vars
-    for k in range(len(profiles)):
-        for a in range(A):
-            names[lam(k, a)] = f"lam_t{k}_a{a}"
-        for i in range(n):
-            names[pay(k, i)] = f"pay_t{k}_b{i}"
 
-    lp = LinearProgram(num_vars, objective, maximize=True, names=names)
+    lp = LinearProgram(num_vars, objective)
     if options.allow_negative_payments:
         for k in range(len(profiles)):
             for i in range(n):
-                lp.set_bounds(pay(k, i), None, None)
+                lp.set_free(pay(k, i))
 
     for k in range(len(profiles)):
-        lp.add_constraint({lam(k, a): 1 for a in range(A)}, EQ, 1)
+        lp.add_constraint({lam(k, a): 1 for a in range(1, K + 1)}, LEQ, 1)
 
     values = _bundle_values(inst, assigns)
 
     def value_coeffs(t_idx: int, i: int, ti: int, sign: int, into: dict) -> None:
+        # assignment 0 is worth 0, so it never adds a coefficient
         for a_idx, v in enumerate(values[i][ti]):
             if v:
                 col = lam(t_idx, a_idx)
@@ -324,12 +326,17 @@ def solve_multi(
         raise RuntimeError(f"multi-item LP reported {sol.status}; this cannot happen")
     n = inst.n
     profiles = inst.type_profiles()
-    A = (n + 1) ** inst.m
-    nlam = len(profiles) * A
+    K = (n + 1) ** inst.m - 1
+    nlam = len(profiles) * K
+    float_mode = options.mode == FLOAT
+    zero = 0.0 if float_mode else Fraction(0)
+    one = 1.0 if float_mode else Fraction(1)
     lotteries, payments = {}, {}
     for k, t in enumerate(profiles):
-        weights = sol.x[k * A : (k + 1) * A]
-        if options.mode == FLOAT:
+        sold = sol.x[k * K : (k + 1) * K]
+        # the all-unsold assignment's weight is its row's slack
+        weights = (one - sum(sold, zero),) + sold
+        if float_mode:
             total = sum(w for w in weights if w > 1e-12)
             rows = [(a, w / total) for a, w in enumerate(weights) if w > 1e-12]
         else:
@@ -342,7 +349,6 @@ def solve_multi(
         raise RuntimeError(
             f"solved mechanism failed its own replay: {report.witnesses[0]}"
         )
-    zero = 0.0 if options.mode == FLOAT else Fraction(0)
     revenue = sum((q * sum(payments[t]) for t, q in inst.support.items()), zero)
     return mech, revenue
 

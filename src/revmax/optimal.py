@@ -121,8 +121,7 @@ def build_optimal_lp(
         for phi_v in phi
         for f in cols
     ]
-    names = [f"lam_p{k}_f{f}" for k in range(len(mass)) for f in cols]
-    lp = LinearProgram(len(objective), objective, maximize=True, names=names)
+    lp = LinearProgram(len(objective), objective)
     for k in range(len(mass)):
         lp.add_constraint({k * K + c: 1 for c in range(K)}, LEQ, 1)
     for row in monotone:
@@ -199,7 +198,7 @@ def decompose_allocation(
     K = len(fs.vectors)
     zero = 0.0 if mode == FLOAT else Fraction(0)
 
-    lp = LinearProgram(K, [zero] * K, names=[f"w{f}" for f in range(K)])
+    lp = LinearProgram(K, [zero] * K)
     for i in range(fs.n):
         row = {f: 1 for f, vec in enumerate(fs.vectors) if vec[i]}
         lp.add_constraint(row, EQ, point[i])
@@ -213,13 +212,9 @@ def decompose_allocation(
 
     # separation: a.F - b <= 0 for all F, normalized so a.x - b = 1
     nv = fs.n + 1
-    sep = LinearProgram(
-        nv,
-        [zero] * nv,
-        names=[f"a{i}" for i in range(fs.n)] + ["b"],
-    )
+    sep = LinearProgram(nv, [zero] * nv)
     for j in range(nv):
-        sep.set_bounds(j, None, None)
+        sep.set_free(j)
     for vec in fs.vectors:
         row = {i: 1 for i in range(fs.n) if vec[i]}
         row[fs.n] = -1

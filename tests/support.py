@@ -6,9 +6,11 @@ systems by Gaussian elimination, so decomposition results are checked
 against a second, unrelated method.  The reference revenue LP keeps
 payments as variables with every truthfulness and rationality
 constraint, so the allocation-only LP is checked against the full
-formulation it reduces.  The reference simplex keeps dense tableau
-rows with the same pivot rule, so the sparse solver in revmax.lp must
-take the same pivots to the same vertex.  The reference checkers look
+formulation it reduces.  Likewise the reference multi-item LP keeps a
+column and a convexity equality for the all-unsold assignment, whose
+weight the solver's LP carries as a slack.  The reference simplex keeps
+dense tableau rows with the same pivot rule, so the sparse solver in
+revmax.lp must take the same pivots to the same vertex.  The reference checkers look
 every deviation up by building its profile, sweep each profile's own
 column afresh, and solve one hull LP per profile, so the indexed walks
 in revmax.verify must return the same witnesses in the same order.
@@ -23,6 +25,7 @@ order.
 import itertools
 from fractions import Fraction
 from itertools import combinations
+from typing import Optional
 
 from revmax import (
     DimensionMismatchError,
@@ -44,9 +47,15 @@ from revmax.lp import (
     LPSolution,
     solve,
 )
-from revmax.model import EXACT, FLOAT
-from revmax.multi import bundle_mask, enumerate_assignments
-from revmax.optimal import decompose_allocation
+from revmax.model import EXACT, FLOAT, lines
+from revmax.multi import (
+    MAX_ASSIGNMENTS,
+    _bundle_values,
+    _guard,
+    bundle_mask,
+    enumerate_assignments,
+)
+from revmax.optimal import SolveOptions, decompose_allocation
 from revmax.verify import VerifyReport, Witness, violated
 
 
@@ -288,11 +297,11 @@ def reference_optimal_lp(dist, fs, allow_negative_payments=False):
     for v, q in dist.support.items():
         for i in range(n):
             objective[pay(pindex[v], i)] = q
-    lp = LinearProgram(num_vars, objective, maximize=True)
+    lp = LinearProgram(num_vars, objective)
     if allow_negative_payments:
         for k in range(len(profiles)):
             for i in range(n):
-                lp.set_bounds(pay(k, i), None, None)
+                lp.set_free(pay(k, i))
 
     for k in range(len(profiles)):
         lp.add_constraint({lam(k, f): 1 for f in range(K)}, EQ, 1)
@@ -327,6 +336,74 @@ def reference_optimal_lp(dist, fs, allow_negative_payments=False):
             row = {pay(k, i): 1}
             x_coeffs(k, i, -profiles[k][i], row)
             lp.add_constraint(row, LEQ, 0)
+    return lp
+
+
+def reference_multi_lp(
+    inst: MultiItemInstance,
+    options: Optional[SolveOptions] = None,
+    max_assignments: int = MAX_ASSIGNMENTS,
+) -> LinearProgram:
+    """The multi-item revenue LP with a column for every assignment,
+    the all-unsold one included, and a convexity equality per type
+    profile: the form revmax.multi.build_multi_lp reduces by making the
+    all-unsold weight a slack."""
+    options = options or SolveOptions()
+    _guard(inst.n, inst.m, max_assignments)
+    n = inst.n
+    assigns = enumerate_assignments(n, inst.m)
+    A = len(assigns)
+    profiles = inst.type_profiles()
+    nlam = len(profiles) * A
+
+    def lam(t_idx: int, a_idx: int) -> int:
+        return t_idx * A + a_idx
+
+    def pay(t_idx: int, i: int) -> int:
+        return nlam + t_idx * n + i
+
+    zero = 0.0 if options.mode == FLOAT else Fraction(0)
+    num_vars = nlam + len(profiles) * n
+    objective = [zero] * num_vars
+    for k, t in enumerate(profiles):
+        for i in range(n):
+            objective[pay(k, i)] = inst.support.get(t, zero)
+
+    lp = LinearProgram(num_vars, objective)
+    if options.allow_negative_payments:
+        for k in range(len(profiles)):
+            for i in range(n):
+                lp.set_free(pay(k, i))
+
+    for k in range(len(profiles)):
+        lp.add_constraint({lam(k, a): 1 for a in range(A)}, EQ, 1)
+
+    values = _bundle_values(inst, assigns)
+
+    def value_coeffs(t_idx: int, i: int, ti: int, sign: int, into: dict) -> None:
+        for a_idx, v in enumerate(values[i][ti]):
+            if v:
+                col = lam(t_idx, a_idx)
+                into[col] = into.get(col, zero) + sign * v
+
+    for i, _, k, line in lines([len(ts) for ts in inst.types]):
+        if k:
+            continue
+        for true_t, k_true in enumerate(line):
+            for rep_t, k_rep in enumerate(line):
+                if rep_t == true_t:
+                    continue
+                row: dict = {pay(k_rep, i): -1, pay(k_true, i): 1}
+                value_coeffs(k_rep, i, true_t, 1, row)
+                value_coeffs(k_true, i, true_t, -1, row)
+                lp.add_constraint(row, LEQ, 0)
+
+    for i in range(n):
+        for k, t in enumerate(profiles):
+            row = {pay(k, i): 1}
+            value_coeffs(k, i, t[i], -1, row)
+            lp.add_constraint(row, LEQ, 0)
+
     return lp
 
 
@@ -438,8 +515,6 @@ def reference_solve(lp: LinearProgram, mode: str = EXACT) -> LPSolution:
     else:
         raise InvalidInputError(f"unknown arithmetic mode {mode!r}")
 
-    sign = 1 if lp.maximize else -1
-
     # Internal columns: every original variable becomes one or two
     # nonnegative columns via shift (finite lower), mirror (upper only),
     # or a free split.  x_j = offset_j + sum of signed columns.
@@ -448,7 +523,7 @@ def reference_solve(lp: LinearProgram, mode: str = EXACT) -> LPSolution:
     ncols = 0
     extra_rows = []  # upper-bound rows y <= u - l for doubly bounded vars
     for j in range(lp.num_vars):
-        lo, hi = lp.lower[j], lp.upper[j]
+        lo, hi = (None, None) if lp.free[j] else (0, None)
         if lo is not None:
             offsets.append(num(lo))
             col_of[j].append((ncols, 1))
@@ -552,7 +627,7 @@ def reference_solve(lp: LinearProgram, mode: str = EXACT) -> LPSolution:
 
     cost2 = [zero] * width
     for j in range(lp.num_vars):
-        c = num(lp.objective[j]) * sign
+        c = num(lp.objective[j])
         if c:
             for col, s in col_of[j]:
                 cost2[col] += c * s

@@ -6,7 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from revmax import ExplicitDistribution, MultiItemInstance, Valuation, solve_multi
+from revmax import (
+    ExplicitDistribution,
+    FeasibilitySystem,
+    MultiItemInstance,
+    Valuation,
+    solve_multi,
+)
 from revmax import io as rio
 from revmax import lp
 from revmax.cli import main
@@ -301,6 +307,57 @@ def test_malformed_multi_file_is_input_error(tmp_path, capsys, target, key, valu
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def _without(text, key):
+    """Drop key from the first line holding it."""
+    lines = text.splitlines(keepends=True)
+    k = next(n for n, line in enumerate(lines) if key in rio.loads_line(line))
+    obj = rio.loads_line(lines[k])
+    del obj[key]
+    lines[k] = rio.dumps_line(obj)
+    return "".join(lines)
+
+
+PAIR_TEXT = rio.write_instance(PAIR)
+PAIR_UNITS_TEXT = rio.write_instance(
+    PAIR, FeasibilitySystem(2, [(0, 0), (1, 0), (0, 1), (1, 1)])
+)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _without(PAIR_TEXT, "prob"),
+        _edit(PAIR_TEXT, "grid", 5),
+        _edit(PAIR_UNITS_TEXT, "feasible", 5),
+        _edit(PAIR_UNITS_TEXT, "feasible", [False, False]),
+    ],
+    ids=["support-without-prob", "grid-not-a-list", "feasible-not-a-list", "feasible-bools"],
+)
+def test_malformed_single_item_instance_is_input_error(tmp_path, capsys, text):
+    code, out, err = run(capsys, ["solve", write(tmp_path, "bad.ndjson", text)])
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("target", ["instance", "mechanism"])
+def test_float_mode_parse_errors_match_exact_mode(tmp_path, capsys, target):
+    if target == "instance":
+        argv = ["solve", write(tmp_path, "bad.ndjson", _edit(PAIR_TEXT, "prob", "1/0"))]
+    else:
+        mech = rio.write_mechanism(vickrey(PAIR.grid))
+        bad = _edit(mech, "grid", [["1", [2]], ["1", "2"]])
+        argv = ["verify", pair_file(tmp_path), write(tmp_path, "bad.ndjson", bad)]
+    errors = []
+    for mode in ("--exact", "--float"):
+        code, out, err = run(capsys, argv + [mode])
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        errors.append(err)
+    assert errors[0] == errors[1]
 
 
 def test_allow_negative_payments_only_on_solve_multi(tmp_path, capsys):

@@ -14,6 +14,7 @@ from revmax import (
     MultiMechanism,
     NonRepresentableError,
     SizeLimitError,
+    SolveOptions,
     Valuation,
     build_multi_lp,
     check_multi,
@@ -24,7 +25,7 @@ from revmax import (
     solve_multi,
     solve_optimal,
 )
-from revmax.lp import EQ
+from revmax.lp import LEQ, solve
 from revmax.multi import bundle_mask
 from support import (
     float_multi_instance,
@@ -32,6 +33,7 @@ from support import (
     random_multi_instance,
     random_multi_mechanism,
     reference_check_multi,
+    reference_multi_lp,
     scale_multi_instance,
 )
 
@@ -72,10 +74,30 @@ def test_lp_shape_for_two_bidders_two_items():
     }
     inst = MultiItemInstance(2, types, support)
     lp = build_multi_lp(inst)
-    # 4 profiles x 9 assignments + 8 payments
-    assert lp.num_vars == 44
-    eqs = [c for c in lp.constraints if c[1] == EQ]
-    assert len(eqs) == 4
+    # 4 profiles x 8 assignments that sell something + 8 payments; the
+    # all-unsold weight is the slack of each profile's <= 1 row
+    assert lp.num_vars == 40
+    assert all(rel == LEQ for _, rel, _ in lp.constraints)
+    assert {rhs for _, _, rhs in lp.constraints} == {0, 1}
+
+
+@pytest.mark.parametrize("negative", [False, True])
+def test_slack_form_lp_matches_reference_lp(negative):
+    rng = random.Random(31)
+    exact = SolveOptions(allow_negative_payments=negative)
+    approx = SolveOptions(allow_negative_payments=negative, mode="float")
+    for _ in range(20):
+        inst = random_multi_instance(rng, max_bidders=3, max_items=2, max_types=3)
+        want = solve(reference_multi_lp(inst, exact)).objective
+        assert solve(build_multi_lp(inst, exact)).pivots[0] == 0
+        mech, revenue = solve_multi(inst, exact)
+        assert revenue == want
+        assert check_multi(mech).passed
+        finst = float_multi_instance(inst)
+        assert solve(build_multi_lp(finst, approx), mode="float").pivots[0] == 0
+        mech, revenue = solve_multi(finst, approx)
+        assert abs(revenue - float(want)) <= 1e-9
+        assert check_multi(mech).passed
 
 
 def test_size_guard_raises():

@@ -21,7 +21,7 @@ from revmax import (
     interim_of,
     solve_optimal,
 )
-from revmax.lp import LEQ
+from revmax.lp import LEQ, solve
 from support import (
     in_hull_by_enumeration,
     random_distribution,
@@ -116,6 +116,8 @@ def test_allocation_lp_matches_reference_lp():
     for dist, fs in _reference_instances(rng, 42):
         result = solve_optimal(dist, fs)
         assert result.revenue == reference_revenue(dist, fs)
+        # every row is <= 0 or <= 1: the slack basis is feasible
+        assert solve(build_optimal_lp(dist, fs)).pivots[0] == 0
         grid, x, p = dist.grid, result.interim.x, result.interim.p
         for i in range(grid.n):
             others = [grid.values[j] for j in range(grid.n) if j != i]
