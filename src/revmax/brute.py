@@ -1,18 +1,26 @@
 """Brute-force benchmark: the best deterministic truthful auction, found
 by enumerating monotone winner functions over the grid and charging each
-winner his critical value.
+winner the bidder's critical value.
 
 Candidate counts are exponential in the number of grid cells, so hard
 limits guard every entry point; nothing is ever truncated silently.
 Enumeration order is lexicographic in the per-profile choices, and ties
 in revenue keep the earliest candidate, so parallel splits over choice
 prefixes could be recombined without changing the result.
+
+Profiles are assigned in canonical order, one own-value step below
+first, so a winner's critical value is fixed on assignment and revenue
+is a prefix sum carried down the recursion: O(n) per node, a compare per
+complete rule.  Exact mode sums ints (values and masses scaled by the
+lcm of their denominators); float mode adds the products in the order a
+whole-support walk would, profile then bidder.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Optional, Union
 
 from .errors import InvalidInputError, SizeLimitError
@@ -83,18 +91,36 @@ def enumerate_deterministic_optimal(
         )
 
     profiles = list(grid.profiles())
+    exact = dist.mode != FLOAT
+    # exact revenues are ints over dq * dv, which compare like the rationals
+    dv = lcm(*[x.denominator for vi in grid.values for x in vi]) if exact else 1
+    dq = lcm(*[q.denominator for q in dist.support.values()]) if exact else 1
+    scaled = [
+        [x.numerator * (dv // x.denominator) for x in vi] if exact else vi
+        for vi in grid.values
+    ]
+    mass = [dist.support.get(v, 0) for v in profiles]
+    if exact:
+        mass = [q.numerator * (dq // q.denominator) for q in mass]
     # down[k][i]: profile index one own-value step below, or -1 at the floor;
     # stepping down is lexicographically smaller, hence already assigned in DFS
     down = [[-1] * n for _ in profiles]
+    own = [[0] * n for _ in profiles]
     for i, idx, k, line in lines([len(vi) for vi in grid.values]):
+        own[idx][i] = scaled[i][k]
         if k:
             down[idx][i] = line[k - 1]
-    support_items = [
-        (k, dist.support[v]) for k, v in enumerate(profiles) if v in dist.support
-    ]
-    zero = 0.0 if dist.mode == FLOAT else Fraction(0)
+    masks = [sum(1 << i for i in range(n) if vec[i]) for vec in vecs]
+    members = [[i for i in range(n) if vec[i]] for vec in vecs]
+    # fits[need]: ascending choices whose winners include the mask need of
+    # bidders winning one step below; filled on first use
+    fits: dict = {}
+    zero = Fraction(0) if exact else 0.0
 
     choice = [0] * cells
+    # crit[k][i]: bidder i's critical value if it wins at k: the one at
+    # down[k][i] if it wins there too, else its own value
+    crit = [[0] * n for _ in profiles]
     best_rev = None
     best_choice = None
 
@@ -105,33 +131,35 @@ def enumerate_deterministic_optimal(
             j = down[j][i]
         return profiles[j][i]
 
-    def dfs(k: int) -> None:
+    def dfs(k: int, rev) -> None:
+        # rev: revenue of profiles 0..k-1
         nonlocal best_rev, best_choice
         if k == cells:
-            rev = zero
-            for t, q in support_items:
-                vec = vecs[choice[t]]
-                for i in range(n):
-                    if vec[i]:
-                        rev += q * critical_at(t, i)
             if best_rev is None or rev > best_rev:
                 best_rev = rev
                 best_choice = tuple(choice)
             return
-        dk = down[k]
-        for c in range(K):
-            vec = vecs[c]
-            ok = True
-            for i in range(n):
-                j = dk[i]
-                if j != -1 and not vec[i] and vecs[choice[j]][i]:
-                    ok = False
-                    break
-            if ok:
-                choice[k] = c
-                dfs(k + 1)
+        need = 0
+        ck, ov = crit[k], own[k]
+        for i, j in enumerate(down[k]):
+            if j != -1 and masks[choice[j]] >> i & 1:
+                need |= 1 << i
+                ck[i] = crit[j][i]
+            else:
+                ck[i] = ov[i]
+        opts = fits.get(need)
+        if opts is None:
+            opts = fits[need] = [c for c in range(K) if masks[c] & need == need]
+        q = mass[k]
+        for c in opts:
+            choice[k] = c
+            r = rev
+            if q:
+                for i in members[c]:
+                    r += q * ck[i]
+            dfs(k + 1, r)
 
-    dfs(0)
+    dfs(0, 0 if exact else 0.0)
     choice[:] = best_choice
     payments = {}
     winners = {}
@@ -144,4 +172,4 @@ def enumerate_deterministic_optimal(
         payments[v] = tuple(pay)
         winners[v] = choice[k]
     mech = DeterministicMechanism(grid, fs, winners, payments, dist.mode)
-    return mech, best_rev
+    return mech, Fraction(best_rev, dq * dv) if exact else best_rev

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
+import stat
 import sys
 from pathlib import Path
 from typing import Optional
@@ -50,10 +52,16 @@ def _read(path: str) -> str:
 
 
 def _emit(text: str, output: Optional[str]) -> None:
-    if output:
-        Path(output).write_text(text)
-    else:
+    if not output:
         sys.stdout.write(text)
+        return
+    # rewrite in place, then cut the old tail: truncating to zero first
+    # makes ext4 write the data back at close (auto_da_alloc), which took
+    # longer than a small solve-det on a 2-vCPU VM
+    with open(os.open(output, os.O_WRONLY | os.O_CREAT, 0o666), "w") as f:
+        f.write(text)
+        if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+            f.truncate()
 
 
 def _report(command: str, mode: str, seed: Optional[int], **extra) -> None:
@@ -89,9 +97,18 @@ def _cmd_solve(args) -> int:
     return 0
 
 
+def _limit(args, default: int) -> int:
+    """--limits when given, else default; a cap below 1 is an input error."""
+    if args.limits is None:
+        return default
+    if args.limits < 1:
+        raise InvalidInputError(f"--limits must be at least 1, not {args.limits}")
+    return args.limits
+
+
 def _cmd_solve_det(args) -> int:
     inst = _single(args)
-    limits = EnumLimits(max_cells=args.limits) if args.limits else None
+    limits = EnumLimits(max_cells=_limit(args, EnumLimits.max_cells))
     mech, revenue = enumerate_deterministic_optimal(inst.dist, inst.fs, limits)
     _emit(io.write_mechanism(mech), args.output)
     _report(
@@ -107,7 +124,7 @@ def _cmd_solve_multi(args) -> int:
     inst = _instance(args)
     if inst.model != io.MULTI_ITEM:
         raise InvalidInputError("solve-multi needs a multi-item instance")
-    cap = args.limits or MAX_ASSIGNMENTS
+    cap = _limit(args, MAX_ASSIGNMENTS)
     options = SolveOptions(
         allow_negative_payments=args.allow_negative_payments, mode=inst.mode
     )

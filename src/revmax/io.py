@@ -413,6 +413,16 @@ def _vector(obj: dict) -> int:
     return raw
 
 
+def _put(table: dict, v: tuple, value, obj: dict) -> None:
+    """table[v] = value for body line obj, whose profile no earlier line
+    may have set: interim and deterministic files give one line per
+    profile (ex-post files repeat a profile once per lottery outcome)."""
+    size = len(table)
+    table[v] = value
+    if len(table) == size:
+        raise InvalidInputError(f"duplicate line for profile {obj['profile']}")
+
+
 def read_mechanism(text: str, mode: Optional[str] = None) -> ParsedMechanism:
     """Decode a mechanism file; mode, when given, overrides the header's
     arithmetic mode."""
@@ -426,6 +436,8 @@ def read_mechanism(text: str, mode: Optional[str] = None) -> ParsedMechanism:
     body = []
     for obj in rows[1:]:
         if "grid" in obj:
+            if grid is not None:
+                raise InvalidInputError("duplicate grid line")
             grid = _parse_grid(obj["grid"], mode)
         elif "feasible" in obj:
             vectors.append(_feasible(obj))
@@ -437,7 +449,7 @@ def read_mechanism(text: str, mode: Optional[str] = None) -> ParsedMechanism:
         x, p = {}, {}
         for o in body:
             v = _parse_row(_field(o, "profile"), mode)
-            x[v] = _parse_row(_field(o, "alloc"), mode)
+            _put(x, v, _parse_row(_field(o, "alloc"), mode), o)
             p[v] = _parse_row(_field(o, "pay"), mode)
         return ParsedMechanism(kind, mode, mech=InterimMechanism(grid, x, p, mode))
     fs = (
@@ -464,7 +476,7 @@ def read_mechanism(text: str, mode: Optional[str] = None) -> ParsedMechanism:
         payments = {}
         for o in body:
             v = _parse_row(_field(o, "profile"), mode)
-            choice[v] = _vector(o)
+            _put(choice, v, _vector(o), o)
             payments[v] = _parse_row(_field(o, "pay"), mode)
         return ParsedMechanism(
             kind, mode, mech=DeterministicMechanism(grid, fs, choice, payments, mode), fs=fs
@@ -481,7 +493,7 @@ def read_mechanism(text: str, mode: Optional[str] = None) -> ParsedMechanism:
                 probs[k] = parse_number(_field(o, "prob"), mode)
                 continue
             v = _parse_row(o["profile"], mode)
-            choices.setdefault(k, {})[v] = _vector(o)
+            _put(choices.setdefault(k, {}), v, _vector(o), o)
             pays.setdefault(k, {})[v] = _parse_row(_field(o, "pay"), mode)
         if sorted(probs) != list(range(len(probs))) or sorted(choices) != sorted(probs):
             raise InvalidInputError("universal parts must be numbered 0..k-1")

@@ -19,7 +19,9 @@ the in-order fast path of revmax.model._check_table_domain must return
 the same table and raise the same errors.  The reference multi-item checker rebuilds each deviating type profile
 and recomputes every expected bundle value per report, so the line walk
 of revmax.multi.check_multi must return the same witnesses in the same
-order.
+order.  The reference deterministic search recomputes each complete
+rule's revenue over the whole support, so the prefix-revenue search of
+revmax.brute must return the same first optimum and the same revenue.
 """
 
 import itertools
@@ -28,13 +30,16 @@ from itertools import combinations
 from typing import Optional
 
 from revmax import (
+    DeterministicMechanism,
     DimensionMismatchError,
+    EnumLimits,
     ExplicitDistribution,
     FeasibilitySystem,
     InterimMechanism,
     InvalidInputError,
     MultiItemInstance,
     MultiMechanism,
+    SizeLimitError,
     Valuation,
     ValueGrid,
 )
@@ -272,6 +277,147 @@ def random_m1_instance(rng, max_bidders=2, max_types=3):
         types.append([Valuation(1, [0, v]) for v in vals])
     support = _random_type_support(rng, types)
     return MultiItemInstance(1, types, support)
+
+
+def _units(n: int, u: int) -> list:
+    """All 0/1 vectors with at most u ones, fewest ones first."""
+    vecs = [v for v in itertools.product((0, 1), repeat=n) if sum(v) <= u]
+    return sorted(vecs, key=lambda v: (sum(v), [-c for c in v]))
+
+
+def random_search_instance(rng, mode=EXACT, max_cells=12, max_candidates=10000):
+    """(distribution, feasibility system) shaped like the deterministic
+    search's inputs: n = 1..4 bidders (one-value bidders included), at
+    most max_cells grid cells and max_candidates raw winner rules, and one
+    of the single-item system, two units among n, single item plus a
+    bundle of bidders 0 and 1, or a random vector set.  Values and
+    probabilities carry unrelated denominators; supports are full, padded
+    (strict=False, grid profiles and even grid values without mass) or a
+    point mass, which ties many rules."""
+    n = rng.randint(1, 4)
+    while True:
+        sizes = [rng.randint(1, 6) for _ in range(n)]
+        cells = 1
+        for s in sizes:
+            cells *= s
+        systems = [FeasibilitySystem.single_item(n), random_feasibility(rng, n=n)]
+        if n >= 2:
+            systems.append(FeasibilitySystem(n, _units(n, 2)))
+            systems.append(FeasibilitySystem(n, _units(n, 1) + [(1, 1) + (0,) * (n - 2)]))
+        fs = rng.choice(systems)
+        if cells <= max_cells and len(fs.vectors) ** cells <= max_candidates:
+            break
+    den = rng.choice([1, 1, 2, 3, 4, 6])
+    values = [
+        [Fraction(x, den) for x in sorted(rng.sample(range(rng.random() >= 0.2, 13), s))]
+        for s in sizes
+    ]
+    profiles = list(itertools.product(*values))
+    shape = rng.choice(["full", "padded", "point"])
+    if shape == "point":
+        weights = {rng.choice(profiles): 1}
+    elif shape == "padded":
+        chosen = rng.sample(profiles, rng.randint(1, len(profiles)))
+        weights = {p: rng.randint(1, 5) for p in chosen}
+    else:
+        weights = {p: rng.choice([1, 2, 3, 5, 7]) for p in profiles}
+    total = sum(weights.values())
+    support = {
+        tuple(str(c) for c in p): str(Fraction(w, total)) for p, w in weights.items()
+    }
+    grid = ValueGrid([[str(c) for c in vi] for vi in values], mode)
+    return ExplicitDistribution(grid, support, mode, strict=shape == "full"), fs
+
+
+def reference_enumerate_deterministic_optimal(
+    dist: ExplicitDistribution,
+    fs: Optional[FeasibilitySystem] = None,
+    limits: Optional[EnumLimits] = None,
+):
+    """Exhaust monotone winner functions with critical payments and return
+    (best mechanism, exact revenue); revenue ties keep the first candidate
+    in lexicographic enumeration order."""
+    limits = limits or EnumLimits()
+    grid = dist.grid
+    n = grid.n
+    if fs is None:
+        fs = FeasibilitySystem.single_item(n)
+    cells = grid.cells()
+    if cells > limits.max_cells:
+        raise SizeLimitError(
+            f"{cells} grid cells exceed the cap of {limits.max_cells}"
+        )
+    vecs = fs.vectors
+    K = len(vecs)
+    if K**cells > limits.max_candidates:
+        raise SizeLimitError(
+            f"{K}^{cells} candidate winner functions exceed the cap of "
+            f"{limits.max_candidates}"
+        )
+
+    profiles = list(grid.profiles())
+    # down[k][i]: profile index one own-value step below, or -1 at the floor;
+    # stepping down is lexicographically smaller, hence already assigned in DFS
+    down = [[-1] * n for _ in profiles]
+    for i, idx, k, line in lines([len(vi) for vi in grid.values]):
+        if k:
+            down[idx][i] = line[k - 1]
+    support_items = [
+        (k, dist.support[v]) for k, v in enumerate(profiles) if v in dist.support
+    ]
+    zero = 0.0 if dist.mode == FLOAT else Fraction(0)
+
+    choice = [0] * cells
+    best_rev = None
+    best_choice = None
+
+    def critical_at(k: int, i: int):
+        # lowest still-winning own value; the winning set is a suffix here
+        j = k
+        while down[j][i] != -1 and vecs[choice[down[j][i]]][i]:
+            j = down[j][i]
+        return profiles[j][i]
+
+    def dfs(k: int) -> None:
+        nonlocal best_rev, best_choice
+        if k == cells:
+            rev = zero
+            for t, q in support_items:
+                vec = vecs[choice[t]]
+                for i in range(n):
+                    if vec[i]:
+                        rev += q * critical_at(t, i)
+            if best_rev is None or rev > best_rev:
+                best_rev = rev
+                best_choice = tuple(choice)
+            return
+        dk = down[k]
+        for c in range(K):
+            vec = vecs[c]
+            ok = True
+            for i in range(n):
+                j = dk[i]
+                if j != -1 and not vec[i] and vecs[choice[j]][i]:
+                    ok = False
+                    break
+            if ok:
+                choice[k] = c
+                dfs(k + 1)
+
+    dfs(0)
+    choice[:] = best_choice
+    payments = {}
+    winners = {}
+    for k, v in enumerate(profiles):
+        vec = vecs[choice[k]]
+        pay = [zero] * n
+        for i in range(n):
+            if vec[i]:
+                pay[i] = critical_at(k, i)
+        payments[v] = tuple(pay)
+        winners[v] = choice[k]
+    mech = DeterministicMechanism(grid, fs, winners, payments, dist.mode)
+    return mech, best_rev
 
 
 def reference_optimal_lp(dist, fs, allow_negative_payments=False):

@@ -20,6 +20,8 @@ from revmax import (
     solve_optimal,
     vickrey,
 )
+from revmax import io as rio
+from revmax.model import EXACT, FLOAT
 
 
 def test_critical_payment_is_min_winning_value():
@@ -55,12 +57,12 @@ def test_pair_instance_recovers_lookahead_rule():
 
 
 def test_enumeration_output_is_truthful():
-    rng = random.Random(3)
-    for _ in range(10):
-        from support import random_distribution
+    from support import random_search_instance
 
-        dist = random_distribution(rng, max_bidders=2, max_values=2)
-        mech, revenue = enumerate_deterministic_optimal(dist)
+    rng = random.Random(3)
+    for _ in range(40):
+        dist, fs = random_search_instance(rng, max_candidates=1_000_000)
+        mech, revenue = enumerate_deterministic_optimal(dist, fs)
         interim = mech.as_interim()
         assert check_truthful(interim).passed
         assert check_ir(interim).passed
@@ -69,13 +71,13 @@ def test_enumeration_output_is_truthful():
 
 
 def test_deterministic_never_beats_lp():
-    rng = random.Random(4)
-    from support import random_distribution
+    from support import random_search_instance
 
-    for _ in range(10):
-        dist = random_distribution(rng, max_bidders=2, max_values=2)
-        det = enumerate_deterministic_optimal(dist)[1]
-        assert solve_optimal(dist).revenue >= det
+    rng = random.Random(4)
+    for _ in range(40):
+        dist, fs = random_search_instance(rng, max_candidates=1_000_000)
+        det = enumerate_deterministic_optimal(dist, fs)[1]
+        assert solve_optimal(dist, fs).revenue >= det
 
 
 def test_cells_guard():
@@ -115,3 +117,22 @@ def test_revenue_ties_keep_first_lexicographic_candidate():
     assert revenue == F(3)
     assert mech.winner((3,)) == 0
     assert mech.payments[(F(3),)] == (F(3),)
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_search_matches_reference(mode):
+    # the reference walks the whole support at each complete rule: same
+    # first optimum byte for byte, same revenue (bit-equal in float mode,
+    # where both add the same terms in the same order)
+    from support import random_search_instance, reference_enumerate_deterministic_optimal
+
+    for seed in range(200):
+        dist, fs = random_search_instance(random.Random(seed), mode)
+        mech, revenue = enumerate_deterministic_optimal(dist, fs)
+        ref_mech, ref_revenue = reference_enumerate_deterministic_optimal(dist, fs)
+        assert rio.write_mechanism(mech) == rio.write_mechanism(ref_mech), seed
+        assert type(revenue) is type(ref_revenue)
+        if mode == FLOAT:
+            assert revenue.hex() == ref_revenue.hex(), seed
+        else:
+            assert revenue == ref_revenue, seed

@@ -70,6 +70,19 @@ def test_solve_output_file_and_seed_echo(tmp_path, capsys):
     assert parsed.kind == "interim"
 
 
+def test_output_replaces_a_longer_file_and_writes_to_devices(tmp_path, capsys):
+    # the file is rewritten in place and cut to the new length
+    path = pair_file(tmp_path)
+    _, stdout, _ = run(capsys, ["solve-det", path])
+    out_path = tmp_path / "mech.ndjson"
+    out_path.write_text("x" * 10_000)
+    code, _, _ = run(capsys, ["solve-det", path, "--output", str(out_path)])
+    assert code == 0
+    assert out_path.read_text() + stdout.splitlines(keepends=True)[-1] == stdout
+    code, _, err = run(capsys, ["solve-det", path, "--output", "/dev/null"])
+    assert (code, err) == (0, "")
+
+
 def test_solve_det_matches_lp_on_pair(tmp_path, capsys):
     code, out, _ = run(capsys, ["solve-det", pair_file(tmp_path)])
     assert code == 0
@@ -405,6 +418,62 @@ def test_multi_mechanism_line_outside_the_product_is_input_error(tmp_path, capsy
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and "outside the type product" in err
+
+
+def test_mechanism_file_with_two_grid_lines_is_input_error(tmp_path, capsys):
+    lines = rio.write_mechanism(vickrey(PAIR.grid)).splitlines(keepends=True)
+    lines.insert(1, '{"grid":[["5"],["6"]]}\n')
+    path = write(tmp_path, "two.ndjson", "".join(lines))
+    for command in ("verify", "revenue"):
+        code, out, err = run(capsys, [command, pair_file(tmp_path), path])
+        assert code == 2
+        assert out == ""
+        assert err == "error: duplicate grid line\n"
+
+
+@pytest.mark.parametrize("kind", ["deterministic", "interim", "universal"])
+def test_repeated_profile_line_is_input_error(tmp_path, capsys, kind):
+    # a second line for profile (1, 1) used to replace the first silently
+    inst = pair_file(tmp_path)
+    repeat = {"pay": ["100", "0"], "profile": ["1", "1"], "vector": 1}
+    if kind == "universal":
+        text = rio.write_mechanism(None, parts=[(vickrey(PAIR.grid), F(1))])
+        repeat["part"] = 0
+    else:
+        _, out, _ = run(capsys, ["solve-det" if kind == "deterministic" else "solve", inst])
+        text = "".join(out.splitlines(keepends=True)[:-1])
+        if kind == "interim":
+            repeat = {"alloc": ["1", "0"], "pay": ["100", "0"], "profile": ["1", "1"]}
+    path = write(tmp_path, "repeat.ndjson", text + rio.dumps_line(repeat))
+    code, out, err = run(capsys, ["revenue", inst, path])
+    assert code == 2
+    assert out == ""
+    assert err == "error: duplicate line for profile ['1', '1']\n"
+
+
+@pytest.mark.parametrize("command", ["solve-det", "solve-multi"])
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_limits_below_one_is_input_error(tmp_path, capsys, command, cap):
+    # 0 used to read as "unset" and -1 as a size refusal (exit 3)
+    if command == "solve-det":
+        path = pair_file(tmp_path)
+    else:
+        path = write(tmp_path, "multi.ndjson", _multi_files()[0])
+    code, out, err = run(capsys, [command, path, "--limits", cap])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --limits must be at least 1, not {cap}\n"
+
+
+def test_limits_caps_both_searches(tmp_path, capsys):
+    # the pair grid has 4 cells; the one-item, one-bidder instance 2 assignments
+    code, out, err = run(capsys, ["solve-det", pair_file(tmp_path), "--limits", "3"])
+    assert (code, out) == (3, "")
+    assert "cap of 3" in err
+    path = write(tmp_path, "multi.ndjson", _multi_files()[0])
+    code, out, err = run(capsys, ["solve-multi", path, "--limits", "1"])
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1
 
 
 DATA = Path(__file__).parent / "data"
