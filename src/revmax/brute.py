@@ -118,18 +118,28 @@ def enumerate_deterministic_optimal(
     zero = Fraction(0) if exact else 0.0
 
     choice = [0] * cells
-    # crit[k][i]: bidder i's critical value if it wins at k: the one at
-    # down[k][i] if it wins there too, else its own value
+    # crit[k][i]: the profile whose own value is bidder i's critical value
+    # if it wins at k: crit[down[k][i]][i] if it wins there too, else k;
+    # cval[k][i] is that own value, scaled
     crit = [[0] * n for _ in profiles]
+    cval = [[0] * n for _ in profiles]
     best_rev = None
     best_choice = None
 
-    def critical_at(k: int, i: int):
-        # lowest still-winning own value; the winning set is a suffix here
-        j = k
-        while down[j][i] != -1 and vecs[choice[down[j][i]]][i]:
-            j = down[j][i]
-        return profiles[j][i]
+    def fix(k: int) -> int:
+        """Fill crit[k] and cval[k] from the choices below k; return the
+        mask of the bidders winning one own-value step below."""
+        need = 0
+        ck, cv, ov = crit[k], cval[k], own[k]
+        for i, j in enumerate(down[k]):
+            if j != -1 and masks[choice[j]] >> i & 1:
+                need |= 1 << i
+                ck[i] = crit[j][i]
+                cv[i] = cval[j][i]
+            else:
+                ck[i] = k
+                cv[i] = ov[i]
+        return need
 
     def dfs(k: int, rev) -> None:
         # rev: revenue of profiles 0..k-1
@@ -139,24 +149,17 @@ def enumerate_deterministic_optimal(
                 best_rev = rev
                 best_choice = tuple(choice)
             return
-        need = 0
-        ck, ov = crit[k], own[k]
-        for i, j in enumerate(down[k]):
-            if j != -1 and masks[choice[j]] >> i & 1:
-                need |= 1 << i
-                ck[i] = crit[j][i]
-            else:
-                ck[i] = ov[i]
+        need = fix(k)
         opts = fits.get(need)
         if opts is None:
             opts = fits[need] = [c for c in range(K) if masks[c] & need == need]
-        q = mass[k]
+        q, cv = mass[k], cval[k]
         for c in opts:
             choice[k] = c
             r = rev
             if q:
                 for i in members[c]:
-                    r += q * ck[i]
+                    r += q * cv[i]
             dfs(k + 1, r)
 
     dfs(0, 0 if exact else 0.0)
@@ -164,11 +167,12 @@ def enumerate_deterministic_optimal(
     payments = {}
     winners = {}
     for k, v in enumerate(profiles):
+        fix(k)
         vec = vecs[choice[k]]
         pay = [zero] * n
         for i in range(n):
             if vec[i]:
-                pay[i] = critical_at(k, i)
+                pay[i] = profiles[crit[k][i]][i]
         payments[v] = tuple(pay)
         winners[v] = choice[k]
     mech = DeterministicMechanism(grid, fs, winners, payments, dist.mode)

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
-import stat
 import sys
 from pathlib import Path
 from typing import Optional
@@ -52,16 +50,10 @@ def _read(path: str) -> str:
 
 
 def _emit(text: str, output: Optional[str]) -> None:
-    if not output:
+    if output:
+        Path(output).write_text(text)
+    else:
         sys.stdout.write(text)
-        return
-    # rewrite in place, then cut the old tail: truncating to zero first
-    # makes ext4 write the data back at close (auto_da_alloc), which took
-    # longer than a small solve-det on a 2-vCPU VM
-    with open(os.open(output, os.O_WRONLY | os.O_CREAT, 0o666), "w") as f:
-        f.write(text)
-        if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
-            f.truncate()
 
 
 def _report(command: str, mode: str, seed: Optional[int], **extra) -> None:

@@ -71,7 +71,7 @@ def test_solve_output_file_and_seed_echo(tmp_path, capsys):
 
 
 def test_output_replaces_a_longer_file_and_writes_to_devices(tmp_path, capsys):
-    # the file is rewritten in place and cut to the new length
+    # a longer old file is replaced whole, and a device takes the write
     path = pair_file(tmp_path)
     _, stdout, _ = run(capsys, ["solve-det", path])
     out_path = tmp_path / "mech.ndjson"
