@@ -252,7 +252,7 @@ def _cmd_decompose(args) -> int:
         elif "point" in obj:
             if point is not None:
                 raise InvalidInputError("duplicate point line")
-            point = io._parse_row(obj["point"], mode)
+            point = io._parse_row(obj["point"], mode, {})
         else:
             raise InvalidInputError(f"unrecognized line {obj}")
     if point is None or not vectors:

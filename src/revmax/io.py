@@ -101,20 +101,33 @@ def _fmt_row(row, mode: str) -> list:
     return [format_number(c, mode) for c in row]
 
 
-def _parse_row(row, mode: str) -> tuple:
+def _number(v, mode: str, memo: dict):
+    """parse_number(v, mode), converting each distinct string of a file
+    once: memo maps the strings read so far from one file, in one mode,
+    to their values.  JSON numbers, bools and null go to parse_number
+    every time, and a string it rejects is never stored."""
+    if type(v) is not str:
+        return parse_number(v, mode)
+    x = memo.get(v)
+    if x is None:
+        x = memo[v] = parse_number(v, mode)
+    return x
+
+
+def _parse_row(row, mode: str, memo: dict) -> tuple:
     if not isinstance(row, list):
         raise InvalidInputError(f"expected a list of numbers, got {row!r}")
-    return tuple(parse_number(c, mode) for c in row)
+    return tuple([_number(c, mode, memo) for c in row])
 
 
 def _grid_line(grid: ValueGrid, mode: str) -> str:
     return dumps_line({"grid": [_fmt_row(vi, mode) for vi in grid.values]})
 
 
-def _parse_grid(obj, mode: str) -> ValueGrid:
+def _parse_grid(obj, mode: str, memo: dict) -> ValueGrid:
     if not isinstance(obj, list):
         raise InvalidInputError(f"expected a list of value lists, got {obj!r}")
-    return ValueGrid([_parse_row(vi, mode) for vi in obj], mode)
+    return ValueGrid([_parse_row(vi, mode, memo) for vi in obj], mode)
 
 
 def _feasible(obj: dict) -> list:
@@ -188,8 +201,9 @@ def read_instance(text: str, mode: Optional[str] = None) -> ParsedInstance:
     rows = _records(text)
     head, mode = _header(rows, "model", mode)
     model = head["model"]
+    memo: dict = {}
     if model == MULTI_ITEM:
-        multi, rest = _read_multi_body(rows, head, mode)
+        multi, rest = _read_multi_body(rows, head, mode, memo)
         if rest:
             raise InvalidInputError(f"unrecognized instance line {rest[0]}")
         return ParsedInstance(MULTI_ITEM, mode, multi=multi)
@@ -202,12 +216,15 @@ def read_instance(text: str, mode: Optional[str] = None) -> ParsedInstance:
         if "grid" in obj:
             if grid is not None:
                 raise InvalidInputError("duplicate grid line")
-            grid = _parse_grid(obj["grid"], mode)
+            grid = _parse_grid(obj["grid"], mode, memo)
         elif "feasible" in obj:
             vectors.append(_feasible(obj))
         elif "support" in obj:
             support.append(
-                (_parse_row(obj["support"], mode), parse_number(_field(obj, "prob"), mode))
+                (
+                    _parse_row(obj["support"], mode, memo),
+                    _number(_field(obj, "prob"), mode, memo),
+                )
             )
         else:
             raise InvalidInputError(f"unrecognized instance line {obj}")
@@ -236,7 +253,7 @@ def _index_list(obj: dict, key: str) -> tuple:
     raise InvalidInputError(f"{key} {raw!r} in line {obj} must be a list of indices")
 
 
-def _read_multi_body(rows: list, head: dict, mode: str):
+def _read_multi_body(rows: list, head: dict, mode: str, memo: dict):
     """Parse the item count, bidder type-table and support lines of a
     multi-item file into its instance; returns (instance, other lines)."""
     m = head.get("items")
@@ -252,10 +269,10 @@ def _read_multi_body(rows: list, head: dict, mode: str):
                 raise InvalidInputError(f"malformed type line {obj}")
             if i in tables:
                 raise InvalidInputError(f"duplicate type line for bidder {i}")
-            tables[i] = [Valuation(m, _parse_row(t, mode), mode) for t in ts]
+            tables[i] = [Valuation(m, _parse_row(t, mode, memo), mode) for t in ts]
         elif "support" in obj:
             support.append(
-                (_index_list(obj, "support"), parse_number(_field(obj, "prob"), mode))
+                (_index_list(obj, "support"), _number(_field(obj, "prob"), mode, memo))
             )
         else:
             rest.append(obj)
@@ -413,24 +430,44 @@ def _vector(obj: dict) -> int:
     return raw
 
 
-def _put(table: dict, v: tuple, value, obj: dict) -> None:
-    """table[v] = value for body line obj, whose profile no earlier line
-    may have set: interim and deterministic files give one line per
-    profile (ex-post files repeat a profile once per lottery outcome)."""
-    size = len(table)
-    table[v] = value
-    if len(table) == size:
-        raise InvalidInputError(f"duplicate line for profile {obj['profile']}")
+class _Profiles:
+    """The profiles of one table's body lines (interim, deterministic or
+    one universal part) in file order, which may not repeat a profile.
+    While the lines follow the grid's canonical order, as every writer
+    emits them, each matches its position and none can repeat, so nothing
+    is hashed; from the first line out of that order on, each profile is
+    checked against a set of those read, and a repeat raises at its line."""
+
+    __slots__ = ("canonical", "read", "seen")
+
+    def __init__(self, canonical: list):
+        self.canonical = canonical
+        self.read: list = []
+        self.seen: Optional[set] = None
+
+    def add(self, v: tuple, obj: dict) -> None:
+        k = len(self.read)
+        if self.seen is None and (k >= len(self.canonical) or v != self.canonical[k]):
+            self.seen = set(self.read)
+        if self.seen is not None:
+            size = len(self.seen)
+            self.seen.add(v)
+            if len(self.seen) == size:
+                raise InvalidInputError(f"duplicate line for profile {obj['profile']}")
+        self.read.append(v)
 
 
 def read_mechanism(text: str, mode: Optional[str] = None) -> ParsedMechanism:
     """Decode a mechanism file; mode, when given, overrides the header's
-    arithmetic mode."""
+    arithmetic mode.  Each distinct number string is converted once, and
+    tables whose lines come in canonical order reach the mechanism as
+    (profile, row) pairs that it matches by position."""
     rows = _records(text)
     head, mode = _header(rows, "kind", mode)
     kind = head["kind"]
+    memo: dict = {}
     if kind == MULTI:
-        return _read_multi_mechanism(rows, head, mode)
+        return _read_multi_mechanism(rows, head, mode, memo)
     grid = None
     vectors = []
     body = []
@@ -438,75 +475,95 @@ def read_mechanism(text: str, mode: Optional[str] = None) -> ParsedMechanism:
         if "grid" in obj:
             if grid is not None:
                 raise InvalidInputError("duplicate grid line")
-            grid = _parse_grid(obj["grid"], mode)
+            grid = _parse_grid(obj["grid"], mode, memo)
         elif "feasible" in obj:
             vectors.append(_feasible(obj))
         else:
             body.append(obj)
     if grid is None:
         raise InvalidInputError("mechanism file lacks a grid line")
+    canonical = list(grid.profiles())
     if kind == INTERIM:
-        x, p = {}, {}
+        profiles = _Profiles(canonical)
+        x, p = [], []
         for o in body:
-            v = _parse_row(_field(o, "profile"), mode)
-            _put(x, v, _parse_row(_field(o, "alloc"), mode), o)
-            p[v] = _parse_row(_field(o, "pay"), mode)
-        return ParsedMechanism(kind, mode, mech=InterimMechanism(grid, x, p, mode))
+            v = _parse_row(_field(o, "profile"), mode, memo)
+            x.append(_parse_row(_field(o, "alloc"), mode, memo))
+            profiles.add(v, o)
+            p.append(_parse_row(_field(o, "pay"), mode, memo))
+        vs = profiles.read
+        mech = InterimMechanism(grid, zip(vs, x), zip(vs, p), mode)
+        return ParsedMechanism(kind, mode, mech=mech)
     fs = (
         FeasibilitySystem(grid.n, vectors)
         if vectors
         else FeasibilitySystem.single_item(grid.n)
     )
     if kind == EXPOST:
-        outcomes: dict = {}
+        runs: list = []  # (profile, outcomes) per run of lines with one profile
         for o in body:
-            v = _parse_row(_field(o, "profile"), mode)
-            outcomes.setdefault(v, []).append(
-                (
-                    _vector(o),
-                    _parse_row(_field(o, "pay"), mode),
-                    parse_number(_field(o, "prob"), mode),
-                )
+            v = _parse_row(_field(o, "profile"), mode, memo)
+            outcome = (
+                _vector(o),
+                _parse_row(_field(o, "pay"), mode, memo),
+                _number(_field(o, "prob"), mode, memo),
             )
+            if runs and runs[-1][0] == v:
+                runs[-1][1].append(outcome)
+            else:
+                runs.append((v, [outcome]))
+        outcomes = runs
+        if [v for v, _ in runs] != canonical:  # a profile's lines may be apart
+            outcomes = {}
+            for v, rows_at in runs:
+                outcomes.setdefault(v, []).extend(rows_at)
         return ParsedMechanism(
             kind, mode, mech=ExPostMechanism(grid, fs, outcomes, mode), fs=fs
         )
     if kind == DETERMINISTIC:
-        choice = {}
-        payments = {}
+        profiles = _Profiles(canonical)
+        choice, payments = [], []
         for o in body:
-            v = _parse_row(_field(o, "profile"), mode)
-            _put(choice, v, _vector(o), o)
-            payments[v] = _parse_row(_field(o, "pay"), mode)
-        return ParsedMechanism(
-            kind, mode, mech=DeterministicMechanism(grid, fs, choice, payments, mode), fs=fs
-        )
+            v = _parse_row(_field(o, "profile"), mode, memo)
+            choice.append(_vector(o))
+            profiles.add(v, o)
+            payments.append(_parse_row(_field(o, "pay"), mode, memo))
+        vs = profiles.read
+        mech = DeterministicMechanism(grid, fs, zip(vs, choice), zip(vs, payments), mode)
+        return ParsedMechanism(kind, mode, mech=mech, fs=fs)
     if kind == UNIVERSAL:
         probs: dict = {}
-        choices: dict = {}
-        pays: dict = {}
+        tables: dict = {}  # part index -> (profiles, choices, payments)
         for o in body:
             k = o.get("part")
             if not isinstance(k, int):
                 raise InvalidInputError(f"universal line lacks a part index: {o}")
             if "profile" not in o:
-                probs[k] = parse_number(_field(o, "prob"), mode)
+                if k in probs:
+                    raise InvalidInputError(f"duplicate line for part {k}")
+                probs[k] = _number(_field(o, "prob"), mode, memo)
                 continue
-            v = _parse_row(o["profile"], mode)
-            _put(choices.setdefault(k, {}), v, _vector(o), o)
-            pays.setdefault(k, {})[v] = _parse_row(_field(o, "pay"), mode)
-        if sorted(probs) != list(range(len(probs))) or sorted(choices) != sorted(probs):
+            v = _parse_row(o["profile"], mode, memo)
+            if k not in tables:
+                tables[k] = (_Profiles(canonical), [], [])
+            profiles, choice, payments = tables[k]
+            choice.append(_vector(o))
+            profiles.add(v, o)
+            payments.append(_parse_row(_field(o, "pay"), mode, memo))
+        if sorted(probs) != list(range(len(probs))) or sorted(tables) != sorted(probs):
             raise InvalidInputError("universal parts must be numbered 0..k-1")
-        parts = tuple(
-            (DeterministicMechanism(grid, fs, choices[k], pays[k], mode), probs[k])
-            for k in range(len(probs))
-        )
-        return ParsedMechanism(kind, mode, fs=fs, parts=parts)
+        parts = []
+        for k in range(len(probs)):
+            profiles, choice, payments = tables[k]
+            vs = profiles.read
+            part = DeterministicMechanism(grid, fs, zip(vs, choice), zip(vs, payments), mode)
+            parts.append((part, probs[k]))
+        return ParsedMechanism(kind, mode, fs=fs, parts=tuple(parts))
     raise InvalidInputError(f"unknown mechanism kind {kind!r}")
 
 
-def _read_multi_mechanism(rows: list, head: dict, mode: str) -> ParsedMechanism:
-    inst, rest = _read_multi_body(rows, head, mode)
+def _read_multi_mechanism(rows: list, head: dict, mode: str, memo: dict) -> ParsedMechanism:
+    inst, rest = _read_multi_body(rows, head, mode, memo)
     index = {a: k for k, a in enumerate(enumerate_assignments(inst.n, inst.m))}
     lotteries: dict = {}
     payments: dict = {}
@@ -516,13 +573,13 @@ def _read_multi_mechanism(rows: list, head: dict, mode: str) -> ParsedMechanism:
             if owners not in index:
                 raise InvalidInputError(f"assignment {obj['assignment']} is invalid")
             lotteries.setdefault(_index_list(obj, "profile"), []).append(
-                (index[owners], parse_number(_field(obj, "prob"), mode))
+                (index[owners], _number(_field(obj, "prob"), mode, memo))
             )
         elif "pay" in obj:
             t = _index_list(obj, "profile")
             if t in payments:
                 raise InvalidInputError(f"duplicate pay line for type profile {t}")
-            payments[t] = _parse_row(obj["pay"], mode)
+            payments[t] = _parse_row(obj["pay"], mode, memo)
         else:
             raise InvalidInputError(f"unrecognized mechanism line {obj}")
     mech = MultiMechanism(inst, lotteries, payments)

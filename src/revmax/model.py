@@ -73,6 +73,16 @@ def convert(x: object, mode: str = EXACT):
     raise InvalidInputError(f"cannot interpret {x!r} as a number")
 
 
+def _convert_row(row: Iterable, mode: str) -> tuple:
+    return tuple([convert(c, mode) for c in row])
+
+
+def _items(table) -> Iterable[tuple]:
+    """The (profile, value) pairs of a mapping, or an iterable of such
+    pairs itself."""
+    return table.items() if hasattr(table, "items") else table
+
+
 def _check_unit_total(total, mode: str, what: str) -> None:
     if mode == FLOAT:
         if abs(total - 1.0) > 1e-12:
@@ -190,9 +200,8 @@ class ExplicitDistribution:
         mode: str = EXACT,
         strict: bool = True,
     ):
-        items = support.items() if hasattr(support, "items") else support
         table = {}
-        for profile, prob in items:
+        for profile, prob in _items(support):
             key = tuple(convert(v, mode) for v in profile)
             if len(key) != grid.n:
                 raise DimensionMismatchError(
@@ -229,7 +238,7 @@ class ExplicitDistribution:
         cls, support: Union[Mapping[Profile, Number], Iterable[tuple]], mode: str = EXACT
     ) -> "ExplicitDistribution":
         """Build the grid from the marginal supports of the table itself."""
-        items = list(support.items() if hasattr(support, "items") else support)
+        items = list(_items(support))
         if not items:
             raise InvalidInputError("empty support")
         n = len(items[0][0])
@@ -298,14 +307,18 @@ class FeasibilitySystem:
         return f"FeasibilitySystem(n={self.n}, {len(self.vectors)} vectors)"
 
 
-def _check_table_domain(grid: ValueGrid, table: Mapping, what: str) -> dict:
+def _check_table_domain(grid: ValueGrid, table, what: str) -> dict:
     """Reorder a per-profile table canonically, requiring the full grid;
-    the keys become the grid's own profile tuples.  A table already in
-    canonical order, as every writer emits, is matched key by key against
-    the grid's profiles and built in one pass, hashing each profile once."""
+    the keys become the grid's own profile tuples.  The table is a
+    mapping or a list of (profile, value) pairs, read as dict(pairs)
+    reads them.  Pairs in canonical order, as every writer emits them,
+    are matched position by position against the grid's profiles, so
+    building the result hashes each profile once."""
+    pairs = list(_items(table))
     profiles = list(grid.profiles())
-    if list(table) == profiles:
-        return dict(zip(profiles, table.values()))
+    if [key for key, _ in pairs] == profiles:
+        return dict(zip(profiles, [value for _, value in pairs]))
+    table = dict(pairs)
     out = {}
     for profile in profiles:
         if profile not in table:
@@ -320,32 +333,36 @@ def _check_table_domain(grid: ValueGrid, table: Mapping, what: str) -> dict:
 class InterimMechanism:
     """Expected allocations x_i(v) in [0,1] and payments p_i(v), one row
     per grid profile.  Feasibility (hull membership) is a verifier check,
-    not a construction invariant."""
+    not a construction invariant.
+
+    x and p are each a mapping from profiles to rows or an iterable of
+    (profile, row) pairs; pairs in canonical order are matched to the
+    grid by position."""
 
     __slots__ = ("grid", "x", "p", "mode")
 
     def __init__(
         self,
         grid: ValueGrid,
-        x: Mapping[Profile, Sequence[Number]],
-        p: Mapping[Profile, Sequence[Number]],
+        x: Union[Mapping[Profile, Sequence[Number]], Iterable[tuple]],
+        p: Union[Mapping[Profile, Sequence[Number]], Iterable[tuple]],
         mode: str = EXACT,
     ):
-        xs, ps = {}, {}
-        for profile, row in x.items():
-            key = tuple(convert(v, mode) for v in profile)
-            vals = tuple(convert(c, mode) for c in row)
+        xs, ps = [], []
+        for profile, row in _items(x):
+            key = _convert_row(profile, mode)
+            vals = _convert_row(row, mode)
             if len(vals) != grid.n:
                 raise DimensionMismatchError(f"x row at {profile} has wrong length")
             if any(c < 0 or c > 1 for c in vals):
                 raise InvalidInputError(f"allocation outside [0,1] at {profile}")
-            xs[key] = vals
-        for profile, row in p.items():
-            key = tuple(convert(v, mode) for v in profile)
-            vals = tuple(convert(c, mode) for c in row)
+            xs.append((key, vals))
+        for profile, row in _items(p):
+            key = _convert_row(profile, mode)
+            vals = _convert_row(row, mode)
             if len(vals) != grid.n:
                 raise DimensionMismatchError(f"p row at {profile} has wrong length")
-            ps[key] = vals
+            ps.append((key, vals))
         self.grid = grid
         self.x = _check_table_domain(grid, xs, "allocation table")
         self.p = _check_table_domain(grid, ps, "payment table")
@@ -374,6 +391,9 @@ class ExPostMechanism:
     are positive and sum to one per profile.  The losers-pay-zero rule is
     enforced by the verifier (check_expost_ir), so violating tables remain
     expressible; every constructor in this package emits conforming ones.
+    outcomes is a mapping from profiles to outcome rows or an iterable of
+    (profile, rows) pairs; pairs in canonical order are matched to the
+    grid by position.
     """
 
     __slots__ = ("grid", "fs", "outcomes", "mode")
@@ -382,20 +402,20 @@ class ExPostMechanism:
         self,
         grid: ValueGrid,
         fs: FeasibilitySystem,
-        outcomes: Mapping[Profile, Sequence[tuple]],
+        outcomes: Union[Mapping[Profile, Sequence[tuple]], Iterable[tuple]],
         mode: str = EXACT,
     ):
         if fs.n != grid.n:
             raise DimensionMismatchError("feasibility system and grid disagree on n")
-        table = {}
-        for profile, rows in outcomes.items():
-            key = tuple(convert(v, mode) for v in profile)
+        table = []
+        for profile, rows in _items(outcomes):
+            key = _convert_row(profile, mode)
             clean = []
             total = 0
             for vec_idx, pays, prob in rows:
                 if not 0 <= vec_idx < len(fs.vectors):
                     raise InvalidInputError(f"bad vector index {vec_idx} at {profile}")
-                pay = tuple(convert(c, mode) for c in pays)
+                pay = _convert_row(pays, mode)
                 if len(pay) != grid.n:
                     raise DimensionMismatchError(f"payment row at {profile} has wrong length")
                 q = convert(prob, mode)
@@ -404,7 +424,7 @@ class ExPostMechanism:
                 total += q
                 clean.append((vec_idx, pay, q))
             _check_unit_total(total, mode, f"outcome probabilities at {profile}")
-            table[key] = tuple(clean)
+            table.append((key, tuple(clean)))
         self.grid = grid
         self.fs = fs
         self.outcomes = _check_table_domain(grid, table, "outcome table")
@@ -419,6 +439,9 @@ class DeterministicMechanism:
 
     Non-winners pay zero by construction; the winner map generalizes the
     single-item none/bidder choice to an index into the feasibility system.
+    choice and payments are each a mapping from profiles or an iterable of
+    (profile, value) pairs; pairs in canonical order are matched to the
+    grid by position.
     """
 
     __slots__ = ("grid", "fs", "choice", "payments", "mode")
@@ -427,31 +450,39 @@ class DeterministicMechanism:
         self,
         grid: ValueGrid,
         fs: FeasibilitySystem,
-        choice: Mapping[Profile, int],
-        payments: Mapping[Profile, Sequence[Number]],
+        choice: Union[Mapping[Profile, int], Iterable[tuple]],
+        payments: Union[Mapping[Profile, Sequence[Number]], Iterable[tuple]],
         mode: str = EXACT,
     ):
         if fs.n != grid.n:
             raise DimensionMismatchError("feasibility system and grid disagree on n")
-        ch, ps = {}, {}
-        for profile, idx in choice.items():
-            key = tuple(convert(v, mode) for v in profile)
+        ch, ps = [], []
+        for profile, idx in _items(choice):
+            key = _convert_row(profile, mode)
             if not 0 <= idx < len(fs.vectors):
                 raise InvalidInputError(f"bad vector index {idx} at {profile}")
-            ch[key] = idx
+            ch.append((key, idx))
         ch = _check_table_domain(grid, ch, "winner table")
-        for profile, row in payments.items():
-            key = tuple(convert(v, mode) for v in profile)
-            pay = tuple(convert(c, mode) for c in row)
+        # the winner at the k-th payment row is read by position while the
+        # rows follow the winner table's canonical order
+        profiles, winners = list(ch), list(ch.values())
+        for k, (profile, row) in enumerate(_items(payments)):
+            key = _convert_row(profile, mode)
+            pay = _convert_row(row, mode)
             if len(pay) != grid.n:
                 raise DimensionMismatchError(f"payment row at {profile} has wrong length")
-            vec = fs.vectors[ch[key]]
-            for i, c in enumerate(pay):
-                if vec[i] == 0 and c != 0:
-                    raise InvalidInputError(
-                        f"non-winner {i} charged {c} at {profile}"
-                    )
-            ps[key] = pay
+            if k < len(profiles) and key == profiles[k]:
+                idx = winners[k]
+            else:
+                idx = ch.get(key)
+            if idx is not None:  # off the grid: the payment table check rejects it
+                vec = fs.vectors[idx]
+                for i, c in enumerate(pay):
+                    if vec[i] == 0 and c != 0:
+                        raise InvalidInputError(
+                            f"non-winner {i} charged {c} at {profile}"
+                        )
+            ps.append((key, pay))
         self.grid = grid
         self.fs = fs
         self.choice = ch
@@ -469,7 +500,8 @@ class DeterministicMechanism:
         return winners[0]
 
     def as_interim(self) -> InterimMechanism:
-        x = {v: self.fs.vectors[self.choice[v]] for v in self.grid.profiles()}
+        rows = [_convert_row(vec, self.mode) for vec in self.fs.vectors]
+        x = [(v, rows[idx]) for v, idx in self.choice.items()]
         return InterimMechanism(self.grid, x, self.payments, self.mode)
 
     def as_expost(self) -> ExPostMechanism:
@@ -524,7 +556,7 @@ def approximation_ratio(mech_revenue, opt_revenue):
 def interim_of(mech: ExPostMechanism) -> InterimMechanism:
     """Project an ex-post lottery to expected allocations and payments."""
     zero = 0.0 if mech.mode == FLOAT else Fraction(0)
-    x, p = {}, {}
+    x, p = [], []
     for v, rows in mech.outcomes.items():
         xa = [zero] * mech.grid.n
         pa = [zero] * mech.grid.n
@@ -535,8 +567,8 @@ def interim_of(mech: ExPostMechanism) -> InterimMechanism:
                     xa[i] += prob
                 if pay[i]:
                     pa[i] += prob * pay[i]
-        x[v] = tuple(xa)
-        p[v] = tuple(pa)
+        x.append((v, tuple(xa)))
+        p.append((v, tuple(pa)))
     return InterimMechanism(mech.grid, x, p, mech.mode)
 
 

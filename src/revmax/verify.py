@@ -176,11 +176,12 @@ def check_ir(mech: InterimMechanism) -> VerifyReport:
 
 def check_expost_ir(mech: ExPostMechanism) -> VerifyReport:
     """Under every coin outcome, a winner pays at most his bid and a
-    non-winner pays exactly nothing."""
+    non-winner pays exactly nothing.  The outcome table is in canonical
+    order, so walking it needs no lookup."""
     out = []
     for i in range(mech.grid.n):
-        for v in mech.grid.profiles():
-            for t, (vec_idx, pay, _prob) in enumerate(mech.outcomes[v]):
+        for v, outcomes in mech.outcomes.items():
+            for t, (vec_idx, pay, _prob) in enumerate(outcomes):
                 if mech.fs.vectors[vec_idx][i]:
                     if violated(v[i], pay[i], ">=", mech.mode):
                         out.append(

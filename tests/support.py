@@ -12,8 +12,9 @@ weight the solver's LP carries as a slack.  The reference simplex keeps
 dense tableau rows with the same pivot rule, so the sparse solver in
 revmax.lp must take the same pivots to the same vertex.  The reference checkers look
 every deviation up by building its profile, sweep each profile's own
-column afresh, and solve one hull LP per profile, so the indexed walks
-in revmax.verify must return the same witnesses in the same order.
+column afresh, solve one hull LP per profile and look each profile's
+ex-post outcomes up by profile, so the indexed walks in revmax.verify
+must return the same witnesses in the same order.
 The reference table check looks every grid profile up in the table, so
 the in-order fast path of revmax.model._check_table_domain must return
 the same table and raise the same errors.  The reference multi-item checker rebuilds each deviating type profile
@@ -34,6 +35,7 @@ from revmax import (
     DimensionMismatchError,
     EnumLimits,
     ExplicitDistribution,
+    ExPostMechanism,
     FeasibilitySystem,
     InterimMechanism,
     InvalidInputError,
@@ -827,6 +829,32 @@ def reference_check_truthful(mech: InterimMechanism) -> VerifyReport:
                         Witness("truthful", i, v, rep, ">=", truth, dev)
                     )
     return VerifyReport.build("truthful", out)
+
+
+def reference_check_expost_ir(mech: ExPostMechanism) -> VerifyReport:
+    """Under every coin outcome, a winner pays at most his bid and a
+    non-winner pays exactly nothing; each profile's outcomes are looked
+    up by profile."""
+    out = []
+    for i in range(mech.grid.n):
+        for v in mech.grid.profiles():
+            for t, (vec_idx, pay, _prob) in enumerate(mech.outcomes[v]):
+                if mech.fs.vectors[vec_idx][i]:
+                    if violated(v[i], pay[i], ">=", mech.mode):
+                        out.append(
+                            Witness(
+                                "expost_ir", i, v, None, ">=", v[i], pay[i],
+                                detail=f"outcome {t}",
+                            )
+                        )
+                elif violated(pay[i], 0, "==", mech.mode):
+                    out.append(
+                        Witness(
+                            "expost_ir", i, v, None, "==", pay[i], 0,
+                            detail=f"outcome {t}: non-winner charged",
+                        )
+                    )
+    return VerifyReport.build("expost_ir", out)
 
 
 def reference_check_feasible(mech: InterimMechanism, fs: FeasibilitySystem) -> VerifyReport:

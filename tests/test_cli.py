@@ -451,6 +451,20 @@ def test_repeated_profile_line_is_input_error(tmp_path, capsys, kind):
     assert err == "error: duplicate line for profile ['1', '1']\n"
 
 
+def test_repeated_part_line_is_input_error(tmp_path, capsys):
+    # a second probability line for part 0 used to replace the first
+    # silently: revenue printed 3/4 with exit 0
+    parts = [(vickrey(PAIR.grid), F(1, 2)), (zero_mechanism(PAIR.grid), F(1, 2))]
+    lines = rio.write_mechanism(None, parts=parts).splitlines(keepends=True)
+    lines.insert(lines.index('{"part":0,"prob":"1/2"}\n'), '{"part":0,"prob":"1/4"}\n')
+    path = write(tmp_path, "parts.ndjson", "".join(lines))
+    for command in ("verify", "revenue"):
+        code, out, err = run(capsys, [command, pair_file(tmp_path), path])
+        assert code == 2
+        assert out == ""
+        assert err == "error: duplicate line for part 0\n"
+
+
 @pytest.mark.parametrize("command", ["solve-det", "solve-multi"])
 @pytest.mark.parametrize("cap", ["0", "-1"])
 def test_limits_below_one_is_input_error(tmp_path, capsys, command, cap):

@@ -1,6 +1,7 @@
 """File formats: byte-deterministic canonical encoding, lossless round
 trips, exact decimal parsing, and rejection of malformed inputs."""
 
+import json
 import random
 from fractions import Fraction as F
 
@@ -10,14 +11,17 @@ from revmax import (
     ExplicitDistribution,
     FeasibilitySystem,
     InvalidInputError,
+    ValueGrid,
+    canonical_expost,
     first_price,
+    second_price,
     solve_multi,
     solve_optimal,
     vickrey,
 )
 from revmax import io as rio
 from revmax.verify import check_ir, check_truthful
-from support import random_distribution, random_m1_instance
+from support import random_distribution, random_interim, random_m1_instance
 
 PAIR = ExplicitDistribution.from_support({(1, 1): F(1, 2), (2, 2): F(1, 2)})
 
@@ -180,3 +184,152 @@ def test_float_file_round_trip():
     assert parsed.mode == "float"
     assert parsed.dist.prob((1.0, 1.0)) == 0.5
     assert rio.write_instance(parsed.dist) == text
+
+
+def _kind_files(rng, n):
+    """Canonical exact and float files of every single-item mechanism
+    kind on a seeded grid of n bidders; the first has two or three
+    values, the others one to three."""
+    grid = ValueGrid(
+        [sorted(rng.sample(range(1, 10), rng.randint(2 if i == 0 else 1, 3))) for i in range(n)]
+    )
+    interim = random_interim(rng, grid)
+    parts = [(vickrey(grid), F(1, 3)), (first_price(grid), F(2, 3))]
+    exact = [
+        rio.write_mechanism(interim),
+        rio.write_mechanism(canonical_expost(interim, FeasibilitySystem.single_item(n))),
+        rio.write_mechanism(second_price(grid)),
+        rio.write_mechanism(None, parts=parts),
+    ]
+    floats = []
+    for text in exact:
+        parsed = rio.read_mechanism(text, "float")
+        floats.append(rio.write_mechanism(parsed.mech, parts=parsed.parts))
+    return exact + floats
+
+
+def _split(text):
+    lines = text.splitlines(keepends=True)
+    k = next(i for i, line in enumerate(lines) if '"profile"' in line or '"part"' in line)
+    return lines[:k], lines[k:]
+
+
+def _shuffled(rng, body):
+    """The body lines in a random order that keeps the lines of one
+    profile (ex-post lottery outcomes) in file order."""
+    queues = {}
+    for line in body:
+        obj = rio.loads_line(line)
+        queues.setdefault(repr((obj.get("part"), obj.get("profile"))), []).append(line)
+    queues = list(queues.values())
+    out = []
+    while queues:
+        queue = rng.choice(queues)
+        out.append(queue.pop(0))
+        if not queue:
+            queues.remove(queue)
+    return out
+
+
+def _tables(parsed):
+    """Each per-profile table of a parsed mechanism in order, with the
+    universal part probabilities."""
+    mechs = [m for m, _ in parsed.parts] if parsed.parts else [parsed.mech]
+    names = ("x", "p", "outcomes", "choice", "payments")
+    tables = [getattr(m, a) for m in mechs for a in names if hasattr(m, a)]
+    return tables, [w for _, w in parsed.parts or ()]
+
+
+def _items(parsed):
+    tables, probs = _tables(parsed)
+    return [list(t.items()) for t in tables], probs
+
+
+def _outcome(text):
+    try:
+        return _items(rio.read_mechanism(text))
+    except InvalidInputError as exc:
+        return type(exc), str(exc)
+
+
+def _faults(line, body):
+    """The body with the given profile line repeated, dropped, or joined
+    by a copy off the grid: one fault each."""
+    obj = json.loads(line)
+    obj["profile"] = ["100"] + obj["profile"][1:]
+    k = body.index(line)
+    return [
+        body[: k + 1] + [line] + body[k + 1 :],
+        body[:k] + body[k + 1 :],
+        body + [rio.dumps_line(obj)],
+    ]
+
+
+def _respell(rng, v):
+    if type(v) is not str or rng.random() < 0.5:
+        return v
+    q = F(v)
+    if q == 0:
+        return "-0"
+    if q == F(1, 2):
+        return 0.5  # a JSON number
+    if q.denominator == 1:
+        return "0" + v
+    return f"{2 * q.numerator}/{2 * q.denominator}"
+
+
+def _respelled(rng, text):
+    out = []
+    for line in text.splitlines():
+        obj = rio.loads_line(line)
+        for key in ("alloc", "pay", "profile", "prob"):
+            if isinstance(obj.get(key), list):
+                obj[key] = [_respell(rng, c) for c in obj[key]]
+            elif key in obj:
+                obj[key] = _respell(rng, obj[key])
+        if "grid" in obj:
+            obj["grid"] = [[_respell(rng, c) for c in vi] for vi in obj["grid"]]
+        out.append(rio.dumps_line(obj))
+    return "".join(out)
+
+
+def _numbers(value):
+    if isinstance(value, (tuple, list)):
+        for c in value:
+            yield from _numbers(c)
+    elif type(value) is not int:  # vector indices
+        yield value
+
+
+def test_canonical_tables_match_shuffled():
+    """Tables read by position from canonical files equal the tables read
+    from the same lines in any order, keyed by the grid's own profiles;
+    faulty files fail alike on both paths; respelled numbers read the
+    same; and one file read in each mode in turn gives that mode's types."""
+    rng = random.Random(31)
+    kinds = set()
+    for n in [1, 2, 3, 4] * 3:
+        for text in _kind_files(rng, n):
+            parsed = rio.read_mechanism(text)
+            kinds.add((parsed.kind, parsed.mode))
+            grid = (parsed.parts[0][0] if parsed.parts else parsed.mech).grid
+            tables, _ = _tables(parsed)
+            for table in tables:
+                assert len(table) == grid.cells()
+                for key, profile in zip(table, grid.profiles()):
+                    assert all(a is b for a, b in zip(key, profile))
+            head, body = _split(text)
+            shuffled = _shuffled(rng, body)
+            assert _items(rio.read_mechanism("".join(head + shuffled))) == _items(parsed)
+            line = rng.choice([line for line in body if '"profile"' in line])
+            for canonical, mixed in zip(_faults(line, body), _faults(line, shuffled)):
+                want = _outcome("".join(head + canonical))
+                assert want[0] is InvalidInputError
+                assert _outcome("".join(head + mixed)) == want
+            if parsed.mode == "float":
+                continue
+            assert _items(rio.read_mechanism(_respelled(rng, text))) == _items(parsed)
+            for mode, cls in (("exact", F), ("float", float), ("exact", F)):
+                values = _items(rio.read_mechanism(text, mode))
+                assert {type(c) for c in _numbers(values)} == {cls}
+    assert len(kinds) == 8

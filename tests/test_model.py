@@ -171,6 +171,22 @@ def test_deterministic_non_winner_pays_zero():
         )
 
 
+def test_deterministic_off_grid_payment_row_is_input_error():
+    # the winner lookup of the non-winner check used to raise KeyError
+    grid = ValueGrid([[1, 2]])
+    fs = FeasibilitySystem.single_item(1)
+    choice = {(1,): 0, (2,): 1}
+    pays = {(1,): (0,), (2,): (1,)}
+    for extra in ({(3,): (1,)}, {(2, 1): (0,)}, {(F(1, 2),): (1,)}):
+        for table in ({**pays, **extra}, {(1,): (0,), **extra}):
+            with pytest.raises(InvalidInputError) as got:
+                DeterministicMechanism(grid, fs, choice, table)
+            with pytest.raises(InvalidInputError) as want:
+                keyed = {tuple(map(F, v)): row for v, row in table.items()}
+                _check_table_domain(grid, keyed, "payment table")
+            assert str(got.value) == str(want.value)
+
+
 def test_deterministic_winner_and_conversions():
     grid = ValueGrid([[1, 2], [1, 2]])
     mech = second_price(grid)

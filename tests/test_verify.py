@@ -8,6 +8,7 @@ import pytest
 
 from revmax import (
     ExplicitDistribution,
+    ExPostMechanism,
     FeasibilitySystem,
     InterimMechanism,
     InvalidInputError,
@@ -34,6 +35,7 @@ from support import (
     random_feasibility,
     random_grid,
     random_interim,
+    reference_check_expost_ir,
     reference_check_extension,
     reference_check_feasible,
     reference_check_truthful,
@@ -395,3 +397,40 @@ def test_integer_line_tables_match_reference():
         ):
             assert (mode, cond, num, num) in seen
         assert (mode, "condition d", num, "int") in seen
+
+
+def _random_expost(rng, mode):
+    """One to three outcomes per profile over a random feasibility system;
+    winners pay 0, half, all or more than their value, and non-winners
+    are sometimes charged."""
+    grid = ValueGrid(_kernel_grid(rng).values, mode)
+    fs = random_feasibility(rng, n=grid.n)
+    conv = float if mode == FLOAT else F
+    outcomes = {}
+    for v in grid.profiles():
+        weights = [rng.randint(1, 4) for _ in range(rng.randint(1, 3))]
+        rows = []
+        for w in weights:
+            idx = rng.randrange(len(fs.vectors))
+            pay = tuple(
+                conv(rng.choice([0, c / 2, c, c + F(1, 3)]) if won else rng.choice([0, 0, F(1, 7)]))
+                for c, won in zip(map(F, v), fs.vectors[idx])
+            )
+            rows.append((idx, pay, conv(F(w, sum(weights)))))
+        outcomes[v] = rows
+    return ExPostMechanism(grid, fs, outcomes, mode)
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_expost_ir_matches_reference(mode):
+    """Walking the canonical outcome table gives the per-profile lookups'
+    witnesses in the same order."""
+    rng = random.Random(12)
+    details = set()
+    for _ in range(60):
+        mech = _random_expost(rng, mode)
+        got, want = check_expost_ir(mech), reference_check_expost_ir(mech)
+        assert got == want
+        assert write_report(got, mode) == write_report(want, mode)
+        details.update(w.detail.partition(":")[2] for w in got.witnesses)
+    assert details == {"", " non-winner charged"}
