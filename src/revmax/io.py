@@ -590,24 +590,25 @@ def _read_multi_mechanism(rows: list, head: dict, mode: str, memo: dict) -> Pars
 # reports
 
 
-def witness_line(w: Witness, mode: str) -> str:
-    def enc(v):
-        if v is None or isinstance(v, (int, str)):
-            return v
-        if isinstance(v, tuple):
-            return [enc(c) for c in v]
-        return format_number(v, mode)
+def _witness_value(v, mode: str):
+    if v is None or isinstance(v, (int, str)):
+        return v
+    if isinstance(v, tuple):
+        return [_witness_value(c, mode) for c in v]
+    return format_number(v, mode)
 
+
+def witness_line(w: Witness, mode: str) -> str:
     return dumps_line(
         {
             "bidder": w.bidder,
             "check": w.check,
             "detail": w.detail,
-            "deviation": enc(w.deviation),
-            "lhs": enc(w.lhs),
-            "profile": enc(w.profile),
+            "deviation": _witness_value(w.deviation, mode),
+            "lhs": _witness_value(w.lhs, mode),
+            "profile": _witness_value(w.profile, mode),
             "relation": w.relation,
-            "rhs": enc(w.rhs),
+            "rhs": _witness_value(w.rhs, mode),
         }
     )
 

@@ -310,8 +310,8 @@ class FeasibilitySystem:
 def _check_table_domain(grid: ValueGrid, table, what: str) -> dict:
     """Reorder a per-profile table canonically, requiring the full grid;
     the keys become the grid's own profile tuples.  The table is a
-    mapping or a list of (profile, value) pairs, read as dict(pairs)
-    reads them.  Pairs in canonical order, as every writer emits them,
+    mapping or a list of (profile, value) pairs, which may not repeat a
+    profile.  Pairs in canonical order, as every writer emits them,
     are matched position by position against the grid's profiles, so
     building the result hashes each profile once."""
     pairs = list(_items(table))
@@ -319,6 +319,12 @@ def _check_table_domain(grid: ValueGrid, table, what: str) -> dict:
     if [key for key, _ in pairs] == profiles:
         return dict(zip(profiles, [value for _, value in pairs]))
     table = dict(pairs)
+    if len(table) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise InvalidInputError(f"{what} repeats profile {key}")
+            seen.add(key)
     out = {}
     for profile in profiles:
         if profile not in table:
@@ -336,8 +342,8 @@ class InterimMechanism:
     not a construction invariant.
 
     x and p are each a mapping from profiles to rows or an iterable of
-    (profile, row) pairs; pairs in canonical order are matched to the
-    grid by position."""
+    (profile, row) pairs, which may not repeat a profile; pairs in canonical
+    order are matched to the grid by position."""
 
     __slots__ = ("grid", "x", "p", "mode")
 
@@ -392,8 +398,8 @@ class ExPostMechanism:
     enforced by the verifier (check_expost_ir), so violating tables remain
     expressible; every constructor in this package emits conforming ones.
     outcomes is a mapping from profiles to outcome rows or an iterable of
-    (profile, rows) pairs; pairs in canonical order are matched to the
-    grid by position.
+    (profile, rows) pairs, which may not repeat a profile; pairs in canonical
+    order are matched to the grid by position.
     """
 
     __slots__ = ("grid", "fs", "outcomes", "mode")
@@ -440,8 +446,8 @@ class DeterministicMechanism:
     Non-winners pay zero by construction; the winner map generalizes the
     single-item none/bidder choice to an index into the feasibility system.
     choice and payments are each a mapping from profiles or an iterable of
-    (profile, value) pairs; pairs in canonical order are matched to the
-    grid by position.
+    (profile, value) pairs, which may not repeat a profile; pairs in canonical
+    order are matched to the grid by position.
     """
 
     __slots__ = ("grid", "fs", "choice", "payments", "mode")
@@ -463,30 +469,21 @@ class DeterministicMechanism:
                 raise InvalidInputError(f"bad vector index {idx} at {profile}")
             ch.append((key, idx))
         ch = _check_table_domain(grid, ch, "winner table")
-        # the winner at the k-th payment row is read by position while the
-        # rows follow the winner table's canonical order
-        profiles, winners = list(ch), list(ch.values())
-        for k, (profile, row) in enumerate(_items(payments)):
-            key = _convert_row(profile, mode)
+        for profile, row in _items(payments):
             pay = _convert_row(row, mode)
             if len(pay) != grid.n:
                 raise DimensionMismatchError(f"payment row at {profile} has wrong length")
-            if k < len(profiles) and key == profiles[k]:
-                idx = winners[k]
-            else:
-                idx = ch.get(key)
-            if idx is not None:  # off the grid: the payment table check rejects it
-                vec = fs.vectors[idx]
-                for i, c in enumerate(pay):
-                    if vec[i] == 0 and c != 0:
-                        raise InvalidInputError(
-                            f"non-winner {i} charged {c} at {profile}"
-                        )
-            ps.append((key, pay))
+            ps.append((_convert_row(profile, mode), pay))
+        ps = _check_table_domain(grid, ps, "payment table")
+        for (profile, pay), idx in zip(ps.items(), ch.values()):
+            vec = fs.vectors[idx]
+            for i, c in enumerate(pay):
+                if vec[i] == 0 and c != 0:
+                    raise InvalidInputError(f"non-winner {i} charged {c} at {profile}")
         self.grid = grid
         self.fs = fs
         self.choice = ch
-        self.payments = _check_table_domain(grid, ps, "payment table")
+        self.payments = ps
         self.mode = mode
 
     def winner(self, profile: Profile) -> Optional[int]:

@@ -187,6 +187,37 @@ def test_deterministic_off_grid_payment_row_is_input_error():
             assert str(got.value) == str(want.value)
 
 
+def test_repeated_table_pair_is_input_error():
+    # pairs are read like a file's lines: a second row for one profile is
+    # rejected, not kept in place of the first
+    grid = ValueGrid([[1, 2], [1, 2]])
+    det = second_price(grid)
+    interim = det.as_interim()
+    expost = det.as_expost()
+
+    def repeat(table, value):
+        pairs = list(table.items())
+        return pairs[:2] + [(pairs[1][0], value)] + pairs[2:]
+
+    builds = [
+        lambda: InterimMechanism(grid, repeat(interim.x, (F(0), F(0))), interim.p),
+        lambda: InterimMechanism(grid, interim.x, repeat(interim.p, (F(0), F(0)))),
+        lambda: ExPostMechanism(
+            grid, det.fs, repeat(expost.outcomes, ((0, (F(0), F(0)), F(1)),))
+        ),
+        lambda: DeterministicMechanism(grid, det.fs, repeat(det.choice, 0), det.payments),
+        lambda: DeterministicMechanism(
+            grid, det.fs, det.choice, repeat(det.payments, (F(0), F(0)))
+        ),
+    ]
+    for build in builds:
+        with pytest.raises(InvalidInputError) as got:
+            build()
+        assert "repeats profile (Fraction(1, 1), Fraction(2, 1))" in str(got.value)
+    # the same pairs without the repeat are accepted
+    assert InterimMechanism(grid, list(interim.x.items()), interim.p) == interim
+
+
 def test_deterministic_winner_and_conversions():
     grid = ValueGrid([[1, 2], [1, 2]])
     mech = second_price(grid)
