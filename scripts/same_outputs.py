@@ -1,0 +1,156 @@
+"""Check that two source trees give the same outputs on the benchmark plans.
+
+    python3 scripts/same_outputs.py PARENT_TREE CHANGE_TREE [--seeds 0-3]
+
+Each tree is a checkout of this repository (for example one made with
+`git archive`).  The plans and their input files come from PARENT_TREE:
+its bench/workloads.py lays out every workload's commands for each seed
+and its src/ writes the generated mechanism files, once, into a
+temporary directory; nothing under bench/ is written.  Every plan command
+then runs twice per tree, once with --exact and once with --float (any
+mode flag of the plan is replaced), through revmax.cli.main in one worker
+process per tree that imports that tree's src/.  Output paths are
+relative to the worker's own directory, so both trees see the same argv.
+
+For each command the exit code, stdout, stderr and the bytes written to
+--output are compared.  Exit code 0 when every command agrees, 1 when
+some differ (each is listed), 2 on bad arguments.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from types import SimpleNamespace
+
+HERE = Path(__file__).resolve().parent
+MODES = ("--exact", "--float")
+
+
+def _digest(data) -> str:
+    if data is None:
+        return "absent"
+    if isinstance(data, str):
+        data = data.encode()
+    return f"{hashlib.sha256(data).hexdigest()[:16]}:{len(data)}"
+
+
+def worker(tree: str) -> None:
+    """Run the commands read from stdin (a JSON list of [key, argv,
+    output]) with the tree's revmax; write one JSON result per command."""
+    src = Path(tree, "src").resolve()
+    sys.path.insert(0, str(src))
+    import revmax
+    from revmax.cli import main
+
+    if src not in Path(revmax.__file__).resolve().parents:
+        raise SystemExit(f"revmax was imported from {revmax.__file__}, not from {src}")
+
+    results = {}
+    for key, argv, output in json.load(sys.stdin):
+        if output:
+            Path(output).unlink(missing_ok=True)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:
+                rc = exc.code
+            except Exception as exc:  # a crash is an outcome to compare
+                rc = f"{type(exc).__name__}: {exc}"
+        written = Path(output).read_bytes() if output and Path(output).exists() else None
+        results[key] = {
+            "rc": rc,
+            "stdout": _digest(out.getvalue()),
+            "stderr": _digest(err.getvalue()),
+            "output": _digest(written) if output else None,
+        }
+    json.dump(results, sys.__stdout__)
+
+
+def _seeds(text: str) -> list:
+    lo, _, hi = text.partition("-")
+    return list(range(int(lo), int(hi or lo) + 1))
+
+
+def plan_commands(tree: Path, seeds: list, inputs: Path) -> list:
+    """[key, argv, output] for every plan command of the seeds in both
+    modes, with the input files written under inputs."""
+    sys.path[:0] = [str(tree / "bench"), str(tree / "src")]
+    import workloads
+    from revmax import io as rio
+    from revmax import mechanisms, model
+
+    rx = SimpleNamespace(model=model, io=rio, mechanisms=mechanisms)
+    commands = []
+    for workload, make in workloads.PLANS.items():
+        for seed in seeds:
+            work = inputs / f"{workload}-s{seed}"
+            plan = make(seed, str(work), rx)
+            work.mkdir(parents=True)
+            for path, text in plan.files.items():
+                Path(path).write_text(text)
+            for cmd in plan.cmds:
+                for mode in MODES:
+                    argv = [a for a in cmd.argv if a not in MODES] + [mode]
+                    output = None
+                    if "--output" in argv:
+                        at = argv.index("--output") + 1
+                        output = f"out/{workload}-s{seed}-{Path(argv[at]).name}"
+                        argv[at] = output
+                    commands.append([f"{workload} s{seed} {mode} {cmd.key}", argv, output])
+    return commands
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", type=Path, help="tree whose plans and src/ make the inputs")
+    ap.add_argument("change", type=Path, help="tree to compare with it")
+    ap.add_argument("--seeds", default="0-3", help="seed range, e.g. 0-3 or 2")
+    args = ap.parse_args(argv)
+    for tree in (args.parent, args.change):
+        if not (tree / "src" / "revmax").is_dir():
+            ap.error(f"{tree} has no src/revmax")
+    if not (args.parent / "bench" / "workloads.py").is_file():
+        ap.error(f"{args.parent} has no bench/workloads.py")
+    with tempfile.TemporaryDirectory(prefix="same-outputs-") as tmp:
+        root = Path(tmp)
+        commands = plan_commands(args.parent.resolve(), _seeds(args.seeds), root / "inputs")
+        procs = []
+        for tag, tree in (("parent", args.parent), ("change", args.change)):
+            cwd = root / tag
+            (cwd / "out").mkdir(parents=True)
+            code = (f"import sys; sys.path.insert(0, {str(HERE)!r}); "
+                    f"import same_outputs; same_outputs.worker({str(tree.resolve())!r})")
+            proc = subprocess.Popen(
+                [sys.executable, "-c", code],
+                cwd=cwd, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+            )
+            procs.append(proc)
+        for proc in procs:
+            proc.stdin.write(json.dumps(commands))
+            proc.stdin.close()
+        outs = [proc.stdout.read() for proc in procs]
+        codes = [proc.wait() for proc in procs]
+    if any(codes):
+        print(f"the workers exited {codes}", file=sys.stderr)
+        return 1
+    parent, change = [json.loads(out) for out in outs]
+    differ = [key for key, _, _ in commands if parent[key] != change[key]]
+    for key in differ:
+        fields = [f for f in parent[key] if parent[key][f] != change[key][f]]
+        print(f"DIFFERS {key}: {', '.join(fields)}")
+    print(f"{len(commands)} commands, {len(commands) - len(differ)} identical, "
+          f"{len(differ)} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -158,11 +158,12 @@ def _require_same_multi(mech_inst, inst: io.ParsedInstance) -> None:
 
 
 def _pick_fs(mech: io.ParsedMechanism, inst: io.ParsedInstance) -> FeasibilitySystem:
-    if mech.fs is not None and inst.model == io.SINGLE_PARAMETER:
-        if mech.fs.vectors != inst.fs.vectors:
-            raise InvalidInputError(
-                "mechanism and instance disagree on the feasible vectors"
-            )
+    """The mechanism file's feasibility system, which must hold the
+    instance's vectors (in any order), else the instance's."""
+    if mech.fs is not None and set(mech.fs.vectors) != set(inst.fs.vectors):
+        raise InvalidInputError(
+            "mechanism and instance disagree on the feasible vectors"
+        )
     return mech.fs or inst.fs
 
 
@@ -189,7 +190,7 @@ def _cmd_verify(args) -> int:
         parts.extend(
             [
                 truthful,
-                check_ir(interim),
+                check_ir(interim, truthful),
                 check_feasible(interim, fs),
                 check_extension(interim, truthful),
             ]
@@ -208,12 +209,14 @@ def _mechanism_revenue(mech: io.ParsedMechanism, inst: io.ParsedInstance):
         return sum(q * sum(pays[t]) for t, q in inst.multi.support.items())
     if mech.kind == io.UNIVERSAL:
         _require_same_grid(mech.parts[0][0].grid, inst)
+        _pick_fs(mech, inst)
         return sum(
             w * expected_revenue(part.as_interim(), inst.dist)
             for part, w in mech.parts
         )
     interim = _as_interim(mech)
     _require_same_grid(interim.grid, inst)
+    _pick_fs(mech, inst)
     return expected_revenue(interim, inst.dist)
 
 

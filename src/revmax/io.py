@@ -591,6 +591,10 @@ def _read_multi_mechanism(rows: list, head: dict, mode: str, memo: dict) -> Pars
 
 
 def _witness_value(v, mode: str):
+    """A witness field on the wire.  An exact-mode Fraction is written as
+    str(v), the string format_number gives it, without building a copy."""
+    if type(v) is Fraction and mode != FLOAT:
+        return str(v)
     if v is None or isinstance(v, (int, str)):
         return v
     if isinstance(v, tuple):

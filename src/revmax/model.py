@@ -374,6 +374,21 @@ class InterimMechanism:
         self.p = _check_table_domain(grid, ps, "payment table")
         self.mode = mode
 
+    @classmethod
+    def _from_tables(cls, grid: ValueGrid, x: dict, p: dict, mode: str) -> "InterimMechanism":
+        """An InterimMechanism over tables already in the form the
+        constructor builds, checking nothing: x and p are dicts keyed by
+        the grid's own profile tuples in canonical order, with rows of n
+        numbers of the mode (Fraction or float) and x in [0,1].  For the
+        conversions in this module, whose inputs were checked when they
+        were constructed."""
+        self = object.__new__(cls)
+        self.grid = grid
+        self.x = x
+        self.p = p
+        self.mode = mode
+        return self
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, InterimMechanism)
@@ -497,9 +512,13 @@ class DeterministicMechanism:
         return winners[0]
 
     def as_interim(self) -> InterimMechanism:
+        """The same mechanism as expected allocations and payments: x is
+        the chosen 0/1 vector of each profile, p the payment table.  The
+        tables are built directly: this mechanism's constructor checked
+        everything the interim form requires."""
         rows = [_convert_row(vec, self.mode) for vec in self.fs.vectors]
-        x = [(v, rows[idx]) for v, idx in self.choice.items()]
-        return InterimMechanism(self.grid, x, self.payments, self.mode)
+        x = {v: rows[idx] for v, idx in self.choice.items()}
+        return InterimMechanism._from_tables(self.grid, x, dict(self.payments), self.mode)
 
     def as_expost(self) -> ExPostMechanism:
         one = 1.0 if self.mode == FLOAT else Fraction(1)
@@ -551,9 +570,15 @@ def approximation_ratio(mech_revenue, opt_revenue):
 
 
 def interim_of(mech: ExPostMechanism) -> InterimMechanism:
-    """Project an ex-post lottery to expected allocations and payments."""
+    """Project an ex-post lottery to expected allocations and payments.
+
+    The tables are built directly in canonical order.  The one check the
+    constructor would add that the lottery does not already guarantee is
+    that each winning probability lies in [0,1]: in float mode the
+    probabilities of one profile may sum to just over 1 (the lottery's
+    tolerance is 1e-12), and such an allocation is an input error."""
     zero = 0.0 if mech.mode == FLOAT else Fraction(0)
-    x, p = [], []
+    x, p = {}, {}
     for v, rows in mech.outcomes.items():
         xa = [zero] * mech.grid.n
         pa = [zero] * mech.grid.n
@@ -564,9 +589,11 @@ def interim_of(mech: ExPostMechanism) -> InterimMechanism:
                     xa[i] += prob
                 if pay[i]:
                     pa[i] += prob * pay[i]
-        x.append((v, tuple(xa)))
-        p.append((v, tuple(pa)))
-    return InterimMechanism(mech.grid, x, p, mech.mode)
+        if any(c < 0 or c > 1 for c in xa):
+            raise InvalidInputError(f"allocation outside [0,1] at {v}")
+        x[v] = tuple(xa)
+        p[v] = tuple(pa)
+    return InterimMechanism._from_tables(mech.grid, x, p, mech.mode)
 
 
 def canonical_expost(mech: InterimMechanism, fs: FeasibilitySystem) -> ExPostMechanism:

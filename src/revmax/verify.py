@@ -11,19 +11,22 @@ The interim checks read the x and p tables as flat lists in canonical
 profile order and reach a deviation along model.lines (a bidder's line
 of flat indices), never by building and hashing the deviating profile;
 walking the indices in order yields the documented witness order
-without a sort.  In exact mode the truthfulness and round-down checks
-compare ints: each line's grid values, allocations and payments are put
-on one positive integer scale (see _lines), under which a utility is an
-int multiple of the rational one, so every comparison keeps its outcome.
-A witness quotes the rational expressions themselves, computed only for
-a comparison that fails.  On a single-item system, feasibility is the
-direct test sum(x) <= 1; the hull LP runs only for allocations that fail
-it, to decide them and supply the certificate.
+without a sort.  In exact mode the truthfulness, IR and round-down
+checks compare ints: each line's grid values, allocations and payments
+are put on one positive integer scale (see _lines), under which a
+utility is an int multiple of the rational one, so every comparison
+keeps its outcome.  check_truthful builds these line rows once and
+leaves them on its report; check_ir and check_extension, given that
+report, walk the same rows.  A witness quotes the rational expressions
+themselves, computed only for a comparison that fails.  On a
+single-item system, feasibility is the direct test sum(x) <= 1; the hull
+LP runs only for allocations that fail it, to decide them and supply the
+certificate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import lcm
 from typing import Optional, Sequence
 
@@ -58,16 +61,24 @@ class Witness:
 @dataclass
 class VerifyReport:
     """Outcome of one or more checks; passed holds exactly when the
-    witness list is empty."""
+    witness list is empty.
+
+    A check_truthful report also carries line_table, the (mechanism,
+    rows of _lines) pair it walked, so that check_ir and check_extension
+    given this report walk the same rows instead of rebuilding them.  It
+    takes no part in == or repr."""
 
     passed: bool
     checks: dict
     witnesses: tuple
+    line_table: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     @classmethod
-    def build(cls, name: str, witnesses: Sequence[Witness]) -> "VerifyReport":
+    def build(
+        cls, name: str, witnesses: Sequence[Witness], line_table: Optional[tuple] = None
+    ) -> "VerifyReport":
         ws = tuple(witnesses)
-        return cls(not ws, {name: not ws}, ws)
+        return cls(not ws, {name: not ws}, ws, line_table)
 
     @classmethod
     def merge(cls, *reports: "VerifyReport") -> "VerifyReport":
@@ -143,11 +154,23 @@ def _lines(mech: InterimMechanism):
         yield (i, profiles[idx], k, *cache[line.start])
 
 
+def _line_rows(mech: InterimMechanism, truthful: Optional[VerifyReport]):
+    """The rows of _lines(mech): the list a check_truthful report of this
+    same mechanism carries, else a fresh walk."""
+    table = truthful.line_table if truthful is not None else None
+    if table is not None and table[0] is mech:
+        return table[1]
+    return _lines(mech)
+
+
 def check_truthful(mech: InterimMechanism) -> VerifyReport:
-    """No type gains by reporting a different grid value, in expectation."""
+    """No type gains by reporting a different grid value, in expectation.
+    The report keeps the line rows it walked (VerifyReport.line_table)
+    for check_ir and check_extension."""
     mode = mech.mode
     out = []
-    for i, v, k, xs, ps, G, X, P in _lines(mech):
+    rows = list(_lines(mech))
+    for i, v, k, xs, ps, G, X, P in rows:
         gk = G[k]
         truth = gk * X[k] - P[k]
         for j, rep in enumerate(mech.grid.values[i]):
@@ -159,18 +182,22 @@ def check_truthful(mech: InterimMechanism) -> VerifyReport:
                         vi * xs[k] - ps[k], vi * xs[j] - ps[j],
                     )
                 )
-    return VerifyReport.build("truthful", out)
+    return VerifyReport.build("truthful", out, (mech, rows))
 
 
-def check_ir(mech: InterimMechanism) -> VerifyReport:
+def check_ir(
+    mech: InterimMechanism, truthful: Optional[VerifyReport] = None
+) -> VerifyReport:
     """Truthful reporting never pays more than the expected allocation is
-    worth."""
+    worth: G[k] * X[k] >= P[k] on each line's scale (see _lines), with
+    the rational sides quoted by a witness.  Given truthful, a
+    check_truthful report of this same mechanism, it walks that report's
+    line rows instead of building them."""
+    mode = mech.mode
     out = []
-    for i in range(mech.grid.n):
-        for (v, x), p in zip(mech.x.items(), mech.p.values()):
-            worth = v[i] * x[i]
-            if violated(worth, p[i], ">=", mech.mode):
-                out.append(Witness("ir", i, v, None, ">=", worth, p[i]))
+    for i, v, k, xs, ps, G, X, P in _line_rows(mech, truthful):
+        if violated(G[k] * X[k], P[k], ">=", mode):
+            out.append(Witness("ir", i, v, None, ">=", v[i] * xs[k], ps[k]))
     return VerifyReport.build("ir", out)
 
 
@@ -236,8 +263,9 @@ def check_extension(
     still beats every menu entry; (c) at the top, the slope is maximal,
     with cheaper payment on ties; (d) below the grid, every menu entry
     has non-positive utility.  Condition (a) restates the witnesses of
-    truthful, a check_truthful report of this same mechanism; it is
-    computed here when not given.
+    truthful, a check_truthful report of this same mechanism, and the
+    other conditions walk its line rows; it is computed here when not
+    given.
     """
     grid = mech.grid
     if truthful is None:
@@ -250,7 +278,7 @@ def check_extension(
         )
         out.append(out_w)
     mode = mech.mode
-    for i, v, k, xs, ps, G, X, P in _lines(mech):
+    for i, v, k, xs, ps, G, X, P in _line_rows(mech, truthful):
         g = grid.values[i]
         K = len(g)
         if k < K - 1:

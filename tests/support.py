@@ -14,7 +14,12 @@ revmax.lp must take the same pivots to the same vertex.  The reference checkers 
 every deviation up by building its profile, sweep each profile's own
 column afresh, solve one hull LP per profile and look each profile's
 ex-post outcomes up by profile, so the indexed walks in revmax.verify
-must return the same witnesses in the same order.
+must return the same witnesses in the same order.  The reference IR
+check compares the rationals themselves, profile by profile, where
+revmax.verify.check_ir compares the integer line tables of
+check_truthful.  The reference projections build their interim tables
+through the validating InterimMechanism constructor, so the direct
+builds of as_interim and interim_of must give the same tables.
 The reference table check looks every grid profile up in the table, so
 the in-order fast path of revmax.model._check_table_domain must return
 the same table and raise the same errors.  The reference multi-item checker rebuilds each deviating type profile
@@ -54,7 +59,7 @@ from revmax.lp import (
     LPSolution,
     solve,
 )
-from revmax.model import EXACT, FLOAT, lines
+from revmax.model import EXACT, FLOAT, convert, lines
 from revmax.multi import (
     MAX_ASSIGNMENTS,
     _bundle_values,
@@ -829,6 +834,46 @@ def reference_check_truthful(mech: InterimMechanism) -> VerifyReport:
                         Witness("truthful", i, v, rep, ">=", truth, dev)
                     )
     return VerifyReport.build("truthful", out)
+
+
+def reference_check_ir(mech: InterimMechanism) -> VerifyReport:
+    """Truthful reporting never pays more than the expected allocation is
+    worth."""
+    out = []
+    for i in range(mech.grid.n):
+        for (v, x), p in zip(mech.x.items(), mech.p.values()):
+            worth = v[i] * x[i]
+            if violated(worth, p[i], ">=", mech.mode):
+                out.append(Witness("ir", i, v, None, ">=", worth, p[i]))
+    return VerifyReport.build("ir", out)
+
+
+def reference_as_interim(mech: DeterministicMechanism) -> InterimMechanism:
+    """The deterministic mechanism's interim form through the validating
+    constructor."""
+    rows = [tuple(convert(c, mech.mode) for c in vec) for vec in mech.fs.vectors]
+    x = [(v, rows[idx]) for v, idx in mech.choice.items()]
+    return InterimMechanism(mech.grid, x, mech.payments, mech.mode)
+
+
+def reference_interim_of(mech: ExPostMechanism) -> InterimMechanism:
+    """Project an ex-post lottery to expected allocations and payments
+    through the validating constructor."""
+    zero = 0.0 if mech.mode == FLOAT else Fraction(0)
+    x, p = [], []
+    for v, rows in mech.outcomes.items():
+        xa = [zero] * mech.grid.n
+        pa = [zero] * mech.grid.n
+        for vec_idx, pay, prob in rows:
+            vec = mech.fs.vectors[vec_idx]
+            for i in range(mech.grid.n):
+                if vec[i]:
+                    xa[i] += prob
+                if pay[i]:
+                    pa[i] += prob * pay[i]
+        x.append((v, tuple(xa)))
+        p.append((v, tuple(pa)))
+    return InterimMechanism(mech.grid, x, p, mech.mode)
 
 
 def reference_check_expost_ir(mech: ExPostMechanism) -> VerifyReport:

@@ -7,16 +7,20 @@ from pathlib import Path
 import pytest
 
 from revmax import (
+    DeterministicMechanism,
     ExplicitDistribution,
+    ExPostMechanism,
     FeasibilitySystem,
     MultiItemInstance,
     Valuation,
+    ValueGrid,
     solve_multi,
 )
 from revmax import io as rio
 from revmax import lp
 from revmax.cli import main
 from revmax.mechanisms import first_price, vickrey, zero_mechanism
+from revmax.model import FLOAT
 
 PAIR = ExplicitDistribution.from_support({(1, 1): F(1, 2), (2, 2): F(1, 2)})
 
@@ -517,3 +521,77 @@ def test_golden_reports_cover_every_interim_witness_kind():
     assert {("truthful", ""), ("ir", ""), ("feasible", "separating ")} <= kinds
     for cond in "abcd":
         assert ("extension", f"condition {cond}") in kinds
+
+
+UNIFORM = ExplicitDistribution(
+    ValueGrid([["1", "2"], ["1", "2"]]),
+    {v: F(1, 4) for v in [(1, 1), (1, 2), (2, 1), (2, 2)]},
+)
+
+
+def _both_win_files(kind):
+    """A mechanism over the feasible vectors [0,0] and [1,1] that sells to
+    both bidders at price 1 at every profile, in the given file kind."""
+    fs = FeasibilitySystem(2, [(0, 0), (1, 1)])
+    profiles = list(UNIFORM.grid.profiles())
+    det = DeterministicMechanism(
+        UNIFORM.grid, fs, {v: 1 for v in profiles}, {v: (F(1), F(1)) for v in profiles}
+    )
+    if kind == "deterministic":
+        return rio.write_mechanism(det)
+    if kind == "expost":
+        return rio.write_mechanism(det.as_expost())
+    return rio.write_mechanism(None, parts=[(det, F(1))])
+
+
+@pytest.mark.parametrize("command", ["verify", "revenue", "ratio"])
+@pytest.mark.parametrize("kind", ["deterministic", "expost", "universal"])
+def test_single_item_instance_rejects_other_feasible_vectors(tmp_path, capsys, kind, command):
+    # a single-item instance allows one winner; a file that declares its
+    # own vectors may not sell to two bidders at once
+    inst = write(tmp_path, "inst.ndjson", rio.write_instance(UNIFORM))
+    mech = write(tmp_path, "mech.ndjson", _both_win_files(kind))
+    code, out, err = run(capsys, [command, inst, mech])
+    assert code == 2
+    assert out == ""
+    assert err == "error: mechanism and instance disagree on the feasible vectors\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "revenue"])
+def test_feasible_vectors_compare_as_sets(tmp_path, capsys, command):
+    # the same vectors in another order are the same system; a missing
+    # vector is not
+    vectors = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    fs = FeasibilitySystem(2, vectors)
+    inst = write(tmp_path, "inst.ndjson", rio.write_instance(UNIFORM, fs))
+    for order, rc in ((vectors[::-1], 0), (vectors[:3], 2)):
+        mech = vickrey(UNIFORM.grid)
+        sub = FeasibilitySystem(2, order)
+        moved = DeterministicMechanism(
+            mech.grid, sub,
+            {v: sub.vectors.index(mech.fs.vectors[c]) for v, c in mech.choice.items()},
+            mech.payments,
+        )
+        path = write(tmp_path, "mech.ndjson", rio.write_mechanism(moved))
+        code, out, err = run(capsys, [command, inst, path])
+        assert code == rc
+        assert (err == "") == (rc == 0)
+
+
+def test_float_lottery_just_over_one_is_input_error(tmp_path, capsys):
+    # the reader allows a profile's probabilities to sum to 1 within 1e-12,
+    # but a bidder cannot win with probability above 1
+    grid = ValueGrid([[1]], FLOAT)
+    fs = FeasibilitySystem.single_item(1)
+    win = fs.winner_index(0)
+    dist = ExplicitDistribution(grid, {(1.0,): 1.0}, FLOAT)
+    mech = ExPostMechanism(
+        grid, fs, {(1.0,): [(win, (0.0,), 0.5), (win, (0.0,), 0.5 + 4e-13)]}, FLOAT
+    )
+    inst = write(tmp_path, "inst.ndjson", rio.write_instance(dist))
+    path = write(tmp_path, "mech.ndjson", rio.write_mechanism(mech))
+    for command in ("verify", "revenue"):
+        code, out, err = run(capsys, [command, inst, path])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: allocation outside [0,1] at ")

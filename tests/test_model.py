@@ -27,7 +27,15 @@ from revmax import (
     zero_mechanism,
 )
 from revmax.model import EXACT, FLOAT, _check_table_domain, convert, lines
-from support import random_distribution, random_interim, reference_check_table_domain
+from support import (
+    random_distribution,
+    random_feasibility,
+    random_grid,
+    random_interim,
+    reference_as_interim,
+    reference_check_table_domain,
+    reference_interim_of,
+)
 
 PAIR = {(1, 1): F(1, 2), (2, 2): F(1, 2)}
 
@@ -302,6 +310,92 @@ def test_canonical_expost_round_trip_random():
         mech = random_interim(rng, dist.grid)
         ep = canonical_expost(mech, FeasibilitySystem.single_item(dist.grid.n))
         assert interim_of(ep) == mech
+
+
+def _random_deterministic(rng, mode):
+    """A random winner and payment per profile over a random feasibility
+    system; winners pay 0, half or all of their value, and in float mode
+    non-winners sometimes pay -0.0."""
+    grid = ValueGrid(random_grid(rng).values, mode)
+    fs = random_feasibility(rng, n=grid.n)
+    conv = float if mode == FLOAT else F
+    unpaid = [conv(0), -0.0] if mode == FLOAT else [F(0)]
+    choice, pay = {}, {}
+    for v in grid.profiles():
+        idx = rng.randrange(len(fs.vectors))
+        choice[v] = idx
+        pay[v] = tuple(
+            conv(rng.choice([0, F(c) / 2, F(c)])) if won else rng.choice(unpaid)
+            for c, won in zip(v, fs.vectors[idx])
+        )
+    return DeterministicMechanism(grid, fs, choice, pay, mode)
+
+
+def _random_lottery(rng, mode):
+    """One to three outcomes per profile over a random feasibility
+    system; winners pay 0, a third or all of their value."""
+    grid = ValueGrid(random_grid(rng).values, mode)
+    fs = random_feasibility(rng, n=grid.n)
+    conv = float if mode == FLOAT else F
+    outcomes = {}
+    for v in grid.profiles():
+        weights = [rng.randint(1, 4) for _ in range(rng.randint(1, 3))]
+        rows = []
+        for w in weights:
+            idx = rng.randrange(len(fs.vectors))
+            pay = tuple(
+                conv(rng.choice([0, F(c) / 3, F(c)])) if won else conv(0)
+                for c, won in zip(v, fs.vectors[idx])
+            )
+            rows.append((idx, pay, conv(F(w, sum(weights)))))
+        outcomes[v] = rows
+    return ExPostMechanism(grid, fs, outcomes, mode)
+
+
+def _assert_same_tables(got, want):
+    """Same keys in the same order, and the same values down to their
+    types and float signs."""
+    assert type(got) is InterimMechanism
+    assert got.grid == want.grid and got.mode == want.mode
+    for table, ref in ((got.x, want.x), (got.p, want.p)):
+        assert list(table) == list(ref)
+        assert [list(map(repr, row)) for row in table.values()] == [
+            list(map(repr, row)) for row in ref.values()
+        ]
+    assert got == want
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_direct_interim_projections_match_the_validating_constructor(mode):
+    """as_interim and interim_of build their tables directly; the
+    constructor, given the same rows, builds the same ones."""
+    rng = random.Random(1616)
+    for _ in range(40):
+        det = _random_deterministic(rng, mode)
+        _assert_same_tables(det.as_interim(), reference_as_interim(det))
+        lottery = _random_lottery(rng, mode)
+        _assert_same_tables(interim_of(lottery), reference_interim_of(lottery))
+        expost = det.as_expost()
+        _assert_same_tables(interim_of(expost), reference_interim_of(expost))
+    grid = ValueGrid([[1, 2], [1, 2]], mode)
+    second = second_price(grid)
+    _assert_same_tables(second.as_interim(), reference_as_interim(second))
+
+
+def test_float_winning_probability_just_over_one_is_input_error():
+    """The lottery accepts probabilities summing to 1 within 1e-12; a
+    bidder winning with all of them then has an allocation over 1, which
+    the projection still rejects."""
+    grid = ValueGrid([[1]], FLOAT)
+    fs = FeasibilitySystem.single_item(1)
+    win = fs.winner_index(0)
+    mech = ExPostMechanism(
+        grid, fs, {(1.0,): [(win, (0.0,), 0.5), (win, (0.0,), 0.5 + 4e-13)]}, FLOAT
+    )
+    assert sum(prob for _, _, prob in mech.outcomes[(1.0,)]) > 1
+    for project in (interim_of, reference_interim_of):
+        with pytest.raises(InvalidInputError, match=r"allocation outside \[0,1\]"):
+            project(mech)
 
 
 def test_execute_is_deterministic_and_rounds_down():

@@ -38,6 +38,7 @@ from support import (
     reference_check_expost_ir,
     reference_check_extension,
     reference_check_feasible,
+    reference_check_ir,
     reference_check_truthful,
 )
 
@@ -273,13 +274,13 @@ def test_indexed_verifier_matches_reference():
         truthful = check_truthful(mech)
         new = [
             truthful,
-            check_ir(mech),
+            check_ir(mech, truthful),
             check_feasible(mech, fs),
             check_extension(mech, truthful),
         ]
         ref = [
             reference_check_truthful(mech),
-            check_ir(mech),
+            reference_check_ir(mech),
             reference_check_feasible(mech, fs),
             reference_check_extension(mech),
         ]
@@ -287,6 +288,7 @@ def test_indexed_verifier_matches_reference():
             assert got.witnesses == want.witnesses
             assert got.checks == want.checks
             assert got.passed == want.passed
+        assert check_ir(mech) == new[1]
         assert check_extension(mech) == new[3]
         merged = VerifyReport.merge(*new)
         assert write_report(merged, mech.mode) == write_report(
@@ -434,3 +436,46 @@ def test_expost_ir_matches_reference(mode):
         assert write_report(got, mode) == write_report(want, mode)
         details.update(w.detail.partition(":")[2] for w in got.witnesses)
     assert details == {"", " non-winner charged"}
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_ir_on_line_tables_matches_reference(mode):
+    """check_ir on check_truthful's integer line tables, alone or given
+    that report, gives the rational reference's witnesses in bidder, then
+    profile order with the same lhs/rhs types and report bytes; the
+    extension check given the same report matches its reference."""
+    rng = random.Random(1606)
+    broken = 0
+    for round_ in range(60):
+        grid = random_grid(rng, max_bidders=3, max_values=4, min_values=2)
+        mech = random_interim(rng, grid, violate_ir=round_ % 2 == 0)
+        if mode == FLOAT:
+            mech = _as_float(mech)
+        truthful = check_truthful(mech)
+        want = reference_check_ir(mech)
+        for got in (check_ir(mech), check_ir(mech, truthful)):
+            assert got == want
+            assert [(type(w.lhs), type(w.rhs)) for w in got.witnesses] == [
+                (type(w.lhs), type(w.rhs)) for w in want.witnesses
+            ]
+            assert write_report(got, mode) == write_report(want, mode)
+        assert check_extension(mech, truthful) == reference_check_extension(mech)
+        broken += not want.passed
+    assert broken >= 30
+
+
+def test_line_table_is_reused_only_for_its_own_mechanism():
+    """A check_truthful report hands its line rows on only for the
+    mechanism it checked; for another one the checks walk afresh, and the
+    rows take no part in == or repr."""
+    good = vickrey(GRID).as_interim()
+    overcharge = {v: (v[0] + 1, F(0)) for v in GRID.profiles()}
+    bad = InterimMechanism(GRID, good.x, overcharge)
+    report = check_truthful(good)
+    assert report.line_table[0] is good
+    assert report == check_truthful(vickrey(GRID).as_interim())
+    assert "line_table" not in repr(report)
+    assert not reference_check_ir(bad).passed
+    assert check_ir(bad, report) == reference_check_ir(bad)
+    assert check_ir(good, check_truthful(bad)) == reference_check_ir(good)
+    assert VerifyReport.merge(report).line_table is None
