@@ -10,12 +10,21 @@ simplex pivot limit.
 Runs are fully deterministic: identical inputs and flags give
 byte-identical output, with every quantity an exact rational string in
 exact mode.
+
+--output over an existing regular file removes that file and writes a
+new one, which is cheaper than truncating it in place on filesystems
+that flush a truncated file when it is closed (ext4's auto_da_alloc).
+So a hard link to the old output keeps the old bytes, and the new
+file's mode comes from the umask.  A symlink or a device is written
+through.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
+import stat
 import sys
 from pathlib import Path
 from typing import Optional
@@ -51,6 +60,11 @@ def _read(path: str) -> str:
 
 def _emit(text: str, output: Optional[str]) -> None:
     if output:
+        try:
+            if stat.S_ISREG(os.lstat(output).st_mode):
+                os.unlink(output)
+        except OSError:
+            pass  # the write below truncates, or reports the error
         Path(output).write_text(text)
     else:
         sys.stdout.write(text)

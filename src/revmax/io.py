@@ -53,9 +53,17 @@ def dumps_line(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _reject_constant(token: str):
+    raise InvalidInputError(f"bad JSON line: {token} is not a finite number")
+
+
+# decimals parse exactly; NaN and +-Infinity are input errors in either mode
+_DECODER = json.JSONDecoder(parse_float=Fraction, parse_constant=_reject_constant)
+
+
 def loads_line(line: str) -> dict:
     try:
-        obj = json.loads(line, parse_float=Fraction)
+        obj = _DECODER.decode(line)
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"bad JSON line: {line!r}") from exc
     if not isinstance(obj, dict):

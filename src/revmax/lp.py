@@ -1,5 +1,5 @@
-"""Exact linear programming: a two-phase primal simplex over
-fractions.Fraction with Bland's anti-cycling rule.
+"""Exact linear programming: a two-phase primal simplex over integer
+rows with Bland's anti-cycling rule.
 
 A LinearProgram maximizes a linear objective subject to <= and = rows
 over variables that are nonnegative, or free once set_free splits them
@@ -11,24 +11,38 @@ only the first kind of row, so they run no phase 1; the hull and
 separation LPs of decompose_allocation use the second.
 
 The tableau is sparse: each row, and the reduced-cost row, is a
-{column: coefficient} map of its nonzeros, and a pivot touches only the
-rows with a nonzero in the entering column, at the pivot row's nonzeros,
-deleting entries that cancel to exactly zero.  Sign tests read a
-Fraction's numerator instead of comparing against Fraction(0).
+{column: numerator} map of its nonzeros, a right-hand-side numerator and
+one positive denominator for the whole row.  In exact mode these are
+ints, so no Fraction is built per entry:
 
-Dantzig pricing (largest reduced cost, lowest column index on ties) runs
-while the objective moves; after a stretch of degenerate pivots the
-solver switches to Bland's rule for the rest of the run, which
+- a row starts scaled by the lcm of its coefficients' denominators;
+- a pivot makes the pivot row's own entry a in the entering column its
+  new denominator, negating the row first if a is negative;
+- every other row with numerator c in the entering column becomes
+  (a*row - c*pivot row) / (a*d), d its old denominator, which touches
+  only the pivot row's nonzeros when a is 1;
+- each changed row is divided by the gcd of its numerators and its
+  denominator, and entries that cancel to zero are deleted.
+
+Dantzig pricing (largest reduced cost, lowest column index on ties)
+compares the numerators over the reduced-cost row's denominator, and
+runs while the objective moves; after a stretch of degenerate pivots
+the solver switches to Bland's rule for the rest of the run, which
 guarantees termination without giving up determinism.  The ratio test
-breaks ties on the lowest basis index.  A float mode with the same code,
-the same pivoting and a 1e-9 feasibility tolerance exists for instances
-too large for exact arithmetic.
+compares Fraction(rhs numerator, column numerator) per row and breaks
+ties on the lowest basis index; x is read out as Fraction(rhs, d).
+
+Float mode runs the same code with every denominator 1, scaling the
+pivot row by the reciprocal of its entry, with a 1e-9 feasibility
+tolerance; it exists for instances too large for exact arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import truediv
 from typing import Optional, Sequence, Union
 
 from .errors import DimensionMismatchError, InvalidInputError, PivotLimitError
@@ -87,15 +101,19 @@ class LinearProgram:
         self.free[var] = True
 
 
-def _positives(pairs, tol) -> list:
-    """Keys of the (key, value) pairs whose value exceeds tol, in order.
+def _integer_row(row: dict, rhs) -> tuple:
+    """(numerators, rhs numerator, denominator) of a row of rationals,
+    scaled by the lcm of their denominators."""
+    d = lcm(rhs.denominator, *[a.denominator for a in row.values()])
+    return (
+        {j: a.numerator * (d // a.denominator) for j, a in row.items()},
+        rhs.numerator * (d // rhs.denominator),
+        d,
+    )
 
-    tol is 0 in exact mode, where every value is a Fraction: the sign of
-    its numerator decides, which spares a Fraction comparison per entry.
-    """
-    if tol:
-        return [k for k, v in pairs if v > tol]
-    return [k for k, v in pairs if v.numerator > 0]
+
+def _float_row(row: dict, rhs) -> tuple:
+    return row, rhs, 1
 
 
 def _add_scaled(target: dict, f, items) -> None:
@@ -113,71 +131,112 @@ def _add_scaled(target: dict, f, items) -> None:
                 del target[j]
 
 
-def _pivot(rows, rhs, red: dict, leave: int, enter: int, column: dict):
+def _eliminate(row: dict, r, d, c, a, pitems, pb) -> tuple:
+    """Subtract c/d times the pivot row (numerators pitems and pb over a,
+    a being its own numerator in the entering column) from row, whose
+    numerators and rhs r are over d; returns the new (r, d)."""
+    if a != 1:
+        for j, v in row.items():
+            row[j] = v * a
+        r *= a
+        d *= a
+    for j, b in pitems:
+        v = row.get(j)
+        if v is None:
+            row[j] = -c * b
+        else:
+            v -= c * b
+            if v:
+                row[j] = v
+            else:
+                del row[j]
+    r -= c * pb
+    if d != 1:
+        g = gcd(d, r, *row.values())
+        if g != 1:
+            for j, v in row.items():
+                row[j] = v // g
+            r //= g
+            d //= g
+    return r, d
+
+
+def _pivot(rows, rhs, den, leave: int, enter: int, column: dict, exact: bool):
     """In-place pivot on rows[leave][enter]; column maps each row index
-    to its nonzero entry in the entering column.  Returns the objective
-    gain term, 0 when red holds no reduced cost for the entering
-    column."""
+    to its nonzero numerator in the entering column.  Returns the pivot
+    row's items, rhs numerator and denominator, for the reduced costs."""
     prow = rows[leave]
-    piv = prow[enter]
-    if piv != 1:
-        inv = 1 / piv
-        rows[leave] = prow = {j: a * inv for j, a in prow.items()}
-        rhs[leave] = rhs[leave] * inv
-    pb = rhs[leave]
+    if exact:
+        a = prow[enter]
+        q = gcd(a, rhs[leave], *prow.values())
+        if a < 0:
+            q = -q
+        if q != 1:
+            rows[leave] = prow = {j: v // q for j, v in prow.items()}
+            rhs[leave] //= q
+        den[leave] = a // q
+    else:
+        piv = prow[enter]
+        if piv != 1:
+            inv = 1 / piv
+            rows[leave] = prow = {j: v * inv for j, v in prow.items()}
+            rhs[leave] = rhs[leave] * inv
+    a, pb = den[leave], rhs[leave]
     pitems = list(prow.items())
-    for i, f in column.items():
+    for i, c in column.items():
         if i != leave:
-            _add_scaled(rows[i], -f, pitems)
-            rhs[i] -= f * pb
-    f = red.get(enter)
-    if f is None:
-        return 0
-    _add_scaled(red, -f, pitems)
-    return f * pb
+            rhs[i], den[i] = _eliminate(rows[i], rhs[i], den[i], c, a, pitems, pb)
+    return pitems, pb, a
 
 
-def _run_simplex(rows, rhs, basis, cost, tol):
+def _run_simplex(rows, rhs, den, basis, cost, tol, exact: bool):
     """Maximize cost over the equality system in basic form.
 
     Returns ('optimal', objective, pivots) or ('unbounded', None,
-    pivots).  Reduced costs (a sparse row like the others) and the
-    running objective derive from the basis on entry.
+    pivots).  Reduced costs (a sparse row like the others, whose rhs
+    numerator is minus the objective's) derive from the basis on entry.
     """
+    value, as_row = (Fraction, _integer_row) if exact else (truediv, _float_row)
     red = {j: c for j, c in enumerate(cost) if c}
     obj = 0
     for i, bi in enumerate(basis):
         cb = cost[bi]
         if cb:
-            obj += cb * rhs[i]
-            _add_scaled(red, -cb, rows[i].items())
+            d = den[i]
+            obj += cb * value(rhs[i], d)
+            _add_scaled(red, -cb, [(j, value(a, d)) for j, a in rows[i].items()])
+    red, robj, rden = as_row(red, -obj)
     bland = False
     stall = 0
     for pivots in range(_MAX_PIVOTS):
         # Dantzig's rule with the lowest index winning ties (max keeps
         # the first maximum), or Bland's lowest index once stalled
-        candidates = sorted(_positives(red.items(), tol))
+        candidates = sorted([j for j, c in red.items() if c > tol])
         if not candidates:
-            return "optimal", obj, pivots
+            return "optimal", value(-robj, rden), pivots
         enter = candidates[0] if bland else max(candidates, key=red.__getitem__)
         column = {i: r[enter] for i, r in enumerate(rows) if enter in r}
         leave = -1
         best_ratio = None
-        for i in _positives(column.items(), tol):
-            ratio = rhs[i] / column[i]
-            if (
-                best_ratio is None
-                or ratio < best_ratio
-                or (ratio == best_ratio and basis[i] < basis[leave])
-            ):
-                best_ratio = ratio
-                leave = i
+        for i, c in column.items():
+            if c > tol:
+                ratio = value(rhs[i], c)
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[i] < basis[leave])
+                ):
+                    best_ratio = ratio
+                    leave = i
         if leave < 0:
             return "unbounded", None, pivots
-        gain = _pivot(rows, rhs, red, leave, enter, column)
+        f = red[enter]
+        pitems, pb, a = _pivot(rows, rhs, den, leave, enter, column, exact)
+        robj, rden = _eliminate(red, robj, rden, f, a, pitems, pb)
         basis[leave] = enter
-        obj += gain
-        if gain > tol:
+        # the objective gains f*pb over both rows' denominators, so f*pb
+        # has the gain's sign (and is the gain itself in float mode)
+        if f * pb > tol:
             stall = 0
         else:
             stall += 1
@@ -191,11 +250,14 @@ def solve(lp: LinearProgram, mode: str = EXACT) -> LPSolution:
     if mode == FLOAT:
         tol = 1e-9
         num = float
+        value, as_row = truediv, _float_row
     elif mode == EXACT:
         tol = 0
         num = lambda v: v if isinstance(v, Fraction) else Fraction(v)
+        value, as_row = Fraction, _integer_row
     else:
         raise InvalidInputError(f"unknown arithmetic mode {mode!r}")
+    exact = mode == EXACT
 
     # Internal columns: a nonnegative variable is one column, a free one
     # the difference of two.  x_j = sum of its signed columns.
@@ -212,7 +274,7 @@ def solve(lp: LinearProgram, mode: str = EXACT) -> LPSolution:
     # ready slack gets an artificial column past the slacks.
     zero, one = num(0), num(1)
     width = ncols + sum(1 for _, rel, _ in lp.constraints if rel == LEQ)
-    rows, rhs_col, basis, art_cols = [], [], [], []
+    rows, rhs_col, den, basis, art_cols = [], [], [], [], []
     si = ncols
     for coeffs, rel, rhs in lp.constraints:
         row = {}
@@ -237,15 +299,17 @@ def solve(lp: LinearProgram, mode: str = EXACT) -> LPSolution:
             art_cols.append(col)
             row[col] = one
             basis.append(col)
+        row, rhs, d = as_row(row, rhs)
         rows.append(row)
         rhs_col.append(rhs)
+        den.append(d)
 
     phase1 = 0
     if art_cols:
         cost1 = [zero] * (width + len(art_cols))
         for col in art_cols:
             cost1[col] = num(-1)
-        status, val, phase1 = _run_simplex(rows, rhs_col, basis, cost1, tol)
+        status, val, phase1 = _run_simplex(rows, rhs_col, den, basis, cost1, tol, exact)
         infeas = (-val) > (1e-7 if mode == FLOAT else 0)
         if status != "optimal" or infeas:
             return LPSolution("infeasible", pivots=(phase1, 0))
@@ -261,11 +325,11 @@ def solve(lp: LinearProgram, mode: str = EXACT) -> LPSolution:
                     drop.append(i)
                 else:
                     column = {k: r[enter] for k, r in enumerate(rows) if enter in r}
-                    _pivot(rows, rhs_col, {}, i, enter, column)
+                    _pivot(rows, rhs_col, den, i, enter, column, exact)
                     basis[i] = enter
                     phase1 += 1
         for i in reversed(drop):
-            del rows[i], rhs_col[i], basis[i]
+            del rows[i], rhs_col[i], den[i], basis[i]
         rows = [{j: a for j, a in r.items() if j < width} for r in rows]
 
     cost2 = [zero] * width
@@ -274,14 +338,14 @@ def solve(lp: LinearProgram, mode: str = EXACT) -> LPSolution:
         if c:
             for col, s in col_of[j]:
                 cost2[col] += c * s
-    status, val, phase2 = _run_simplex(rows, rhs_col, basis, cost2, tol)
+    status, val, phase2 = _run_simplex(rows, rhs_col, den, basis, cost2, tol, exact)
     pivots = (phase1, phase2)
     if status == "unbounded":
         return LPSolution("unbounded", pivots=pivots)
 
     yv = [zero] * width
     for i, bi in enumerate(basis):
-        yv[bi] = rhs_col[i]
+        yv[bi] = value(rhs_col[i], den[i])
     x = [sum((s * yv[col] for col, s in cols), zero) for cols in col_of]
     objective = sum(
         (num(lp.objective[j]) * x[j] for j in range(lp.num_vars)), zero

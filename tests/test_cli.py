@@ -87,6 +87,70 @@ def test_output_replaces_a_longer_file_and_writes_to_devices(tmp_path, capsys):
     assert (code, err) == (0, "")
 
 
+@pytest.mark.parametrize("old_size", [1, 10_000])
+def test_output_over_an_existing_file_writes_a_new_file(tmp_path, capsys, old_size):
+    # shorter or longer than the new bytes, the old file is replaced whole;
+    # a hard link to it keeps the old bytes
+    path = pair_file(tmp_path)
+    _, stdout, _ = run(capsys, ["solve-det", path])
+    out_path = tmp_path / "mech.ndjson"
+    out_path.write_text("x" * old_size)
+    link = tmp_path / "old.ndjson"
+    link.hardlink_to(out_path)
+    code, _, err = run(capsys, ["solve-det", path, "--output", str(out_path)])
+    assert (code, err) == (0, "")
+    assert out_path.read_text() + stdout.splitlines(keepends=True)[-1] == stdout
+    assert link.read_text() == "x" * old_size
+
+
+def test_output_through_a_symlink_writes_the_target(tmp_path, capsys):
+    path = pair_file(tmp_path)
+    _, stdout, _ = run(capsys, ["solve-det", path])
+    target = tmp_path / "target.ndjson"
+    target.write_text("x" * 10_000)
+    link = tmp_path / "link.ndjson"
+    link.symlink_to(target)
+    code, _, err = run(capsys, ["solve-det", path, "--output", str(link)])
+    assert (code, err) == (0, "")
+    assert link.is_symlink()
+    assert target.read_text() + stdout.splitlines(keepends=True)[-1] == stdout
+
+
+NAN_INTERIM = (
+    '{"format":1,"kind":"interim","mode":"float"}\n{"grid":[[1]]}\n'
+    '{"alloc":[NaN],"pay":[5],"profile":[1]}\n'
+)
+NAN_EXPOST = (
+    '{"format":1,"kind":"expost","mode":"float"}\n{"grid":[[1]]}\n'
+    '{"feasible":[0]}\n{"feasible":[1]}\n'
+    '{"pay":[1],"prob":NaN,"profile":[1],"vector":1}\n'
+)
+ONE_BIDDER = '{"format":1,"mode":"float","model":"single-item"}\n{"grid":[[1]]}\n'
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize(
+    "command, inst, mech, token",
+    [
+        ("verify", ONE_BIDDER + '{"prob":1,"support":[1]}\n', NAN_INTERIM, "NaN"),
+        ("revenue", ONE_BIDDER + '{"prob":1,"support":[1]}\n', NAN_EXPOST, "NaN"),
+        ("solve", ONE_BIDDER + '{"prob":1,"support":[Infinity]}\n', None, "Infinity"),
+    ],
+    ids=["interim-alloc", "expost-prob", "instance-profile"],
+)
+def test_non_finite_number_tokens_are_input_errors(
+    tmp_path, capsys, command, inst, mech, token, mode
+):
+    # a NaN allocation used to pass verify and a NaN probability made
+    # revenue print nan
+    argv = [command, write(tmp_path, "inst.ndjson", inst), f"--{mode}"]
+    if mech is not None:
+        argv.insert(2, write(tmp_path, "mech.ndjson", mech))
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: bad JSON line: {token} is not a finite number\n"
+
+
 def test_solve_det_matches_lp_on_pair(tmp_path, capsys):
     code, out, _ = run(capsys, ["solve-det", pair_file(tmp_path)])
     assert code == 0

@@ -1,6 +1,7 @@
 """Exact two-phase simplex: classic fixtures, degenerate/cycling cases,
 free variables, a brute-force vertex cross-check on random programs,
-and pivot-for-pivot parity with the dense reference solver."""
+and pivot-for-pivot parity with the dense reference solver, on integer
+and on rational programs."""
 
 import itertools
 import random
@@ -8,10 +9,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from revmax import LinearProgram, PivotLimitError, lp as lp_module, solve
+from revmax import LinearProgram, PivotLimitError, build_multi_lp, lp as lp_module, solve
 from revmax.lp import EQ, LEQ
 from revmax.model import FLOAT
-from support import reference_solve
+from support import random_multi_instance, reference_solve
 
 
 def test_two_variable_maximum():
@@ -236,6 +237,64 @@ def test_sparse_simplex_matches_dense_reference():
         if want.x is not None:
             assert all(abs(a - b) <= 1e-9 for a, b in zip(got.x, want.x))
     assert seen == {"optimal", "infeasible", "unbounded"}
+
+
+def _rational(rng, lo, hi):
+    return F(rng.randint(lo, hi), rng.choice((1, 2, 3, 5, 7, 11)))
+
+
+def _rational_program(rng):
+    """Small random program whose objective, coefficients and right-hand
+    sides are fractions over the coprime denominators 1 to 11."""
+    n = rng.randint(1, 6)
+    lp = LinearProgram(n, [_rational(rng, -6, 8) for _ in range(n)])
+    for j in range(n):
+        if rng.random() < 0.3:
+            lp.set_free(j)
+    for _ in range(rng.randint(1, 7)):
+        coeffs = {j: _rational(rng, -9, 9) for j in range(n) if rng.random() < 0.7}
+        rel = rng.choice([LEQ, LEQ, LEQ, LEQ, EQ])
+        lp.add_constraint(coeffs, rel, _rational(rng, -4, 16))
+    return lp
+
+
+def _negative_drive_out_lp():
+    # every reduced cost of phase 1 is negative from the start, so phase
+    # 1 ends with the first row's artificial basic at 0, and driving it
+    # out pivots on the entry -2/3
+    lp = LinearProgram(3, [F(1, 2), F(3, 5), F(1)])
+    lp.add_constraint({0: F(-2, 3), 1: F(-5, 7)}, EQ, F(0))
+    lp.add_constraint({0: F(1, 3), 1: F(1, 11), 2: F(1)}, LEQ, F(2))
+    return lp
+
+
+def test_rational_simplex_matches_dense_reference(monkeypatch):
+    entries = []
+    pivot = lp_module._pivot
+
+    def recording(rows, rhs, den, leave, enter, *rest):
+        entries.append(rows[leave][enter])
+        return pivot(rows, rhs, den, leave, enter, *rest)
+
+    monkeypatch.setattr(lp_module, "_pivot", recording)
+    rng = random.Random(19680101)
+    programs = [_rational_program(rng) for _ in range(200)]
+    programs.append(_negative_drive_out_lp())
+    programs += [build_multi_lp(random_multi_instance(rng)) for _ in range(4)]
+    seen = set()
+    for lp in programs:
+        got, want = solve(lp), reference_solve(lp)
+        assert got.status == want.status
+        assert got.x == want.x
+        assert got.objective == want.objective
+        assert got.pivots == want.pivots
+        seen.add(got.status)
+        got, want = solve(lp, mode=FLOAT), reference_solve(lp, mode=FLOAT)
+        assert (got.status, got.pivots) == (want.status, want.pivots)
+    assert seen == {"optimal", "infeasible", "unbounded"}
+    assert min(entries) < 0
+    sol = solve(_negative_drive_out_lp())
+    assert (sol.pivots[0], sol.x[2], sol.objective) == (1, F(2), F(2))
 
 
 def test_pivot_counts_per_phase():
