@@ -48,9 +48,12 @@ SINGLE_PARAMETER = "single-parameter"
 MULTI_ITEM = "multi-item"
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def dumps_line(obj: dict) -> str:
     """Canonical one-line encoding: sorted keys, compact separators."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    return _ENCODER.encode(obj) + "\n"
 
 
 def _reject_constant(token: str):

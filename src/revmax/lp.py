@@ -24,17 +24,25 @@ ints, so no Fraction is built per entry:
 - each changed row is divided by the gcd of its numerators and its
   denominator, and entries that cancel to zero are deleted.
 
-Dantzig pricing (largest reduced cost, lowest column index on ties)
-compares the numerators over the reduced-cost row's denominator, and
-runs while the objective moves; after a stretch of degenerate pivots
-the solver switches to Bland's rule for the rest of the run, which
-guarantees termination without giving up determinism.  The ratio test
-compares Fraction(rhs numerator, column numerator) per row and breaks
-ties on the lowest basis index; x is read out as Fraction(rhs, d).
+A column index (column -> set of the rows holding it, the reduced-cost
+row left out) follows every fill-in and every cancellation, so the
+entering column's rows are read from it instead of from every row.
+
+Pricing is one pass over the reduced-cost row's nonzeros, whose
+numerators share one positive denominator: Dantzig's rule keeps the
+largest, the lowest column index on ties, and runs while the objective
+moves; after a stretch of degenerate pivots the solver switches to
+Bland's rule (the lowest index with a positive reduced cost) for the
+rest of the run, which guarantees termination without giving up
+determinism.  The ratio test picks the least rhs/column ratio, the
+lowest basis index on ties; in exact mode it compares the cross products
+r_i*c_j and r_j*c_i of the two rows' numerators, whose denominators
+cancel.  x is read out as Fraction(rhs, d).
 
 Float mode runs the same code with every denominator 1, scaling the
-pivot row by the reciprocal of its entry, with a 1e-9 feasibility
-tolerance; it exists for instances too large for exact arithmetic.
+pivot row by the reciprocal of its entry and dividing in the ratio test,
+with a 1e-9 feasibility tolerance; it exists for instances too large for
+exact arithmetic.
 """
 
 from __future__ import annotations
@@ -131,10 +139,21 @@ def _add_scaled(target: dict, f, items) -> None:
                 del target[j]
 
 
-def _eliminate(row: dict, r, d, c, a, pitems, pb) -> tuple:
+def _column_index(rows, ncols: int) -> list:
+    """cols[j]: the set of row indices whose row holds column j."""
+    cols = [set() for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j in row:
+            cols[j].add(i)
+    return cols
+
+
+def _eliminate(row: dict, r, d, c, a, pitems, pb, i=-1, cols=None) -> tuple:
     """Subtract c/d times the pivot row (numerators pitems and pb over a,
     a being its own numerator in the entering column) from row, whose
-    numerators and rhs r are over d; returns the new (r, d)."""
+    numerators and rhs r are over d; returns the new (r, d).  When row is
+    tableau row i, the column index cols follows its fill-ins and
+    cancellations."""
     if a != 1:
         for j, v in row.items():
             row[j] = v * a
@@ -144,12 +163,16 @@ def _eliminate(row: dict, r, d, c, a, pitems, pb) -> tuple:
         v = row.get(j)
         if v is None:
             row[j] = -c * b
+            if cols is not None:
+                cols[j].add(i)
         else:
             v -= c * b
             if v:
                 row[j] = v
             else:
                 del row[j]
+                if cols is not None:
+                    cols[j].discard(i)
     r -= c * pb
     if d != 1:
         g = gcd(d, r, *row.values())
@@ -161,10 +184,11 @@ def _eliminate(row: dict, r, d, c, a, pitems, pb) -> tuple:
     return r, d
 
 
-def _pivot(rows, rhs, den, leave: int, enter: int, column: dict, exact: bool):
+def _pivot(rows, rhs, den, leave: int, enter: int, column: dict, exact: bool, cols):
     """In-place pivot on rows[leave][enter]; column maps each row index
-    to its nonzero numerator in the entering column.  Returns the pivot
-    row's items, rhs numerator and denominator, for the reduced costs."""
+    to its nonzero numerator in the entering column, and the column
+    index cols is kept up to date.  Returns the pivot row's items, rhs
+    numerator and denominator, for the reduced costs."""
     prow = rows[leave]
     if exact:
         a = prow[enter]
@@ -185,12 +209,15 @@ def _pivot(rows, rhs, den, leave: int, enter: int, column: dict, exact: bool):
     pitems = list(prow.items())
     for i, c in column.items():
         if i != leave:
-            rhs[i], den[i] = _eliminate(rows[i], rhs[i], den[i], c, a, pitems, pb)
+            rhs[i], den[i] = _eliminate(
+                rows[i], rhs[i], den[i], c, a, pitems, pb, i, cols
+            )
     return pitems, pb, a
 
 
-def _run_simplex(rows, rhs, den, basis, cost, tol, exact: bool):
-    """Maximize cost over the equality system in basic form.
+def _run_simplex(rows, rhs, den, basis, cols, cost, tol, exact: bool):
+    """Maximize cost over the equality system in basic form, whose column
+    index is cols.
 
     Returns ('optimal', objective, pivots) or ('unbounded', None,
     pivots).  Reduced costs (a sparse row like the others, whose rhs
@@ -209,29 +236,52 @@ def _run_simplex(rows, rhs, den, basis, cost, tol, exact: bool):
     bland = False
     stall = 0
     for pivots in range(_MAX_PIVOTS):
-        # Dantzig's rule with the lowest index winning ties (max keeps
-        # the first maximum), or Bland's lowest index once stalled
-        candidates = sorted([j for j, c in red.items() if c > tol])
-        if not candidates:
+        # red's items come in no particular column order, so ties are
+        # broken on the column index explicitly
+        enter = -1
+        if bland:
+            for j, c in red.items():
+                if c > tol and (enter < 0 or j < enter):
+                    enter = j
+        else:
+            best = tol
+            for j, c in red.items():
+                if c > best:
+                    best = c
+                    enter = j
+                elif c == best and j < enter:
+                    enter = j
+        if enter < 0:
             return "optimal", value(-robj, rden), pivots
-        enter = candidates[0] if bland else max(candidates, key=red.__getitem__)
-        column = {i: r[enter] for i, r in enumerate(rows) if enter in r}
+        column = {i: rows[i][enter] for i in cols[enter]}
+        # least ratio rhs/c over the rows with c > 0, lowest basis index
+        # on ties; the exact test compares r_i*c_leave with r_leave*c_i
         leave = -1
-        best_ratio = None
-        for i, c in column.items():
-            if c > tol:
-                ratio = value(rhs[i], c)
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leave])
-                ):
-                    best_ratio = ratio
-                    leave = i
+        if exact:
+            for i, c in column.items():
+                if c > 0:
+                    r = rhs[i]
+                    if leave >= 0:
+                        u, w = r * cl, rl * c
+                        if u > w or (u == w and basis[i] > basis[leave]):
+                            continue
+                    leave, rl, cl = i, r, c
+        else:
+            best_ratio = None
+            for i, c in column.items():
+                if c > tol:
+                    ratio = rhs[i] / c
+                    if (
+                        best_ratio is None
+                        or ratio < best_ratio
+                        or (ratio == best_ratio and basis[i] < basis[leave])
+                    ):
+                        best_ratio = ratio
+                        leave = i
         if leave < 0:
             return "unbounded", None, pivots
         f = red[enter]
-        pitems, pb, a = _pivot(rows, rhs, den, leave, enter, column, exact)
+        pitems, pb, a = _pivot(rows, rhs, den, leave, enter, column, exact, cols)
         robj, rden = _eliminate(red, robj, rden, f, a, pitems, pb)
         basis[leave] = enter
         # the objective gains f*pb over both rows' denominators, so f*pb
@@ -248,12 +298,14 @@ def _run_simplex(rows, rhs, den, basis, cost, tol, exact: bool):
 def solve(lp: LinearProgram, mode: str = EXACT) -> LPSolution:
     """Two-phase simplex solve of the program in the requested arithmetic."""
     if mode == FLOAT:
-        tol = 1e-9
+        tol, zero = 1e-9, 0.0
         num = float
         value, as_row = truediv, _float_row
     elif mode == EXACT:
-        tol = 0
-        num = lambda v: v if isinstance(v, Fraction) else Fraction(v)
+        # int coefficients stay ints: as_row reads numerator and
+        # denominator of either
+        tol, zero = 0, Fraction(0)
+        num = lambda v: v if isinstance(v, (int, Fraction)) else Fraction(v)
         value, as_row = Fraction, _integer_row
     else:
         raise InvalidInputError(f"unknown arithmetic mode {mode!r}")
@@ -272,7 +324,7 @@ def solve(lp: LinearProgram, mode: str = EXACT) -> LPSolution:
     # row sets it at most once.  Rows with a negative rhs are negated, so
     # their slack stops being a basis candidate; every row without a
     # ready slack gets an artificial column past the slacks.
-    zero, one = num(0), num(1)
+    one = num(1)
     width = ncols + sum(1 for _, rel, _ in lp.constraints if rel == LEQ)
     rows, rhs_col, den, basis, art_cols = [], [], [], [], []
     si = ncols
@@ -309,7 +361,10 @@ def solve(lp: LinearProgram, mode: str = EXACT) -> LPSolution:
         cost1 = [zero] * (width + len(art_cols))
         for col in art_cols:
             cost1[col] = num(-1)
-        status, val, phase1 = _run_simplex(rows, rhs_col, den, basis, cost1, tol, exact)
+        cols = _column_index(rows, len(cost1))
+        status, val, phase1 = _run_simplex(
+            rows, rhs_col, den, basis, cols, cost1, tol, exact
+        )
         infeas = (-val) > (1e-7 if mode == FLOAT else 0)
         if status != "optimal" or infeas:
             return LPSolution("infeasible", pivots=(phase1, 0))
@@ -324,21 +379,24 @@ def solve(lp: LinearProgram, mode: str = EXACT) -> LPSolution:
                 if enter is None:
                     drop.append(i)
                 else:
-                    column = {k: r[enter] for k, r in enumerate(rows) if enter in r}
-                    _pivot(rows, rhs_col, den, i, enter, column, exact)
+                    column = {k: rows[k][enter] for k in cols[enter]}
+                    _pivot(rows, rhs_col, den, i, enter, column, exact, cols)
                     basis[i] = enter
                     phase1 += 1
         for i in reversed(drop):
             del rows[i], rhs_col[i], den[i], basis[i]
         rows = [{j: a for j, a in r.items() if j < width} for r in rows]
 
+    cost = [num(c) for c in lp.objective]
     cost2 = [zero] * width
-    for j in range(lp.num_vars):
-        c = num(lp.objective[j])
+    for j, c in enumerate(cost):
         if c:
             for col, s in col_of[j]:
-                cost2[col] += c * s
-    status, val, phase2 = _run_simplex(rows, rhs_col, den, basis, cost2, tol, exact)
+                cost2[col] = c * s
+    cols = _column_index(rows, width)
+    status, val, phase2 = _run_simplex(
+        rows, rhs_col, den, basis, cols, cost2, tol, exact
+    )
     pivots = (phase1, phase2)
     if status == "unbounded":
         return LPSolution("unbounded", pivots=pivots)
@@ -346,8 +404,9 @@ def solve(lp: LinearProgram, mode: str = EXACT) -> LPSolution:
     yv = [zero] * width
     for i, bi in enumerate(basis):
         yv[bi] = value(rhs_col[i], den[i])
-    x = [sum((s * yv[col] for col, s in cols), zero) for cols in col_of]
-    objective = sum(
-        (num(lp.objective[j]) * x[j] for j in range(lp.num_vars)), zero
-    )
+    x = [
+        yv[cs[0][0]] if len(cs) == 1 else sum((s * yv[col] for col, s in cs), zero)
+        for cs in col_of
+    ]
+    objective = sum((c * x[j] for j, c in enumerate(cost) if c), zero)
     return LPSolution("optimal", tuple(x), objective, pivots)

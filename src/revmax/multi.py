@@ -281,14 +281,15 @@ def build_multi_lp(
     for k in range(len(profiles)):
         lp.add_constraint({lam(k, a): 1 for a in range(1, K + 1)}, LEQ, 1)
 
-    values = _bundle_values(inst, assigns)
-
-    def value_coeffs(t_idx: int, i: int, ti: int, sign: int, into: dict) -> None:
-        # assignment 0 is worth 0, so it never adds a coefficient
-        for a_idx, v in enumerate(values[i][ti]):
-            if v:
-                col = lam(t_idx, a_idx)
-                into[col] = into.get(col, zero) + sign * v
+    # gain[i][ti] and loss[i][ti]: (lam(t, a) - t*K, +v or -v) for each
+    # assignment a worth v > 0 to bidder i of type ti, so never a = 0.  A
+    # row takes at most one table per profile and profiles have disjoint
+    # lambda columns, so each coefficient is written once.
+    gain = [
+        [[(a - 1, v) for a, v in enumerate(vals) if v] for vals in per_type]
+        for per_type in _bundle_values(inst, assigns)
+    ]
+    loss = [[[(o, -v) for o, v in g] for g in per_type] for per_type in gain]
 
     for i, _, k, line in lines([len(ts) for ts in inst.types]):
         if k:
@@ -298,14 +299,14 @@ def build_multi_lp(
                 if rep_t == true_t:
                     continue
                 row: dict = {pay(k_rep, i): -1, pay(k_true, i): 1}
-                value_coeffs(k_rep, i, true_t, 1, row)
-                value_coeffs(k_true, i, true_t, -1, row)
+                row.update((k_rep * K + o, v) for o, v in gain[i][true_t])
+                row.update((k_true * K + o, v) for o, v in loss[i][true_t])
                 lp.add_constraint(row, LEQ, 0)
 
     for i in range(n):
         for k, t in enumerate(profiles):
             row = {pay(k, i): 1}
-            value_coeffs(k, i, t[i], -1, row)
+            row.update((k * K + o, v) for o, v in loss[i][t[i]])
             lp.add_constraint(row, LEQ, 0)
 
     return lp

@@ -1,7 +1,8 @@
 """Exact two-phase simplex: classic fixtures, degenerate/cycling cases,
 free variables, a brute-force vertex cross-check on random programs,
-and pivot-for-pivot parity with the dense reference solver, on integer
-and on rational programs."""
+pivot-for-pivot parity with the dense reference solver on integer,
+rational and tie-heavy programs and under Bland's rule throughout, and
+the column index checked against a full scan at every pivot."""
 
 import itertools
 import random
@@ -9,7 +10,18 @@ from fractions import Fraction as F
 
 import pytest
 
-from revmax import LinearProgram, PivotLimitError, build_multi_lp, lp as lp_module, solve
+import support
+from revmax import (
+    ExplicitDistribution,
+    FeasibilitySystem,
+    LinearProgram,
+    PivotLimitError,
+    ValueGrid,
+    build_multi_lp,
+    build_optimal_lp,
+    lp as lp_module,
+    solve,
+)
 from revmax.lp import EQ, LEQ
 from revmax.model import FLOAT
 from support import random_multi_instance, reference_solve
@@ -314,3 +326,82 @@ def test_pivot_limit_raises_typed_error(monkeypatch):
     monkeypatch.setattr(lp_module, "_MAX_PIVOTS", 1)
     with pytest.raises(PivotLimitError):
         solve(_cycling_lp())
+
+
+def _integer_programs():
+    """The programs of test_sparse_simplex_matches_dense_reference."""
+    rng = random.Random(20101111)
+    return [_random_program(rng) for _ in range(240)] + [_cycling_lp()]
+
+
+def _rational_programs():
+    """The programs of test_rational_simplex_matches_dense_reference."""
+    rng = random.Random(19680101)
+    programs = [_rational_program(rng) for _ in range(200)]
+    programs.append(_negative_drive_out_lp())
+    return programs + [build_multi_lp(random_multi_instance(rng)) for _ in range(4)]
+
+
+def _symmetric_programs():
+    """Revenue LPs of exchangeable priors on grids where every bidder has
+    the same values (at most 27 profiles): symmetric bidders give equal
+    reduced costs, so Dantzig's rule breaks many ties."""
+    rng = random.Random(1011)
+    programs = []
+    for _ in range(10):
+        n = rng.choice((2, 3))
+        k = 3 if n == 3 else rng.randint(2, 5)
+        values = sorted(rng.sample(range(1, 9), k))
+        profiles = list(itertools.product(range(k), repeat=n))
+        orbit = {}
+        for p in profiles:
+            orbit.setdefault(tuple(sorted(p)), rng.randint(1, 3))
+        w = [orbit[tuple(sorted(p))] for p in profiles]
+        prior = {tuple(values[c] for c in p): F(x, sum(w)) for p, x in zip(profiles, w)}
+        fs = FeasibilitySystem.single_item(n)
+        if n == 3 and rng.random() < 0.5:
+            # two units among three bidders
+            fs = FeasibilitySystem(n, [v for v in itertools.product((0, 1), repeat=n) if sum(v) < 3])
+        programs.append(build_optimal_lp(ExplicitDistribution(ValueGrid([values] * n), prior), fs))
+    return programs
+
+
+def _assert_parity(programs):
+    for lp in programs:
+        got, want = solve(lp), reference_solve(lp)
+        assert (got.status, got.x, got.objective, got.pivots) == (
+            want.status, want.x, want.objective, want.pivots
+        )
+        got, want = solve(lp, mode=FLOAT), reference_solve(lp, mode=FLOAT)
+        assert (got.status, got.pivots) == (want.status, want.pivots)
+
+
+def test_tie_heavy_programs_match_dense_reference():
+    _assert_parity(_symmetric_programs())
+
+
+def test_bland_from_the_start_matches_dense_reference(monkeypatch):
+    # with no stall allowed, Bland's rule takes over at the first
+    # degenerate pivot, on both sides
+    programs = _integer_programs() + _rational_programs() + _symmetric_programs()
+    dantzig = [solve(lp).pivots for lp in programs]
+    monkeypatch.setattr(lp_module, "_STALL_LIMIT", 0)
+    monkeypatch.setattr(support, "_STALL_LIMIT", 0)
+    _assert_parity(programs)
+    assert [solve(lp).pivots for lp in programs] != dantzig
+
+
+def test_column_index_matches_full_scan(monkeypatch):
+    pivot = lp_module._pivot
+    checked = []
+
+    def checking(rows, rhs, den, leave, enter, column, *rest):
+        assert column == {i: r[enter] for i, r in enumerate(rows) if enter in r}
+        checked.append(enter)
+        return pivot(rows, rhs, den, leave, enter, column, *rest)
+
+    monkeypatch.setattr(lp_module, "_pivot", checking)
+    for lp in _integer_programs() + _rational_programs():
+        solve(lp)
+        solve(lp, mode=FLOAT)
+    assert len(checked) > 1000

@@ -25,8 +25,9 @@ from revmax import (
     solve_multi,
     solve_optimal,
 )
-from revmax.lp import LEQ, solve
-from revmax.multi import bundle_mask
+from revmax.lp import LEQ, LinearProgram, solve
+from revmax.model import lines
+from revmax.multi import _bundle_values, bundle_mask
 from support import (
     float_multi_instance,
     random_m1_instance,
@@ -98,6 +99,82 @@ def test_slack_form_lp_matches_reference_lp(negative):
         mech, revenue = solve_multi(finst, approx)
         assert abs(revenue - float(want)) <= 1e-9
         assert check_multi(mech).passed
+
+
+def _accumulated_multi_lp(inst, options):
+    """build_multi_lp's program assembled by adding every bundle-value
+    coefficient into zero, column by column."""
+    n = inst.n
+    K = len(enumerate_assignments(n, inst.m)) - 1
+    profiles = inst.type_profiles()
+    nlam = len(profiles) * K
+
+    def lam(t_idx, a_idx):
+        return t_idx * K + a_idx - 1
+
+    def pay(t_idx, i):
+        return nlam + t_idx * n + i
+
+    zero = 0.0 if options.mode == "float" else F(0)
+    objective = [zero] * (nlam + len(profiles) * n)
+    for k, t in enumerate(profiles):
+        for i in range(n):
+            objective[pay(k, i)] = inst.support.get(t, zero)
+    lp = LinearProgram(len(objective), objective)
+    if options.allow_negative_payments:
+        for k in range(len(profiles)):
+            for i in range(n):
+                lp.set_free(pay(k, i))
+    for k in range(len(profiles)):
+        lp.add_constraint({lam(k, a): 1 for a in range(1, K + 1)}, LEQ, 1)
+    values = _bundle_values(inst, enumerate_assignments(n, inst.m))
+
+    def value_coeffs(t_idx, i, ti, sign, into):
+        for a_idx, v in enumerate(values[i][ti]):
+            if v:
+                col = lam(t_idx, a_idx)
+                into[col] = into.get(col, zero) + sign * v
+
+    for i, _, k, line in lines([len(ts) for ts in inst.types]):
+        if k:
+            continue
+        for true_t, k_true in enumerate(line):
+            for rep_t, k_rep in enumerate(line):
+                if rep_t != true_t:
+                    row = {pay(k_rep, i): -1, pay(k_true, i): 1}
+                    value_coeffs(k_rep, i, true_t, 1, row)
+                    value_coeffs(k_true, i, true_t, -1, row)
+                    lp.add_constraint(row, LEQ, 0)
+    for i in range(n):
+        for k, t in enumerate(profiles):
+            row = {pay(k, i): 1}
+            value_coeffs(k, i, t[i], -1, row)
+            lp.add_constraint(row, LEQ, 0)
+    return lp
+
+
+def _typed(values):
+    return [(v, type(v)) for v in values]
+
+
+def test_multi_lp_rows_match_accumulated_rows():
+    # every coefficient is written once, so the rows, their column order
+    # and the type of every value are those of the accumulating build
+    rng = random.Random(1903)
+    for _ in range(12):
+        exact = random_multi_instance(rng, max_bidders=3, max_items=2, max_types=3)
+        for inst, negative in itertools.product(
+            (exact, float_multi_instance(exact)), (False, True)
+        ):
+            options = SolveOptions(mode=inst.mode, allow_negative_payments=negative)
+            got, want = build_multi_lp(inst, options), _accumulated_multi_lp(inst, options)
+            assert _typed(got.objective) == _typed(want.objective)
+            assert got.free == want.free
+            assert len(got.constraints) == len(want.constraints)
+            for (row, rel, rhs), (wrow, wrel, wrhs) in zip(got.constraints, want.constraints):
+                assert (rel, rhs) == (wrel, wrhs)
+                assert list(row) == list(wrow)
+                assert _typed(row.values()) == _typed(wrow.values())
 
 
 def test_size_guard_raises():
