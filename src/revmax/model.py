@@ -189,6 +189,12 @@ class ExplicitDistribution:
     positive probabilities summing to one.  By default the grid must
     coincide with the marginal supports; strict=False admits analysis
     grids padded with zero-mass values.
+
+    support is a mapping from profiles to probabilities or an iterable of
+    (profile, probability) pairs.  Each profile is placed by its flat
+    index in canonical order (one grid lookup per entry), so the
+    duplicate test, the strict-grid coverage test and the canonical sort
+    compare ints; the probabilities are summed in the given order.
     """
 
     __slots__ = ("grid", "support", "mode")
@@ -200,37 +206,45 @@ class ExplicitDistribution:
         mode: str = EXACT,
         strict: bool = True,
     ):
-        table = {}
+        sizes = [len(vi) for vi in grid.values]
+        axes = list(zip(grid._positions, sizes))
+        table = {}  # flat index -> (profile, probability), in the given order
         for profile, prob in _items(support):
-            key = tuple(convert(v, mode) for v in profile)
+            key = tuple([convert(v, mode) for v in profile])
             if len(key) != grid.n:
                 raise DimensionMismatchError(
                     f"profile {profile} has {len(key)} entries, grid has {grid.n} bidders"
                 )
-            if not grid.on_grid(key):
-                raise InvalidInputError(f"support profile {profile} is off the grid")
-            if key in table:
+            idx = 0
+            try:
+                for (at, size), v in zip(axes, key):
+                    idx = idx * size + at[v]
+            except (KeyError, TypeError):  # an unhashable entry is on no grid
+                raise InvalidInputError(
+                    f"support profile {profile} is off the grid"
+                ) from None
+            if idx in table:
                 raise InvalidInputError(f"duplicate support profile {profile}")
             q = convert(prob, mode)
             if q <= 0:
                 raise InvalidInputError(f"support probability {prob} is not positive")
-            table[key] = q
+            table[idx] = (key, q)
         if not table:
             raise InvalidInputError("empty support")
-        _check_unit_total(sum(table.values()), mode, "support probabilities")
+        _check_unit_total(sum([q for _, q in table.values()]), mode, "support probabilities")
         if strict:
-            for i, vi in enumerate(grid.values):
-                seen = {key[i] for key in table}
-                missing = [v for v in vi if v not in seen]
-                if missing:
+            stride = grid.cells()
+            for i, (vi, size) in enumerate(zip(grid.values, sizes)):
+                stride //= size
+                seen = {idx // stride % size for idx in table}
+                if len(seen) < size:
+                    missing = next(v for k, v in enumerate(vi) if k not in seen)
                     raise InvalidInputError(
-                        f"grid value {missing[0]} of bidder {i} appears in no "
+                        f"grid value {missing} of bidder {i} appears in no "
                         "support profile (pass strict=False for padded grids)"
                     )
-        # canonical order: lexicographic by value index
-        order = {p: k for k, p in enumerate(grid.profiles())}
         self.grid = grid
-        self.support = dict(sorted(table.items(), key=lambda kv: order[kv[0]]))
+        self.support = dict([table[idx] for idx in sorted(table)])
         self.mode = mode
 
     @classmethod

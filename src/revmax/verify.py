@@ -19,9 +19,25 @@ keeps its outcome.  check_truthful builds these line rows once and
 leaves them on its report; check_ir and check_extension, given that
 report, walk the same rows.  A witness quotes the rational expressions
 themselves, computed only for a comparison that fails.  On a
-single-item system, feasibility is the direct test sum(x) <= 1; the hull
-LP runs only for allocations that fail it, to decide them and supply the
-certificate.
+single-item system, feasibility is the direct test sum(x) <= 1 (in exact
+mode on the allocation's own integer scale); the hull LP runs only for
+allocations that fail it, to decide them and supply the certificate.
+
+Exact mode also settles each line with O(K) work before comparing any
+deviation pair.  With U[t] = G[t] X[t] - P[t], a line is quiet when both
+adjacent constraints hold for every t: U[t] >= G[t] X[t+1] - P[t+1] and
+U[t+1] >= G[t+1] X[t] - P[t].  Their sum makes X monotone (G is strictly
+increasing), and monotone X with the adjacent constraints implies every
+truthfulness constraint of the line (Myerson, "Optimal Auction Design",
+1981), so a quiet line has no truthful witness.  A line is calm when it
+is quiet, U[0] <= 0 and every G[t+1] X[t] - P[t] == U[t+1].  On a
+truthful line condition b of check_extension reduces to that binding
+equality and condition d to U[0] <= 0, and condition c always holds
+(truthfulness both ways forces equal payments where X ties), so a calm
+line has no b/c/d witness.  check_truthful skips quiet lines and
+check_extension the b/c/d walk of calm lines; the other lines take the
+full per-pair walk, which lists the witnesses in order.  Float mode marks
+no line, because tolerance comparisons do not chain.
 """
 
 from __future__ import annotations
@@ -118,12 +134,25 @@ def _scaled(vals) -> tuple:
     return d, [c.numerator * (d // c.denominator) for c in vals]
 
 
+def _verdicts(G, X, P) -> tuple:
+    """(quiet, calm) of one exact line table; see the module docstring."""
+    U = [g * x - p for g, x, p in zip(G, X, P)]
+    binding = True
+    for t in range(len(U) - 1):
+        down = G[t + 1] * X[t] - P[t]
+        if U[t] < G[t] * X[t + 1] - P[t + 1] or U[t + 1] < down:
+            return False, False
+        binding = binding and down == U[t + 1]
+    return True, binding and U[0] <= 0
+
+
 def _lines(mech: InterimMechanism):
     """Walk bidders, then profiles in canonical order.  Yields (i, v, k,
-    xs, ps, G, X, P): k is the index of v[i] on bidder i's grid g, and
-    xs/ps are bidder i's allocation and payment as v[i] sweeps the grid
-    with the other values held.  The tables are read as flat lists in
-    canonical order along model.lines; each line is gathered once, at its
+    xs, ps, G, X, P, quiet, calm): k is the index of v[i] on bidder i's
+    grid g, and xs/ps are bidder i's allocation and payment as v[i]
+    sweeps the grid with the other values held.  The tables are read as
+    one column per bidder in canonical order, and a line (see
+    model.lines) is a slice of it; each line is gathered once, at its
     lowest value, and cached by its first index (which that visit
     overwrites, so a previous bidder's entry is never read).
 
@@ -132,25 +161,29 @@ def _lines(mech: InterimMechanism):
     In exact mode they are ints: G[a] = g[a] * Dg, X[j] = xs[j] * Dx * Dp
     and P[j] = ps[j] * Dp * Dg * Dx, with Dg, Dx and Dp the lcm of each
     list's denominators, so the constant is Dg * Dx * Dp.  In float mode
-    they are g, xs and ps themselves."""
+    they are g, xs and ps themselves.  quiet and calm are the line's
+    verdicts (see the module docstring), both False in float mode."""
     exact = mech.mode != FLOAT
     grids = [_scaled(g) if exact else (1, g) for g in mech.grid.values]
     profiles = list(mech.x)
-    xrows, prows = list(mech.x.values()), list(mech.p.values())
+    xcols = list(zip(*mech.x.values()))
+    pcols = list(zip(*mech.p.values()))
     cache = {}
     for i, idx, k, line in lines([len(vals) for vals in mech.grid.values]):
         if k == 0:
-            xs = [xrows[j][i] for j in line]
-            ps = [prows[j][i] for j in line]
+            cut = slice(line.start, line.stop, line.step)
+            xs, ps = xcols[i][cut], pcols[i][cut]
             dg, G = grids[i]
             if exact:
                 dx, X = _scaled(xs)
                 dp, P = _scaled(ps)
                 X = [c * dp for c in X]
                 P = [c * dg * dx for c in P]
+                verdicts = _verdicts(G, X, P)
             else:
                 X, P = xs, ps
-            cache[line.start] = (xs, ps, G, X, P)
+                verdicts = (False, False)
+            cache[line.start] = (xs, ps, G, X, P, *verdicts)
         yield (i, profiles[idx], k, *cache[line.start])
 
 
@@ -170,7 +203,9 @@ def check_truthful(mech: InterimMechanism) -> VerifyReport:
     mode = mech.mode
     out = []
     rows = list(_lines(mech))
-    for i, v, k, xs, ps, G, X, P in rows:
+    for i, v, k, xs, ps, G, X, P, quiet, _calm in rows:
+        if quiet:
+            continue
         gk = G[k]
         truth = gk * X[k] - P[k]
         for j, rep in enumerate(mech.grid.values[i]):
@@ -195,7 +230,7 @@ def check_ir(
     line rows instead of building them."""
     mode = mech.mode
     out = []
-    for i, v, k, xs, ps, G, X, P in _line_rows(mech, truthful):
+    for i, v, k, xs, ps, G, X, P, _quiet, _calm in _line_rows(mech, truthful):
         if violated(G[k] * X[k], P[k], ">=", mode):
             out.append(Witness("ir", i, v, None, ">=", v[i] * xs[k], ps[k]))
     return VerifyReport.build("ir", out)
@@ -231,15 +266,19 @@ def check_feasible(mech: InterimMechanism, fs: FeasibilitySystem) -> VerifyRepor
     """Each profile's expected allocation lies in the convex hull of the
     feasible vectors; failures quote a separating certificate.  On a
     single-item system an allocation summing to at most 1 is in the hull
-    directly (0 <= x <= 1 holds by construction); only the others reach
-    the LP, which also supplies the certificate."""
+    directly (0 <= x <= 1 holds by construction; exact mode sums the
+    allocation's ints under the lcm of its denominators); only the others
+    reach the LP, which also supplies the certificate."""
     if fs.n != mech.grid.n:
         raise DimensionMismatchError("feasibility system and grid disagree on n")
     single = fs.is_single_item()
+    exact = mech.mode != FLOAT
     out = []
     for v, x in mech.x.items():
-        if single and sum(x) <= 1:
-            continue
+        if single:
+            d, nums = _scaled(x) if exact else (1, x)
+            if sum(nums) <= d:
+                continue
         dec = decompose_allocation(x, fs, mech.mode)
         if not dec.in_hull:
             a, b = dec.certificate
@@ -278,7 +317,9 @@ def check_extension(
         )
         out.append(out_w)
     mode = mech.mode
-    for i, v, k, xs, ps, G, X, P in _line_rows(mech, truthful):
+    for i, v, k, xs, ps, G, X, P, _quiet, calm in _line_rows(mech, truthful):
+        if calm:
+            continue
         g = grid.values[i]
         K = len(g)
         if k < K - 1:

@@ -22,7 +22,10 @@ through the validating InterimMechanism constructor, so the direct
 builds of as_interim and interim_of must give the same tables.
 The reference table check looks every grid profile up in the table, so
 the in-order fast path of revmax.model._check_table_domain must return
-the same table and raise the same errors.  The reference multi-item checker rebuilds each deviating type profile
+the same table and raise the same errors.  The reference distribution
+build keys its duplicate test, strict-grid check and canonical sort by
+the profile tuples, so the flat-index build of ExplicitDistribution must
+return the same support table and raise the same errors.  The reference multi-item checker rebuilds each deviating type profile
 and recomputes every expected bundle value per report, so the line walk
 of revmax.multi.check_multi must return the same witnesses in the same
 order.  The reference deterministic search recomputes each complete
@@ -59,7 +62,7 @@ from revmax.lp import (
     LPSolution,
     solve,
 )
-from revmax.model import EXACT, FLOAT, convert, lines
+from revmax.model import EXACT, FLOAT, _check_unit_total, _items, convert, lines
 from revmax.multi import (
     MAX_ASSIGNMENTS,
     _bundle_values,
@@ -801,6 +804,43 @@ def reference_solve(lp: LinearProgram, mode: str = EXACT) -> LPSolution:
         (num(lp.objective[j]) * x[j] for j in range(lp.num_vars)), zero
     )
     return LPSolution("optimal", tuple(x), objective, (phase1, phase2))
+
+
+def reference_distribution_support(grid: ValueGrid, support, mode: str = EXACT, strict: bool = True) -> dict:
+    """The support table ExplicitDistribution(grid, support, mode, strict)
+    builds, by the profile-keyed construction: the grid test, the
+    duplicate test, the strict-grid sets and the canonical sort each look
+    the profile tuples themselves up."""
+    table = {}
+    for profile, prob in _items(support):
+        key = tuple(convert(v, mode) for v in profile)
+        if len(key) != grid.n:
+            raise DimensionMismatchError(
+                f"profile {profile} has {len(key)} entries, grid has {grid.n} bidders"
+            )
+        if not grid.on_grid(key):
+            raise InvalidInputError(f"support profile {profile} is off the grid")
+        if key in table:
+            raise InvalidInputError(f"duplicate support profile {profile}")
+        q = convert(prob, mode)
+        if q <= 0:
+            raise InvalidInputError(f"support probability {prob} is not positive")
+        table[key] = q
+    if not table:
+        raise InvalidInputError("empty support")
+    _check_unit_total(sum(table.values()), mode, "support probabilities")
+    if strict:
+        for i, vi in enumerate(grid.values):
+            seen = {key[i] for key in table}
+            missing = [v for v in vi if v not in seen]
+            if missing:
+                raise InvalidInputError(
+                    f"grid value {missing[0]} of bidder {i} appears in no "
+                    "support profile (pass strict=False for padded grids)"
+                )
+    # canonical order: lexicographic by value index
+    order = {p: k for k, p in enumerate(grid.profiles())}
+    return dict(sorted(table.items(), key=lambda kv: order[kv[0]]))
 
 
 def reference_check_table_domain(grid: ValueGrid, table, what: str) -> dict:

@@ -34,6 +34,7 @@ from support import (
     random_interim,
     reference_as_interim,
     reference_check_table_domain,
+    reference_distribution_support,
     reference_interim_of,
 )
 
@@ -116,6 +117,96 @@ def test_distribution_support_in_canonical_order():
         [((2, 2), F(1, 2)), ((1, 1), F(1, 2))]
     )
     assert list(dist.support) == [(F(1), F(1)), (F(2), F(2))]
+
+
+class _Unhashable(F):
+    """A rational that cannot be hashed, so it is on no grid."""
+
+    __hash__ = None
+
+
+def _support_case(rng, mode):
+    """(grid, support, strict) with the support in shuffled order and
+    entries as ints, strings or Fractions; a padded grid (a value no
+    profile uses) half the time, then zero to two faults: a wrong-length,
+    off-grid or (exact mode) unhashable profile, a repeated profile, a
+    non-positive or wrong probability, or an empty table."""
+    n = rng.randint(1, 3)
+    cols = [sorted(rng.sample(range(0, 9), rng.randint(1, 3))) for _ in range(n)]
+    picked = [v for v in itertools.product(*cols) if rng.random() < 0.7]
+    picked = picked or [tuple(c[0] for c in cols)]
+    if rng.random() < 0.5:
+        cols = [sorted(c + [max(c) + rng.randint(1, 3)]) for c in cols]
+    weights = [rng.randint(1, 5) for _ in picked]
+    spell = [int, str, F]
+    support = [
+        (tuple(rng.choice(spell)(c) for c in v), f"{w}/{sum(weights)}")
+        for v, w in zip(picked, weights)
+    ]
+    rng.shuffle(support)
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        at = rng.randrange(len(support))
+        v, q = support[at]
+        fault = rng.randrange(7)
+        if fault == 0:
+            v = v + (v[0],) if rng.random() < 0.5 else v[:-1]
+        elif fault == 1:
+            v = v[:-1] + (rng.choice([F(1, 7), 9, "-1"]),)
+        elif fault == 2 and mode == EXACT:
+            v = v[:-1] + (_Unhashable(v[-1]),)
+        elif fault == 3:
+            support.insert(rng.randrange(len(support) + 1), (v, q))
+        elif fault == 4:
+            q = rng.choice(["0", "-1/3", 0])
+        elif fault == 5:
+            q = q + "1"
+        elif fault == 6:
+            support = []
+            break
+        support[at] = (v, q)
+    return ValueGrid(cols, mode), support, rng.random() < 0.7
+
+
+_FAULTS = {
+    "dimension": "entries, grid has",
+    "off grid": "is off the grid",
+    "unhashable": "_Unhashable(",
+    "duplicate": "duplicate support profile",
+    "non-positive": "is not positive",
+    "empty": "empty support",
+    "sum": "support probabilities sum to",
+    "missing value": "appears in no support profile",
+}
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_distribution_build_matches_reference(mode):
+    """The flat-index build gives the profile-keyed reference's support
+    table, in the same order with the same key and probability types, or
+    raises the same exception with the same message, whichever fault of
+    a support comes first."""
+    rng = random.Random(77)
+    seen = set()
+    for _ in range(400):
+        grid, support, strict = _support_case(rng, mode)
+        try:
+            want = reference_distribution_support(grid, support, mode, strict)
+        except (InvalidInputError, DimensionMismatchError) as exc:
+            with pytest.raises(type(exc)) as got:
+                ExplicitDistribution(grid, support, mode, strict)
+            assert str(got.value) == str(exc)
+            seen.update(kind for kind, text in _FAULTS.items() if text in str(exc))
+            continue
+        dist = ExplicitDistribution(grid, support, mode, strict)
+        assert list(dist.support.items()) == list(want.items())
+        assert [tuple(map(type, v)) + (type(q),) for v, q in dist.support.items()] == [
+            tuple(map(type, v)) + (type(q),) for v, q in want.items()
+        ]
+        seen.add("strict" if strict else "padded")
+    expected = set(_FAULTS) | {"strict", "padded"}
+    if mode == FLOAT:
+        expected.discard("unhashable")
+    assert seen == expected
 
 
 def test_feasibility_single_item():

@@ -343,6 +343,36 @@ def test_single_item_feasibility_is_a_direct_sum_test(mode, n):
 _BIG = [10**12, 10**12 + 1, 10**12 + 3]
 
 
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_single_item_sum_test_edges_match_reference(mode):
+    """Single-item rows summing to exactly 1 over large coprime
+    denominators, to 1 + 1/10**12, and just below 1: the integer sum test
+    (exact) and the float sum test give the hull LP's verdicts and
+    certificates."""
+    a, b, c = (F(1, d) for d in _BIG)
+    rows = [
+        (a, b, 1 - a - b),  # exactly 1
+        (F(1, 3), F(1, 3), F(1, 3)),  # exactly 1
+        (F(1, 2), F(1, 2) + F(1, 10**12), F(0)),  # 1 + 1/10**12
+        (a, b, 1 - a - b + c),  # 1 + 1/(10**12 + 3)
+        (a, b, 1 - a - b - c),  # just below 1
+        (F(_BIG[0] - 1, _BIG[0]), F(1, _BIG[1]), F(0)),  # just below 1
+        (F(_BIG[1] - 1, _BIG[1]), F(_BIG[2] - 1, _BIG[2]), F(1, 7)),  # about 2
+    ]
+    conv = float if mode == FLOAT else F
+    grid = ValueGrid([list(range(1, len(rows) + 1)), [1], [1]], mode)
+    x = {v: tuple(map(conv, row)) for v, row in zip(grid.profiles(), rows)}
+    p = {v: (conv(0),) * 3 for v in grid.profiles()}
+    mech = InterimMechanism(grid, x, p, mode)
+    fs = FeasibilitySystem.single_item(3)
+    report = check_feasible(mech, fs)
+    reference = reference_check_feasible(mech, fs)
+    assert report == reference
+    assert write_report(report, mode) == write_report(reference, mode)
+    failing = 3 if mode == EXACT else 1  # float's hull LP allows 1e-9
+    assert len(report.witnesses) == failing
+
+
 def _kernel_grid(rng):
     """One to three bidders; values may be 0, fractional or over a huge
     denominator, and some bidders hold a single value."""
@@ -399,6 +429,76 @@ def test_integer_line_tables_match_reference():
         ):
             assert (mode, cond, num, num) in seen
         assert (mode, "condition d", num, "int") in seen
+
+
+def _myerson_tables(rng, grid):
+    """Lines built to be calm, quiet but not calm, or neither (see the
+    revmax.verify docstring).  Each line of each bidder gets monotone
+    allocations from a few levels (ties are common) and payments from the
+    payment identity p[t+1] = p[t] + g[t+1] (x[t+1] - x[t]), starting at
+    p[0] = g[0] x[0] - offset; about a third of the lines shade each step
+    toward g[t] (x[t+1] - x[t]), which keeps truthfulness but breaks the
+    binding of condition b.  Up to three single entries are then
+    perturbed."""
+    levels = [F(0), F(1, 3), F(1, 2), F(1), F(1, _BIG[0]), F(_BIG[1] - 1, _BIG[1])]
+    offsets = [F(0), F(0), F(0), F(1, 4), F(-1, 3), F(1, _BIG[2])]
+    profiles = list(grid.profiles())
+    x = {v: [None] * grid.n for v in profiles}
+    p = {v: [None] * grid.n for v in profiles}
+    for i, g in enumerate(grid.values):
+        for v in profiles:
+            if v[i] != g[0]:
+                continue
+            xs = sorted(rng.choice(levels) for _ in g)
+            ps = [g[0] * xs[0] - rng.choice(offsets)]
+            shade = rng.random() < 0.3
+            for t in range(len(g) - 1):
+                rate = g[t + 1]
+                if shade:
+                    rate = g[t] + (g[t + 1] - g[t]) * rng.choice([F(0), F(1, 2), F(2, 3)])
+                ps.append(ps[-1] + rate * (xs[t + 1] - xs[t]))
+            for k, gk in enumerate(g):
+                q = v[:i] + (gk,) + v[i + 1 :]
+                x[q][i], p[q][i] = xs[k], ps[k]
+    for _ in range(rng.randint(0, 3)):
+        v, i = rng.choice(profiles), rng.randrange(grid.n)
+        if rng.random() < 0.4:
+            x[v][i] = rng.choice(levels)
+        else:
+            p[v][i] += rng.choice([F(1, 5), F(-1, 5), F(1, _BIG[0]), F(-1, _BIG[0])])
+    return InterimMechanism(
+        grid, {v: tuple(r) for v, r in x.items()}, {v: tuple(r) for v, r in p.items()}
+    )
+
+
+def test_line_verdicts_match_reference():
+    """On Myerson-payment mechanisms with shaded payments, offsets and
+    perturbed entries, the checkers that skip quiet and calm lines give
+    the reference checkers' witnesses, in order and with the same lhs/rhs
+    types, in both arithmetic modes; exact mode marks lines of all three
+    kinds, float mode marks none."""
+    rng = random.Random(2020)
+    kinds = set()
+    for _ in range(150):
+        grid = _kernel_grid(rng)
+        mech = _myerson_tables(rng, grid)
+        for m in (mech, _as_float(mech)):
+            truthful = check_truthful(m)
+            pairs = [
+                (truthful, reference_check_truthful(m)),
+                (check_extension(m, truthful), reference_check_extension(m)),
+            ]
+            for got, want in pairs:
+                assert got == want
+                assert [(type(w.lhs), type(w.rhs)) for w in got.witnesses] == [
+                    (type(w.lhs), type(w.rhs)) for w in want.witnesses
+                ]
+            verdicts = {row[-2:] for row in truthful.line_table[1]}
+            if m.mode == FLOAT:
+                assert verdicts == {(False, False)}
+            else:
+                kinds |= verdicts
+    assert kinds == {(True, True), (True, False), (False, False)}
 
 
 def _random_expost(rng, mode):
