@@ -265,7 +265,7 @@ def _cmd_decompose(args) -> int:
     point = None
     for obj in rows[1:]:
         if "feasible" in obj:
-            vectors.append(obj["feasible"])
+            vectors.append(io._feasible(obj))
         elif "point" in obj:
             if point is not None:
                 raise InvalidInputError("duplicate point line")

@@ -563,6 +563,8 @@ def read_mechanism(text: str, mode: Optional[str] = None) -> ParsedMechanism:
             payments.append(_parse_row(_field(o, "pay"), mode, memo))
         if sorted(probs) != list(range(len(probs))) or sorted(tables) != sorted(probs):
             raise InvalidInputError("universal parts must be numbered 0..k-1")
+        if not probs:
+            raise InvalidInputError("universal mechanism file has no parts")
         parts = []
         for k in range(len(probs)):
             profiles, choice, payments = tables[k]

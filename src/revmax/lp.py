@@ -408,5 +408,4 @@ def solve(lp: LinearProgram, mode: str = EXACT) -> LPSolution:
         yv[cs[0][0]] if len(cs) == 1 else sum((s * yv[col] for col, s in cs), zero)
         for cs in col_of
     ]
-    objective = sum((c * x[j] for j, c in enumerate(cost) if c), zero)
-    return LPSolution("optimal", tuple(x), objective, pivots)
+    return LPSolution("optimal", tuple(x), val, pivots)

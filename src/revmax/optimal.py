@@ -18,8 +18,11 @@ IC and IR row.  Chain payments are nonnegative, so allowing negative
 payments changes nothing.  Every row is <= with right-hand side 0 or 1:
 the slack basis is feasible and the simplex never runs phase 1.
 
-Also home to the Caratheodory decomposition used to express interim
-allocations as ex-post lotteries.
+solve_optimal returns the interim optimum and its revenue only.  Its
+ex-post lottery comes from the package's two routes: canonical_expost
+(revmax.model) on single-item systems, and on any system the
+Caratheodory decomposition here, decompose_allocation, which writes each
+profile's allocation as a lottery over at most n+1 feasible vectors.
 """
 
 from __future__ import annotations
@@ -33,11 +36,11 @@ from .lp import EQ, LEQ, LinearProgram, solve
 from .model import (
     EXACT,
     FLOAT,
-    ExPostMechanism,
     ExplicitDistribution,
     FeasibilitySystem,
     InterimMechanism,
     convert,
+    expected_revenue,
     lines,
 )
 
@@ -56,12 +59,12 @@ class SolveOptions:
 
 @dataclass
 class OptimalResult:
-    """Optimal mechanism in both forms plus its exact revenue.  In the
-    ex-post form a winner of each outcome pays p_i(v) / x_i(v) and every
-    other bidder pays nothing."""
+    """The optimal interim mechanism and its revenue (exact in exact
+    mode).  Its ex-post lottery is canonical_expost(interim, fs) on a
+    single-item system, or per profile decompose_allocation(interim.x[v],
+    fs) on any system."""
 
     interim: InterimMechanism
-    expost: ExPostMechanism
     revenue: object
 
 
@@ -75,9 +78,13 @@ class HullDecomposition:
     certificate: Optional[tuple] = None
 
 
-def _columns(fs: FeasibilitySystem) -> list:
-    """Indices of the vectors that get an LP column: all but the zero."""
-    return [f for f in range(len(fs.vectors)) if f != fs.zero_index]
+def _columns(fs: FeasibilitySystem) -> tuple:
+    """The LP column layout of one profile: the indices of the vectors
+    that get a column (all but the zero, ascending), and per bidder the
+    ascending positions among them of the vectors in which it wins."""
+    cols = [f for f in range(len(fs.vectors)) if f != fs.zero_index]
+    wins = [[c for c, f in enumerate(cols) if fs.vectors[f][i]] for i in range(fs.n)]
+    return cols, wins
 
 
 def build_optimal_lp(
@@ -95,9 +102,8 @@ def build_optimal_lp(
     n = grid.n
     zero = 0.0 if options.mode == FLOAT else Fraction(0)
     mass = [dist.support.get(v, zero) for v in grid.profiles()]
-    cols = _columns(fs)
+    cols, wins = _columns(fs)
     K = len(cols)
-    wins = [[c for c, f in enumerate(cols) if fs.vectors[f][i]] for i in range(n)]
 
     phi = [[zero] * n for _ in mass]
     monotone = []
@@ -134,8 +140,9 @@ def solve_optimal(
     fs: Optional[FeasibilitySystem] = None,
     options: Optional[SolveOptions] = None,
 ) -> OptimalResult:
-    """Solve the revenue LP and unpack the optimum into mechanism form,
-    with chain payments along every line."""
+    """Solve the revenue LP and return the optimal interim mechanism:
+    x_i(v) sums profile v's lottery weights on the vectors in which
+    bidder i wins, and payments follow the chain along every line."""
     options = options or SolveOptions()
     if fs is None:
         fs = FeasibilitySystem.single_item(dist.grid.n)
@@ -147,21 +154,17 @@ def solve_optimal(
     grid = dist.grid
     n = grid.n
     profiles = list(grid.profiles())
-    cols = _columns(fs)
+    cols, wins = _columns(fs)
     K = len(cols)
     float_mode = options.mode == FLOAT
     zero = 0.0 if float_mode else Fraction(0)
-    one = 1.0 if float_mode else Fraction(1)
     eps = 1e-12 if float_mode else 0
 
-    xs, lotteries = [], []
+    xs = []
     for k in range(len(profiles)):
-        weights = dict(zip(cols, sol.x[k * K : (k + 1) * K]))
-        weights[fs.zero_index] = one - sum(weights.values(), zero)
-        weights = {f: w for f, w in sorted(weights.items()) if w > eps}
-        x = [sum((w for f, w in weights.items() if fs.vectors[f][i]), zero) for i in range(n)]
+        weights = sol.x[k * K : (k + 1) * K]
+        x = [sum((w for c in wins[i] if (w := weights[c]) > eps), zero) for i in range(n)]
         xs.append(tuple(min(1.0, max(0.0, c)) for c in x) if float_mode else tuple(x))
-        lotteries.append(weights)
 
     ps = [[zero] * n for _ in profiles]
     for i, idx, k, line in lines([len(w) for w in grid.values]):
@@ -173,18 +176,7 @@ def solve_optimal(
     interim = InterimMechanism(
         grid, dict(zip(profiles, xs)), dict(zip(profiles, ps)), options.mode
     )
-
-    rows = {}
-    for v, x, p, weights in zip(profiles, xs, ps, lotteries):
-        charge = [p[i] / x[i] if x[i] else zero for i in range(n)]
-        rows[v] = [
-            (f, tuple(c if on else zero for c, on in zip(charge, fs.vectors[f])), w)
-            for f, w in weights.items()
-        ]
-    expost = ExPostMechanism(grid, fs, rows, options.mode)
-
-    revenue = sum((q * sum(interim.p[v]) for v, q in dist.support.items()), zero)
-    return OptimalResult(interim, expost, revenue)
+    return OptimalResult(interim, expected_revenue(interim, dist))
 
 
 def decompose_allocation(

@@ -145,36 +145,19 @@ class ExplicitOracle(DistributionOracle):
         return num / den
 
 
-class BudgetedOracle(DistributionOracle):
-    """Wrapper enforcing a cap through the ledger it shares with the
-    wrapped oracle."""
-
-    def __init__(self, inner: DistributionOracle):
-        super().__init__(inner.ledger)
-        self.inner = inner
-
-    def _grid(self) -> ValueGrid:
-        return self.inner._grid()
-
-    def _answer_point(self, profile):
-        return self.inner._answer_point(profile)
-
-    def _answer_conditional(self, bidder, value, given):
-        return self.inner._answer_conditional(bidder, value, given)
-
-
 def with_budget(
     oracle: DistributionOracle, budget: Optional[int] = None
-) -> BudgetedOracle:
-    """Cap the oracle's total queries; the default cap is the polynomial
-    budget for its grid.  The cap applies to the shared ledger, so
-    queries through either handle count against it."""
+) -> DistributionOracle:
+    """Cap the oracle's total queries and return the oracle itself; the
+    default cap is the polynomial budget for its grid.  The cap lives on
+    the oracle's ledger, so every oracle sharing that ledger counts
+    against it."""
     if budget is None:
         budget = default_budget(oracle.marginal_supports())
     if budget < 0:
         raise InvalidInputError("budget cannot be negative")
     oracle.ledger.budget = budget
-    return BudgetedOracle(oracle)
+    return oracle
 
 
 def materialize(oracle: DistributionOracle) -> ExplicitDistribution:

@@ -31,9 +31,14 @@ of revmax.multi.check_multi must return the same witnesses in the same
 order.  The reference deterministic search recomputes each complete
 rule's revenue over the whole support, so the prefix-revenue search of
 revmax.brute must return the same first optimum and the same revenue.
+The reference optimal solve unpacks the LP optimum through per-profile
+lottery dicts and a validated ex-post mechanism, as the solver once did,
+so solve_optimal, which reads each x_i off its winner columns, must
+return the same interim tables and the same revenue.
 """
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional
@@ -70,7 +75,7 @@ from revmax.multi import (
     bundle_mask,
     enumerate_assignments,
 )
-from revmax.optimal import SolveOptions, decompose_allocation
+from revmax.optimal import SolveOptions, build_optimal_lp, decompose_allocation
 from revmax.verify import VerifyReport, Witness, violated
 
 
@@ -570,6 +575,74 @@ def reference_revenue(dist, fs=None, allow_negative_payments=False):
     sol = solve(reference_optimal_lp(dist, fs, allow_negative_payments))
     assert sol.status == "optimal", sol.status
     return sol.objective
+
+
+@dataclass
+class ReferenceOptimum:
+    """The optimum in both forms: in the ex-post form a winner of each
+    outcome pays p_i(v) / x_i(v) and every other bidder pays nothing."""
+
+    interim: InterimMechanism
+    expost: ExPostMechanism
+    revenue: object
+
+
+def reference_solve_optimal(
+    dist: ExplicitDistribution,
+    fs: Optional[FeasibilitySystem] = None,
+    options: Optional[SolveOptions] = None,
+) -> ReferenceOptimum:
+    """Solve the revenue LP and unpack the optimum into both mechanism
+    forms, with chain payments along every line."""
+    options = options or SolveOptions()
+    if fs is None:
+        fs = FeasibilitySystem.single_item(dist.grid.n)
+    lp = build_optimal_lp(dist, fs, options)
+    sol = solve(lp, mode=options.mode)
+    if sol.status != "optimal":
+        # the all-zero mechanism is feasible and every weight is at most 1
+        raise RuntimeError(f"revenue LP reported {sol.status}; this cannot happen")
+    grid = dist.grid
+    n = grid.n
+    profiles = list(grid.profiles())
+    cols = [f for f in range(len(fs.vectors)) if f != fs.zero_index]
+    K = len(cols)
+    float_mode = options.mode == FLOAT
+    zero = 0.0 if float_mode else Fraction(0)
+    one = 1.0 if float_mode else Fraction(1)
+    eps = 1e-12 if float_mode else 0
+
+    xs, lotteries = [], []
+    for k in range(len(profiles)):
+        weights = dict(zip(cols, sol.x[k * K : (k + 1) * K]))
+        weights[fs.zero_index] = one - sum(weights.values(), zero)
+        weights = {f: w for f, w in sorted(weights.items()) if w > eps}
+        x = [sum((w for f, w in weights.items() if fs.vectors[f][i]), zero) for i in range(n)]
+        xs.append(tuple(min(1.0, max(0.0, c)) for c in x) if float_mode else tuple(x))
+        lotteries.append(weights)
+
+    ps = [[zero] * n for _ in profiles]
+    for i, idx, k, line in lines([len(w) for w in grid.values]):
+        # one chain step up from the value below, which canonical order visits first
+        last_x = last_p = zero
+        if k:
+            last_x, last_p = xs[line[k - 1]][i], ps[line[k - 1]][i]
+        ps[idx][i] = last_p + grid.values[i][k] * (xs[idx][i] - last_x)
+    interim = InterimMechanism(
+        grid, dict(zip(profiles, xs)), dict(zip(profiles, ps)), options.mode
+    )
+
+    rows = {}
+    for v, x, p, weights in zip(profiles, xs, ps, lotteries):
+        charge = [p[i] / x[i] if x[i] else zero for i in range(n)]
+        rows[v] = [
+            (f, tuple(c if on else zero for c, on in zip(charge, fs.vectors[f])), w)
+            for f, w in weights.items()
+        ]
+    expost = ExPostMechanism(grid, fs, rows, options.mode)
+
+    revenue = sum((q * sum(interim.p[v]) for v, q in dist.support.items()), zero)
+    return ReferenceOptimum(interim, expost, revenue)
 
 
 def _reference_pivot(rows, rhs, red, leave: int, enter: int):

@@ -238,6 +238,20 @@ def test_decompose_outside_point_gives_certificate(tmp_path, capsys):
     assert "certificate" in result
 
 
+@pytest.mark.parametrize("line", ['{"feasible":5}', '{"feasible":[true]}'])
+def test_decompose_bad_feasible_line_is_input_error(tmp_path, capsys, line):
+    # a non-list used to end in a TypeError traceback, and bools passed
+    point = write(
+        tmp_path,
+        "bad.ndjson",
+        '{"format":1,"kind":"point"}\n{"feasible":[0]}\n' + line + '\n{"point":["1/2"]}\n',
+    )
+    code, out, err = run(capsys, ["decompose", point])
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "feasible" in err
+
+
 def test_oracle_stats_counts_materialization(tmp_path, capsys):
     code, out, _ = run(capsys, ["oracle-stats", pair_file(tmp_path)])
     assert code == 0
@@ -318,6 +332,17 @@ def test_verify_universal_mixture(tmp_path, capsys):
     code, out, _ = run(capsys, ["verify", inst, mech])
     assert code == 0
     assert rio.loads_line(out.splitlines()[-1])["passed"] is True
+
+
+def test_universal_file_without_parts_is_input_error(tmp_path, capsys):
+    # a header and a grid line alone used to end in an IndexError traceback
+    text = '{"format":1,"kind":"universal","mode":"exact"}\n{"grid":[["1","2"],["1","2"]]}\n'
+    path = write(tmp_path, "empty.ndjson", text)
+    for command in ("verify", "revenue", "ratio"):
+        code, out, err = run(capsys, [command, pair_file(tmp_path), path])
+        assert code == 2
+        assert out == ""
+        assert err == "error: universal mechanism file has no parts\n"
 
 
 def test_verify_multi_mechanism(tmp_path, capsys):

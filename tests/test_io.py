@@ -79,7 +79,8 @@ def test_decimal_probabilities_parse_exactly():
 
 def test_mechanism_round_trips():
     result = solve_optimal(PAIR)
-    for mech in (result.interim, result.expost, vickrey(PAIR.grid)):
+    expost = canonical_expost(result.interim, FeasibilitySystem.single_item(2))
+    for mech in (result.interim, expost, vickrey(PAIR.grid)):
         text = rio.write_mechanism(mech)
         parsed = rio.read_mechanism(text)
         assert rio.write_mechanism(parsed.mech) == text
@@ -158,9 +159,10 @@ def test_mechanism_line_missing_a_key_is_input_error():
     multi, _ = solve_multi(random_m1_instance(random.Random(29)))
     parts = [(vickrey(PAIR.grid), F(1, 4)), (first_price(PAIR.grid), F(3, 4))]
     result = solve_optimal(PAIR)
+    expost = canonical_expost(result.interim, FeasibilitySystem.single_item(2))
     texts = [
         rio.write_mechanism(m)
-        for m in (result.interim, result.expost, vickrey(PAIR.grid), multi)
+        for m in (result.interim, expost, vickrey(PAIR.grid), multi)
     ]
     texts.append(rio.write_mechanism(None, parts=parts))
     for text in texts:

@@ -13,6 +13,7 @@ from revmax import (
     SolveOptions,
     ValueGrid,
     build_optimal_lp,
+    canonical_expost,
     check_feasible,
     check_ir,
     check_truthful,
@@ -21,13 +22,16 @@ from revmax import (
     interim_of,
     solve_optimal,
 )
+from revmax import io as rio
 from revmax.lp import LEQ, solve
+from revmax.model import EXACT, FLOAT
 from support import (
     in_hull_by_enumeration,
     random_distribution,
     random_feasibility,
     random_hull_point,
     reference_revenue,
+    reference_solve_optimal,
 )
 
 PAIR = ExplicitDistribution.from_support({(1, 1): F(1, 2), (2, 2): F(1, 2)})
@@ -72,7 +76,8 @@ def test_solution_passes_its_own_constraints():
 
 def test_expost_form_round_trips_to_interim():
     result = solve_optimal(PAIR)
-    assert interim_of(result.expost) == result.interim
+    expost = canonical_expost(result.interim, FeasibilitySystem.single_item(2))
+    assert interim_of(expost) == result.interim
 
 
 def test_negative_payments_never_hurt():
@@ -129,7 +134,33 @@ def test_allocation_lp_matches_reference_lp():
         assert check_truthful(result.interim).passed
         assert check_ir(result.interim).passed
         assert check_feasible(result.interim, fs).passed
-        assert interim_of(result.expost) == result.interim
+
+
+def _float_copy(dist):
+    grid = ValueGrid([[float(w) for w in vi] for vi in dist.grid.values], FLOAT)
+    support = {tuple(float(w) for w in v): float(q) for v, q in dist.support.items()}
+    return ExplicitDistribution(grid, support, FLOAT, strict=False)
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_solve_optimal_matches_reference(mode):
+    # the reference unpacks through lottery dicts and an ex-post mechanism;
+    # the solver reads x_i off bidder i's winner columns and must agree to
+    # the last bit
+    rng = random.Random(2413)
+    options = SolveOptions(mode=mode)
+    for dist, fs in _reference_instances(rng, 120):
+        if mode == FLOAT:
+            dist = _float_copy(dist)
+        got = solve_optimal(dist, fs, options)
+        want = reference_solve_optimal(dist, fs, options)
+        assert rio.write_mechanism(got.interim) == rio.write_mechanism(want.interim)
+        assert type(got.revenue) is type(want.revenue)
+        if mode == FLOAT:
+            assert got.revenue.hex() == want.revenue.hex()
+        else:
+            assert got.revenue == want.revenue
+            assert interim_of(want.expost) == got.interim
 
 
 def test_randomized_weakly_beats_posted_prices():
