@@ -21,11 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Optional, Union
+from typing import Optional
 
 from .errors import InvalidInputError, SizeLimitError
 from .model import (
-    EXACT,
     FLOAT,
     DeterministicMechanism,
     ExplicitDistribution,
@@ -175,5 +174,5 @@ def enumerate_deterministic_optimal(
                 pay[i] = profiles[crit[k][i]][i]
         payments[v] = tuple(pay)
         winners[v] = choice[k]
-    mech = DeterministicMechanism(grid, fs, winners, payments, dist.mode)
+    mech = DeterministicMechanism(grid, fs, winners, payments)
     return mech, Fraction(best_rev, dq * dv) if exact else best_rev

@@ -40,8 +40,8 @@ from .model import (
     expected_revenue,
     interim_of,
 )
-from .multi import MAX_ASSIGNMENTS, check_multi, solve_multi
-from .optimal import SolveOptions, decompose_allocation, solve_optimal
+from .multi import MAX_ASSIGNMENTS, check_multi, multi_revenue, solve_multi
+from .optimal import decompose_allocation, solve_optimal
 from .oracle import ExplicitOracle, materialize, with_budget
 from .verify import (
     VerifyReport,
@@ -91,7 +91,7 @@ def _single(args) -> io.ParsedInstance:
 
 def _cmd_solve(args) -> int:
     inst = _single(args)
-    result = solve_optimal(inst.dist, inst.fs, SolveOptions(mode=inst.mode))
+    result = solve_optimal(inst.dist, inst.fs)
     _emit(io.write_mechanism(result.interim), args.output)
     _report(
         "solve",
@@ -130,11 +130,11 @@ def _cmd_solve_multi(args) -> int:
     inst = _instance(args)
     if inst.model != io.MULTI_ITEM:
         raise InvalidInputError("solve-multi needs a multi-item instance")
-    cap = _limit(args, MAX_ASSIGNMENTS)
-    options = SolveOptions(
-        allow_negative_payments=args.allow_negative_payments, mode=inst.mode
+    mech, revenue = solve_multi(
+        inst.multi,
+        allow_negative_payments=args.allow_negative_payments,
+        max_assignments=_limit(args, MAX_ASSIGNMENTS),
     )
-    mech, revenue = solve_multi(inst.multi, options, max_assignments=cap)
     _emit(io.write_mechanism(mech), args.output)
     _report(
         "solve-multi",
@@ -219,15 +219,11 @@ def _mechanism_revenue(mech: io.ParsedMechanism, inst: io.ParsedInstance):
         if inst.model != io.MULTI_ITEM:
             raise InvalidInputError("a multi mechanism needs a multi-item instance")
         _require_same_multi(mech.mech.inst, inst)
-        pays = mech.mech.payments
-        return sum(q * sum(pays[t]) for t, q in inst.multi.support.items())
+        return multi_revenue(mech.mech)
     if mech.kind == io.UNIVERSAL:
         _require_same_grid(mech.parts[0][0].grid, inst)
         _pick_fs(mech, inst)
-        return sum(
-            w * expected_revenue(part.as_interim(), inst.dist)
-            for part, w in mech.parts
-        )
+        return sum(w * expected_revenue(part, inst.dist) for part, w in mech.parts)
     interim = _as_interim(mech)
     _require_same_grid(interim.grid, inst)
     _pick_fs(mech, inst)
@@ -246,11 +242,10 @@ def _cmd_ratio(args) -> int:
     inst = _instance(args)
     mech = io.read_mechanism(_read(args.mechanism), args.mode)
     revenue = _mechanism_revenue(mech, inst)
-    options = SolveOptions(mode=inst.mode)
     if inst.model == io.MULTI_ITEM:
-        _, opt = solve_multi(inst.multi, options)
+        _, opt = solve_multi(inst.multi)
     else:
-        opt = solve_optimal(inst.dist, inst.fs, options).revenue
+        opt = solve_optimal(inst.dist, inst.fs).revenue
     alpha = approximation_ratio(revenue, opt)
     sys.stdout.write(f"{io.format_number(alpha, mech.mode)}\n")
     return 0

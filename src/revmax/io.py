@@ -241,7 +241,7 @@ def read_instance(text: str, mode: Optional[str] = None) -> ParsedInstance:
             raise InvalidInputError(f"unrecognized instance line {obj}")
     if grid is None:
         raise InvalidInputError("instance file lacks a grid line")
-    dist = ExplicitDistribution(grid, support, mode)
+    dist = ExplicitDistribution(grid, support)
     if model == SINGLE_PARAMETER:
         if not vectors:
             raise InvalidInputError("single-parameter instance lacks feasible lines")
@@ -503,7 +503,7 @@ def read_mechanism(text: str, mode: Optional[str] = None) -> ParsedMechanism:
             profiles.add(v, o)
             p.append(_parse_row(_field(o, "pay"), mode, memo))
         vs = profiles.read
-        mech = InterimMechanism(grid, zip(vs, x), zip(vs, p), mode)
+        mech = InterimMechanism(grid, zip(vs, x), zip(vs, p))
         return ParsedMechanism(kind, mode, mech=mech)
     fs = (
         FeasibilitySystem(grid.n, vectors)
@@ -529,7 +529,7 @@ def read_mechanism(text: str, mode: Optional[str] = None) -> ParsedMechanism:
             for v, rows_at in runs:
                 outcomes.setdefault(v, []).extend(rows_at)
         return ParsedMechanism(
-            kind, mode, mech=ExPostMechanism(grid, fs, outcomes, mode), fs=fs
+            kind, mode, mech=ExPostMechanism(grid, fs, outcomes), fs=fs
         )
     if kind == DETERMINISTIC:
         profiles = _Profiles(canonical)
@@ -540,7 +540,7 @@ def read_mechanism(text: str, mode: Optional[str] = None) -> ParsedMechanism:
             profiles.add(v, o)
             payments.append(_parse_row(_field(o, "pay"), mode, memo))
         vs = profiles.read
-        mech = DeterministicMechanism(grid, fs, zip(vs, choice), zip(vs, payments), mode)
+        mech = DeterministicMechanism(grid, fs, zip(vs, choice), zip(vs, payments))
         return ParsedMechanism(kind, mode, mech=mech, fs=fs)
     if kind == UNIVERSAL:
         probs: dict = {}
@@ -569,7 +569,7 @@ def read_mechanism(text: str, mode: Optional[str] = None) -> ParsedMechanism:
         for k in range(len(probs)):
             profiles, choice, payments = tables[k]
             vs = profiles.read
-            part = DeterministicMechanism(grid, fs, zip(vs, choice), zip(vs, payments), mode)
+            part = DeterministicMechanism(grid, fs, zip(vs, choice), zip(vs, payments))
             parts.append((part, probs[k]))
         return ParsedMechanism(kind, mode, fs=fs, parts=tuple(parts))
     raise InvalidInputError(f"unknown mechanism kind {kind!r}")

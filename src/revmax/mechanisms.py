@@ -40,7 +40,7 @@ def _build(grid: ValueGrid, allocate, charge) -> DeterministicMechanism:
             choice[v] = fs.winner_index(w)
             pay[w] = charge(v, w)
         payments[v] = tuple(pay)
-    return DeterministicMechanism(grid, fs, choice, payments, grid.mode)
+    return DeterministicMechanism(grid, fs, choice, payments)
 
 
 def vickrey(grid: ValueGrid) -> DeterministicMechanism:

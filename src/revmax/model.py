@@ -6,6 +6,11 @@ Quantities are exact fractions.Fraction in the default mode.  Float mode
 keeps plain floats end to end; only construction-time sanity checks apply
 a tolerance here (1e-12 on probability totals), the verifier owns the
 constraint tolerance.
+
+The mode is chosen once, where raw numbers are first converted: by
+ValueGrid (and ExplicitDistribution.from_support, which builds one).
+Every object built on a grid (distribution and mechanisms) takes the
+grid's mode and converts its own entries with it.
 """
 
 from __future__ import annotations
@@ -191,10 +196,11 @@ class ExplicitDistribution:
     grids padded with zero-mass values.
 
     support is a mapping from profiles to probabilities or an iterable of
-    (profile, probability) pairs.  Each profile is placed by its flat
-    index in canonical order (one grid lookup per entry), so the
-    duplicate test, the strict-grid coverage test and the canonical sort
-    compare ints; the probabilities are summed in the given order.
+    (profile, probability) pairs, converted in the grid's mode.  Each
+    profile is placed by its flat index in canonical order (one grid
+    lookup per entry), so the duplicate test, the strict-grid coverage
+    test and the canonical sort compare ints; the probabilities are
+    summed in the given order.
     """
 
     __slots__ = ("grid", "support", "mode")
@@ -203,9 +209,10 @@ class ExplicitDistribution:
         self,
         grid: ValueGrid,
         support: Union[Mapping[Profile, Number], Iterable[tuple]],
-        mode: str = EXACT,
+        *,
         strict: bool = True,
     ):
+        mode = grid.mode
         sizes = [len(vi) for vi in grid.values]
         axes = list(zip(grid._positions, sizes))
         table = {}  # flat index -> (profile, probability), in the given order
@@ -257,7 +264,7 @@ class ExplicitDistribution:
             raise InvalidInputError("empty support")
         n = len(items[0][0])
         columns = [sorted({convert(p[i], mode) for p, _ in items}) for i in range(n)]
-        return cls(ValueGrid(columns, mode), items, mode)
+        return cls(ValueGrid(columns, mode), items)
 
     def prob(self, profile: Profile):
         if not self.grid.on_grid(tuple(profile)):
@@ -366,8 +373,8 @@ class InterimMechanism:
         grid: ValueGrid,
         x: Union[Mapping[Profile, Sequence[Number]], Iterable[tuple]],
         p: Union[Mapping[Profile, Sequence[Number]], Iterable[tuple]],
-        mode: str = EXACT,
     ):
+        mode = grid.mode
         xs, ps = [], []
         for profile, row in _items(x):
             key = _convert_row(profile, mode)
@@ -389,18 +396,18 @@ class InterimMechanism:
         self.mode = mode
 
     @classmethod
-    def _from_tables(cls, grid: ValueGrid, x: dict, p: dict, mode: str) -> "InterimMechanism":
+    def _from_tables(cls, grid: ValueGrid, x: dict, p: dict) -> "InterimMechanism":
         """An InterimMechanism over tables already in the form the
         constructor builds, checking nothing: x and p are dicts keyed by
         the grid's own profile tuples in canonical order, with rows of n
-        numbers of the mode (Fraction or float) and x in [0,1].  For the
-        conversions in this module, whose inputs were checked when they
-        were constructed."""
+        numbers of the grid's mode (Fraction or float) and x in [0,1].
+        For the conversions in this module, whose inputs were checked when
+        they were constructed."""
         self = object.__new__(cls)
         self.grid = grid
         self.x = x
         self.p = p
-        self.mode = mode
+        self.mode = grid.mode
         return self
 
     def __eq__(self, other) -> bool:
@@ -438,8 +445,8 @@ class ExPostMechanism:
         grid: ValueGrid,
         fs: FeasibilitySystem,
         outcomes: Union[Mapping[Profile, Sequence[tuple]], Iterable[tuple]],
-        mode: str = EXACT,
     ):
+        mode = grid.mode
         if fs.n != grid.n:
             raise DimensionMismatchError("feasibility system and grid disagree on n")
         table = []
@@ -487,8 +494,8 @@ class DeterministicMechanism:
         fs: FeasibilitySystem,
         choice: Union[Mapping[Profile, int], Iterable[tuple]],
         payments: Union[Mapping[Profile, Sequence[Number]], Iterable[tuple]],
-        mode: str = EXACT,
     ):
+        mode = grid.mode
         if fs.n != grid.n:
             raise DimensionMismatchError("feasibility system and grid disagree on n")
         ch, ps = [], []
@@ -532,14 +539,14 @@ class DeterministicMechanism:
         everything the interim form requires."""
         rows = [_convert_row(vec, self.mode) for vec in self.fs.vectors]
         x = {v: rows[idx] for v, idx in self.choice.items()}
-        return InterimMechanism._from_tables(self.grid, x, dict(self.payments), self.mode)
+        return InterimMechanism._from_tables(self.grid, x, dict(self.payments))
 
     def as_expost(self) -> ExPostMechanism:
         one = 1.0 if self.mode == FLOAT else Fraction(1)
         rows = {
             v: [(self.choice[v], self.payments[v], one)] for v in self.grid.profiles()
         }
-        return ExPostMechanism(self.grid, self.fs, rows, self.mode)
+        return ExPostMechanism(self.grid, self.fs, rows)
 
     def __repr__(self) -> str:
         return f"DeterministicMechanism(n={self.grid.n}, {self.grid.cells()} profiles)"
@@ -607,7 +614,7 @@ def interim_of(mech: ExPostMechanism) -> InterimMechanism:
             raise InvalidInputError(f"allocation outside [0,1] at {v}")
         x[v] = tuple(xa)
         p[v] = tuple(pa)
-    return InterimMechanism._from_tables(mech.grid, x, p, mech.mode)
+    return InterimMechanism._from_tables(mech.grid, x, p)
 
 
 def canonical_expost(mech: InterimMechanism, fs: FeasibilitySystem) -> ExPostMechanism:
@@ -641,7 +648,7 @@ def canonical_expost(mech: InterimMechanism, fs: FeasibilitySystem) -> ExPostMec
         if total < 1:
             rows.append((fs.zero_index, (zero,) * mech.grid.n, one - total))
         table[v] = rows
-    return ExPostMechanism(mech.grid, fs, table, mech.mode)
+    return ExPostMechanism(mech.grid, fs, table)
 
 
 def execute(mech: ExPostMechanism, bids: Sequence[Number], seed: int):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from .errors import (
     DimensionMismatchError,
@@ -31,7 +31,6 @@ from .model import (
     convert,
     lines,
 )
-from .optimal import SolveOptions
 from .verify import VerifyReport, Witness, violated
 
 MAX_ASSIGNMENTS = 6561  # (n+1)^m cap, e.g. m <= 8 at n = 2
@@ -238,12 +237,15 @@ def _guard(n: int, m: int, max_assignments: int) -> None:
 
 def build_multi_lp(
     inst: MultiItemInstance,
-    options: Optional[SolveOptions] = None,
+    *,
+    allow_negative_payments: bool = False,
     max_assignments: int = MAX_ASSIGNMENTS,
 ) -> LinearProgram:
-    """Revenue LP over assignment lotteries: lottery weights and payments
-    per type profile, with the single-item program's truthfulness and
-    rationality rows and bundle values in place of unit values.
+    """Revenue LP over assignment lotteries, in the instance's mode:
+    lottery weights and payments per type profile, with the single-item
+    program's truthfulness and rationality rows and bundle values in place
+    of unit values.  allow_negative_payments makes the payment variables
+    free; unlike the single-item LP's, this optimum can depend on it.
 
     Assignment 0 leaves every item unsold, so every bidder values it at 0
     and its weight would appear only in the profile's convexity row.  It
@@ -251,7 +253,6 @@ def build_multi_lp(
     sum_{a>0} lambda(t, a) <= 1, and solve_multi writes it back as
     1 - sum.  Every row is <= with right-hand side 0 or 1, so the slack
     basis is feasible and the simplex runs no phase 1."""
-    options = options or SolveOptions()
     _guard(inst.n, inst.m, max_assignments)
     n = inst.n
     assigns = enumerate_assignments(n, inst.m)
@@ -265,7 +266,7 @@ def build_multi_lp(
     def pay(t_idx: int, i: int) -> int:
         return nlam + t_idx * n + i
 
-    zero = 0.0 if options.mode == FLOAT else Fraction(0)
+    zero = 0.0 if inst.mode == FLOAT else Fraction(0)
     num_vars = nlam + len(profiles) * n
     objective = [zero] * num_vars
     for k, t in enumerate(profiles):
@@ -273,7 +274,7 @@ def build_multi_lp(
             objective[pay(k, i)] = inst.support.get(t, zero)
 
     lp = LinearProgram(num_vars, objective)
-    if options.allow_negative_payments:
+    if allow_negative_payments:
         for k in range(len(profiles)):
             for i in range(n):
                 lp.set_free(pay(k, i))
@@ -314,22 +315,26 @@ def build_multi_lp(
 
 def solve_multi(
     inst: MultiItemInstance,
-    options: Optional[SolveOptions] = None,
+    *,
+    allow_negative_payments: bool = False,
     max_assignments: int = MAX_ASSIGNMENTS,
 ):
-    """Solve the multi-item revenue LP; the returned mechanism is replayed
-    through check_multi before being handed back.  Returns (mechanism,
-    exact expected revenue)."""
-    options = options or SolveOptions()
-    lp = build_multi_lp(inst, options, max_assignments)
-    sol = solve(lp, mode=options.mode)
+    """Solve the multi-item revenue LP in the instance's mode; the
+    returned mechanism is replayed through check_multi before being handed
+    back.  Returns (mechanism, expected revenue, exact in exact mode)."""
+    lp = build_multi_lp(
+        inst,
+        allow_negative_payments=allow_negative_payments,
+        max_assignments=max_assignments,
+    )
+    sol = solve(lp, mode=inst.mode)
     if sol.status != "optimal":
         raise RuntimeError(f"multi-item LP reported {sol.status}; this cannot happen")
     n = inst.n
     profiles = inst.type_profiles()
     K = (n + 1) ** inst.m - 1
     nlam = len(profiles) * K
-    float_mode = options.mode == FLOAT
+    float_mode = inst.mode == FLOAT
     zero = 0.0 if float_mode else Fraction(0)
     one = 1.0 if float_mode else Fraction(1)
     lotteries, payments = {}, {}
@@ -350,8 +355,15 @@ def solve_multi(
         raise RuntimeError(
             f"solved mechanism failed its own replay: {report.witnesses[0]}"
         )
-    revenue = sum((q * sum(payments[t]) for t, q in inst.support.items()), zero)
-    return mech, revenue
+    return mech, multi_revenue(mech)
+
+
+def multi_revenue(mech: MultiMechanism):
+    """Expected total payment under truthful play, summed over the
+    instance's support."""
+    inst = mech.inst
+    zero = 0.0 if inst.mode == FLOAT else Fraction(0)
+    return sum((q * sum(mech.payments[t]) for t, q in inst.support.items()), zero)
 
 
 def check_multi(mech: MultiMechanism) -> VerifyReport:
@@ -474,4 +486,4 @@ def single_item_equivalent(inst: MultiItemInstance) -> ExplicitDistribution:
     for t, q in inst.support.items():
         support[tuple(columns[i][ti] for i, ti in enumerate(t))] = q
     grid = ValueGrid([sorted(c) for c in columns], inst.mode)
-    return ExplicitDistribution(grid, support, inst.mode, strict=False)
+    return ExplicitDistribution(grid, support, strict=False)

@@ -15,8 +15,9 @@ constraint binds.  So the objective is sum_v sum_i phi_i(v) x_i(v) with
 
 and the optimum equals that of the LP over weights and payments with every
 IC and IR row.  Chain payments are nonnegative, so allowing negative
-payments changes nothing.  Every row is <= with right-hand side 0 or 1:
-the slack basis is feasible and the simplex never runs phase 1.
+payments would change nothing, and there is no switch for it.  Every row
+is <= with right-hand side 0 or 1: the slack basis is feasible and the
+simplex never runs phase 1.  The arithmetic mode is the distribution's.
 
 solve_optimal returns the interim optimum and its revenue only.  Its
 ex-post lottery comes from the package's two routes: canonical_expost
@@ -43,18 +44,6 @@ from .model import (
     expected_revenue,
     lines,
 )
-
-
-@dataclass
-class SolveOptions:
-    """Knobs of the optimal solve: payment sign and arithmetic mode.
-
-    allow_negative_payments does not change solve_optimal's result: the
-    revenue-maximal payments of a truthful single-parameter mechanism are
-    nonnegative anyway.  It matters to solve_multi."""
-
-    allow_negative_payments: bool = False
-    mode: str = EXACT
 
 
 @dataclass
@@ -87,20 +76,16 @@ def _columns(fs: FeasibilitySystem) -> tuple:
     return cols, wins
 
 
-def build_optimal_lp(
-    dist: ExplicitDistribution,
-    fs: FeasibilitySystem,
-    options: Optional[SolveOptions] = None,
-) -> LinearProgram:
+def build_optimal_lp(dist: ExplicitDistribution, fs: FeasibilitySystem) -> LinearProgram:
     """Assemble the allocation-only revenue LP: lottery weights of the
     nonzero vectors per profile, one <= 1 row per profile, adjacent
-    monotonicity rows per line, virtual-value objective."""
-    options = options or SolveOptions()
+    monotonicity rows per line, virtual-value objective, in the
+    distribution's mode."""
     grid = dist.grid
     if fs.n != grid.n:
         raise DimensionMismatchError("feasibility system and grid disagree on n")
     n = grid.n
-    zero = 0.0 if options.mode == FLOAT else Fraction(0)
+    zero = 0.0 if dist.mode == FLOAT else Fraction(0)
     mass = [dist.support.get(v, zero) for v in grid.profiles()]
     cols, wins = _columns(fs)
     K = len(cols)
@@ -136,18 +121,16 @@ def build_optimal_lp(
 
 
 def solve_optimal(
-    dist: ExplicitDistribution,
-    fs: Optional[FeasibilitySystem] = None,
-    options: Optional[SolveOptions] = None,
+    dist: ExplicitDistribution, fs: Optional[FeasibilitySystem] = None
 ) -> OptimalResult:
-    """Solve the revenue LP and return the optimal interim mechanism:
-    x_i(v) sums profile v's lottery weights on the vectors in which
-    bidder i wins, and payments follow the chain along every line."""
-    options = options or SolveOptions()
+    """Solve the revenue LP in the distribution's mode and return the
+    optimal interim mechanism: x_i(v) sums profile v's lottery weights on
+    the vectors in which bidder i wins, and payments follow the chain
+    along every line."""
     if fs is None:
         fs = FeasibilitySystem.single_item(dist.grid.n)
-    lp = build_optimal_lp(dist, fs, options)
-    sol = solve(lp, mode=options.mode)
+    lp = build_optimal_lp(dist, fs)
+    sol = solve(lp, mode=dist.mode)
     if sol.status != "optimal":
         # the all-zero mechanism is feasible and every weight is at most 1
         raise RuntimeError(f"revenue LP reported {sol.status}; this cannot happen")
@@ -156,7 +139,7 @@ def solve_optimal(
     profiles = list(grid.profiles())
     cols, wins = _columns(fs)
     K = len(cols)
-    float_mode = options.mode == FLOAT
+    float_mode = dist.mode == FLOAT
     zero = 0.0 if float_mode else Fraction(0)
     eps = 1e-12 if float_mode else 0
 
@@ -173,9 +156,7 @@ def solve_optimal(
         if k:
             last_x, last_p = xs[line[k - 1]][i], ps[line[k - 1]][i]
         ps[idx][i] = last_p + grid.values[i][k] * (xs[idx][i] - last_x)
-    interim = InterimMechanism(
-        grid, dict(zip(profiles, xs)), dict(zip(profiles, ps)), options.mode
-    )
+    interim = InterimMechanism(grid, dict(zip(profiles, xs)), dict(zip(profiles, ps)))
     return OptimalResult(interim, expected_revenue(interim, dist))
 
 

@@ -1,20 +1,20 @@
 """Query access to a joint value distribution, with metered budgets.
 
-The oracle interface answers point probabilities and one-coordinate
-conditionals over a declared grid; reading the marginal supports is free,
-everything else passes through a thread-safe ledger that counts queries
-and enforces an optional cap atomically, so a query either counts and
-runs or raises without counting.
+ExplicitOracle answers point probabilities and one-coordinate
+conditionals of an explicit distribution over its grid, in the grid's
+arithmetic mode.  Reading the marginal supports is free; everything else
+passes through a thread-safe ledger that counts queries and enforces an
+optional cap atomically, so a query either counts and runs or raises
+without counting.
 """
 
 from __future__ import annotations
 
 import threading
-from abc import ABC, abstractmethod
 from typing import Mapping, Optional
 
 from .errors import BudgetError, InvalidInputError, UndefinedConditionalError
-from .model import EXACT, FLOAT, ExplicitDistribution, ValueGrid
+from .model import FLOAT, ExplicitDistribution, ValueGrid
 
 
 def default_budget(grid: ValueGrid) -> int:
@@ -69,55 +69,30 @@ class QueryLedger:
             }
 
 
-class DistributionOracle(ABC):
-    """Metered view of a joint distribution over a value grid."""
+class ExplicitOracle:
+    """Metered view of an explicit joint distribution over its grid."""
 
-    def __init__(self, ledger: Optional[QueryLedger] = None):
+    def __init__(
+        self, dist: ExplicitDistribution, ledger: Optional[QueryLedger] = None
+    ):
+        self.dist = dist
         self.ledger = ledger or QueryLedger()
 
     def marginal_supports(self) -> ValueGrid:
         """The declared grid; free of charge."""
-        return self._grid()
+        return self.dist.grid
 
     def query_point(self, profile):
         """Pr[a = profile]; counts one point query."""
         self.ledger.charge("point")
-        return self._answer_point(tuple(profile))
+        return self.dist.prob(profile)
 
     def query_conditional(self, bidder: int, value, given: Mapping[int, object]):
         """Pr[a_bidder = value | a_S = given values]; counts one
         conditional query.  Conditioning on a probability-zero event is an
         error (the query still counts)."""
         self.ledger.charge("conditional")
-        return self._answer_conditional(bidder, value, dict(given))
-
-    @abstractmethod
-    def _grid(self) -> ValueGrid: ...
-
-    @abstractmethod
-    def _answer_point(self, profile): ...
-
-    @abstractmethod
-    def _answer_conditional(self, bidder, value, given): ...
-
-
-class ExplicitOracle(DistributionOracle):
-    """Adapter presenting an explicit distribution through the oracle
-    interface."""
-
-    def __init__(
-        self, dist: ExplicitDistribution, ledger: Optional[QueryLedger] = None
-    ):
-        super().__init__(ledger)
-        self.dist = dist
-
-    def _grid(self) -> ValueGrid:
-        return self.dist.grid
-
-    def _answer_point(self, profile):
-        return self.dist.prob(profile)
-
-    def _answer_conditional(self, bidder, value, given):
+        given = dict(given)
         grid = self.dist.grid
         if not 0 <= bidder < grid.n:
             raise InvalidInputError(f"unknown bidder {bidder}")
@@ -145,9 +120,7 @@ class ExplicitOracle(DistributionOracle):
         return num / den
 
 
-def with_budget(
-    oracle: DistributionOracle, budget: Optional[int] = None
-) -> DistributionOracle:
+def with_budget(oracle: ExplicitOracle, budget: Optional[int] = None) -> ExplicitOracle:
     """Cap the oracle's total queries and return the oracle itself; the
     default cap is the polynomial budget for its grid.  The cap lives on
     the oracle's ledger, so every oracle sharing that ledger counts
@@ -160,16 +133,14 @@ def with_budget(
     return oracle
 
 
-def materialize(oracle: DistributionOracle) -> ExplicitDistribution:
-    """Rebuild the full explicit table by querying every grid profile
-    once; costs exactly the product of the marginal support sizes."""
+def materialize(oracle: ExplicitOracle) -> ExplicitDistribution:
+    """Rebuild the full explicit table, in the grid's mode, by querying
+    every grid profile once; costs exactly the product of the marginal
+    support sizes."""
     grid = oracle.marginal_supports()
     support = {}
-    mode = EXACT
     for profile in grid.profiles():
         q = oracle.query_point(profile)
-        if isinstance(q, float):
-            mode = FLOAT
         if q > 0:
             support[profile] = q
-    return ExplicitDistribution(grid, support, mode)
+    return ExplicitDistribution(grid, support)

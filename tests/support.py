@@ -75,7 +75,7 @@ from revmax.multi import (
     bundle_mask,
     enumerate_assignments,
 )
-from revmax.optimal import SolveOptions, build_optimal_lp, decompose_allocation
+from revmax.optimal import build_optimal_lp, decompose_allocation
 from revmax.verify import VerifyReport, Witness, violated
 
 
@@ -341,7 +341,7 @@ def random_search_instance(rng, mode=EXACT, max_cells=12, max_candidates=10000):
         tuple(str(c) for c in p): str(Fraction(w, total)) for p, w in weights.items()
     }
     grid = ValueGrid([[str(c) for c in vi] for vi in values], mode)
-    return ExplicitDistribution(grid, support, mode, strict=shape == "full"), fs
+    return ExplicitDistribution(grid, support, strict=shape == "full"), fs
 
 
 def reference_enumerate_deterministic_optimal(
@@ -431,7 +431,7 @@ def reference_enumerate_deterministic_optimal(
                 pay[i] = critical_at(k, i)
         payments[v] = tuple(pay)
         winners[v] = choice[k]
-    mech = DeterministicMechanism(grid, fs, winners, payments, dist.mode)
+    mech = DeterministicMechanism(grid, fs, winners, payments)
     return mech, best_rev
 
 
@@ -502,14 +502,13 @@ def reference_optimal_lp(dist, fs, allow_negative_payments=False):
 
 def reference_multi_lp(
     inst: MultiItemInstance,
-    options: Optional[SolveOptions] = None,
+    allow_negative_payments: bool = False,
     max_assignments: int = MAX_ASSIGNMENTS,
 ) -> LinearProgram:
     """The multi-item revenue LP with a column for every assignment,
     the all-unsold one included, and a convexity equality per type
     profile: the form revmax.multi.build_multi_lp reduces by making the
     all-unsold weight a slack."""
-    options = options or SolveOptions()
     _guard(inst.n, inst.m, max_assignments)
     n = inst.n
     assigns = enumerate_assignments(n, inst.m)
@@ -523,7 +522,7 @@ def reference_multi_lp(
     def pay(t_idx: int, i: int) -> int:
         return nlam + t_idx * n + i
 
-    zero = 0.0 if options.mode == FLOAT else Fraction(0)
+    zero = 0.0 if inst.mode == FLOAT else Fraction(0)
     num_vars = nlam + len(profiles) * n
     objective = [zero] * num_vars
     for k, t in enumerate(profiles):
@@ -531,7 +530,7 @@ def reference_multi_lp(
             objective[pay(k, i)] = inst.support.get(t, zero)
 
     lp = LinearProgram(num_vars, objective)
-    if options.allow_negative_payments:
+    if allow_negative_payments:
         for k in range(len(profiles)):
             for i in range(n):
                 lp.set_free(pay(k, i))
@@ -588,17 +587,15 @@ class ReferenceOptimum:
 
 
 def reference_solve_optimal(
-    dist: ExplicitDistribution,
-    fs: Optional[FeasibilitySystem] = None,
-    options: Optional[SolveOptions] = None,
+    dist: ExplicitDistribution, fs: Optional[FeasibilitySystem] = None
 ) -> ReferenceOptimum:
-    """Solve the revenue LP and unpack the optimum into both mechanism
-    forms, with chain payments along every line."""
-    options = options or SolveOptions()
+    """Solve the revenue LP in the distribution's mode and unpack the
+    optimum into both mechanism forms, with chain payments along every
+    line."""
     if fs is None:
         fs = FeasibilitySystem.single_item(dist.grid.n)
-    lp = build_optimal_lp(dist, fs, options)
-    sol = solve(lp, mode=options.mode)
+    lp = build_optimal_lp(dist, fs)
+    sol = solve(lp, mode=dist.mode)
     if sol.status != "optimal":
         # the all-zero mechanism is feasible and every weight is at most 1
         raise RuntimeError(f"revenue LP reported {sol.status}; this cannot happen")
@@ -607,7 +604,7 @@ def reference_solve_optimal(
     profiles = list(grid.profiles())
     cols = [f for f in range(len(fs.vectors)) if f != fs.zero_index]
     K = len(cols)
-    float_mode = options.mode == FLOAT
+    float_mode = dist.mode == FLOAT
     zero = 0.0 if float_mode else Fraction(0)
     one = 1.0 if float_mode else Fraction(1)
     eps = 1e-12 if float_mode else 0
@@ -628,9 +625,7 @@ def reference_solve_optimal(
         if k:
             last_x, last_p = xs[line[k - 1]][i], ps[line[k - 1]][i]
         ps[idx][i] = last_p + grid.values[i][k] * (xs[idx][i] - last_x)
-    interim = InterimMechanism(
-        grid, dict(zip(profiles, xs)), dict(zip(profiles, ps)), options.mode
-    )
+    interim = InterimMechanism(grid, dict(zip(profiles, xs)), dict(zip(profiles, ps)))
 
     rows = {}
     for v, x, p, weights in zip(profiles, xs, ps, lotteries):
@@ -639,7 +634,7 @@ def reference_solve_optimal(
             (f, tuple(c if on else zero for c, on in zip(charge, fs.vectors[f])), w)
             for f, w in weights.items()
         ]
-    expost = ExPostMechanism(grid, fs, rows, options.mode)
+    expost = ExPostMechanism(grid, fs, rows)
 
     revenue = sum((q * sum(interim.p[v]) for v, q in dist.support.items()), zero)
     return ReferenceOptimum(interim, expost, revenue)
@@ -879,11 +874,12 @@ def reference_solve(lp: LinearProgram, mode: str = EXACT) -> LPSolution:
     return LPSolution("optimal", tuple(x), objective, (phase1, phase2))
 
 
-def reference_distribution_support(grid: ValueGrid, support, mode: str = EXACT, strict: bool = True) -> dict:
-    """The support table ExplicitDistribution(grid, support, mode, strict)
+def reference_distribution_support(grid: ValueGrid, support, strict: bool = True) -> dict:
+    """The support table ExplicitDistribution(grid, support, strict=strict)
     builds, by the profile-keyed construction: the grid test, the
     duplicate test, the strict-grid sets and the canonical sort each look
     the profile tuples themselves up."""
+    mode = grid.mode
     table = {}
     for profile, prob in _items(support):
         key = tuple(convert(v, mode) for v in profile)
@@ -966,7 +962,7 @@ def reference_as_interim(mech: DeterministicMechanism) -> InterimMechanism:
     constructor."""
     rows = [tuple(convert(c, mech.mode) for c in vec) for vec in mech.fs.vectors]
     x = [(v, rows[idx]) for v, idx in mech.choice.items()]
-    return InterimMechanism(mech.grid, x, mech.payments, mech.mode)
+    return InterimMechanism(mech.grid, x, mech.payments)
 
 
 def reference_interim_of(mech: ExPostMechanism) -> InterimMechanism:
@@ -986,7 +982,7 @@ def reference_interim_of(mech: ExPostMechanism) -> InterimMechanism:
                     pa[i] += prob * pay[i]
         x.append((v, tuple(xa)))
         p.append((v, tuple(pa)))
-    return InterimMechanism(mech.grid, x, p, mech.mode)
+    return InterimMechanism(mech.grid, x, p)
 
 
 def reference_check_expost_ir(mech: ExPostMechanism) -> VerifyReport:

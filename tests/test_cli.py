@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, determinism, and the
 stdout/stderr split."""
 
+import json
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -14,13 +15,17 @@ from revmax import (
     MultiItemInstance,
     Valuation,
     ValueGrid,
+    canonical_expost,
+    expected_revenue,
     solve_multi,
+    solve_optimal,
 )
 from revmax import io as rio
 from revmax import lp
 from revmax.cli import main
-from revmax.mechanisms import first_price, vickrey, zero_mechanism
+from revmax.mechanisms import first_price, posted_price, vickrey, zero_mechanism
 from revmax.model import FLOAT
+from revmax.multi import multi_revenue
 
 PAIR = ExplicitDistribution.from_support({(1, 1): F(1, 2), (2, 2): F(1, 2)})
 
@@ -673,9 +678,9 @@ def test_float_lottery_just_over_one_is_input_error(tmp_path, capsys):
     grid = ValueGrid([[1]], FLOAT)
     fs = FeasibilitySystem.single_item(1)
     win = fs.winner_index(0)
-    dist = ExplicitDistribution(grid, {(1.0,): 1.0}, FLOAT)
+    dist = ExplicitDistribution(grid, {(1.0,): 1.0})
     mech = ExPostMechanism(
-        grid, fs, {(1.0,): [(win, (0.0,), 0.5), (win, (0.0,), 0.5 + 4e-13)]}, FLOAT
+        grid, fs, {(1.0,): [(win, (0.0,), 0.5), (win, (0.0,), 0.5 + 4e-13)]}
     )
     inst = write(tmp_path, "inst.ndjson", rio.write_instance(dist))
     path = write(tmp_path, "mech.ndjson", rio.write_mechanism(mech))
@@ -684,3 +689,75 @@ def test_float_lottery_just_over_one_is_input_error(tmp_path, capsys):
         assert code == 2
         assert out == ""
         assert err.startswith("error: allocation outside [0,1] at ")
+
+
+def _two_item_instance(first=F(1, 3)):
+    t = Valuation(2, [0, 1, 1, 3])
+    u = Valuation(2, [0, 2, 1, 2])
+    return MultiItemInstance(2, [[t, u], [t]], {(0, 0): first, (1, 0): 1 - first})
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_revenue_and_ratio_of_a_multi_mechanism_file(tmp_path, capsys, mode):
+    # revenue reads the file's payments by the rule solve-multi reports
+    # with, to the last bit in float mode; the optimum's ratio is one
+    inst = write(tmp_path, "multi.ndjson", rio.write_instance(_two_item_instance()))
+    mech = str(tmp_path / "mech.ndjson")
+    code, out, err = run(capsys, ["solve-multi", inst, "--output", mech, f"--{mode}"])
+    assert (code, err) == (0, "")
+    reported = json.loads(out)["revenue"]
+    code, out, err = run(capsys, ["revenue", inst, mech, f"--{mode}"])
+    assert (code, err) == (0, "")
+    assert out == f"{reported}\n"
+    parsed = rio.read_mechanism(Path(mech).read_text(), mode)
+    assert out == f"{rio.format_number(multi_revenue(parsed.mech), mode)}\n"
+    code, out, err = run(capsys, ["ratio", inst, mech, f"--{mode}"])
+    assert (code, err) == (0, "")
+    assert out == ("1\n" if mode == "exact" else "1.0\n")
+
+
+def test_revenue_of_a_universal_file(tmp_path, capsys):
+    inst = write(tmp_path, "inst.ndjson", rio.write_instance(UNIFORM))
+    parts = [
+        (vickrey(UNIFORM.grid), F(1, 3)),
+        (posted_price(UNIFORM.grid, [2, None]), F(2, 3)),
+    ]
+    mech = write(tmp_path, "mix.ndjson", rio.write_mechanism(None, parts=parts))
+    code, out, err = run(capsys, ["revenue", inst, mech])
+    assert (code, err) == (0, "")
+    want = sum(w * expected_revenue(part, UNIFORM) for part, w in parts)
+    assert want == F(1, 3) * F(3, 2) + F(2, 3) * 1
+    assert out == f"{want}\n"
+
+
+def test_verify_of_an_expost_file_checks_every_outcome(tmp_path, capsys):
+    inst = pair_file(tmp_path)
+    fs = FeasibilitySystem.single_item(2)
+    optimum = canonical_expost(solve_optimal(PAIR).interim, fs)
+    path = write(tmp_path, "opt.ndjson", rio.write_mechanism(optimum))
+    code, out, err = run(capsys, ["verify", inst, path])
+    assert (code, err) == (0, "")
+    assert rio.loads_line(out.splitlines()[-1])["checks"]["expost_ir"] is True
+
+    # a loser charged under one coin outcome
+    nothing = (fs.zero_index, (F(0), F(0)), F(1))
+    outcomes = {v: [nothing] for v in PAIR.grid.profiles()}
+    outcomes[(F(2), F(2))] = [(fs.zero_index, (F(1), F(0)), F(1))]
+    bad = ExPostMechanism(PAIR.grid, fs, outcomes)
+    path = write(tmp_path, "bad.ndjson", rio.write_mechanism(bad))
+    code, out, err = run(capsys, ["verify", inst, path])
+    assert (code, err) == (1, "")
+    lines = [rio.loads_line(line) for line in out.splitlines()]
+    assert lines[-1]["checks"]["expost_ir"] is False
+    assert lines[0]["check"] == "expost_ir"
+    assert lines[0]["detail"] == "outcome 0: non-winner charged"
+
+
+@pytest.mark.parametrize("command", ["verify", "revenue", "ratio"])
+def test_multi_mechanism_of_another_instance_is_input_error(tmp_path, capsys, command):
+    inst = write(tmp_path, "multi.ndjson", rio.write_instance(_two_item_instance()))
+    other, _ = solve_multi(_two_item_instance(F(1, 4)))
+    mech = write(tmp_path, "other.ndjson", rio.write_mechanism(other))
+    code, out, err = run(capsys, [command, inst, mech])
+    assert (code, out) == (2, "")
+    assert err == "error: mechanism embeds a different multi-item instance\n"

@@ -12,18 +12,24 @@ from revmax import (
     DimensionMismatchError,
     ExPostMechanism,
     ExplicitDistribution,
+    ExplicitOracle,
     FeasibilitySystem,
     InterimMechanism,
     InvalidInputError,
+    MultiItemInstance,
     NonRepresentableError,
     UndefinedRatioError,
+    Valuation,
     ValueGrid,
     approximation_ratio,
+    build_multi_lp,
     canonical_expost,
     execute,
     expected_revenue,
     interim_of,
+    materialize,
     second_price,
+    solve_optimal,
     zero_mechanism,
 )
 from revmax.model import EXACT, FLOAT, _check_table_domain, convert, lines
@@ -190,14 +196,14 @@ def test_distribution_build_matches_reference(mode):
     for _ in range(400):
         grid, support, strict = _support_case(rng, mode)
         try:
-            want = reference_distribution_support(grid, support, mode, strict)
+            want = reference_distribution_support(grid, support, strict)
         except (InvalidInputError, DimensionMismatchError) as exc:
             with pytest.raises(type(exc)) as got:
-                ExplicitDistribution(grid, support, mode, strict)
+                ExplicitDistribution(grid, support, strict=strict)
             assert str(got.value) == str(exc)
             seen.update(kind for kind, text in _FAULTS.items() if text in str(exc))
             continue
-        dist = ExplicitDistribution(grid, support, mode, strict)
+        dist = ExplicitDistribution(grid, support, strict=strict)
         assert list(dist.support.items()) == list(want.items())
         assert [tuple(map(type, v)) + (type(q),) for v, q in dist.support.items()] == [
             tuple(map(type, v)) + (type(q),) for v, q in want.items()
@@ -419,7 +425,7 @@ def _random_deterministic(rng, mode):
             conv(rng.choice([0, F(c) / 2, F(c)])) if won else rng.choice(unpaid)
             for c, won in zip(v, fs.vectors[idx])
         )
-    return DeterministicMechanism(grid, fs, choice, pay, mode)
+    return DeterministicMechanism(grid, fs, choice, pay)
 
 
 def _random_lottery(rng, mode):
@@ -440,7 +446,7 @@ def _random_lottery(rng, mode):
             )
             rows.append((idx, pay, conv(F(w, sum(weights)))))
         outcomes[v] = rows
-    return ExPostMechanism(grid, fs, outcomes, mode)
+    return ExPostMechanism(grid, fs, outcomes)
 
 
 def _assert_same_tables(got, want):
@@ -481,12 +487,66 @@ def test_float_winning_probability_just_over_one_is_input_error():
     fs = FeasibilitySystem.single_item(1)
     win = fs.winner_index(0)
     mech = ExPostMechanism(
-        grid, fs, {(1.0,): [(win, (0.0,), 0.5), (win, (0.0,), 0.5 + 4e-13)]}, FLOAT
+        grid, fs, {(1.0,): [(win, (0.0,), 0.5), (win, (0.0,), 0.5 + 4e-13)]}
     )
     assert sum(prob for _, _, prob in mech.outcomes[(1.0,)]) > 1
     for project in (interim_of, reference_interim_of):
         with pytest.raises(InvalidInputError, match=r"allocation outside \[0,1\]"):
             project(mech)
+
+
+def test_mode_comes_from_the_grid():
+    """The arithmetic mode is chosen where raw numbers are first converted
+    (a grid, a multi-item instance); the objects built on them and the
+    solvers given them read it there and take no mode of their own."""
+    # a float distribution solves in float with no further argument
+    dist = ExplicitDistribution.from_support({(1.0,): 0.5, (2.0,): 0.5}, mode=FLOAT)
+    result = solve_optimal(dist)
+    assert result.interim.mode == FLOAT
+    assert type(result.revenue) is float and result.revenue == 1.0
+
+    # a distribution on a float grid is a float distribution
+    grid = ValueGrid([[1.0, 2.0]], FLOAT)
+    dist = ExplicitDistribution(grid, {(1.0,): 0.5, (2.0,): 0.5})
+    assert dist.mode == FLOAT
+    assert {type(c) for v, q in dist.support.items() for c in v + (q,)} == {float}
+    assert materialize(ExplicitOracle(dist)).mode == FLOAT
+
+    # profiles are read in the grid's mode, and there is no second mode to pass
+    grid = ValueGrid([["1/3", "1"]])
+    support = {("1/3",): "1/2", ("1",): "1/2"}
+    with pytest.raises(TypeError):
+        ExplicitDistribution(grid, support, FLOAT)
+    dist = ExplicitDistribution(grid, support)
+    assert dist.mode == EXACT
+    assert list(dist.support.items()) == [((F(1, 3),), F(1, 2)), ((F(1),), F(1, 2))]
+
+    # an exact distribution solves exactly: the interim's mode, profile
+    # keys and entries agree
+    result = solve_optimal(pair_dist())
+    assert result.interim.mode == EXACT and type(result.revenue) is F
+    tables = (result.interim.x, result.interim.p)
+    assert {type(c) for t in tables for v, row in t.items() for c in v + row} == {F}
+    with pytest.raises(TypeError):
+        solve_optimal(pair_dist(), None, FLOAT)
+
+    # mechanisms on a float grid are float mechanisms
+    grid = ValueGrid([[1.0, 2.0]], FLOAT)
+    fs = FeasibilitySystem.single_item(1)
+    choice = {(1.0,): fs.zero_index, (2.0,): fs.winner_index(0)}
+    x = {(1.0,): (0.0,), (2.0,): (1.0,)}
+    pay = {(1.0,): (0.0,), (2.0,): (2.0,)}
+    det = DeterministicMechanism(grid, fs, choice, pay)
+    interim = InterimMechanism(grid, x, pay)
+    assert interim == det.as_interim() == interim_of(det.as_expost())
+    for mech in (det, interim, det.as_expost(), canonical_expost(interim, fs)):
+        assert mech.mode == FLOAT
+    with pytest.raises(TypeError):
+        InterimMechanism(grid, x, pay, FLOAT)
+
+    # the multi-item LP takes the instance's mode
+    inst = MultiItemInstance(1, [[Valuation(1, [0.0, 1.0], FLOAT)]], {(0,): 1.0}, FLOAT)
+    assert {type(c) for c in build_multi_lp(inst).objective} == {float}
 
 
 def test_execute_is_deterministic_and_rounds_down():

@@ -14,7 +14,6 @@ from revmax import (
     MultiMechanism,
     NonRepresentableError,
     SizeLimitError,
-    SolveOptions,
     Valuation,
     build_multi_lp,
     check_multi,
@@ -85,23 +84,23 @@ def test_lp_shape_for_two_bidders_two_items():
 @pytest.mark.parametrize("negative", [False, True])
 def test_slack_form_lp_matches_reference_lp(negative):
     rng = random.Random(31)
-    exact = SolveOptions(allow_negative_payments=negative)
-    approx = SolveOptions(allow_negative_payments=negative, mode="float")
     for _ in range(20):
         inst = random_multi_instance(rng, max_bidders=3, max_items=2, max_types=3)
-        want = solve(reference_multi_lp(inst, exact)).objective
-        assert solve(build_multi_lp(inst, exact)).pivots[0] == 0
-        mech, revenue = solve_multi(inst, exact)
+        want = solve(reference_multi_lp(inst, negative)).objective
+        lp = build_multi_lp(inst, allow_negative_payments=negative)
+        assert solve(lp).pivots[0] == 0
+        mech, revenue = solve_multi(inst, allow_negative_payments=negative)
         assert revenue == want
         assert check_multi(mech).passed
         finst = float_multi_instance(inst)
-        assert solve(build_multi_lp(finst, approx), mode="float").pivots[0] == 0
-        mech, revenue = solve_multi(finst, approx)
+        lp = build_multi_lp(finst, allow_negative_payments=negative)
+        assert solve(lp, mode="float").pivots[0] == 0
+        mech, revenue = solve_multi(finst, allow_negative_payments=negative)
         assert abs(revenue - float(want)) <= 1e-9
         assert check_multi(mech).passed
 
 
-def _accumulated_multi_lp(inst, options):
+def _accumulated_multi_lp(inst, allow_negative_payments):
     """build_multi_lp's program assembled by adding every bundle-value
     coefficient into zero, column by column."""
     n = inst.n
@@ -115,13 +114,13 @@ def _accumulated_multi_lp(inst, options):
     def pay(t_idx, i):
         return nlam + t_idx * n + i
 
-    zero = 0.0 if options.mode == "float" else F(0)
+    zero = 0.0 if inst.mode == "float" else F(0)
     objective = [zero] * (nlam + len(profiles) * n)
     for k, t in enumerate(profiles):
         for i in range(n):
             objective[pay(k, i)] = inst.support.get(t, zero)
     lp = LinearProgram(len(objective), objective)
-    if options.allow_negative_payments:
+    if allow_negative_payments:
         for k in range(len(profiles)):
             for i in range(n):
                 lp.set_free(pay(k, i))
@@ -166,8 +165,8 @@ def test_multi_lp_rows_match_accumulated_rows():
         for inst, negative in itertools.product(
             (exact, float_multi_instance(exact)), (False, True)
         ):
-            options = SolveOptions(mode=inst.mode, allow_negative_payments=negative)
-            got, want = build_multi_lp(inst, options), _accumulated_multi_lp(inst, options)
+            got = build_multi_lp(inst, allow_negative_payments=negative)
+            want = _accumulated_multi_lp(inst, negative)
             assert _typed(got.objective) == _typed(want.objective)
             assert got.free == want.free
             assert len(got.constraints) == len(want.constraints)

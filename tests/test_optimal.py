@@ -10,7 +10,6 @@ import pytest
 from revmax import (
     ExplicitDistribution,
     FeasibilitySystem,
-    SolveOptions,
     ValueGrid,
     build_optimal_lp,
     canonical_expost,
@@ -81,16 +80,15 @@ def test_expost_form_round_trips_to_interim():
 
 
 def test_negative_payments_never_hurt():
-    # the flag cannot change the optimum: chain payments are nonnegative
+    # revenue neutrality of the payment sign: the full LP over weights and
+    # payments has the same optimum with free payments, and the
+    # allocation-only solver reaches it (chain payments are nonnegative)
     rng = random.Random(5)
     for _ in range(10):
         dist = random_distribution(rng, max_bidders=2)
-        base = solve_optimal(dist)
-        signed = solve_optimal(
-            dist, options=SolveOptions(allow_negative_payments=True)
-        )
-        assert signed.revenue == base.revenue
-        assert signed.interim == base.interim
+        revenue = solve_optimal(dist).revenue
+        assert revenue == reference_revenue(dist)
+        assert revenue == reference_revenue(dist, allow_negative_payments=True)
 
 
 def _reference_instances(rng, count):
@@ -139,7 +137,7 @@ def test_allocation_lp_matches_reference_lp():
 def _float_copy(dist):
     grid = ValueGrid([[float(w) for w in vi] for vi in dist.grid.values], FLOAT)
     support = {tuple(float(w) for w in v): float(q) for v, q in dist.support.items()}
-    return ExplicitDistribution(grid, support, FLOAT, strict=False)
+    return ExplicitDistribution(grid, support, strict=False)
 
 
 @pytest.mark.parametrize("mode", [EXACT, FLOAT])
@@ -148,12 +146,11 @@ def test_solve_optimal_matches_reference(mode):
     # the solver reads x_i off bidder i's winner columns and must agree to
     # the last bit
     rng = random.Random(2413)
-    options = SolveOptions(mode=mode)
     for dist, fs in _reference_instances(rng, 120):
         if mode == FLOAT:
             dist = _float_copy(dist)
-        got = solve_optimal(dist, fs, options)
-        want = reference_solve_optimal(dist, fs, options)
+        got = solve_optimal(dist, fs)
+        want = reference_solve_optimal(dist, fs)
         assert rio.write_mechanism(got.interim) == rio.write_mechanism(want.interim)
         assert type(got.revenue) is type(want.revenue)
         if mode == FLOAT:
@@ -173,11 +170,10 @@ def test_randomized_weakly_beats_posted_prices():
 
 
 def test_float_mode_close_to_exact():
-    opts = SolveOptions(mode="float")
     dist = ExplicitDistribution.from_support(
         {(1.0, 1.0): 0.5, (2.0, 2.0): 0.5}, mode="float"
     )
-    result = solve_optimal(dist, options=opts)
+    result = solve_optimal(dist)
     assert abs(result.revenue - 1.5) < 1e-9
 
 

@@ -1,0 +1,69 @@
+"""Repository hygiene: the benchmark tracer's names resolve in the
+package, and no package module imports a name it does not use."""
+
+import ast
+import importlib
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "revmax"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves():
+    # a traced benchmark run stops when a wrapped name is gone; a rename
+    # fails here first
+    wraps = _load_spans().WRAPS
+    assert wraps
+    for modname, attr, _span, _counter in wraps:
+        owner = importlib.import_module(modname)
+        for part in attr.split("."):
+            assert hasattr(owner, part), f"{modname}.{attr}"
+            owner = getattr(owner, part)
+        assert callable(owner), f"{modname}.{attr}"
+
+
+def _unused_imports(source: str) -> list:
+    """Names bound by the module's imports that no Name node reads and
+    __all__ does not list."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_unused_import_finder():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, sys\n"
+        "from typing import Any, Union\n"
+        "x: Any = sys\n"
+    )
+    assert _unused_imports(source) == [(2, "os"), (3, "Union")]
+    assert _unused_imports("from .a import b\n__all__ = ['b']\n") == []
+
+
+def test_no_unused_imports_in_the_package():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    found = {p.name: _unused_imports(p.read_text()) for p in modules}
+    assert {name: names for name, names in found.items() if names} == {}

@@ -188,8 +188,8 @@ def test_float_tolerance_is_scale_aware():
     x = {(1.0,): (1.0,)}
     p_ok = {(1.0,): (1.0 + 1e-12,)}
     p_bad = {(1.0,): (1.0 + 1e-6,)}
-    ok = InterimMechanism(grid, x, p_ok, mode="float")
-    bad = InterimMechanism(grid, x, p_bad, mode="float")
+    ok = InterimMechanism(grid, x, p_ok)
+    bad = InterimMechanism(grid, x, p_bad)
     assert check_ir(ok).passed
     assert not check_ir(bad).passed
 
@@ -240,7 +240,7 @@ def _as_float(mech):
     def table(t):
         return {tuple(map(float, v)): tuple(map(float, row)) for v, row in t.items()}
 
-    return InterimMechanism(grid, table(mech.x), table(mech.p), FLOAT)
+    return InterimMechanism(grid, table(mech.x), table(mech.p))
 
 
 def _parity_cases(rng, rounds):
@@ -325,7 +325,7 @@ def test_single_item_feasibility_is_a_direct_sum_test(mode, n):
         v: tuple(map(conv, row)) for v, row in zip(grid.profiles(), rows)
     }
     p = {v: (conv(0),) * n for v in grid.profiles()}
-    mech = InterimMechanism(grid, x, p, mode)
+    mech = InterimMechanism(grid, x, p)
     fs = FeasibilitySystem.single_item(n)
     report = check_feasible(mech, fs)
     outside = {w.profile for w in report.witnesses}
@@ -363,7 +363,7 @@ def test_single_item_sum_test_edges_match_reference(mode):
     grid = ValueGrid([list(range(1, len(rows) + 1)), [1], [1]], mode)
     x = {v: tuple(map(conv, row)) for v, row in zip(grid.profiles(), rows)}
     p = {v: (conv(0),) * 3 for v in grid.profiles()}
-    mech = InterimMechanism(grid, x, p, mode)
+    mech = InterimMechanism(grid, x, p)
     fs = FeasibilitySystem.single_item(3)
     report = check_feasible(mech, fs)
     reference = reference_check_feasible(mech, fs)
@@ -520,7 +520,7 @@ def _random_expost(rng, mode):
             )
             rows.append((idx, pay, conv(F(w, sum(weights)))))
         outcomes[v] = rows
-    return ExPostMechanism(grid, fs, outcomes, mode)
+    return ExPostMechanism(grid, fs, outcomes)
 
 
 @pytest.mark.parametrize("mode", [EXACT, FLOAT])
