@@ -12,6 +12,12 @@ mode flag of the plan is replaced), through revmax.cli.main in one worker
 process per tree that imports that tree's src/.  Output paths are
 relative to the worker's own directory, so both trees see the same argv.
 
+Each solve and solve-multi command is followed by a verify of the
+mechanism it wrote, in the same mode.  Each solve-multi output is also
+verified once more as a copy whose first pay line is raised by 1 in
+every entry, which fails the replay and so compares the failing
+multi-item reports too.
+
 For each command the exit code, stdout, stderr and the bytes written to
 --output are compared.  Exit code 0 when every command agrees, 1 when
 some differ (each is listed), 2 on bad arguments.
@@ -27,6 +33,7 @@ import json
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -42,9 +49,25 @@ def _digest(data) -> str:
     return f"{hashlib.sha256(data).hexdigest()[:16]}:{len(data)}"
 
 
+def raise_first_pay(source: str, target: str) -> None:
+    """Copy a multi-item mechanism file, adding 1 to every entry of its
+    first pay line."""
+    lines = Path(source).read_text().splitlines(keepends=True)
+    for k, line in enumerate(lines):
+        obj = json.loads(line)
+        if "pay" in obj:
+            obj["pay"] = [str(Fraction(c) + 1) if isinstance(c, str) else c + 1
+                          for c in obj["pay"]]
+            lines[k] = json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+            break
+    Path(target).write_text("".join(lines))
+
+
 def worker(tree: str) -> None:
     """Run the commands read from stdin (a JSON list of [key, argv,
-    output]) with the tree's revmax; write one JSON result per command."""
+    output, raised]) with the tree's revmax; write one JSON result per
+    command.  raised, when set, is a [source, target] pair: target is
+    written by raise_first_pay from source before the command runs."""
     src = Path(tree, "src").resolve()
     sys.path.insert(0, str(src))
     import revmax
@@ -54,7 +77,9 @@ def worker(tree: str) -> None:
         raise SystemExit(f"revmax was imported from {revmax.__file__}, not from {src}")
 
     results = {}
-    for key, argv, output in json.load(sys.stdin):
+    for key, argv, output, raised in json.load(sys.stdin):
+        if raised and Path(raised[0]).exists():
+            raise_first_pay(*raised)
         if output:
             Path(output).unlink(missing_ok=True)
         out, err = io.StringIO(), io.StringIO()
@@ -81,8 +106,9 @@ def _seeds(text: str) -> list:
 
 
 def plan_commands(tree: Path, seeds: list, inputs: Path) -> list:
-    """[key, argv, output] for every plan command of the seeds in both
-    modes, with the input files written under inputs."""
+    """[key, argv, output, raised] for every plan command of the seeds in
+    both modes, and the verify replays of the solvers' outputs, with the
+    input files written under inputs."""
     sys.path[:0] = [str(tree / "bench"), str(tree / "src")]
     import workloads
     from revmax import io as rio
@@ -105,7 +131,18 @@ def plan_commands(tree: Path, seeds: list, inputs: Path) -> list:
                         at = argv.index("--output") + 1
                         output = f"out/{workload}-s{seed}-{Path(argv[at]).name}"
                         argv[at] = output
-                    commands.append([f"{workload} s{seed} {mode} {cmd.key}", argv, output])
+                    key = f"{workload} s{seed} {mode} {cmd.key}"
+                    commands.append([key, argv, output, None])
+                    if cmd.kind not in ("solve", "solve-multi") or output is None:
+                        continue
+                    ipath = argv[1]
+                    commands.append([f"{key} verify", ["verify", ipath, output, mode],
+                                     None, None])
+                    if cmd.kind == "solve-multi":
+                        raised = f"{output}.raised"
+                        commands.append([f"{key} verify-raised",
+                                         ["verify", ipath, raised, mode],
+                                         None, [output, raised]])
     return commands
 
 
@@ -143,7 +180,7 @@ def main(argv=None) -> int:
         print(f"the workers exited {codes}", file=sys.stderr)
         return 1
     parent, change = [json.loads(out) for out in outs]
-    differ = [key for key, _, _ in commands if parent[key] != change[key]]
+    differ = [key for key, *_ in commands if parent[key] != change[key]]
     for key in differ:
         fields = [f for f in parent[key] if parent[key][f] != change[key][f]]
         print(f"DIFFERS {key}: {', '.join(fields)}")

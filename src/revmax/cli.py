@@ -80,6 +80,19 @@ def _instance(args) -> io.ParsedInstance:
     return io.read_instance(_read(args.instance), args.mode)
 
 
+def _instance_and_mechanism(args) -> tuple:
+    """The instance and the mechanism file, read in one arithmetic mode:
+    the one --exact/--float forces, else the one both headers declare,
+    else float, so a rational result is printed only when both files are
+    exact."""
+    inst_text, mech_text = _read(args.instance), _read(args.mechanism)
+    mode = args.mode
+    if mode is None:
+        ours, theirs = io.header_mode(inst_text), io.header_mode(mech_text)
+        mode = ours if ours == theirs else FLOAT
+    return io.read_instance(inst_text, mode), io.read_mechanism(mech_text, mode)
+
+
 def _single(args) -> io.ParsedInstance:
     inst = _instance(args)
     if inst.model == io.MULTI_ITEM:
@@ -182,8 +195,7 @@ def _pick_fs(mech: io.ParsedMechanism, inst: io.ParsedInstance) -> FeasibilitySy
 
 
 def _cmd_verify(args) -> int:
-    inst = _instance(args)
-    mech = io.read_mechanism(_read(args.mechanism), args.mode)
+    inst, mech = _instance_and_mechanism(args)
     if mech.kind == io.MULTI:
         if inst.model != io.MULTI_ITEM:
             raise InvalidInputError("a multi mechanism needs a multi-item instance")
@@ -224,23 +236,20 @@ def _mechanism_revenue(mech: io.ParsedMechanism, inst: io.ParsedInstance):
         _require_same_grid(mech.parts[0][0].grid, inst)
         _pick_fs(mech, inst)
         return sum(w * expected_revenue(part, inst.dist) for part, w in mech.parts)
-    interim = _as_interim(mech)
-    _require_same_grid(interim.grid, inst)
+    _require_same_grid(mech.mech.grid, inst)
     _pick_fs(mech, inst)
-    return expected_revenue(interim, inst.dist)
+    return expected_revenue(mech.mech, inst.dist)
 
 
 def _cmd_revenue(args) -> int:
-    inst = _instance(args)
-    mech = io.read_mechanism(_read(args.mechanism), args.mode)
+    inst, mech = _instance_and_mechanism(args)
     revenue = _mechanism_revenue(mech, inst)
     sys.stdout.write(f"{io.format_number(revenue, mech.mode)}\n")
     return 0
 
 
 def _cmd_ratio(args) -> int:
-    inst = _instance(args)
-    mech = io.read_mechanism(_read(args.mechanism), args.mode)
+    inst, mech = _instance_and_mechanism(args)
     revenue = _mechanism_revenue(mech, inst)
     if inst.model == io.MULTI_ITEM:
         _, opt = solve_multi(inst.multi)

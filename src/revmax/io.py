@@ -94,6 +94,24 @@ def _records(text: str) -> list:
     return rows
 
 
+def header_mode(text: str) -> str:
+    """The arithmetic mode a file's header declares, exact when it names
+    none.  Only the first non-blank line is decoded: the line _records
+    would take as the header, since a newline ends a line for both."""
+    start = 0
+    while True:
+        end = text.find("\n", start)
+        for line in text[start:end if end >= 0 else len(text)].splitlines():
+            if line.strip():
+                mode = loads_line(line).get("mode", EXACT)
+                if mode not in (EXACT, FLOAT):
+                    raise InvalidInputError(f"unknown mode {mode!r}")
+                return mode
+        if end < 0:
+            raise InvalidInputError("empty file")
+        start = end + 1
+
+
 def _header(rows: list, key: str, force_mode: Optional[str] = None) -> tuple:
     head = rows[0]
     if head.get("format") != FORMAT_VERSION:

@@ -20,9 +20,25 @@ ints, so no Fraction is built per entry:
   new denominator, negating the row first if a is negative;
 - every other row with numerator c in the entering column becomes
   (a*row - c*pivot row) / (a*d), d its old denominator, which touches
-  only the pivot row's nonzeros when a is 1;
-- each changed row is divided by the gcd of its numerators and its
-  denominator, and entries that cancel to zero are deleted.
+  only the pivot row's nonzeros when a is 1; entries that cancel to zero
+  are deleted;
+- such a row, and the reduced-cost row, is divided by the gcd of its
+  numerators and its denominator only once that denominator is wider
+  than _REDUCE_BITS bits, so a row stays unreduced while its integers
+  are small and reducing them costs more than it saves (the lazy
+  normalization of fraction-free elimination; Bareiss, "Sylvester's
+  identity and multistep integer-preserving Gaussian elimination",
+  1968).  The pivot row itself is always reduced.
+
+When a row is reduced cannot change the pivot path: a reduction divides
+a row's numerators and denominator by one positive int, which keeps
+every rational the simplex reads.  Pricing compares the reduced-cost
+numerators, which share one positive denominator; the ratio test
+compares ratios within each row; a pivot divides the pivot row by its
+own entry in the entering column and reduces it fully, which gives the
+same row however it was scaled before; every other decision is a sign
+test.  So the pivots, x and the objective are the same whether rows are
+reduced always, never or past the bound.
 
 A column index (column -> set of the rows holding it, the reduced-cost
 row left out) follows every fill-in and every cancellation, so the
@@ -61,6 +77,9 @@ EQ = "="
 
 # consecutive non-improving pivots tolerated before Bland's rule takes over
 _STALL_LIMIT = 64
+# an eliminated row is divided by the gcd of its numerators and
+# denominator once the denominator is wider than this many bits
+_REDUCE_BITS = 62
 _MAX_PIVOTS = 2_000_000
 
 
@@ -174,7 +193,7 @@ def _eliminate(row: dict, r, d, c, a, pitems, pb, i=-1, cols=None) -> tuple:
                 if cols is not None:
                     cols[j].discard(i)
     r -= c * pb
-    if d != 1:
+    if d.bit_length() > _REDUCE_BITS:
         g = gcd(d, r, *row.values())
         if g != 1:
             for j, v in row.items():

@@ -556,19 +556,25 @@ class DeterministicMechanism:
 # operations
 
 
-def _payment_table(mech) -> Mapping[Profile, Sequence]:
-    if isinstance(mech, (InterimMechanism, DeterministicMechanism)):
-        return mech.p if isinstance(mech, InterimMechanism) else mech.payments
+def _payment_table(mech, support) -> Mapping[Profile, Sequence]:
+    """The mechanism's expected payments, at least at the support's
+    profiles."""
+    if isinstance(mech, InterimMechanism):
+        return mech.p
+    if isinstance(mech, DeterministicMechanism):
+        return mech.payments
     if isinstance(mech, ExPostMechanism):
-        return interim_of(mech).p
+        return _expost_payments(mech, support)
     raise InvalidInputError(f"cannot read payments from {type(mech).__name__}")
 
 
 def expected_revenue(mech, dist: ExplicitDistribution):
-    """Expected total payment under truthful play, summed over the support."""
+    """Expected total payment under truthful play, summed over the support.
+    An ex-post lottery's payments are summed at the support's profiles
+    only, as interim_of sums them."""
     if mech.grid != dist.grid:
         raise DimensionMismatchError("mechanism and distribution grids differ")
-    p = _payment_table(mech)
+    p = _payment_table(mech, dist.support)
     zero = 0.0 if dist.mode == FLOAT else Fraction(0)
     return sum((q * sum(p[v]) for v, q in dist.support.items()), zero)
 
@@ -615,6 +621,26 @@ def interim_of(mech: ExPostMechanism) -> InterimMechanism:
         x[v] = tuple(xa)
         p[v] = tuple(pa)
     return InterimMechanism._from_tables(mech.grid, x, p)
+
+
+def _expost_payments(mech: ExPostMechanism, profiles) -> dict:
+    """interim_of(mech).p at the given profiles.  interim_of's [0,1] check
+    can fail only in float mode, where outcome probabilities may sum to
+    just over 1, so float mode takes interim_of itself; exact mode sums
+    the payments of the given profiles' outcomes alone, as interim_of
+    sums them."""
+    if mech.mode == FLOAT:
+        return interim_of(mech).p
+    n = mech.grid.n
+    p = {}
+    for v in profiles:
+        pa = [Fraction(0)] * n
+        for _vec_idx, pay, prob in mech.outcomes[v]:
+            for i in range(n):
+                if pay[i]:
+                    pa[i] += prob * pay[i]
+        p[v] = pa
+    return p
 
 
 def canonical_expost(mech: InterimMechanism, fs: FeasibilitySystem) -> ExPostMechanism:

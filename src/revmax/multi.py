@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -31,7 +32,7 @@ from .model import (
     convert,
     lines,
 )
-from .verify import VerifyReport, Witness, violated
+from .verify import VerifyReport, Witness, _scaled, violated
 
 MAX_ASSIGNMENTS = 6561  # (n+1)^m cap, e.g. m <= 8 at n = 2
 
@@ -371,37 +372,86 @@ def check_multi(mech: MultiMechanism) -> VerifyReport:
     mechanism tables.
 
     Walks model.lines in the order of verify.check_truthful (bidder,
-    type profile, misreport).  Once per line of bidder i, worth[a][j] is
-    type a's expected bundle value under the lottery at the line's j-th
-    profile; a misreport keeps the true type at the misreport's lottery,
-    and rationality reads the same table's diagonal."""
+    type profile, misreport).  Once per line of bidder i, W[a][j] is type
+    a's expected bundle value under the lottery at the line's j-th
+    profile and P[j] that profile's payment; a misreport keeps the true
+    type at the misreport's lottery, and rationality reads the table's
+    diagonal.
+
+    In exact mode W and P are ints on one positive scale per line, as
+    verify._lines puts its tables, so every comparison keeps its outcome:
+    bidder i's bundle values are multiplied by Dv, the lcm of their
+    denominators; each lottery's weights by the lcm of their own
+    denominators, and its sums then by what takes that to Dw, the lcm
+    over the line; W by Dp, the lcm of the line's payment denominators,
+    and P by Dw * Dv.  Float mode runs the same loop with every scale 1
+    and violated's tolerance.  A witness quotes the expressions
+    sum(w * v) - p themselves, computed only for a comparison that
+    fails."""
     inst = mech.inst
     mode = inst.mode
-    zero = 0.0 if mode == FLOAT else Fraction(0)
+    exact = mode != FLOAT
     values = _bundle_values(inst, mech.assignments)
     profiles = list(mech.payments)
     lots, pays = list(mech.lotteries.values()), list(mech.payments.values())
+    if exact:
+        tables = []
+        for per_type in values:
+            dv = lcm(*[v.denominator for vals in per_type for v in vals])
+            ints = [[v.numerator * (dv // v.denominator) for v in vals] for vals in per_type]
+            tables.append((dv, ints))
+        dens, rows = [], []
+        for lot in lots:
+            d, nums = _scaled([w for _, w in lot])
+            dens.append(d)
+            rows.append([(a, c) for (a, _), c in zip(lot, nums)])
+        zero, witness_zero = 0, Fraction(0)
+    else:
+        tables = [(1, per_type) for per_type in values]
+        dens, rows = [1] * len(lots), lots
+        zero = witness_zero = 0.0
+
+    def worth(vals, q: int):
+        """The expected value of assignments worth vals under the lottery
+        at flat index q, as a witness quotes it."""
+        return sum((w * vals[a] for a, w in lots[q]), witness_zero)
+
     cache = {}
     ic, ir = [], []
     for i, idx, k, line in lines([len(ts) for ts in inst.types]):
         if k == 0:
-            # keyed by the line's first index, which this visit overwrites
-            cache[line.start] = [
-                [sum((w * vals[a] for a, w in lots[j]), zero) for j in line]
-                for vals in values[i]
+            dv, V = tables[i]
+            dw = lcm(*[dens[q] for q in line])
+            if exact:
+                dp, P = _scaled([pays[q][i] for q in line])
+                P = [c * dw * dv for c in P]
+            else:
+                dp, P = 1, [pays[q][i] for q in line]
+            W = [
+                [sum((w * v[a] for a, w in rows[q]), zero) * (dw // dens[q] * dp) for q in line]
+                for v in V
             ]
-        worth = cache[line.start][k]
-        t = profiles[idx]
-        paid = pays[idx][i]
-        truth = worth[k] - paid
+            # keyed by the line's first index, which this visit overwrites
+            cache[line.start] = (W, P)
+        W, P = cache[line.start]
+        Wk = W[k]
+        truth = Wk[k] - P[k]
         for j, q in enumerate(line):
-            if j == k:
-                continue
-            dev = worth[j] - pays[q][i]
-            if violated(truth, dev, ">=", mode):
-                ic.append(Witness("multi_ic", i, t, j, ">=", truth, dev))
-        if violated(worth[k], paid, ">=", mode):
-            ir.append(Witness("multi_ir", i, t, None, ">=", worth[k], paid))
+            if j != k and violated(truth, Wk[j] - P[j], ">=", mode):
+                vals = values[i][k]
+                ic.append(
+                    Witness(
+                        "multi_ic", i, profiles[idx], j, ">=",
+                        worth(vals, idx) - pays[idx][i], worth(vals, q) - pays[q][i],
+                    )
+                )
+        if violated(Wk[k], P[k], ">=", mode):
+            ir.append(
+                Witness(
+                    "multi_ir", i, profiles[idx], None, ">=",
+                    worth(values[i][k], idx), pays[idx][i],
+                )
+            )
     return VerifyReport.merge(
         VerifyReport.build("multi_ic", ic), VerifyReport.build("multi_ir", ir)
     )

@@ -25,10 +25,10 @@ the in-order fast path of revmax.model._check_table_domain must return
 the same table and raise the same errors.  The reference distribution
 build keys its duplicate test, strict-grid check and canonical sort by
 the profile tuples, so the flat-index build of ExplicitDistribution must
-return the same support table and raise the same errors.  The reference multi-item checker rebuilds each deviating type profile
-and recomputes every expected bundle value per report, so the line walk
-of revmax.multi.check_multi must return the same witnesses in the same
-order.  The reference deterministic search recomputes each complete
+return the same support table and raise the same errors.  The reference multi-item checker sums Fraction (or float) products
+w * v for every type and profile of each line, so
+revmax.multi.check_multi, which compares ints on per-line scales, must
+return the same report, with the same witnesses in the same order.  The reference deterministic search recomputes each complete
 rule's revenue over the whole support, so the prefix-revenue search of
 revmax.brute must return the same first optimum and the same revenue.
 The reference optimal solve unpacks the LP optimum through per-profile
@@ -72,7 +72,6 @@ from revmax.multi import (
     MAX_ASSIGNMENTS,
     _bundle_values,
     _guard,
-    bundle_mask,
     enumerate_assignments,
 )
 from revmax.optimal import build_optimal_lp, decompose_allocation
@@ -1115,36 +1114,40 @@ def reference_check_extension(mech: InterimMechanism) -> VerifyReport:
 
 def reference_check_multi(mech: MultiMechanism) -> VerifyReport:
     """Replay the LP's truthfulness and rationality rows against the
-    mechanism tables."""
+    mechanism tables.
+
+    Walks model.lines in the order of verify.check_truthful (bidder,
+    type profile, misreport).  Once per line of bidder i, worth[a][j] is
+    type a's expected bundle value under the lottery at the line's j-th
+    profile; a misreport keeps the true type at the misreport's lottery,
+    and rationality reads the same table's diagonal."""
     inst = mech.inst
     mode = inst.mode
+    zero = 0.0 if mode == FLOAT else Fraction(0)
+    values = _bundle_values(inst, mech.assignments)
+    profiles = list(mech.payments)
+    lots, pays = list(mech.lotteries.values()), list(mech.payments.values())
+    cache = {}
     ic, ir = [], []
-    for i in range(inst.n):
-        for t in inst.type_profiles():
-            truth = mech.expected_value(t, i) - mech.payments[t][i]
-            for rep in range(len(inst.types[i])):
-                if rep == t[i]:
-                    continue
-                q = t[:i] + (rep,) + t[i + 1 :]
-                # deviation keeps the true valuation, at the misreport's lottery
-                val = inst.types[i][t[i]]
-                zero = 0.0 if mode == FLOAT else Fraction(0)
-                dev_value = sum(
-                    (w * val.of(bundle_mask(mech.assignments[a], i)) for a, w in mech.lotteries[q]),
-                    zero,
-                )
-                dev = dev_value - mech.payments[q][i]
-                if violated(truth, dev, ">=", mode):
-                    ic.append(
-                        Witness("multi_ic", i, t, rep, ">=", truth, dev)
-                    )
-    for i in range(inst.n):
-        for t in inst.type_profiles():
-            worth = mech.expected_value(t, i)
-            if violated(worth, mech.payments[t][i], ">=", mode):
-                ir.append(
-                    Witness("multi_ir", i, t, None, ">=", worth, mech.payments[t][i])
-                )
+    for i, idx, k, line in lines([len(ts) for ts in inst.types]):
+        if k == 0:
+            # keyed by the line's first index, which this visit overwrites
+            cache[line.start] = [
+                [sum((w * vals[a] for a, w in lots[j]), zero) for j in line]
+                for vals in values[i]
+            ]
+        worth = cache[line.start][k]
+        t = profiles[idx]
+        paid = pays[idx][i]
+        truth = worth[k] - paid
+        for j, q in enumerate(line):
+            if j == k:
+                continue
+            dev = worth[j] - pays[q][i]
+            if violated(truth, dev, ">=", mode):
+                ic.append(Witness("multi_ic", i, t, j, ">=", truth, dev))
+        if violated(worth[k], paid, ">=", mode):
+            ir.append(Witness("multi_ir", i, t, None, ">=", worth[k], paid))
     return VerifyReport.merge(
         VerifyReport.build("multi_ic", ic), VerifyReport.build("multi_ir", ir)
     )

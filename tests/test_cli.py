@@ -761,3 +761,59 @@ def test_multi_mechanism_of_another_instance_is_input_error(tmp_path, capsys, co
     code, out, err = run(capsys, [command, inst, mech])
     assert (code, out) == (2, "")
     assert err == "error: mechanism embeds a different multi-item instance\n"
+
+
+def _third_pair(mode):
+    return ExplicitDistribution.from_support({(1, 1): "1/3", (2, 2): "2/3"}, mode=mode)
+
+
+@pytest.mark.parametrize("command", ["revenue", "ratio"])
+def test_files_of_different_modes_are_read_in_float(tmp_path, capsys, command):
+    # a float-header instance with an exact mechanism file: both files are
+    # read in float, so no float result is printed as a rational
+    inst = write(tmp_path, "inst.ndjson", rio.write_instance(_third_pair(FLOAT)))
+    optimum = solve_optimal(_third_pair("exact")).interim
+    mech = write(tmp_path, "mech.ndjson", rio.write_mechanism(optimum))
+    code, out, err = run(capsys, [command, inst, mech])
+    assert (code, err) == (0, "")
+    assert "/" not in out and out != "3752999689475413/2251799813685248\n"
+    assert (code, out, err) == run(capsys, [command, inst, mech, "--float"])
+
+
+def _third_multi(mode):
+    types = [[Valuation(1, [0, 1], mode), Valuation(1, [0, 2], mode)]]
+    return MultiItemInstance(1, types, {(0,): F(1, 3), (1,): F(2, 3)}, mode)
+
+
+@pytest.mark.parametrize("command", ["verify", "revenue", "ratio"])
+def test_float_mechanism_of_an_exact_instance_is_read_in_float(tmp_path, capsys, command):
+    # values and probabilities that are not dyadic differ between the two
+    # modes, so reading each file in its own mode compared different
+    # instances; both files are read in float, as with --float
+    grid = ValueGrid([[F(1, 3), 1]], FLOAT)
+    single = ExplicitDistribution(grid, {(1 / 3,): 0.5, (1.0,): 0.5})
+    cases = [
+        (rio.write_instance(_third_multi("exact")),
+         rio.write_mechanism(solve_multi(_third_multi(FLOAT))[0])),
+        (rio.write_instance(ExplicitDistribution.from_support(
+            {(F(1, 3),): F(1, 2), (1,): F(1, 2)})),
+         rio.write_mechanism(solve_optimal(single).interim)),
+    ]
+    for k, (inst_text, mech_text) in enumerate(cases):
+        inst = write(tmp_path, f"inst{k}.ndjson", inst_text)
+        mech = write(tmp_path, f"mech{k}.ndjson", mech_text)
+        code, out, err = run(capsys, [command, inst, mech])
+        assert (code, err) == (0, "")
+        assert (code, out, err) == run(capsys, [command, inst, mech, "--float"])
+
+
+def test_an_unknown_mode_in_either_header_is_input_error(tmp_path, capsys):
+    inst = pair_file(tmp_path)
+    mech = write(tmp_path, "mech.ndjson", rio.write_mechanism(vickrey(PAIR.grid)))
+    bad_inst = write(tmp_path, "bad-inst.ndjson", _edit(PAIR_TEXT, "mode", "decimal"))
+    bad_mech = write(
+        tmp_path, "bad-mech.ndjson", _edit(Path(mech).read_text(), "mode", "decimal")
+    )
+    for argv in (["revenue", inst, bad_mech], ["verify", bad_inst, mech]):
+        code, out, err = run(capsys, argv)
+        assert (code, out, err) == (2, "", "error: unknown mode 'decimal'\n")

@@ -1,8 +1,10 @@
 """Exact two-phase simplex: classic fixtures, degenerate/cycling cases,
 free variables, a brute-force vertex cross-check on random programs,
 pivot-for-pivot parity with the dense reference solver on integer,
-rational and tie-heavy programs and under Bland's rule throughout, and
-the column index checked against a full scan at every pivot."""
+rational and tie-heavy programs and under Bland's rule throughout, the
+column index checked against a full scan at every pivot, and the same
+pivots and vertex whether rows are reduced always, never or past the
+width bound."""
 
 import itertools
 import random
@@ -405,3 +407,51 @@ def test_column_index_matches_full_scan(monkeypatch):
         solve(lp)
         solve(lp, mode=FLOAT)
     assert len(checked) > 1000
+
+
+# pairwise coprime denominators near 10**6
+_WIDE = (10**6 + 3, 10**6 + 33, 10**6 + 37, 10**6 + 39)
+
+
+def _wide_program(rng):
+    """Random program whose coefficients have the coprime _WIDE
+    denominators, so row denominators pass _REDUCE_BITS after a few
+    eliminations."""
+    n = rng.randint(3, 7)
+    lp = LinearProgram(n, [F(rng.randint(-3, 6), rng.choice(_WIDE)) for _ in range(n)])
+    for _ in range(rng.randint(3, 7)):
+        coeffs = {
+            j: F(rng.randint(-9, 9), rng.choice(_WIDE)) for j in range(n) if rng.random() < 0.8
+        }
+        rel = rng.choice([LEQ, LEQ, LEQ, EQ])
+        lp.add_constraint(coeffs, rel, F(rng.randint(-2, 9), rng.choice(_WIDE)))
+    return lp
+
+
+def _outcome(sol):
+    return sol.status, sol.pivots, sol.x, sol.objective
+
+
+@pytest.mark.parametrize("bits", [-1, 10**9], ids=["always", "never"])
+def test_pivot_path_does_not_depend_on_row_reduction(monkeypatch, bits):
+    # rows reduced after every elimination, or never, against the default,
+    # which reduces a row once its denominator passes _REDUCE_BITS: the
+    # wide programs cross that bound in the middle of a run
+    rng = random.Random(62)
+    programs = _integer_programs() + [_wide_program(rng) for _ in range(40)]
+    eliminate = lp_module._eliminate
+    wide = []  # per run, whether each elimination's denominator was past the bound
+
+    def recording(row, r, d, *rest):
+        wide[-1].add(d.bit_length() > lp_module._REDUCE_BITS)
+        return eliminate(row, r, d, *rest)
+
+    monkeypatch.setattr(lp_module, "_eliminate", recording)
+    default = []
+    for lp in programs:
+        wide.append(set())
+        default.append(_outcome(solve(lp)))
+    assert sum(w == {True, False} for w in wide) >= 20
+    monkeypatch.setattr(lp_module, "_REDUCE_BITS", bits)
+    assert [_outcome(solve(lp)) for lp in programs] == default
+    assert {sol[0] for sol in default} == {"optimal", "infeasible", "unbounded"}

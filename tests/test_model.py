@@ -32,6 +32,7 @@ from revmax import (
     solve_optimal,
     zero_mechanism,
 )
+from revmax import model as model_module
 from revmax.model import EXACT, FLOAT, _check_table_domain, convert, lines
 from support import (
     random_distribution,
@@ -477,6 +478,24 @@ def test_direct_interim_projections_match_the_validating_constructor(mode):
     grid = ValueGrid([[1, 2], [1, 2]], mode)
     second = second_price(grid)
     _assert_same_tables(second.as_interim(), reference_as_interim(second))
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_expost_revenue_matches_the_interim_projection(mode, monkeypatch):
+    """expected_revenue of an ex-post lottery equals that of its interim
+    projection, down to the type and the float bits; exact mode sums the
+    support's outcomes alone, without projecting the other profiles."""
+    rng = random.Random(2424)
+    pairs = []
+    for _ in range(60):
+        lottery = _random_lottery(rng, mode)
+        dist = random_distribution(rng, grid=lottery.grid)
+        pairs.append((lottery, dist, expected_revenue(interim_of(lottery), dist)))
+    if mode == EXACT:
+        monkeypatch.setattr(model_module, "interim_of", None)
+    for lottery, dist, want in pairs:
+        got = expected_revenue(lottery, dist)
+        assert (type(got), repr(got)) == (type(want), repr(want))
 
 
 def test_float_winning_probability_just_over_one_is_input_error():

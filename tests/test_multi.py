@@ -323,27 +323,92 @@ def test_deterministic_lottery_single_outcome_charge():
     assert rows[0][1] == (F(4),)
 
 
+# pairwise coprime denominators near 10**12
+_WIDE = [10**12 + k for k in (1, 2, 3, 7, 9)]
+
+
+def _wide_instance(rng):
+    """A random instance whose bundle values are fractions over the
+    coprime _WIDE denominators; some bidders have one type."""
+    n, m = rng.randint(1, 3), rng.randint(1, 2)
+    types = []
+    for _ in range(n):
+        ts = []
+        while len(ts) < rng.choice((1, 1, 2, 3)):
+            d = rng.choice(_WIDE)
+            t = Valuation(m, [0] + [F(rng.randint(0, 6 * d), d) for _ in range(2**m - 1)])
+            if t not in ts:
+                ts.append(t)
+        types.append(ts)
+    profiles = list(itertools.product(*(range(len(ts)) for ts in types)))
+    weights = [rng.randint(1, 3) for _ in profiles]
+    return MultiItemInstance(
+        m, types, {t: F(w, sum(weights)) for t, w in zip(profiles, weights)}
+    )
+
+
+def _edits(rng, inst, lotteries, payments):
+    """Copies of the tables with payments shifted up and down at a few
+    profiles, and with weight moved between assignments."""
+    A = len(enumerate_assignments(inst.n, inst.m))
+    profiles = list(lotteries)
+    for sign in (1, -1):
+        pay = dict(payments)
+        for t in rng.sample(profiles, min(3, len(profiles))):
+            i = rng.randrange(inst.n)
+            step = rng.choice((F(1, 7), F(1, 10**12 + 1), F(1, 10**15)))
+            pay[t] = pay[t][:i] + (pay[t][i] + sign * step,) + pay[t][i + 1 :]
+        yield lotteries, pay
+    lot = dict(lotteries)
+    for t in rng.sample(profiles, min(3, len(profiles))):
+        rows = dict(lot[t])
+        a = rng.choice(list(rows))
+        moved = rows[a] * rng.choice((F(1, 3), F(1, 2), F(1)))
+        b = rng.randrange(A)
+        rows[a] -= moved
+        rows[b] = rows.get(b, 0) + moved
+        lot[t] = [(c, w) for c, w in rows.items() if w]
+    yield lot, payments
+
+
+def _assert_same_report(got, want, mode):
+    """Equal reports, with witness sides of the same types and, in float
+    mode, the same bits."""
+    assert got == want
+    for a, b in zip(got.witnesses, want.witnesses):
+        for x, y in ((a.lhs, b.lhs), (a.rhs, b.rhs)):
+            assert type(x) is type(y)
+            if mode == "float":
+                assert x.hex() == y.hex()
+
+
 def test_check_multi_matches_reference():
-    rng = random.Random(29)
+    # random and solved mechanisms, their edits and wide-denominator
+    # instances, each in both modes, against the rational replay
+    rng = random.Random(1968)
     seen = set()
-    for _ in range(200):
-        inst = random_multi_instance(rng, max_bidders=3, max_items=2, max_types=3)
-        lotteries, payments = random_multi_mechanism(rng, inst)
-        for copy in (inst, float_multi_instance(inst)):
-            mech = MultiMechanism(copy, lotteries, payments)
+    for trial in range(120):
+        if trial % 3 == 2:
+            inst = _wide_instance(rng)
+        else:
+            inst = random_multi_instance(rng, max_bidders=3, max_items=2, max_types=3)
+        cases = [random_multi_mechanism(rng, inst)]
+        if inst.n < 3 or trial % 3 != 2:
+            mech, _ = solve_multi(inst)
+            cases.append(({t: list(r) for t, r in mech.lotteries.items()}, mech.payments))
+        for lotteries, payments in list(cases):
+            cases.extend(_edits(rng, inst, lotteries, payments))
+        copies = (inst, float_multi_instance(inst))
+        mechs = [MultiMechanism(c, lot, pay) for c in copies for lot, pay in cases]
+        mechs.append(solve_multi(copies[1])[0])
+        for mech in mechs:
+            mode = mech.inst.mode
             got, want = check_multi(mech), reference_check_multi(mech)
-            assert got.witnesses == want.witnesses
-            assert got.checks == want.checks and got.passed == want.passed
-            seen.update((copy.mode, w.check) for w in got.witnesses)
-            seen.add((copy.mode, got.passed))
+            _assert_same_report(got, want, mode)
+            seen.update((mode, w.check) for w in got.witnesses)
+            seen.add((mode, got.passed))
     assert seen == {
         (mode, kind)
         for mode in ("exact", "float")
         for kind in ("multi_ic", "multi_ir", True, False)
     }
-    for _ in range(20):
-        inst = random_multi_instance(rng, max_bidders=3, max_items=2, max_types=3)
-        for copy in (inst, float_multi_instance(inst)):
-            mech, _ = solve_multi(copy)
-            got = check_multi(mech)
-            assert got.passed and got == reference_check_multi(mech)
