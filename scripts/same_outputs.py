@@ -19,7 +19,11 @@ every entry, which fails the replay and so compares the failing
 multi-item reports too.
 
 For each command the exit code, stdout, stderr and the bytes written to
---output are compared.  Exit code 0 when every command agrees, 1 when
+--output are compared.  A differing solve-multi command is labelled
+`tied` when both trees report the same revenue (in float mode within
+1e-9) and both trees' verify of its output exits 0, and `changed`
+otherwise: the LP optimum can be tied, and then another optimal
+mechanism may be printed.  Exit code 0 when every command agrees, 1 when
 some differ (each is listed), 2 on bad arguments.
 """
 
@@ -97,7 +101,30 @@ def worker(tree: str) -> None:
             "stderr": _digest(err.getvalue()),
             "output": _digest(written) if output else None,
         }
+        if argv[0] == "solve-multi":
+            results[key]["revenue"] = _revenue(out.getvalue())
     json.dump(results, sys.__stdout__)
+
+
+def _revenue(stdout: str):
+    """The revenue of a solver's report line (its last stdout line), or
+    None."""
+    try:
+        return json.loads(stdout.splitlines()[-1])["revenue"]
+    except (ValueError, IndexError, KeyError, TypeError):
+        return None
+
+
+def tie_label(key: str, mode: str, parent: dict, change: dict) -> str:
+    """`tied` or `changed` for a differing solve-multi command (see the
+    module docstring)."""
+    revenues = [side[key]["revenue"] for side in (parent, change)]
+    if None in revenues:
+        return "changed"
+    a, b = map(Fraction, revenues)
+    same = abs(a - b) <= 1e-9 if mode == "--float" else a == b
+    verified = all(side.get(f"{key} verify", {}).get("rc") == 0 for side in (parent, change))
+    return "tied" if same and verified else "changed"
 
 
 def _seeds(text: str) -> list:
@@ -180,12 +207,19 @@ def main(argv=None) -> int:
         print(f"the workers exited {codes}", file=sys.stderr)
         return 1
     parent, change = [json.loads(out) for out in outs]
-    differ = [key for key, *_ in commands if parent[key] != change[key]]
-    for key in differ:
+    differ = [(key, argv) for key, argv, *_ in commands if parent[key] != change[key]]
+    labels = {"tied": 0, "changed": 0}
+    for key, argv in differ:
         fields = [f for f in parent[key] if parent[key][f] != change[key][f]]
-        print(f"DIFFERS {key}: {', '.join(fields)}")
+        line = f"DIFFERS {key}: {', '.join(fields)}"
+        if argv[0] == "solve-multi":
+            label = tie_label(key, argv[-1], parent, change)
+            labels[label] += 1
+            line += f" [{label}]"
+        print(line)
     print(f"{len(commands)} commands, {len(commands) - len(differ)} identical, "
-          f"{len(differ)} differ")
+          f"{len(differ)} differ; solve-multi: {labels['tied']} tied, "
+          f"{labels['changed']} changed")
     return 1 if differ else 0
 
 

@@ -236,6 +236,37 @@ def _guard(n: int, m: int, max_assignments: int) -> None:
         )
 
 
+def _kept_rows(ts: Sequence[Valuation]) -> tuple:
+    """(pairs, ir) for one bidder's types: the (true, report) pairs whose
+    truthfulness rows build_multi_lp writes, in (true, report) order, and
+    ir[r], whether type r keeps its rationality rows (see build_multi_lp
+    for why the rest are implied)."""
+    T = len(ts)
+    tables = [t.values for t in ts]
+    ir = [
+        not any(
+            s != r
+            and all(x >= y for x, y in zip(tables[r], tables[s]))
+            and (s < r or tables[s] != tables[r])
+            for s in range(T)
+        )
+        for r in range(T)
+    ]
+    pairs = [(r, s) for r in range(T) for s in range(T) if r != s]
+    # proportionality is decided on the exact rationals, floats included
+    exact = [tuple(map(Fraction, t)) for t in tables]
+    if T < 2 or len(set(exact)) < T:
+        return pairs, ir
+    base = next(b for b in exact if any(b))
+    j = next(c for c, x in enumerate(base) if x)
+    alpha = [t[j] / base[j] for t in exact]
+    if any(x != a * y for t, a in zip(exact, alpha) for x, y in zip(t, base)):
+        return pairs, ir
+    order = sorted(range(T), key=alpha.__getitem__)
+    adjacent = set(zip(order, order[1:])) | set(zip(order[1:], order))
+    return [p for p in pairs if p in adjacent], ir
+
+
 def build_multi_lp(
     inst: MultiItemInstance,
     *,
@@ -253,7 +284,25 @@ def build_multi_lp(
     gets no column: its weight is the slack of the row
     sum_{a>0} lambda(t, a) <= 1, and solve_multi writes it back as
     1 - sum.  Every row is <= with right-hand side 0 or 1, so the slack
-    basis is feasible and the simplex runs no phase 1."""
+    basis is feasible and the simplex runs no phase 1.
+
+    Rows that the kept rows imply are left out (_kept_rows); the feasible
+    set is that of the all-pairs, all-IR program.  Both rules read one
+    line of bidder i at a time, with u(r) = v_r . lambda(r) - p(r):
+
+    - IR.  If type t dominates type s (v_t >= v_s on every bundle), then
+      u(t) >= v_t . lambda(s) - p(s) >= v_s . lambda(s) - p(s) = u(s) by
+      IC t -> s and lambda >= 0, so t's IR rows follow from s's.  Only
+      types that dominate no other keep them; among identical tables
+      the lowest index keeps its rows.
+    - IC.  A bidder whose tables are pairwise distinct nonnegative
+      multiples alpha * b of one table is single-parameter: with
+      x = b . lambda its rows are Myerson's, and the IC rows between
+      types adjacent in alpha order, both ways, force x monotone and
+      imply every other pair.  Any other bidder keeps every pair.
+      Identical tables tie, and then adjacent rows are not enough: equal
+      types r, s with (x, p) = (1, v) and (0, 0) and a higher c next to
+      s at (0, 0) meet every adjacent row, while c -> r gains."""
     _guard(inst.n, inst.m, max_assignments)
     n = inst.n
     assigns = enumerate_assignments(n, inst.m)
@@ -293,20 +342,21 @@ def build_multi_lp(
     ]
     loss = [[[(o, -v) for o, v in g] for g in per_type] for per_type in gain]
 
+    ic_pairs, ir_types = zip(*(_kept_rows(ts) for ts in inst.types))
     for i, _, k, line in lines([len(ts) for ts in inst.types]):
         if k:
             continue
-        for true_t, k_true in enumerate(line):
-            for rep_t, k_rep in enumerate(line):
-                if rep_t == true_t:
-                    continue
-                row: dict = {pay(k_rep, i): -1, pay(k_true, i): 1}
-                row.update((k_rep * K + o, v) for o, v in gain[i][true_t])
-                row.update((k_true * K + o, v) for o, v in loss[i][true_t])
-                lp.add_constraint(row, LEQ, 0)
+        for true_t, rep_t in ic_pairs[i]:
+            k_true, k_rep = line[true_t], line[rep_t]
+            row: dict = {pay(k_rep, i): -1, pay(k_true, i): 1}
+            row.update((k_rep * K + o, v) for o, v in gain[i][true_t])
+            row.update((k_true * K + o, v) for o, v in loss[i][true_t])
+            lp.add_constraint(row, LEQ, 0)
 
     for i in range(n):
         for k, t in enumerate(profiles):
+            if not ir_types[i][t[i]]:
+                continue
             row = {pay(k, i): 1}
             row.update((k * K + o, v) for o, v in loss[i][t[i]])
             lp.add_constraint(row, LEQ, 0)
@@ -322,7 +372,8 @@ def solve_multi(
 ):
     """Solve the multi-item revenue LP in the instance's mode; the
     returned mechanism is replayed through check_multi before being handed
-    back.  Returns (mechanism, expected revenue, exact in exact mode)."""
+    back.  Returns (mechanism, expected revenue), the revenue in the
+    instance's mode."""
     lp = build_multi_lp(
         inst,
         allow_negative_payments=allow_negative_payments,

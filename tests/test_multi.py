@@ -28,6 +28,7 @@ from revmax.lp import LEQ, LinearProgram, solve
 from revmax.model import lines
 from revmax.multi import _bundle_values, bundle_mask
 from support import (
+    _random_type_support,
     float_multi_instance,
     random_m1_instance,
     random_multi_instance,
@@ -65,44 +66,100 @@ def test_instance_requires_type_coverage():
         MultiItemInstance(1, [[unit(1), unit(2)]], {(0,): F(1)})
 
 
+def _full_support(m, types):
+    profiles = list(itertools.product(*(range(len(ts)) for ts in types)))
+    return MultiItemInstance(m, types, {p: F(1, len(profiles)) for p in profiles})
+
+
 def test_lp_shape_for_two_bidders_two_items():
     t = Valuation(2, [0, 1, 1, 2])
     u = Valuation(2, [0, 2, 2, 4])
-    types = [[t, u], [t, u]]
-    support = {
-        p: F(1, 4) for p in itertools.product(range(2), repeat=2)
-    }
-    inst = MultiItemInstance(2, types, support)
-    lp = build_multi_lp(inst)
-    # 4 profiles x 8 assignments that sell something + 8 payments; the
-    # all-unsold weight is the slack of each profile's <= 1 row
-    assert lp.num_vars == 40
-    assert all(rel == LEQ for _, rel, _ in lp.constraints)
-    assert {rhs for _, _, rhs in lp.constraints} == {0, 1}
+    cases = [
+        # 4 profiles x 8 assignments that sell something + 8 payments;
+        # rows: 4 convexity, 8 IC (t and 2t make both bidders
+        # single-parameter with two types), 4 IR (t dominates nothing)
+        (_full_support(2, [[t, u], [t, u]]), 40, 16),
+        # one more input, n=3 and m=1 with values 1, 2, 3: 27 profiles x 3
+        # assignments + 81 payments; rows: 27 convexity, 3 bidders x 9
+        # lines x 4 adjacent IC pairs, 3 x 9 IR at value 1
+        (_full_support(1, [[unit(1), unit(2), unit(3)]] * 3), 162, 162),
+    ]
+    for inst, num_vars, num_rows in cases:
+        lp = build_multi_lp(inst)
+        # the all-unsold weight is the slack of each profile's <= 1 row
+        assert lp.num_vars == num_vars
+        assert len(lp.constraints) == num_rows
+        assert all(rel == LEQ for _, rel, _ in lp.constraints)
+        assert {rhs for _, _, rhs in lp.constraints} == {0, 1}
+
+
+def _row_rule_instances(rng):
+    """Instances on the edges of build_multi_lp's row rules, with random
+    supports: identical types (m=1 and m=2), all-zero types, proportional
+    m=2 tables, a single-parameter bidder beside one that is not, and
+    unsorted m=1 types."""
+
+    def bidder(m, *tables):
+        return [Valuation(m, t) for t in tables]
+
+    shapes = [
+        (1, [bidder(1, [0, 1], [0, 3], [0, 3], [0, 2]), bidder(1, [0, 2], [0, 1])]),
+        (2, [bidder(2, [0, 1, 2, 3], [0, 1, 2, 3], [0, 2, 1, 4]),
+             bidder(2, [0, 0, 0, 1], [0, 3, 0, 3])]),
+        (1, [bidder(1, [0, 2], [0, 0], [0, 1]), bidder(1, [0, 1], [0, 3])]),
+        (2, [bidder(2, [0, 1, 2, 2], [0, 0, 0, 0], [0, 2, 0, 2]),
+             bidder(2, [0, 1, 1, 1])]),
+        (2, [bidder(2, [0, 0, 0, 1], [0, 0, 0, 2])] * 2),
+        (2, [bidder(2, [0, 3, 6, 9], [0, 1, 2, 3], [0, 2, 4, 6]),
+             bidder(2, [0, 1, 0, 1], [0, 0, 1, 1])]),
+        (1, [bidder(1, [0, 5], [0, 1], [0, 3], [0, 2]), bidder(1, [0, 2], [0, 4], [0, 1])]),
+    ]
+    instances = [
+        MultiItemInstance(m, types, _random_type_support(rng, types)) for m, types in shapes
+    ]
+    # equal types r, s and c above them: rows r <-> s and s <-> c alone
+    # allow r at (1, 1) and c at (1, 2), revenue 4/3 against the optimum 1
+    tied = bidder(1, [0, 1], [0, 1], [0, 2])
+    instances.append(
+        MultiItemInstance(1, [tied], {(0,): F(1, 3), (1,): F(1, 6), (2,): F(1, 2)})
+    )
+    return instances
 
 
 @pytest.mark.parametrize("negative", [False, True])
 def test_slack_form_lp_matches_reference_lp(negative):
+    # the reference keeps every IC pair and every IR row, so equal optima
+    # and a full replay of each solution check the rows left out
     rng = random.Random(31)
-    for _ in range(20):
-        inst = random_multi_instance(rng, max_bidders=3, max_items=2, max_types=3)
+    instances = [
+        random_multi_instance(rng, max_bidders=3, max_items=2, max_types=3)
+        for _ in range(20)
+    ]
+    for inst in instances + _row_rule_instances(rng):
         want = solve(reference_multi_lp(inst, negative)).objective
         lp = build_multi_lp(inst, allow_negative_payments=negative)
         assert solve(lp).pivots[0] == 0
         mech, revenue = solve_multi(inst, allow_negative_payments=negative)
         assert revenue == want
         assert check_multi(mech).passed
+        assert reference_check_multi(mech).passed
         finst = float_multi_instance(inst)
         lp = build_multi_lp(finst, allow_negative_payments=negative)
         assert solve(lp, mode="float").pivots[0] == 0
         mech, revenue = solve_multi(finst, allow_negative_payments=negative)
         assert abs(revenue - float(want)) <= 1e-9
         assert check_multi(mech).passed
+        assert reference_check_multi(mech).passed
 
 
 def _accumulated_multi_lp(inst, allow_negative_payments):
     """build_multi_lp's program assembled by adding every bundle-value
-    coefficient into zero, column by column."""
+    coefficient into zero, column by column, with its row rules applied
+    on their own: a bidder whose tables are pairwise distinct and
+    proportional (every 2x2 cross product agrees) keeps the IC pairs
+    adjacent in the order of table sums, every other bidder all pairs;
+    a type keeps its IR rows unless it weakly dominates another type
+    that is not an identical table of higher index."""
     n = inst.n
     K = len(enumerate_assignments(n, inst.m)) - 1
     profiles = inst.type_profiles()
@@ -134,18 +191,40 @@ def _accumulated_multi_lp(inst, allow_negative_payments):
                 col = lam(t_idx, a_idx)
                 into[col] = into.get(col, zero) + sign * v
 
+    def ic_pair(i, true_t, rep_t):
+        tables = [[F(x) for x in t.values] for t in inst.types[i]]
+        proportional = all(
+            a[x] * b[y] == a[y] * b[x]
+            for a, b in itertools.combinations(tables, 2)
+            for x, y in itertools.combinations(range(len(a)), 2)
+        )
+        if not proportional or len(set(map(tuple, tables))) < len(tables):
+            return True
+        rank = sorted(tables, key=sum)
+        return abs(rank.index(tables[true_t]) - rank.index(tables[rep_t])) == 1
+
+    def keeps_ir(i, ti):
+        mine = inst.types[i][ti].values
+        for s, other in enumerate(inst.types[i]):
+            if s != ti and all(x >= y for x, y in zip(mine, other.values)):
+                if mine != other.values or s < ti:
+                    return False
+        return True
+
     for i, _, k, line in lines([len(ts) for ts in inst.types]):
         if k:
             continue
         for true_t, k_true in enumerate(line):
             for rep_t, k_rep in enumerate(line):
-                if rep_t != true_t:
+                if rep_t != true_t and ic_pair(i, true_t, rep_t):
                     row = {pay(k_rep, i): -1, pay(k_true, i): 1}
                     value_coeffs(k_rep, i, true_t, 1, row)
                     value_coeffs(k_true, i, true_t, -1, row)
                     lp.add_constraint(row, LEQ, 0)
     for i in range(n):
         for k, t in enumerate(profiles):
+            if not keeps_ir(i, t[i]):
+                continue
             row = {pay(k, i): 1}
             value_coeffs(k, i, t[i], -1, row)
             lp.add_constraint(row, LEQ, 0)
@@ -160,8 +239,11 @@ def test_multi_lp_rows_match_accumulated_rows():
     # every coefficient is written once, so the rows, their column order
     # and the type of every value are those of the accumulating build
     rng = random.Random(1903)
-    for _ in range(12):
-        exact = random_multi_instance(rng, max_bidders=3, max_items=2, max_types=3)
+    instances = [
+        random_multi_instance(rng, max_bidders=3, max_items=2, max_types=3)
+        for _ in range(12)
+    ]
+    for exact in instances + _row_rule_instances(rng):
         for inst, negative in itertools.product(
             (exact, float_multi_instance(exact)), (False, True)
         ):
@@ -251,6 +333,34 @@ def test_solved_mechanism_passes_replay():
         inst = random_multi_instance(rng)
         mech, _ = solve_multi(inst)
         assert check_multi(mech).passed
+
+
+def _relabeled(rng, inst):
+    """The instance with each bidder's type list shuffled and the
+    support's profiles renamed to match."""
+    perms = [rng.sample(range(len(ts)), len(ts)) for ts in inst.types]
+    types = [[ts[old] for old in perm] for ts, perm in zip(inst.types, perms)]
+    new = [{old: k for k, old in enumerate(perm)} for perm in perms]
+    support = {
+        tuple(new[i][ti] for i, ti in enumerate(t)): q for t, q in inst.support.items()
+    }
+    return MultiItemInstance(inst.m, types, support, inst.mode)
+
+
+def test_revenue_does_not_depend_on_type_order():
+    # the row rules sort types by scale and break dominance ties by index
+    rng = random.Random(1981)
+    instances = [random_m1_instance(rng, max_bidders=3, max_types=4) for _ in range(6)]
+    instances += [
+        random_multi_instance(rng, max_bidders=2, max_items=2, max_types=3)
+        for _ in range(10)
+    ]
+    instances += _row_rule_instances(rng)
+    assert {inst.m for inst in instances} == {1, 2}
+    for inst in instances:
+        _, revenue = solve_multi(inst)
+        for _ in range(2):
+            assert solve_multi(_relabeled(rng, inst))[1] == revenue
 
 
 def test_scaling_homogeneity():

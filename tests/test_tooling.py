@@ -1,5 +1,6 @@
 """Repository hygiene: the benchmark tracer's names resolve in the
-package, and no package module imports a name it does not use."""
+package, no package module imports a name it does not use, and the
+output comparison script labels tied optima."""
 
 import ast
 import importlib
@@ -10,8 +11,8 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "revmax"
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+def _load(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -20,7 +21,7 @@ def _load_spans():
 def test_every_traced_name_resolves():
     # a traced benchmark run stops when a wrapped name is gone; a rename
     # fails here first
-    wraps = _load_spans().WRAPS
+    wraps = _load("bench_spans", ROOT / "bench" / "spans.py").WRAPS
     assert wraps
     for modname, attr, _span, _counter in wraps:
         owner = importlib.import_module(modname)
@@ -67,3 +68,18 @@ def test_no_unused_imports_in_the_package():
     assert modules
     found = {p.name: _unused_imports(p.read_text()) for p in modules}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_same_outputs_labels_tied_optima():
+    tie_label = _load("same_outputs", ROOT / "scripts" / "same_outputs.py").tie_label
+    key = "solve-multi s0 --exact multi-n2-m1-t3-dense"
+
+    def side(revenue, verify_rc=0):
+        return {key: {"revenue": revenue}, f"{key} verify": {"rc": verify_rc}}
+
+    assert tie_label(key, "--exact", side("3/2"), side("3/2")) == "tied"
+    assert tie_label(key, "--exact", side("3/2"), side("7/5")) == "changed"
+    assert tie_label(key, "--exact", side("3/2"), side("3/2", 1)) == "changed"
+    assert tie_label(key, "--exact", side(None), side("3/2")) == "changed"
+    assert tie_label(key, "--float", side("1.5"), side("1.5000000000000002")) == "tied"
+    assert tie_label(key, "--float", side("1.5"), side("1.500001")) == "changed"
