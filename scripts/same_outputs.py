@@ -16,20 +16,30 @@ Each solve and solve-multi command is followed by a verify of the
 mechanism it wrote, in the same mode.  Each solve-multi output is also
 verified once more as a copy whose first pay line is raised by 1 in
 every entry, which fails the replay and so compares the failing
-multi-item reports too.
+multi-item reports too.  Each solve output is likewise verified as a
+copy whose first profile's allocation is all 1s, which lies outside the
+hull of a single-item system with two or more bidders, so failing
+`feasible` witnesses and their certificates are compared too.
 
 For each command the exit code, stdout, stderr and the bytes written to
 --output are compared.  A differing solve-multi command is labelled
 `tied` when both trees report the same revenue (in float mode within
 1e-9) and both trees' verify of its output exits 0, and `changed`
 otherwise: the LP optimum can be tied, and then another optimal
-mechanism may be printed.  Exit code 0 when every command agrees, 1 when
-some differ (each is listed), 2 on bad arguments.
+mechanism may be printed.  A differing verify command is labelled
+`certificate` when both trees give the same exit code, the same checks
+and witness count, the same witness lines apart from `feasible` ones,
+`feasible` witnesses at the same profiles, and every certificate the
+change tree alters separates its profile's allocation from the feasible
+vectors; and `changed` otherwise: a hull point has many separating
+certificates.  Exit code 0 when every command agrees, 1 when some differ
+(each is listed), 2 on bad arguments.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import contextlib
 import hashlib
 import io
@@ -67,11 +77,72 @@ def raise_first_pay(source: str, target: str) -> None:
     Path(target).write_text("".join(lines))
 
 
+def ones_first_alloc(source: str, target: str) -> None:
+    """Copy an interim mechanism file, setting every entry of its first
+    alloc line to 1."""
+    lines = Path(source).read_text().splitlines(keepends=True)
+    for k, line in enumerate(lines):
+        obj = json.loads(line)
+        if "alloc" in obj:
+            obj["alloc"] = ["1" if isinstance(c, str) else 1.0 for c in obj["alloc"]]
+            lines[k] = json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+            break
+    Path(target).write_text("".join(lines))
+
+
+EDITS = {"raise_first_pay": raise_first_pay, "ones_first_alloc": ones_first_alloc}
+
+
+def _records(path: str) -> list:
+    return [json.loads(line) for line in Path(path).read_text().splitlines() if line.strip()]
+
+
+def separates(detail: str, profile, argv: list) -> bool:
+    """Whether the certificate (a, b) quoted in a feasible witness's
+    detail has a.x > b >= a.F for every feasible vector F of the
+    instance (single-item when it lists none), x being the allocation at
+    profile in the verified interim mechanism file; in float mode within
+    1e-9.  False when the mechanism is not an interim file."""
+    exact = argv[-1] != "--float"
+    num, tol = (Fraction, 0) if exact else (float, 1e-9)
+    text_a, _, text_b = detail.partition("a=")[2].rpartition(", b=")
+    a = [num(c) for c in ast.literal_eval(text_a)]
+    b = num(text_b)
+    inst, mech = _records(argv[1]), _records(argv[2])
+    alloc = [row["alloc"] for row in mech if row.get("profile") == profile]
+    if mech[0].get("kind") != "interim" or len(alloc) != 1:
+        return False
+    x = [num(c) for c in alloc[0]]
+    vectors = [row["feasible"] for row in inst if "feasible" in row]
+    if not vectors:
+        vectors = [[int(i == j) for i in range(len(x))] for j in range(-1, len(x))]
+    dot = lambda u: sum(c * v for c, v in zip(a, u))
+    return dot(x) - b > tol and all(dot(f) <= b + tol for f in vectors)
+
+
+def report_summary(text: str, argv: list) -> dict:
+    """The parts of a verify report that cert_label compares: the summary
+    line, a digest of the witness lines other than feasible ones, and per
+    feasible witness its profile, its certificate and whether that
+    separates."""
+    rows = [json.loads(line) for line in text.splitlines() if line.strip()]
+    if not rows or "passed" not in rows[-1]:
+        return {"summary": None, "other": None, "feasible": []}
+    witnesses = rows[:-1]
+    other = [w for w in witnesses if w.get("check") != "feasible"]
+    feasible = [
+        {"profile": w["profile"], "certificate": w["detail"],
+         "separates": separates(w["detail"], w["profile"], argv)}
+        for w in witnesses if w.get("check") == "feasible"
+    ]
+    return {"summary": rows[-1], "other": _digest(json.dumps(other)), "feasible": feasible}
+
+
 def worker(tree: str) -> None:
     """Run the commands read from stdin (a JSON list of [key, argv,
-    output, raised]) with the tree's revmax; write one JSON result per
-    command.  raised, when set, is a [source, target] pair: target is
-    written by raise_first_pay from source before the command runs."""
+    output, edit]) with the tree's revmax; write one JSON result per
+    command.  edit, when set, is a [name, source, target] triple: target
+    is written by EDITS[name] from source before the command runs."""
     src = Path(tree, "src").resolve()
     sys.path.insert(0, str(src))
     import revmax
@@ -81,9 +152,9 @@ def worker(tree: str) -> None:
         raise SystemExit(f"revmax was imported from {revmax.__file__}, not from {src}")
 
     results = {}
-    for key, argv, output, raised in json.load(sys.stdin):
-        if raised and Path(raised[0]).exists():
-            raise_first_pay(*raised)
+    for key, argv, output, edit in json.load(sys.stdin):
+        if edit and Path(edit[1]).exists():
+            EDITS[edit[0]](*edit[1:])
         if output:
             Path(output).unlink(missing_ok=True)
         out, err = io.StringIO(), io.StringIO()
@@ -103,6 +174,9 @@ def worker(tree: str) -> None:
         }
         if argv[0] == "solve-multi":
             results[key]["revenue"] = _revenue(out.getvalue())
+        if argv[0] == "verify":
+            text = written.decode() if written is not None else out.getvalue()
+            results[key]["report"] = report_summary(text, argv)
     json.dump(results, sys.__stdout__)
 
 
@@ -127,13 +201,30 @@ def tie_label(key: str, mode: str, parent: dict, change: dict) -> str:
     return "tied" if same and verified else "changed"
 
 
+def cert_label(key: str, parent: dict, change: dict) -> str:
+    """`certificate` or `changed` for a differing verify command (see the
+    module docstring)."""
+    p, c = parent[key], change[key]
+    if p["rc"] != c["rc"] or "report" not in p or "report" not in c:
+        return "changed"
+    pr, cr = p["report"], c["report"]
+    if pr["summary"] is None or (pr["summary"], pr["other"]) != (cr["summary"], cr["other"]):
+        return "changed"
+    if [w["profile"] for w in pr["feasible"]] != [w["profile"] for w in cr["feasible"]]:
+        return "changed"
+    for old, new in zip(pr["feasible"], cr["feasible"]):
+        if old["certificate"] != new["certificate"] and not new["separates"]:
+            return "changed"
+    return "certificate"
+
+
 def _seeds(text: str) -> list:
     lo, _, hi = text.partition("-")
     return list(range(int(lo), int(hi or lo) + 1))
 
 
 def plan_commands(tree: Path, seeds: list, inputs: Path) -> list:
-    """[key, argv, output, raised] for every plan command of the seeds in
+    """[key, argv, output, edit] for every plan command of the seeds in
     both modes, and the verify replays of the solvers' outputs, with the
     input files written under inputs."""
     sys.path[:0] = [str(tree / "bench"), str(tree / "src")]
@@ -169,7 +260,12 @@ def plan_commands(tree: Path, seeds: list, inputs: Path) -> list:
                         raised = f"{output}.raised"
                         commands.append([f"{key} verify-raised",
                                          ["verify", ipath, raised, mode],
-                                         None, [output, raised]])
+                                         None, ["raise_first_pay", output, raised]])
+                    else:
+                        ones = f"{output}.ones"
+                        commands.append([f"{key} verify-ones",
+                                         ["verify", ipath, ones, mode],
+                                         None, ["ones_first_alloc", output, ones]])
     return commands
 
 
@@ -208,18 +304,22 @@ def main(argv=None) -> int:
         return 1
     parent, change = [json.loads(out) for out in outs]
     differ = [(key, argv) for key, argv, *_ in commands if parent[key] != change[key]]
-    labels = {"tied": 0, "changed": 0}
+    labels = {"tied": 0, "certificate": 0, "changed": 0}
     for key, argv in differ:
         fields = [f for f in parent[key] if parent[key][f] != change[key][f]]
         line = f"DIFFERS {key}: {', '.join(fields)}"
+        label = None
         if argv[0] == "solve-multi":
             label = tie_label(key, argv[-1], parent, change)
+        elif argv[0] == "verify":
+            label = cert_label(key, parent, change)
+        if label:
             labels[label] += 1
             line += f" [{label}]"
         print(line)
     print(f"{len(commands)} commands, {len(commands) - len(differ)} identical, "
-          f"{len(differ)} differ; solve-multi: {labels['tied']} tied, "
-          f"{labels['changed']} changed")
+          f"{len(differ)} differ; {labels['tied']} tied, "
+          f"{labels['certificate']} certificate, {labels['changed']} changed")
     return 1 if differ else 0
 
 

@@ -1,14 +1,18 @@
-"""Exact linear programming: a two-phase primal simplex over integer
+"""Exact linear programming: a one-phase primal simplex over integer
 rows with Bland's anti-cycling rule.
 
-A LinearProgram maximizes a linear objective subject to <= and = rows
-over variables that are nonnegative, or free once set_free splits them
-into two nonnegative columns.  Rows that are <= with a nonnegative
-right-hand side start in the slack basis; an = row, or a row whose
-right-hand side is negative, gets an artificial column and phase 1
-drives it out.  Both revenue LPs (revmax.optimal and revmax.multi) have
-only the first kind of row, so they run no phase 1; the hull and
-separation LPs of decompose_allocation use the second.
+A LinearProgram maximizes a linear objective subject to <= rows with a
+nonnegative right-hand side, over variables that are nonnegative, or
+free once set_free splits them into two nonnegative columns.  x = 0 is
+then feasible, so every row's slack starts in the basis and the simplex
+runs a single phase; add_constraint refuses any other row.  Both revenue
+LPs (revmax.optimal and revmax.multi) and the hull LP of
+decompose_allocation have this form.
+
+At an optimum the reduced cost of row r's slack is -y_r, where y is an
+optimal solution of the dual (minimize b.y subject to y >= 0 and
+y.A_j >= c_j, with equality on free columns); LPSolution.dual reads it
+off the final reduced-cost row when it is asked for.
 
 The tableau is sparse: each row, and the reduced-cost row, is a
 {column: numerator} map of its nonzeros, a right-hand-side numerator and
@@ -16,8 +20,8 @@ one positive denominator for the whole row.  In exact mode these are
 ints, so no Fraction is built per entry:
 
 - a row starts scaled by the lcm of its coefficients' denominators;
-- a pivot makes the pivot row's own entry a in the entering column its
-  new denominator, negating the row first if a is negative;
+- a pivot makes the pivot row's own entry a in the entering column, which
+  the ratio test picks positive, its new denominator;
 - every other row with numerator c in the entering column becomes
   (a*row - c*pivot row) / (a*d), d its old denominator, which touches
   only the pivot row's nonzeros when a is 1; entries that cancel to zero
@@ -63,7 +67,7 @@ exact arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import truediv
@@ -73,7 +77,6 @@ from .errors import DimensionMismatchError, InvalidInputError, PivotLimitError
 from .model import EXACT, FLOAT
 
 LEQ = "<="
-EQ = "="
 
 # consecutive non-improving pivots tolerated before Bland's rule takes over
 _STALL_LIMIT = 64
@@ -85,20 +88,32 @@ _MAX_PIVOTS = 2_000_000
 
 @dataclass
 class LPSolution:
-    """Outcome of a solve: status is optimal, infeasible, or unbounded;
-    x and objective are set only when optimal.  pivots counts the
-    simplex pivots of (phase 1, phase 2); phase 1 includes the pivots
-    that drive leftover artificials out of the basis."""
+    """Outcome of a solve: status is optimal or unbounded; x, objective
+    and dual are set only when optimal.  pivots counts the simplex
+    pivots."""
 
     status: str
     x: Optional[tuple] = None
     objective: Optional[Union[Fraction, float]] = None
-    pivots: tuple = (0, 0)
+    pivots: int = 0
+    # (reduced-cost numerators, their denominator, first slack column,
+    # number of rows, value) of the final tableau, read by dual
+    _final: Optional[tuple] = field(default=None, repr=False, compare=False)
+
+    @property
+    def dual(self) -> Optional[tuple]:
+        """An optimal dual solution, one entry per row: y_r is minus the
+        reduced cost of row r's slack."""
+        if self._final is None:
+            return None
+        red, den, first, m, value = self._final
+        return tuple(value(-red.get(first + r, 0), den) for r in range(m))
 
 
 class LinearProgram:
-    """Maximize objective . x subject to <= and = rows, over variables
-    that are nonnegative unless set_free makes them free."""
+    """Maximize objective . x subject to <= rows with nonnegative
+    right-hand sides, over variables that are nonnegative unless
+    set_free makes them free."""
 
     def __init__(self, num_vars: int, objective: Sequence):
         if num_vars < 0:
@@ -112,9 +127,14 @@ class LinearProgram:
         self.free = [False] * num_vars
 
     def add_constraint(self, coeffs: dict, rel: str, rhs) -> None:
-        """coeffs maps variable index to coefficient; rel is LEQ or EQ."""
-        if rel not in (LEQ, EQ):
-            raise InvalidInputError(f"unsupported relation {rel!r}")
+        """coeffs maps variable index to coefficient; rel must be LEQ and
+        rhs nonnegative, so that the row's slack can start in the basis."""
+        if rel != LEQ:
+            raise InvalidInputError(f"unsupported relation {rel!r}: rows are {LEQ}")
+        if rhs < 0:
+            raise InvalidInputError(
+                f"negative right-hand side {rhs}: the slack basis must be feasible"
+            )
         row = dict(coeffs)
         for j in row:
             if not 0 <= j < self.num_vars:
@@ -141,21 +161,6 @@ def _integer_row(row: dict, rhs) -> tuple:
 
 def _float_row(row: dict, rhs) -> tuple:
     return row, rhs, 1
-
-
-def _add_scaled(target: dict, f, items) -> None:
-    """target += f * items over sparse rows, in place; entries that
-    cancel to exactly zero are deleted."""
-    for j, b in items:
-        a = target.get(j)
-        if a is None:
-            target[j] = f * b
-        else:
-            a += f * b
-            if a:
-                target[j] = a
-            else:
-                del target[j]
 
 
 def _column_index(rows, ncols: int) -> list:
@@ -204,16 +209,14 @@ def _eliminate(row: dict, r, d, c, a, pitems, pb, i=-1, cols=None) -> tuple:
 
 
 def _pivot(rows, rhs, den, leave: int, enter: int, column: dict, exact: bool, cols):
-    """In-place pivot on rows[leave][enter]; column maps each row index
-    to its nonzero numerator in the entering column, and the column
-    index cols is kept up to date.  Returns the pivot row's items, rhs
-    numerator and denominator, for the reduced costs."""
+    """In-place pivot on rows[leave][enter], a positive entry; column maps
+    each row index to its nonzero numerator in the entering column, and
+    the column index cols is kept up to date.  Returns the pivot row's
+    items, rhs numerator and denominator, for the reduced costs."""
     prow = rows[leave]
     if exact:
         a = prow[enter]
         q = gcd(a, rhs[leave], *prow.values())
-        if a < 0:
-            q = -q
         if q != 1:
             rows[leave] = prow = {j: v // q for j, v in prow.items()}
             rhs[leave] //= q
@@ -236,22 +239,15 @@ def _pivot(rows, rhs, den, leave: int, enter: int, column: dict, exact: bool, co
 
 def _run_simplex(rows, rhs, den, basis, cols, cost, tol, exact: bool):
     """Maximize cost over the equality system in basic form, whose column
-    index is cols.
+    index is cols, from a basis of zero-cost columns.
 
-    Returns ('optimal', objective, pivots) or ('unbounded', None,
-    pivots).  Reduced costs (a sparse row like the others, whose rhs
-    numerator is minus the objective's) derive from the basis on entry.
+    Returns ('optimal', pivots, red) or ('unbounded', pivots, red), red
+    being the final reduced-cost row as (numerators, rhs numerator,
+    denominator); its rhs is minus the objective.
     """
-    value, as_row = (Fraction, _integer_row) if exact else (truediv, _float_row)
-    red = {j: c for j, c in enumerate(cost) if c}
-    obj = 0
-    for i, bi in enumerate(basis):
-        cb = cost[bi]
-        if cb:
-            d = den[i]
-            obj += cb * value(rhs[i], d)
-            _add_scaled(red, -cb, [(j, value(a, d)) for j, a in rows[i].items()])
-    red, robj, rden = as_row(red, -obj)
+    red, robj, rden = (_integer_row if exact else _float_row)(
+        {j: c for j, c in enumerate(cost) if c}, 0
+    )
     bland = False
     stall = 0
     for pivots in range(_MAX_PIVOTS):
@@ -271,7 +267,7 @@ def _run_simplex(rows, rhs, den, basis, cols, cost, tol, exact: bool):
                 elif c == best and j < enter:
                     enter = j
         if enter < 0:
-            return "optimal", value(-robj, rden), pivots
+            return "optimal", pivots, (red, robj, rden)
         column = {i: rows[i][enter] for i in cols[enter]}
         # least ratio rhs/c over the rows with c > 0, lowest basis index
         # on ties; the exact test compares r_i*c_leave with r_leave*c_i
@@ -298,7 +294,7 @@ def _run_simplex(rows, rhs, den, basis, cols, cost, tol, exact: bool):
                         best_ratio = ratio
                         leave = i
         if leave < 0:
-            return "unbounded", None, pivots
+            return "unbounded", pivots, (red, robj, rden)
         f = red[enter]
         pitems, pb, a = _pivot(rows, rhs, den, leave, enter, column, exact, cols)
         robj, rden = _eliminate(red, robj, rden, f, a, pitems, pb)
@@ -315,7 +311,8 @@ def _run_simplex(rows, rhs, den, basis, cols, cost, tol, exact: bool):
 
 
 def solve(lp: LinearProgram, mode: str = EXACT) -> LPSolution:
-    """Two-phase simplex solve of the program in the requested arithmetic."""
+    """One-phase simplex solve of the program, from the slack basis, in
+    the requested arithmetic."""
     if mode == FLOAT:
         tol, zero = 1e-9, 0.0
         num = float
@@ -338,85 +335,36 @@ def solve(lp: LinearProgram, mode: str = EXACT) -> LPSolution:
         col_of.append(((ncols, 1), (ncols + 1, -1)) if free else ((ncols, 1),))
         ncols += 2 if free else 1
 
-    # Sparse tableau rows {column: nonzero} over the internal columns,
-    # slacks appended for <=; a column belongs to one variable, so each
-    # row sets it at most once.  Rows with a negative rhs are negated, so
-    # their slack stops being a basis candidate; every row without a
-    # ready slack gets an artificial column past the slacks.
+    # Sparse tableau rows {column: nonzero} over the internal columns, row
+    # r's slack at column ncols + r; a column belongs to one variable, so
+    # each row sets it at most once.  The slacks are the starting basis.
     one = num(1)
-    width = ncols + sum(1 for _, rel, _ in lp.constraints if rel == LEQ)
-    rows, rhs_col, den, basis, art_cols = [], [], [], [], []
-    si = ncols
-    for coeffs, rel, rhs in lp.constraints:
+    width = ncols + len(lp.constraints)
+    rows, rhs_col, den = [], [], []
+    for r, (coeffs, _, rhs) in enumerate(lp.constraints):
         row = {}
         for j, c in coeffs.items():
             c = num(c)
             if c:
                 for col, s in col_of[j]:
                     row[col] = c if s > 0 else -c
-        rhs = num(rhs)
-        ready = rel == LEQ
-        if ready:
-            row[si] = one
-            si += 1
-        if rhs < 0:
-            row = {j: -a for j, a in row.items()}
-            rhs = -rhs
-            ready = False
-        if ready:
-            basis.append(si - 1)
-        else:
-            col = width + len(art_cols)
-            art_cols.append(col)
-            row[col] = one
-            basis.append(col)
-        row, rhs, d = as_row(row, rhs)
+        row[ncols + r] = one
+        row, rhs, d = as_row(row, num(rhs))
         rows.append(row)
         rhs_col.append(rhs)
         den.append(d)
+    basis = list(range(ncols, width))
 
-    phase1 = 0
-    if art_cols:
-        cost1 = [zero] * (width + len(art_cols))
-        for col in art_cols:
-            cost1[col] = num(-1)
-        cols = _column_index(rows, len(cost1))
-        status, val, phase1 = _run_simplex(
-            rows, rhs_col, den, basis, cols, cost1, tol, exact
-        )
-        infeas = (-val) > (1e-7 if mode == FLOAT else 0)
-        if status != "optimal" or infeas:
-            return LPSolution("infeasible", pivots=(phase1, 0))
-        # Drive leftover artificials out of the basis or drop their rows.
-        drop = []
-        for i in range(len(rows)):
-            if basis[i] >= width:
-                enter = min(
-                    (j for j, a in rows[i].items() if j < width and abs(a) > tol),
-                    default=None,
-                )
-                if enter is None:
-                    drop.append(i)
-                else:
-                    column = {k: rows[k][enter] for k in cols[enter]}
-                    _pivot(rows, rhs_col, den, i, enter, column, exact, cols)
-                    basis[i] = enter
-                    phase1 += 1
-        for i in reversed(drop):
-            del rows[i], rhs_col[i], den[i], basis[i]
-        rows = [{j: a for j, a in r.items() if j < width} for r in rows]
-
-    cost = [num(c) for c in lp.objective]
-    cost2 = [zero] * width
-    for j, c in enumerate(cost):
+    cost = [zero] * width
+    for j, c in enumerate(lp.objective):
+        c = num(c)
         if c:
             for col, s in col_of[j]:
-                cost2[col] = c * s
+                cost[col] = c * s
     cols = _column_index(rows, width)
-    status, val, phase2 = _run_simplex(
-        rows, rhs_col, den, basis, cols, cost2, tol, exact
+    status, pivots, (red, robj, rden) = _run_simplex(
+        rows, rhs_col, den, basis, cols, cost, tol, exact
     )
-    pivots = (phase1, phase2)
     if status == "unbounded":
         return LPSolution("unbounded", pivots=pivots)
 
@@ -427,4 +375,5 @@ def solve(lp: LinearProgram, mode: str = EXACT) -> LPSolution:
         yv[cs[0][0]] if len(cs) == 1 else sum((s * yv[col] for col, s in cs), zero)
         for cs in col_of
     ]
-    return LPSolution("optimal", tuple(x), val, pivots)
+    final = (red, rden, ncols, len(rows), value)
+    return LPSolution("optimal", tuple(x), value(-robj, rden), pivots, final)

@@ -283,8 +283,8 @@ def build_multi_lp(
     and its weight would appear only in the profile's convexity row.  It
     gets no column: its weight is the slack of the row
     sum_{a>0} lambda(t, a) <= 1, and solve_multi writes it back as
-    1 - sum.  Every row is <= with right-hand side 0 or 1, so the slack
-    basis is feasible and the simplex runs no phase 1.
+    1 - sum.  Every row is <= with right-hand side 0 or 1, the form
+    revmax.lp solves from the slack basis.
 
     Rows that the kept rows imply are left out (_kept_rows); the feasible
     set is that of the all-pairs, all-IR program.  Both rules read one

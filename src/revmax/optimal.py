@@ -16,14 +16,15 @@ constraint binds.  So the objective is sum_v sum_i phi_i(v) x_i(v) with
 and the optimum equals that of the LP over weights and payments with every
 IC and IR row.  Chain payments are nonnegative, so allowing negative
 payments would change nothing, and there is no switch for it.  Every row
-is <= with right-hand side 0 or 1: the slack basis is feasible and the
-simplex never runs phase 1.  The arithmetic mode is the distribution's.
+is <= with right-hand side 0 or 1, the form revmax.lp solves from the
+slack basis.  The arithmetic mode is the distribution's.
 
 solve_optimal returns the interim optimum and its revenue only.  Its
 ex-post lottery comes from the package's two routes: canonical_expost
 (revmax.model) on single-item systems, and on any system the
 Caratheodory decomposition here, decompose_allocation, which writes each
-profile's allocation as a lottery over at most n+1 feasible vectors.
+profile's allocation as a lottery over at most n+1 feasible vectors, or
+reads a separating certificate off the same LP's dual.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatchError
-from .lp import EQ, LEQ, LinearProgram, solve
+from .lp import LEQ, LinearProgram, solve
 from .model import (
     EXACT,
     FLOAT,
@@ -60,7 +61,8 @@ class OptimalResult:
 @dataclass
 class HullDecomposition:
     """Either a convex combination over feasible vectors or a separating
-    certificate (a, b) with a.x > b >= a.F for every feasible F."""
+    certificate (a, b) with a.x - b = 1 and a.F <= b for every feasible
+    F."""
 
     in_hull: bool
     terms: Optional[tuple] = None
@@ -164,39 +166,48 @@ def decompose_allocation(
     x: Sequence, fs: FeasibilitySystem, mode: str = EXACT
 ) -> HullDecomposition:
     """Write x as a convex combination of at most n+1 feasible vectors,
-    or certify that x lies outside their convex hull."""
-    point = tuple(convert(c, mode) for c in x)
-    if len(point) != fs.n:
-        raise DimensionMismatchError(f"point has {len(point)} coordinates, n={fs.n}")
-    K = len(fs.vectors)
-    zero = 0.0 if mode == FLOAT else Fraction(0)
+    or certify that x lies outside their convex hull.
 
-    lp = LinearProgram(K, [zero] * K)
-    for i in range(fs.n):
+    One LP over the weights lambda_f of all feasible vectors: rows
+    sum_{f: F_i = 1} lambda_f <= x_i for each i and sum_f lambda_f <= 1,
+    objective sum_f (|F_f| + 1) lambda_f.  Its optimum is at most
+    sum_i x_i + 1, with equality exactly when every row is tight, that is
+    when x is in the hull (in float mode, within 1e-7).  This objective
+    is the phase-1 cost of the same rows written as equalities (-1 on
+    each artificial, which takes the slack's column) plus the row-space
+    vector 1.[A | I]; so every reduced cost, pivot and final basis is the
+    one phase 1 would take, and so are the terms.
+
+    Outside the hull, with y the LP's dual, z = y - 1 (z_i for the row of
+    coordinate i, z_0 for the last row) and gap = sum_i x_i + 1 -
+    optimum > 0: dual feasibility gives z_0 + sum_i F_i z_i >= 0 for
+    every F, and strong duality gives sum_i x_i z_i + z_0 = -gap.  So
+    a_i = -z_i / gap and b = z_0 / gap satisfy a.F <= b for every
+    feasible F and a.x - b = 1.
+    A negative coordinate x_i needs no LP: a = e_i / x_i and b = 0."""
+    point = tuple(convert(c, mode) for c in x)
+    n = fs.n
+    if len(point) != n:
+        raise DimensionMismatchError(f"point has {len(point)} coordinates, n={n}")
+    zero = 0.0 if mode == FLOAT else Fraction(0)
+    for i, c in enumerate(point):
+        if c < 0:
+            a = [zero] * n
+            a[i] = 1 / c
+            return HullDecomposition(False, certificate=(tuple(a), zero))
+
+    lp = LinearProgram(len(fs.vectors), [sum(vec) + 1 for vec in fs.vectors])
+    for i in range(n):
         row = {f: 1 for f, vec in enumerate(fs.vectors) if vec[i]}
-        lp.add_constraint(row, EQ, point[i])
-    lp.add_constraint({f: 1 for f in range(K)}, EQ, 1)
+        lp.add_constraint(row, LEQ, point[i])
+    lp.add_constraint({f: 1 for f in range(len(fs.vectors))}, LEQ, 1)
     sol = solve(lp, mode=mode)
-    if sol.status == "optimal":
+    gap = sum(point, zero) + 1 - sol.objective
+    if gap <= (1e-7 if mode == FLOAT else 0):
         eps = 1e-12 if mode == FLOAT else 0
         terms = tuple((f, w) for f, w in enumerate(sol.x) if w > eps)
-        # a basic solution of n+1 equality rows carries at most n+1 weights
+        # a basic solution of n+1 rows carries at most n+1 weights
         return HullDecomposition(True, terms=terms)
-
-    # separation: a.F - b <= 0 for all F, normalized so a.x - b = 1
-    nv = fs.n + 1
-    sep = LinearProgram(nv, [zero] * nv)
-    for j in range(nv):
-        sep.set_free(j)
-    for vec in fs.vectors:
-        row = {i: 1 for i in range(fs.n) if vec[i]}
-        row[fs.n] = -1
-        sep.add_constraint(row, LEQ, 0)
-    norm = {i: point[i] for i in range(fs.n) if point[i] != 0}
-    norm[fs.n] = -1
-    sep.add_constraint(norm, EQ, 1)
-    cert = solve(sep, mode=mode)
-    if cert.status != "optimal":
-        raise RuntimeError("no separating certificate for a point outside the hull")
-    a, b = cert.x[: fs.n], cert.x[fs.n]
-    return HullDecomposition(False, certificate=(tuple(a), b))
+    z = [y - 1 for y in sol.dual]
+    a = tuple(-c / gap for c in z[:n])
+    return HullDecomposition(False, certificate=(a, z[n] / gap))

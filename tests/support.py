@@ -8,7 +8,13 @@ payments as variables with every truthfulness and rationality
 constraint, so the allocation-only LP is checked against the full
 formulation it reduces.  Likewise the reference multi-item LP keeps a
 column and a convexity equality for the all-unsold assignment, whose
-weight the solver's LP carries as a slack.  The reference simplex keeps
+weight the solver's LP carries as a slack.  Both reference LPs keep
+their convexity rows as equalities in a ReferenceProgram, which the
+reference simplex solves with a phase 1; revmax.lp takes only <= rows
+with nonnegative right-hand sides.  The reference decomposition is the
+two-phase one, an equality hull LP and a separation LP for the
+certificate, so decompose_allocation, which reads the terms off one <= LP
+and the certificate off its dual, must give the same terms.  The reference simplex keeps
 dense tableau rows with the same pivot rule, so the sparse solver in
 revmax.lp must take the same pivots to the same vertex.  The reference checkers look
 every deviation up by building its profile, sweep each profile's own
@@ -58,15 +64,7 @@ from revmax import (
     Valuation,
     ValueGrid,
 )
-from revmax.lp import (
-    _MAX_PIVOTS,
-    _STALL_LIMIT,
-    EQ,
-    LEQ,
-    LinearProgram,
-    LPSolution,
-    solve,
-)
+from revmax.lp import _MAX_PIVOTS, _STALL_LIMIT, LEQ, LPSolution, solve
 from revmax.model import EXACT, FLOAT, _check_unit_total, _items, convert, lines
 from revmax.multi import (
     MAX_ASSIGNMENTS,
@@ -74,7 +72,7 @@ from revmax.multi import (
     _guard,
     enumerate_assignments,
 )
-from revmax.optimal import build_optimal_lp, decompose_allocation
+from revmax.optimal import HullDecomposition, build_optimal_lp, decompose_allocation
 from revmax.verify import VerifyReport, Witness, violated
 
 
@@ -434,6 +432,30 @@ def reference_enumerate_deterministic_optimal(
     return mech, best_rev
 
 
+EQ = "="
+
+
+class ReferenceProgram:
+    """Maximize objective . x subject to <= and = rows with right-hand
+    sides of any sign, over nonnegative or free variables: the form of
+    the reference LPs, which keep their convexity equalities, and of the
+    reference decomposition.  reference_solve solves it, as it solves a
+    revmax.lp.LinearProgram, whose attributes it shares."""
+
+    def __init__(self, num_vars: int, objective):
+        self.num_vars = num_vars
+        self.objective = list(objective)
+        self.constraints = []
+        self.free = [False] * num_vars
+
+    def add_constraint(self, coeffs: dict, rel: str, rhs) -> None:
+        assert rel in (LEQ, EQ), rel
+        self.constraints.append((dict(coeffs), rel, rhs))
+
+    def set_free(self, var: int) -> None:
+        self.free[var] = True
+
+
 def reference_optimal_lp(dist, fs, allow_negative_payments=False):
     """The revenue LP in its largest form: lottery weights per (profile,
     vector) including the zero vector, payments per (profile, bidder),
@@ -457,7 +479,7 @@ def reference_optimal_lp(dist, fs, allow_negative_payments=False):
     for v, q in dist.support.items():
         for i in range(n):
             objective[pay(pindex[v], i)] = q
-    lp = LinearProgram(num_vars, objective)
+    lp = ReferenceProgram(num_vars, objective)
     if allow_negative_payments:
         for k in range(len(profiles)):
             for i in range(n):
@@ -503,7 +525,7 @@ def reference_multi_lp(
     inst: MultiItemInstance,
     allow_negative_payments: bool = False,
     max_assignments: int = MAX_ASSIGNMENTS,
-) -> LinearProgram:
+) -> ReferenceProgram:
     """The multi-item revenue LP with a column for every assignment,
     the all-unsold one included, and a convexity equality per type
     profile: the form revmax.multi.build_multi_lp reduces by making the
@@ -528,7 +550,7 @@ def reference_multi_lp(
         for i in range(n):
             objective[pay(k, i)] = inst.support.get(t, zero)
 
-    lp = LinearProgram(num_vars, objective)
+    lp = ReferenceProgram(num_vars, objective)
     if allow_negative_payments:
         for k in range(len(profiles)):
             for i in range(n):
@@ -570,7 +592,7 @@ def reference_revenue(dist, fs=None, allow_negative_payments=False):
     """Exact optimum of the reference revenue LP."""
     if fs is None:
         fs = FeasibilitySystem.single_item(dist.grid.n)
-    sol = solve(reference_optimal_lp(dist, fs, allow_negative_payments))
+    sol = reference_solve(reference_optimal_lp(dist, fs, allow_negative_payments))
     assert sol.status == "optimal", sol.status
     return sol.objective
 
@@ -726,9 +748,13 @@ def _reference_run_simplex(rows, rhs, basis, cost, tol):
     raise RuntimeError("simplex did not terminate within the pivot limit")
 
 
-def reference_solve(lp: LinearProgram, mode: str = EXACT) -> LPSolution:
-    """Two-phase simplex solve of the program in the requested arithmetic,
-    over dense tableau rows."""
+def reference_solve(lp, mode: str = EXACT) -> LPSolution:
+    """Two-phase simplex solve of a ReferenceProgram or LinearProgram in
+    the requested arithmetic, over dense tableau rows.  Status is
+    optimal, infeasible or unbounded; pivots counts both phases, and
+    phase 1, which includes the pivots that drive leftover artificials
+    out of the basis, runs only when some row has no slack to start the
+    basis, which a LinearProgram never has."""
     if mode == FLOAT:
         tol = 1e-9
         num = float
@@ -829,7 +855,7 @@ def reference_solve(lp: LinearProgram, mode: str = EXACT) -> LPSolution:
         status, val, phase1 = _reference_run_simplex(rows, rhs_col, basis, cost1, tol)
         infeas = (-val) > (1e-7 if mode == FLOAT else 0)
         if status != "optimal" or infeas:
-            return LPSolution("infeasible", pivots=(phase1, 0))
+            return LPSolution("infeasible", pivots=phase1)
         # Drive leftover artificials out of the basis or drop their rows.
         drop = []
         for i in range(len(rows)):
@@ -856,7 +882,7 @@ def reference_solve(lp: LinearProgram, mode: str = EXACT) -> LPSolution:
                 cost2[col] += c * s
     status, val, phase2 = _reference_run_simplex(rows, rhs_col, basis, cost2, tol)
     if status == "unbounded":
-        return LPSolution("unbounded", pivots=(phase1, phase2))
+        return LPSolution("unbounded", pivots=phase1 + phase2)
 
     yv = [zero] * width
     for i, bi in enumerate(basis):
@@ -870,7 +896,40 @@ def reference_solve(lp: LinearProgram, mode: str = EXACT) -> LPSolution:
     objective = sum(
         (num(lp.objective[j]) * x[j] for j in range(lp.num_vars)), zero
     )
-    return LPSolution("optimal", tuple(x), objective, (phase1, phase2))
+    return LPSolution("optimal", tuple(x), objective, phase1 + phase2)
+
+
+def reference_decompose_allocation(x, fs: FeasibilitySystem, mode: str = EXACT):
+    """The two-phase decomposition: the hull's equality rows solved by
+    phase 1, and outside the hull a second LP over free (a, b) with
+    a.F <= b for every feasible F and a.x - b = 1, both solved by
+    reference_solve."""
+    point = tuple(convert(c, mode) for c in x)
+    K = len(fs.vectors)
+    zero = 0.0 if mode == FLOAT else Fraction(0)
+    lp = ReferenceProgram(K, [zero] * K)
+    for i in range(fs.n):
+        row = {f: 1 for f, vec in enumerate(fs.vectors) if vec[i]}
+        lp.add_constraint(row, EQ, point[i])
+    lp.add_constraint({f: 1 for f in range(K)}, EQ, 1)
+    sol = reference_solve(lp, mode=mode)
+    if sol.status == "optimal":
+        eps = 1e-12 if mode == FLOAT else 0
+        return HullDecomposition(True, terms=tuple((f, w) for f, w in enumerate(sol.x) if w > eps))
+    nv = fs.n + 1
+    sep = ReferenceProgram(nv, [zero] * nv)
+    for j in range(nv):
+        sep.set_free(j)
+    for vec in fs.vectors:
+        row = {i: 1 for i in range(fs.n) if vec[i]}
+        row[fs.n] = -1
+        sep.add_constraint(row, LEQ, 0)
+    norm = {i: point[i] for i in range(fs.n) if point[i] != 0}
+    norm[fs.n] = -1
+    sep.add_constraint(norm, EQ, 1)
+    cert = reference_solve(sep, mode=mode)
+    assert cert.status == "optimal", cert.status
+    return HullDecomposition(False, certificate=(cert.x[: fs.n], cert.x[fs.n]))
 
 
 def reference_distribution_support(grid: ValueGrid, support, strict: bool = True) -> dict:

@@ -243,6 +243,29 @@ def test_decompose_outside_point_gives_certificate(tmp_path, capsys):
     assert "certificate" in result
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_decompose_negative_coordinate_gives_certificate(tmp_path, capsys, mode):
+    # no feasible vector has a negative coordinate: a = e_i / x_i, b = 0
+    coords = '["-1/2","1/4"]' if mode == "exact" else "[-0.5,0.25]"
+    point = write(
+        tmp_path,
+        "negative.ndjson",
+        f'{{"format":1,"kind":"point","mode":"{mode}"}}\n'
+        '{"feasible":[0,0]}\n{"feasible":[1,0]}\n{"feasible":[0,1]}\n'
+        f'{{"point":{coords}}}\n',
+    )
+    code, out, _ = run(capsys, ["decompose", point])
+    assert code == 1
+    result = rio.loads_line(out)
+    assert result["in_hull"] is False
+    a = [F(c) for c in result["certificate"]["a"]]
+    b = F(result["certificate"]["b"])
+    assert (a, b) == ([F(-2), F(0)], F(0))
+    assert a[0] * F(-1, 2) + a[1] * F(1, 4) - b == 1
+    for vec in [(0, 0), (1, 0), (0, 1)]:
+        assert a[0] * vec[0] + a[1] * vec[1] <= b
+
+
 @pytest.mark.parametrize("line", ['{"feasible":5}', '{"feasible":[true]}'])
 def test_decompose_bad_feasible_line_is_input_error(tmp_path, capsys, line):
     # a non-list used to end in a TypeError traceback, and bools passed

@@ -1,10 +1,11 @@
-"""Exact two-phase simplex: classic fixtures, degenerate/cycling cases,
-free variables, a brute-force vertex cross-check on random programs,
+"""Exact one-phase simplex: classic fixtures, degenerate/cycling cases,
+free variables, the rows it refuses (= rows and negative right-hand
+sides), a brute-force vertex cross-check on random programs,
 pivot-for-pivot parity with the dense reference solver on integer,
-rational and tie-heavy programs and under Bland's rule throughout, the
-column index checked against a full scan at every pivot, and the same
-pivots and vertex whether rows are reduced always, never or past the
-width bound."""
+rational and tie-heavy programs and under Bland's rule throughout, dual
+certificates of every parity optimum, the column index checked against
+a full scan at every pivot, and the same pivots and vertex whether rows
+are reduced always, never or past the width bound."""
 
 import itertools
 import random
@@ -16,6 +17,7 @@ import support
 from revmax import (
     ExplicitDistribution,
     FeasibilitySystem,
+    InvalidInputError,
     LinearProgram,
     PivotLimitError,
     ValueGrid,
@@ -24,7 +26,7 @@ from revmax import (
     lp as lp_module,
     solve,
 )
-from revmax.lp import EQ, LEQ
+from revmax.lp import LEQ
 from revmax.model import FLOAT
 from support import random_multi_instance, reference_solve
 
@@ -41,28 +43,34 @@ def test_two_variable_maximum():
 
 
 def test_minimization_via_negated_objective():
-    # min 3x + 4y subject to x + y >= 2 and 2x + y >= 3
-    lp = LinearProgram(2, [F(-3), F(-4)])
-    lp.add_constraint({0: F(-1), 1: F(-1)}, LEQ, F(-2))
-    lp.add_constraint({0: F(-2), 1: F(-1)}, LEQ, F(-3))
+    # min 3x + 4y - 5z subject to z <= x + y and z <= 2
+    lp = LinearProgram(3, [F(-3), F(-4), F(5)])
+    lp.add_constraint({0: F(-1), 1: F(-1), 2: F(1)}, LEQ, F(0))
+    lp.add_constraint({2: F(1)}, LEQ, F(2))
     sol = solve(lp)
     assert sol.status == "optimal"
-    assert sol.objective == F(-6)
+    assert sol.objective == F(4)
+    assert sol.x == (F(2), F(0), F(2))
 
 
 def test_equality_constraints():
+    # an = row has no slack to start the basis, so it is refused
     lp = LinearProgram(2, [F(1), F(1)])
-    lp.add_constraint({0: F(1), 1: F(1)}, EQ, F(1))
-    sol = solve(lp)
-    assert sol.status == "optimal"
-    assert sol.objective == F(1)
+    with pytest.raises(InvalidInputError):
+        lp.add_constraint({0: F(1), 1: F(1)}, "=", F(1))
+    assert lp.constraints == []
 
 
 def test_infeasible_program():
+    # x = 0 satisfies every <= row with a nonnegative right-hand side, so
+    # only a negative one could make a program infeasible; it is refused
     lp = LinearProgram(1, [F(1)])
     lp.add_constraint({0: F(1)}, LEQ, F(1))
-    lp.add_constraint({0: F(-1)}, LEQ, F(-2))
-    assert solve(lp).status == "infeasible"
+    for rhs in (F(-2), -2, -0.5):
+        with pytest.raises(InvalidInputError):
+            lp.add_constraint({0: F(-1)}, LEQ, rhs)
+    assert len(lp.constraints) == 1
+    assert solve(lp).x == (F(1),)
 
 
 def test_unbounded_program():
@@ -83,18 +91,19 @@ def test_free_variable_split():
 
 
 def test_shifted_and_boxed_bounds():
-    # 1 <= x0 <= 3 and, for the free x1, -2 <= x1 <= 2, written as rows
+    # max x0 + 2 x1 with 1 <= x0 <= 3, -2 <= x1 <= 2 (x1 free) and
+    # x0 + x1 <= 4; the lower bound is the shift x0 = 1 + u, u >= 0, which
+    # moves 1 into every right-hand side and the objective
     lp = LinearProgram(2, [F(1), F(2)])
     lp.set_free(1)
-    lp.add_constraint({0: F(-1)}, LEQ, F(-1))
-    lp.add_constraint({0: F(1)}, LEQ, F(3))
+    lp.add_constraint({0: F(1)}, LEQ, F(2))
     lp.add_constraint({1: F(-1)}, LEQ, F(2))
     lp.add_constraint({1: F(1)}, LEQ, F(2))
-    lp.add_constraint({0: F(1), 1: F(1)}, LEQ, F(4))
+    lp.add_constraint({0: F(1), 1: F(1)}, LEQ, F(3))
     sol = solve(lp)
     assert sol.status == "optimal"
-    assert sol.x == (F(2), F(2))
-    assert sol.objective == F(6)
+    assert (1 + sol.x[0], sol.x[1]) == (F(2), F(2))
+    assert 1 + sol.objective == F(6)
 
 
 def _cycling_lp():
@@ -112,13 +121,15 @@ def test_degenerate_cycling_fixture():
     assert sol.objective == F(1, 20)
 
 
-def test_redundant_equality_rows_are_dropped():
+def test_redundant_rows_are_harmless():
+    # the second row is twice the first: a degenerate pivot ties them
     lp = LinearProgram(2, [F(1), F(1)])
-    lp.add_constraint({0: F(1), 1: F(1)}, EQ, F(1))
-    lp.add_constraint({0: F(2), 1: F(2)}, EQ, F(2))
+    lp.add_constraint({0: F(1), 1: F(1)}, LEQ, F(1))
+    lp.add_constraint({0: F(2), 1: F(2)}, LEQ, F(2))
     sol = solve(lp)
     assert sol.status == "optimal"
     assert sol.objective == F(1)
+    assert sum(sol.x) == 1
 
 
 def test_float_mode_runs():
@@ -211,9 +222,9 @@ def test_rejects_malformed_input():
 
 
 def _random_program(rng):
-    """Small random program with nonnegative and free variables, <= and =
-    rows, negative right-hand sides, and sometimes a redundant copy of an
-    equality."""
+    """Small random program with nonnegative and free variables, <= rows
+    with nonnegative right-hand sides, and sometimes a redundant scaled
+    copy of a row."""
     n = rng.randint(1, 6)
     lp = LinearProgram(n, [F(rng.randint(-3, 4)) for _ in range(n)])
     for j in range(n):
@@ -225,12 +236,11 @@ def _random_program(rng):
             for j in range(n)
             if rng.random() < 0.7
         }
-        rel = rng.choice([LEQ, LEQ, LEQ, LEQ, LEQ, EQ])
-        rhs = F(rng.randint(-2, 8))
-        lp.add_constraint(coeffs, rel, rhs)
-        if rel == EQ and rng.random() < 0.4:
+        rhs = F(rng.randint(0, 8))
+        lp.add_constraint(coeffs, LEQ, rhs)
+        if rng.random() < 0.1:
             k = rng.randint(2, 3)
-            lp.add_constraint({j: k * c for j, c in coeffs.items()}, EQ, k * rhs)
+            lp.add_constraint({j: k * c for j, c in coeffs.items()}, LEQ, k * rhs)
     return lp
 
 
@@ -250,7 +260,7 @@ def test_sparse_simplex_matches_dense_reference():
         assert got.pivots == want.pivots
         if want.x is not None:
             assert all(abs(a - b) <= 1e-9 for a, b in zip(got.x, want.x))
-    assert seen == {"optimal", "infeasible", "unbounded"}
+    assert seen == {"optimal", "unbounded"}
 
 
 def _rational(rng, lo, hi):
@@ -258,8 +268,9 @@ def _rational(rng, lo, hi):
 
 
 def _rational_program(rng):
-    """Small random program whose objective, coefficients and right-hand
-    sides are fractions over the coprime denominators 1 to 11."""
+    """Small random program whose objective, coefficients and (nonnegative)
+    right-hand sides are fractions over the coprime denominators 1 to
+    11."""
     n = rng.randint(1, 6)
     lp = LinearProgram(n, [_rational(rng, -6, 8) for _ in range(n)])
     for j in range(n):
@@ -267,18 +278,7 @@ def _rational_program(rng):
             lp.set_free(j)
     for _ in range(rng.randint(1, 7)):
         coeffs = {j: _rational(rng, -9, 9) for j in range(n) if rng.random() < 0.7}
-        rel = rng.choice([LEQ, LEQ, LEQ, LEQ, EQ])
-        lp.add_constraint(coeffs, rel, _rational(rng, -4, 16))
-    return lp
-
-
-def _negative_drive_out_lp():
-    # every reduced cost of phase 1 is negative from the start, so phase
-    # 1 ends with the first row's artificial basic at 0, and driving it
-    # out pivots on the entry -2/3
-    lp = LinearProgram(3, [F(1, 2), F(3, 5), F(1)])
-    lp.add_constraint({0: F(-2, 3), 1: F(-5, 7)}, EQ, F(0))
-    lp.add_constraint({0: F(1, 3), 1: F(1, 11), 2: F(1)}, LEQ, F(2))
+        lp.add_constraint(coeffs, LEQ, _rational(rng, 0, 16))
     return lp
 
 
@@ -293,7 +293,6 @@ def test_rational_simplex_matches_dense_reference(monkeypatch):
     monkeypatch.setattr(lp_module, "_pivot", recording)
     rng = random.Random(19680101)
     programs = [_rational_program(rng) for _ in range(200)]
-    programs.append(_negative_drive_out_lp())
     programs += [build_multi_lp(random_multi_instance(rng)) for _ in range(4)]
     seen = set()
     for lp in programs:
@@ -305,23 +304,22 @@ def test_rational_simplex_matches_dense_reference(monkeypatch):
         seen.add(got.status)
         got, want = solve(lp, mode=FLOAT), reference_solve(lp, mode=FLOAT)
         assert (got.status, got.pivots) == (want.status, want.pivots)
-    assert seen == {"optimal", "infeasible", "unbounded"}
-    assert min(entries) < 0
-    sol = solve(_negative_drive_out_lp())
-    assert (sol.pivots[0], sol.x[2], sol.objective) == (1, F(2), F(2))
+    assert seen == {"optimal", "unbounded"}
+    # the ratio test only picks positive entries, which _pivot relies on
+    assert min(entries) > 0
 
 
-def test_pivot_counts_per_phase():
-    # an equality row needs an artificial, so phase 1 pivots before phase 2
+def test_pivot_count():
+    # Dantzig's rule enters x1 (reduced cost 2) and then x0
     lp = LinearProgram(2, [F(1), F(2)])
-    lp.add_constraint({0: F(1), 1: F(1)}, EQ, F(1))
+    lp.add_constraint({0: F(1), 1: F(1)}, LEQ, F(1))
     lp.add_constraint({1: F(1)}, LEQ, F(1, 2))
     sol = solve(lp)
     assert sol.x == (F(1, 2), F(1, 2))
-    assert sol.pivots[0] >= 1 and sol.pivots[1] >= 1
+    assert sol.pivots == 2
     lp = LinearProgram(1, [F(1)])
     lp.add_constraint({0: F(1)}, LEQ, F(3))
-    assert solve(lp).pivots == (0, 1)
+    assert solve(lp).pivots == 1
 
 
 def test_pivot_limit_raises_typed_error(monkeypatch):
@@ -340,7 +338,6 @@ def _rational_programs():
     """The programs of test_rational_simplex_matches_dense_reference."""
     rng = random.Random(19680101)
     programs = [_rational_program(rng) for _ in range(200)]
-    programs.append(_negative_drive_out_lp())
     return programs + [build_multi_lp(random_multi_instance(rng)) for _ in range(4)]
 
 
@@ -393,6 +390,30 @@ def test_bland_from_the_start_matches_dense_reference(monkeypatch):
     assert [solve(lp).pivots for lp in programs] != dantzig
 
 
+def test_duals_certify_every_parity_optimum():
+    # y >= 0, y.A_j >= c_j (equal on free columns) and b.y = objective:
+    # weak duality then proves the optimum
+    programs = _integer_programs() + _rational_programs() + _symmetric_programs()
+    optima = 0
+    for lp in programs:
+        sol = solve(lp)
+        if sol.status != "optimal":
+            assert sol.dual is None
+            continue
+        optima += 1
+        y = sol.dual
+        assert len(y) == len(lp.constraints)
+        assert all(type(v) is F and v >= 0 for v in y)
+        column = [F(0)] * lp.num_vars
+        for yr, (row, _, _) in zip(y, lp.constraints):
+            for j, a in row.items():
+                column[j] += yr * a
+        for j, c in enumerate(lp.objective):
+            assert column[j] == c if lp.free[j] else column[j] >= c
+        assert sum(yr * rhs for yr, (_, _, rhs) in zip(y, lp.constraints)) == sol.objective
+    assert optima >= 200
+
+
 def test_column_index_matches_full_scan(monkeypatch):
     pivot = lp_module._pivot
     checked = []
@@ -423,8 +444,7 @@ def _wide_program(rng):
         coeffs = {
             j: F(rng.randint(-9, 9), rng.choice(_WIDE)) for j in range(n) if rng.random() < 0.8
         }
-        rel = rng.choice([LEQ, LEQ, LEQ, EQ])
-        lp.add_constraint(coeffs, rel, F(rng.randint(-2, 9), rng.choice(_WIDE)))
+        lp.add_constraint(coeffs, LEQ, F(rng.randint(0, 9), rng.choice(_WIDE)))
     return lp
 
 
@@ -454,4 +474,4 @@ def test_pivot_path_does_not_depend_on_row_reduction(monkeypatch, bits):
     assert sum(w == {True, False} for w in wide) >= 20
     monkeypatch.setattr(lp_module, "_REDUCE_BITS", bits)
     assert [_outcome(solve(lp)) for lp in programs] == default
-    assert {sol[0] for sol in default} == {"optimal", "infeasible", "unbounded"}
+    assert {sol[0] for sol in default} == {"optimal", "unbounded"}

@@ -22,13 +22,14 @@ from revmax import (
     solve_optimal,
 )
 from revmax import io as rio
-from revmax.lp import LEQ, solve
+from revmax.lp import LEQ
 from revmax.model import EXACT, FLOAT
 from support import (
     in_hull_by_enumeration,
     random_distribution,
     random_feasibility,
     random_hull_point,
+    reference_decompose_allocation,
     reference_revenue,
     reference_solve_optimal,
 )
@@ -119,8 +120,6 @@ def test_allocation_lp_matches_reference_lp():
     for dist, fs in _reference_instances(rng, 42):
         result = solve_optimal(dist, fs)
         assert result.revenue == reference_revenue(dist, fs)
-        # every row is <= 0 or <= 1: the slack basis is feasible
-        assert solve(build_optimal_lp(dist, fs)).pivots[0] == 0
         grid, x, p = dist.grid, result.interim.x, result.interim.p
         for i in range(grid.n):
             others = [grid.values[j] for j in range(grid.n) if j != i]
@@ -211,6 +210,38 @@ def test_decompose_matches_subset_enumeration():
         dec = decompose_allocation(point, fs)
         assert dec.in_hull
         assert in_hull_by_enumeration(point, fs)
+
+
+def _separates(cert, point, fs):
+    a, b = cert
+    return sum(c * x for c, x in zip(a, point)) - b == 1 and all(
+        sum(c * f for c, f in zip(a, vec)) <= b for vec in fs.vectors
+    )
+
+
+def test_decompose_matches_two_phase_reference():
+    # the hull LP's objective is phase 1's cost plus a row-space vector,
+    # so it takes phase 1's pivots to the same weights; outside the hull
+    # its dual gives a certificate normalized like the separation LP's
+    rng = random.Random(1011)
+    cases = []
+    for _ in range(150):
+        fs = random_feasibility(rng, max_bidders=4, max_vectors=9)
+        cases.append((random_hull_point(rng, fs), fs))
+        point = tuple(F(rng.randint(-1, 9), rng.choice((1, 2, 3, 4, 6, 7))) for _ in range(fs.n))
+        cases.append((point, fs))
+    outside = 0
+    for point, fs in cases:
+        got, want = decompose_allocation(point, fs), reference_decompose_allocation(point, fs)
+        assert got.in_hull == want.in_hull == in_hull_by_enumeration(point, fs)
+        assert decompose_allocation(tuple(map(float, point)), fs, FLOAT).in_hull == got.in_hull
+        if got.in_hull:
+            assert got.terms == want.terms
+        else:
+            assert _separates(got.certificate, point, fs)
+            assert _separates(want.certificate, point, fs)
+            outside += 1
+    assert 100 <= outside <= 200
 
 
 def test_decompose_dimension_mismatch():

@@ -1,9 +1,10 @@
 """Repository hygiene: the benchmark tracer's names resolve in the
 package, no package module imports a name it does not use, and the
-output comparison script labels tied optima."""
+output comparison script labels tied optima and changed certificates."""
 
 import ast
 import importlib
+import json
 import importlib.util
 from pathlib import Path
 
@@ -83,3 +84,34 @@ def test_same_outputs_labels_tied_optima():
     assert tie_label(key, "--exact", side(None), side("3/2")) == "changed"
     assert tie_label(key, "--float", side("1.5"), side("1.5000000000000002")) == "tied"
     assert tie_label(key, "--float", side("1.5"), side("1.500001")) == "changed"
+
+
+def test_same_outputs_labels_certificates(tmp_path):
+    so = _load("same_outputs", ROOT / "scripts" / "same_outputs.py")
+    inst = tmp_path / "inst.ndjson"
+    inst.write_text('{"format":1,"model":"single-item"}\n{"grid":[[1],[1]]}\n')
+    source, mech = tmp_path / "mech.ndjson", str(tmp_path / "ones.ndjson")
+    source.write_text(
+        '{"format":1,"kind":"interim","mode":"exact"}\n{"grid":[[1],[1]]}\n'
+        '{"alloc":["1/2","0"],"pay":["0","0"],"profile":["1","1"]}\n'
+    )
+    so.ones_first_alloc(str(source), mech)
+    argv = ["verify", str(inst), mech, "--exact"]
+    good, bad = "separating certificate a=('1', '1'), b=1", "separating certificate a=('1', '0'), b=1"
+    assert so.separates(good, ["1", "1"], argv)
+    assert not so.separates(bad, ["1", "1"], argv)
+    key = "solve-ladder s0 --exact solve-n2 verify-ones"
+
+    def side(detail, rc=1, other=(), witnesses=1):
+        lines = [{"check": "feasible", "detail": detail, "profile": ["1", "1"]}, *other]
+        lines.append({"checks": {"feasible": False}, "passed": False, "witnesses": witnesses})
+        text = "".join(json.dumps(line) + "\n" for line in lines)
+        return {key: {"rc": rc, "report": so.report_summary(text, argv)}}
+
+    parent = side("separating certificate a=('2', '2'), b=2")
+    assert so.cert_label(key, parent, side(good)) == "certificate"
+    assert so.cert_label(key, parent, side(bad)) == "changed"
+    assert so.cert_label(key, parent, side(good, rc=0)) == "changed"
+    assert so.cert_label(key, parent, side(good, witnesses=2)) == "changed"
+    ir = {"check": "ir", "detail": "", "profile": ["1", "1"]}
+    assert so.cert_label(key, parent, side(good, other=[ir])) == "changed"
