@@ -19,7 +19,12 @@ every entry, which fails the replay and so compares the failing
 multi-item reports too.  Each solve output is likewise verified as a
 copy whose first profile's allocation is all 1s, which lies outside the
 hull of a single-item system with two or more bidders, so failing
-`feasible` witnesses and their certificates are compared too.
+`feasible` witnesses and their certificates are compared too.  Each
+verify and revenue command of a plan runs once more on a copy of its
+mechanism file whose body lines come in reverse order and spell the
+first bidder's lowest grid value as another fraction, so the readers'
+placement of lines out of order and of numbers not spelled as on the
+grid line is compared too.
 
 For each command the exit code, stdout, stderr and the bytes written to
 --output are compared.  A differing solve-multi command is labelled
@@ -90,7 +95,29 @@ def ones_first_alloc(source: str, target: str) -> None:
     Path(target).write_text("".join(lines))
 
 
-EDITS = {"raise_first_pay": raise_first_pay, "ones_first_alloc": ones_first_alloc}
+def reverse_respell(source: str, target: str) -> None:
+    """Copy a single-item mechanism file with its body lines (those with
+    a profile or a part index) in reverse order, and the first bidder's
+    lowest grid value spelled as 2p/2q wherever a profile quotes it."""
+    objs = _records(source)
+    value = next(obj["grid"] for obj in objs if "grid" in obj)[0][0]
+    q = Fraction(value)
+    spelled = f"{2 * q.numerator}/{2 * q.denominator}"
+    head = [obj for obj in objs if "profile" not in obj and "part" not in obj]
+    body = [obj for obj in objs if "profile" in obj or "part" in obj]
+    for obj in body:
+        if obj.get("profile", [None])[0] == value:
+            obj["profile"][0] = spelled
+    lines = [json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+             for obj in head + body[::-1]]
+    Path(target).write_text("".join(lines))
+
+
+EDITS = {
+    "raise_first_pay": raise_first_pay,
+    "ones_first_alloc": ones_first_alloc,
+    "reverse_respell": reverse_respell,
+}
 
 
 def _records(path: str) -> list:
@@ -251,6 +278,10 @@ def plan_commands(tree: Path, seeds: list, inputs: Path) -> list:
                         argv[at] = output
                     key = f"{workload} s{seed} {mode} {cmd.key}"
                     commands.append([key, argv, output, None])
+                    if argv[0] in ("verify", "revenue"):
+                        mixed = f"out/{workload}-s{seed}-{Path(argv[2]).name}.mixed"
+                        commands.append([f"{key} mixed", argv[:2] + [mixed] + argv[3:],
+                                         output, ["reverse_respell", argv[2], mixed]])
                     if cmd.kind not in ("solve", "solve-multi") or output is None:
                         continue
                     ipath = argv[1]

@@ -29,6 +29,7 @@ from .model import (
     DeterministicMechanism,
     ExplicitDistribution,
     FeasibilitySystem,
+    ProfileTable,
     ValueGrid,
     lines,
 )
@@ -98,9 +99,9 @@ def enumerate_deterministic_optimal(
         [x.numerator * (dv // x.denominator) for x in vi] if exact else vi
         for vi in grid.values
     ]
-    mass = [dist.support.get(v, 0) for v in profiles]
-    if exact:
-        mass = [q.numerator * (dq // q.denominator) for q in mass]
+    mass = [0] * cells
+    for idx, q in zip(dist.flat, dist.support.values()):
+        mass[idx] = q.numerator * (dq // q.denominator) if exact else q
     # down[k][i]: profile index one own-value step below, or -1 at the floor;
     # stepping down is lexicographically smaller, hence already assigned in DFS
     down = [[-1] * n for _ in profiles]
@@ -163,16 +164,16 @@ def enumerate_deterministic_optimal(
 
     dfs(0, 0 if exact else 0.0)
     choice[:] = best_choice
-    payments = {}
-    winners = {}
-    for k, v in enumerate(profiles):
+    payments = []
+    for k in range(cells):
         fix(k)
         vec = vecs[choice[k]]
         pay = [zero] * n
         for i in range(n):
             if vec[i]:
                 pay[i] = profiles[crit[k][i]][i]
-        payments[v] = tuple(pay)
-        winners[v] = choice[k]
-    mech = DeterministicMechanism(grid, fs, winners, payments)
+        payments.append(tuple(pay))
+    mech = DeterministicMechanism(
+        grid, fs, ProfileTable(grid, choice), ProfileTable(grid, payments)
+    )
     return mech, Fraction(best_rev, dq * dv) if exact else best_rev

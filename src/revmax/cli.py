@@ -26,7 +26,6 @@ import functools
 import os
 import stat
 import sys
-from pathlib import Path
 from typing import Optional
 
 from . import io
@@ -55,17 +54,23 @@ from .verify import (
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text()
+    with open(path) as f:
+        return f.read()
 
 
 def _emit(text: str, output: Optional[str]) -> None:
+    """Write to --output (see the module docstring) or stdout.  The file
+    is opened as open(output, "w") opens it, and the ASCII text is
+    written as bytes, which skips the text layer."""
     if output:
         try:
             if stat.S_ISREG(os.lstat(output).st_mode):
                 os.unlink(output)
         except OSError:
             pass  # the write below truncates, or reports the error
-        Path(output).write_text(text)
+        fd = os.open(output, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        with open(fd, "wb") as f:
+            f.write(text.encode())
     else:
         sys.stdout.write(text)
 

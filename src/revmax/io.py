@@ -9,7 +9,11 @@ exactly, never through binary floating point.
 Instance files open with {"format":1,"model":...,"mode":...} and carry
 grid/feasible/support lines (or bidder type tables for the multi-item
 model).  Mechanism files open with {"format":1,"kind":...,"mode":...}.
-Profiles appear in canonical lexicographic order throughout.
+Writers emit profiles in canonical lexicographic order, walking each
+table's rows.  Readers accept the body lines of a single-item file in
+any order: each is placed at its profile's flat index (see _Placer), and
+a mechanism receives its tables as model.ProfileTables, one row per grid
+profile, whose rows its constructor checks.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from typing import Optional, Sequence
 
 from .errors import InvalidInputError
 from .model import (
+    _UNSET,
     EXACT,
     FLOAT,
     DeterministicMechanism,
@@ -28,7 +33,10 @@ from .model import (
     ExPostMechanism,
     FeasibilitySystem,
     InterimMechanism,
+    ProfileTable,
     ValueGrid,
+    _check_complete,
+    _placed_support,
     convert,
 )
 from .multi import (
@@ -159,6 +167,49 @@ def _parse_grid(obj, mode: str, memo: dict) -> ValueGrid:
     return ValueGrid([_parse_row(vi, mode, memo) for vi in obj], mode)
 
 
+class _Placer:
+    """Places a body line's profile at its flat index in canonical order.
+    An entry spelled as on the file's grid line is one lookup of its
+    string in that bidder's map to index * stride; any other spelling (or
+    a JSON number) is converted and placed through the grid's positions.
+    place returns the flat index, or the converted profile when it is no
+    grid profile; a malformed entry raises as _parse_row does."""
+
+    __slots__ = ("grid", "axes", "mode", "memo")
+
+    def __init__(self, raw: list, grid: ValueGrid, mode: str, memo: dict):
+        stride = grid.cells()
+        self.axes = []
+        for spelled, at in zip(raw, grid._positions):
+            stride //= len(at)
+            wire = {c: k * stride for k, c in enumerate(spelled) if type(c) is str}
+            self.axes.append((wire, at, stride))
+        self.grid = grid
+        self.mode = mode
+        self.memo = memo
+
+    def place(self, raw):
+        if type(raw) is list and len(raw) == len(self.axes):
+            idx = 0
+            for (wire, at, stride), c in zip(self.axes, raw):
+                step = wire.get(c) if type(c) is str else None
+                if step is None:
+                    k = at.get(_number(c, self.mode, self.memo))
+                    if k is None:
+                        break
+                    step = k * stride
+                idx += step
+            else:
+                return idx
+        return _parse_row(raw, self.mode, self.memo)
+
+
+def _read_grid(obj: dict, mode: str, memo: dict) -> tuple:
+    """A grid line's ValueGrid and the _Placer of the body lines."""
+    grid = _parse_grid(obj["grid"], mode, memo)
+    return grid, _Placer(obj["grid"], grid, mode, memo)
+
+
 def _feasible(obj: dict) -> list:
     """A feasible line's vector of ints (not bools, which would be echoed
     back as true/false); FeasibilitySystem checks its length and that
@@ -238,28 +289,23 @@ def read_instance(text: str, mode: Optional[str] = None) -> ParsedInstance:
         return ParsedInstance(MULTI_ITEM, mode, multi=multi)
     if model not in (SINGLE_ITEM, SINGLE_PARAMETER):
         raise InvalidInputError(f"unknown model {model!r}")
-    grid = None
+    grid = placer = None
     vectors = []
     support = []
     for obj in rows[1:]:
         if "grid" in obj:
             if grid is not None:
                 raise InvalidInputError("duplicate grid line")
-            grid = _parse_grid(obj["grid"], mode, memo)
+            grid, placer = _read_grid(obj, mode, memo)
         elif "feasible" in obj:
             vectors.append(_feasible(obj))
         elif "support" in obj:
-            support.append(
-                (
-                    _parse_row(obj["support"], mode, memo),
-                    _number(_field(obj, "prob"), mode, memo),
-                )
-            )
+            support.append(obj)
         else:
             raise InvalidInputError(f"unrecognized instance line {obj}")
     if grid is None:
         raise InvalidInputError("instance file lacks a grid line")
-    dist = ExplicitDistribution(grid, support)
+    dist = ExplicitDistribution._from_placed(grid, _support_entries(support, placer))
     if model == SINGLE_PARAMETER:
         if not vectors:
             raise InvalidInputError("single-parameter instance lacks feasible lines")
@@ -269,6 +315,22 @@ def read_instance(text: str, mode: Optional[str] = None) -> ParsedInstance:
             raise InvalidInputError("feasible lines require the single-parameter model")
         fs = FeasibilitySystem.single_item(grid.n)
     return ParsedInstance(model, mode, dist=dist, fs=fs)
+
+
+def _support_entries(lines: list, placer: _Placer):
+    """The support lines placed by their flat index, as
+    ExplicitDistribution._from_placed takes them.  A profile that is no
+    grid profile goes through the constructor's own placement, which
+    rejects it."""
+    grid, mode, memo = placer.grid, placer.mode, placer.memo
+    for obj in lines:
+        at = placer.place(obj["support"])
+        prob = _number(_field(obj, "prob"), mode, memo)
+        if type(at) is int:
+            profile = grid.profile_at(at)
+            yield at, profile, profile, prob
+        else:
+            yield from _placed_support(grid, [(at, prob)])
 
 
 def _index_list(obj: dict, key: str) -> tuple:
@@ -328,12 +390,12 @@ def write_mechanism(mech, parts: Optional[Sequence[tuple]] = None) -> str:
         return _write_universal(parts)
     if isinstance(mech, InterimMechanism):
         out = [_mech_header(INTERIM, mech.mode), _grid_line(mech.grid, mech.mode)]
-        for v in mech.grid.profiles():
+        for v, x, p in zip(mech.grid.profiles(), mech.x.rows, mech.p.rows):
             out.append(
                 dumps_line(
                     {
-                        "alloc": _fmt_row(mech.x[v], mech.mode),
-                        "pay": _fmt_row(mech.p[v], mech.mode),
+                        "alloc": _fmt_row(x, mech.mode),
+                        "pay": _fmt_row(p, mech.mode),
                         "profile": _fmt_row(v, mech.mode),
                     }
                 )
@@ -342,8 +404,8 @@ def write_mechanism(mech, parts: Optional[Sequence[tuple]] = None) -> str:
     if isinstance(mech, ExPostMechanism):
         out = [_mech_header(EXPOST, mech.mode), _grid_line(mech.grid, mech.mode)]
         out.extend(_feasible_lines(mech.fs))
-        for v in mech.grid.profiles():
-            for vec_idx, pay, prob in mech.outcomes[v]:
+        for v, outcomes in zip(mech.grid.profiles(), mech.outcomes.rows):
+            for vec_idx, pay, prob in outcomes:
                 out.append(
                     dumps_line(
                         {
@@ -377,11 +439,11 @@ def _feasible_lines(fs: FeasibilitySystem) -> list:
 
 def _det_rows(mech: DeterministicMechanism, part: Optional[int] = None) -> list:
     out = []
-    for v in mech.grid.profiles():
+    for v, idx, pay in zip(mech.grid.profiles(), mech.choice.rows, mech.payments.rows):
         row = {
-            "pay": _fmt_row(mech.payments[v], mech.mode),
+            "pay": _fmt_row(pay, mech.mode),
             "profile": _fmt_row(v, mech.mode),
-            "vector": mech.choice[v],
+            "vector": idx,
         }
         if part is not None:
             row["part"] = part
@@ -459,69 +521,73 @@ def _vector(obj: dict) -> int:
     return raw
 
 
-class _Profiles:
-    """The profiles of one table's body lines (interim, deterministic or
-    one universal part) in file order, which may not repeat a profile.
-    While the lines follow the grid's canonical order, as every writer
-    emits them, each matches its position and none can repeat, so nothing
-    is hashed; from the first line out of that order on, each profile is
-    checked against a set of those read, and a repeat raises at its line."""
+class _Rows:
+    """The two tables of one mechanism's body lines (interim x and p, or
+    deterministic choice and payments, of the mechanism or of one
+    universal part): each line's pair of rows is placed at the flat index
+    of its profile (see _Placer).  A line may not repeat a profile, and a
+    repeat raises at its line; off-grid profiles are kept for tables(),
+    which reports a missing profile first."""
 
-    __slots__ = ("canonical", "read", "seen")
+    __slots__ = ("first", "second", "placed", "extra")
 
-    def __init__(self, canonical: list):
-        self.canonical = canonical
-        self.read: list = []
-        self.seen: Optional[set] = None
+    def __init__(self, cells: int):
+        self.first = [_UNSET] * cells
+        self.second = [_UNSET] * cells
+        self.placed = 0
+        self.extra: set = set()
 
-    def add(self, v: tuple, obj: dict) -> None:
-        k = len(self.read)
-        if self.seen is None and (k >= len(self.canonical) or v != self.canonical[k]):
-            self.seen = set(self.read)
-        if self.seen is not None:
-            size = len(self.seen)
-            self.seen.add(v)
-            if len(self.seen) == size:
+    def put(self, at, obj: dict, first, second) -> None:
+        if type(at) is int:
+            if self.first[at] is not _UNSET:
                 raise InvalidInputError(f"duplicate line for profile {obj['profile']}")
-        self.read.append(v)
+            self.first[at] = first
+            self.second[at] = second
+            self.placed += 1
+        elif at in self.extra:
+            raise InvalidInputError(f"duplicate line for profile {obj['profile']}")
+        else:
+            self.extra.add(at)
+
+    def tables(self, grid: ValueGrid, what: str) -> tuple:
+        _check_complete(grid, self.first, self.placed, self.extra, what)
+        return ProfileTable(grid, self.first), ProfileTable(grid, self.second)
 
 
 def read_mechanism(text: str, mode: Optional[str] = None) -> ParsedMechanism:
     """Decode a mechanism file; mode, when given, overrides the header's
-    arithmetic mode.  Each distinct number string is converted once, and
-    tables whose lines come in canonical order reach the mechanism as
-    (profile, row) pairs that it matches by position."""
+    arithmetic mode.  Each distinct number string is converted once, each
+    body line is placed at its profile's flat index (see _Placer), in any
+    order, and the mechanism receives its tables as ProfileTables, whose
+    rows its constructor checks."""
     rows = _records(text)
     head, mode = _header(rows, "kind", mode)
     kind = head["kind"]
     memo: dict = {}
     if kind == MULTI:
         return _read_multi_mechanism(rows, head, mode, memo)
-    grid = None
+    grid = placer = None
     vectors = []
     body = []
     for obj in rows[1:]:
         if "grid" in obj:
             if grid is not None:
                 raise InvalidInputError("duplicate grid line")
-            grid = _parse_grid(obj["grid"], mode, memo)
+            grid, placer = _read_grid(obj, mode, memo)
         elif "feasible" in obj:
             vectors.append(_feasible(obj))
         else:
             body.append(obj)
     if grid is None:
         raise InvalidInputError("mechanism file lacks a grid line")
-    canonical = list(grid.profiles())
+    cells = grid.cells()
     if kind == INTERIM:
-        profiles = _Profiles(canonical)
-        x, p = [], []
+        table = _Rows(cells)
         for o in body:
-            v = _parse_row(_field(o, "profile"), mode, memo)
-            x.append(_parse_row(_field(o, "alloc"), mode, memo))
-            profiles.add(v, o)
-            p.append(_parse_row(_field(o, "pay"), mode, memo))
-        vs = profiles.read
-        mech = InterimMechanism(grid, zip(vs, x), zip(vs, p))
+            at = placer.place(_field(o, "profile"))
+            x = _parse_row(_field(o, "alloc"), mode, memo)
+            table.put(at, o, x, _parse_row(_field(o, "pay"), mode, memo))
+        mech = InterimMechanism(grid, *table.tables(grid, "allocation table"))
         return ParsedMechanism(kind, mode, mech=mech)
     fs = (
         FeasibilitySystem(grid.n, vectors)
@@ -529,40 +595,37 @@ def read_mechanism(text: str, mode: Optional[str] = None) -> ParsedMechanism:
         else FeasibilitySystem.single_item(grid.n)
     )
     if kind == EXPOST:
-        runs: list = []  # (profile, outcomes) per run of lines with one profile
+        # a profile's outcome lines may be apart; each joins its profile's row
+        outcomes = [_UNSET] * cells
+        placed = 0
+        extra = set()
         for o in body:
-            v = _parse_row(_field(o, "profile"), mode, memo)
+            at = placer.place(_field(o, "profile"))
             outcome = (
                 _vector(o),
                 _parse_row(_field(o, "pay"), mode, memo),
                 _number(_field(o, "prob"), mode, memo),
             )
-            if runs and runs[-1][0] == v:
-                runs[-1][1].append(outcome)
+            if type(at) is not int:
+                extra.add(at)
+            elif outcomes[at] is _UNSET:
+                outcomes[at] = [outcome]
+                placed += 1
             else:
-                runs.append((v, [outcome]))
-        outcomes = runs
-        if [v for v, _ in runs] != canonical:  # a profile's lines may be apart
-            outcomes = {}
-            for v, rows_at in runs:
-                outcomes.setdefault(v, []).extend(rows_at)
-        return ParsedMechanism(
-            kind, mode, mech=ExPostMechanism(grid, fs, outcomes), fs=fs
-        )
+                outcomes[at].append(outcome)
+        _check_complete(grid, outcomes, placed, extra, "outcome table")
+        mech = ExPostMechanism(grid, fs, ProfileTable(grid, outcomes))
+        return ParsedMechanism(kind, mode, mech=mech, fs=fs)
     if kind == DETERMINISTIC:
-        profiles = _Profiles(canonical)
-        choice, payments = [], []
+        table = _Rows(cells)
         for o in body:
-            v = _parse_row(_field(o, "profile"), mode, memo)
-            choice.append(_vector(o))
-            profiles.add(v, o)
-            payments.append(_parse_row(_field(o, "pay"), mode, memo))
-        vs = profiles.read
-        mech = DeterministicMechanism(grid, fs, zip(vs, choice), zip(vs, payments))
+            at = placer.place(_field(o, "profile"))
+            table.put(at, o, _vector(o), _parse_row(_field(o, "pay"), mode, memo))
+        mech = DeterministicMechanism(grid, fs, *table.tables(grid, "winner table"))
         return ParsedMechanism(kind, mode, mech=mech, fs=fs)
     if kind == UNIVERSAL:
         probs: dict = {}
-        tables: dict = {}  # part index -> (profiles, choices, payments)
+        tables: dict = {}  # part index -> _Rows
         for o in body:
             k = o.get("part")
             if not isinstance(k, int):
@@ -572,23 +635,18 @@ def read_mechanism(text: str, mode: Optional[str] = None) -> ParsedMechanism:
                     raise InvalidInputError(f"duplicate line for part {k}")
                 probs[k] = _number(_field(o, "prob"), mode, memo)
                 continue
-            v = _parse_row(o["profile"], mode, memo)
+            at = placer.place(o["profile"])
             if k not in tables:
-                tables[k] = (_Profiles(canonical), [], [])
-            profiles, choice, payments = tables[k]
-            choice.append(_vector(o))
-            profiles.add(v, o)
-            payments.append(_parse_row(_field(o, "pay"), mode, memo))
+                tables[k] = _Rows(cells)
+            tables[k].put(at, o, _vector(o), _parse_row(_field(o, "pay"), mode, memo))
         if sorted(probs) != list(range(len(probs))) or sorted(tables) != sorted(probs):
             raise InvalidInputError("universal parts must be numbered 0..k-1")
         if not probs:
             raise InvalidInputError("universal mechanism file has no parts")
         parts = []
         for k in range(len(probs)):
-            profiles, choice, payments = tables[k]
-            vs = profiles.read
-            part = DeterministicMechanism(grid, fs, zip(vs, choice), zip(vs, payments))
-            parts.append((part, probs[k]))
+            choice, payments = tables[k].tables(grid, "winner table")
+            parts.append((DeterministicMechanism(grid, fs, choice, payments), probs[k]))
         return ParsedMechanism(kind, mode, fs=fs, parts=tuple(parts))
     raise InvalidInputError(f"unknown mechanism kind {kind!r}")
 

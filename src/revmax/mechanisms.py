@@ -14,7 +14,14 @@ from typing import Optional, Sequence
 
 from .brute import critical_payment
 from .errors import InvalidInputError
-from .model import EXACT, FLOAT, DeterministicMechanism, FeasibilitySystem, ValueGrid
+from .model import (
+    EXACT,
+    FLOAT,
+    DeterministicMechanism,
+    FeasibilitySystem,
+    ProfileTable,
+    ValueGrid,
+)
 
 
 def _zero(mode: str):
@@ -30,17 +37,19 @@ def _build(grid: ValueGrid, allocate, charge) -> DeterministicMechanism:
     """allocate: profile -> winning bidder or None; charge: (profile,
     winner) -> payment."""
     fs = FeasibilitySystem.single_item(grid.n)
-    choice, payments = {}, {}
+    choice, payments = [], []
     for v in grid.profiles():
         w = allocate(v)
         pay = [_zero(grid.mode)] * grid.n
         if w is None:
-            choice[v] = fs.zero_index
+            choice.append(fs.zero_index)
         else:
-            choice[v] = fs.winner_index(w)
+            choice.append(fs.winner_index(w))
             pay[w] = charge(v, w)
-        payments[v] = tuple(pay)
-    return DeterministicMechanism(grid, fs, choice, payments)
+        payments.append(tuple(pay))
+    return DeterministicMechanism(
+        grid, fs, ProfileTable(grid, choice), ProfileTable(grid, payments)
+    )
 
 
 def vickrey(grid: ValueGrid) -> DeterministicMechanism:

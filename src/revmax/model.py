@@ -11,14 +11,23 @@ The mode is chosen once, where raw numbers are first converted: by
 ValueGrid (and ExplicitDistribution.from_support, which builds one).
 Every object built on a grid (distribution and mechanisms) takes the
 grid's mode and converts its own entries with it.
+
+Every per-profile table of a mechanism is a ProfileTable: one row per
+grid profile, in canonical order (the order of grid.profiles(), where a
+profile's flat index is its position).  A lookup t[v] places v on the
+grid; the conversions, expected_revenue and the writers and checkers
+elsewhere walk the rows and place no profile.  A distribution keeps its
+sparse support as a dict in canonical order, with the flat index of
+each support profile in flat.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import ItemsView, Mapping, ValuesView
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import (
     DimensionMismatchError,
@@ -78,8 +87,16 @@ def convert(x: object, mode: str = EXACT):
     raise InvalidInputError(f"cannot interpret {x!r} as a number")
 
 
+_MODE_TYPE = {EXACT: {Fraction}, FLOAT: {float}}
+
+
 def _convert_row(row: Iterable, mode: str) -> tuple:
-    return tuple([convert(c, mode) for c in row])
+    """tuple(convert(c, mode) for c in row), without a call per entry
+    when every entry already has the mode's type, as a reader's rows do."""
+    vals = tuple(row)
+    if {*map(type, vals)} == _MODE_TYPE.get(mode):
+        return vals
+    return tuple([convert(c, mode) for c in vals])
 
 
 def _items(table) -> Iterable[tuple]:
@@ -88,12 +105,18 @@ def _items(table) -> Iterable[tuple]:
     return table.items() if hasattr(table, "items") else table
 
 
-def _check_unit_total(total, mode: str, what: str) -> None:
+def _check_unit_total(total, mode: str, what: str, grid=None, idx: int = 0) -> None:
+    """total must be 1 (within 1e-12 in float mode).  Given a grid, what
+    is formatted with the profile at flat index idx, only for the error."""
     if mode == FLOAT:
-        if abs(total - 1.0) > 1e-12:
-            raise InvalidInputError(f"{what} sum to {total!r}, not 1")
-    elif total != 1:
-        raise InvalidInputError(f"{what} sum to {total}, not 1")
+        if abs(total - 1.0) <= 1e-12:
+            return
+        total = repr(total)
+    elif total == 1:
+        return
+    if grid is not None:
+        what = what.format(grid.profile_at(idx))
+    raise InvalidInputError(f"{what} sum to {total}, not 1")
 
 
 def lines(sizes: Sequence[int]) -> Iterator[tuple]:
@@ -167,6 +190,28 @@ class ValueGrid:
                 f"value {value} not on bidder {bidder}'s grid"
             ) from exc
 
+    def flat_index(self, profile: Profile) -> int:
+        """The profile's position in canonical order, one hash per entry;
+        KeyError when it is no grid profile (not a tuple, wrong length, an
+        entry off its bidder's grid, or an unhashable entry)."""
+        try:
+            if isinstance(profile, tuple) and len(profile) == len(self._positions):
+                idx = 0
+                for at, v in zip(self._positions, profile):
+                    idx = idx * len(at) + at[v]
+                return idx
+        except (KeyError, TypeError):
+            pass
+        raise KeyError(profile)
+
+    def profile_at(self, idx: int) -> Profile:
+        """The grid profile at a flat index in canonical order."""
+        out = []
+        for vi in reversed(self.values):
+            idx, k = divmod(idx, len(vi))
+            out.append(vi[k])
+        return tuple(reversed(out))
+
     def on_grid(self, profile: Profile) -> bool:
         """Every entry is on its bidder's grid: one hash per entry, where
         scanning the value tuple would compare up to len(row) rationals."""
@@ -200,10 +245,12 @@ class ExplicitDistribution:
     profile is placed by its flat index in canonical order (one grid
     lookup per entry), so the duplicate test, the strict-grid coverage
     test and the canonical sort compare ints; the probabilities are
-    summed in the given order.
+    summed in the given order.  flat holds the support profiles' flat
+    indices in the support's (canonical) order, so the rows of a
+    ProfileTable are read at the support without placing a profile.
     """
 
-    __slots__ = ("grid", "support", "mode")
+    __slots__ = ("grid", "support", "flat", "mode")
 
     def __init__(
         self,
@@ -212,24 +259,24 @@ class ExplicitDistribution:
         *,
         strict: bool = True,
     ):
+        self._fill(grid, _placed_support(grid, support), strict)
+
+    @classmethod
+    def _from_placed(
+        cls, grid: ValueGrid, entries: Iterable[tuple], strict: bool = True
+    ) -> "ExplicitDistribution":
+        """The distribution of support entries a reader placed itself:
+        entries yields (flat index, profile, profile as quoted, probability)
+        as _placed_support does, the profile being the grid's own.  The
+        checks are the constructor's."""
+        self = object.__new__(cls)
+        self._fill(grid, entries, strict)
+        return self
+
+    def _fill(self, grid: ValueGrid, entries: Iterable[tuple], strict: bool) -> None:
         mode = grid.mode
-        sizes = [len(vi) for vi in grid.values]
-        axes = list(zip(grid._positions, sizes))
         table = {}  # flat index -> (profile, probability), in the given order
-        for profile, prob in _items(support):
-            key = tuple([convert(v, mode) for v in profile])
-            if len(key) != grid.n:
-                raise DimensionMismatchError(
-                    f"profile {profile} has {len(key)} entries, grid has {grid.n} bidders"
-                )
-            idx = 0
-            try:
-                for (at, size), v in zip(axes, key):
-                    idx = idx * size + at[v]
-            except (KeyError, TypeError):  # an unhashable entry is on no grid
-                raise InvalidInputError(
-                    f"support profile {profile} is off the grid"
-                ) from None
+        for idx, key, profile, prob in entries:
             if idx in table:
                 raise InvalidInputError(f"duplicate support profile {profile}")
             q = convert(prob, mode)
@@ -241,7 +288,8 @@ class ExplicitDistribution:
         _check_unit_total(sum([q for _, q in table.values()]), mode, "support probabilities")
         if strict:
             stride = grid.cells()
-            for i, (vi, size) in enumerate(zip(grid.values, sizes)):
+            for i, vi in enumerate(grid.values):
+                size = len(vi)
                 stride //= size
                 seen = {idx // stride % size for idx in table}
                 if len(seen) < size:
@@ -250,8 +298,10 @@ class ExplicitDistribution:
                         f"grid value {missing} of bidder {i} appears in no "
                         "support profile (pass strict=False for padded grids)"
                     )
+        flat = sorted(table)
         self.grid = grid
-        self.support = dict([table[idx] for idx in sorted(table)])
+        self.flat = tuple(flat)
+        self.support = dict([table[idx] for idx in flat])
         self.mode = mode
 
     @classmethod
@@ -274,6 +324,24 @@ class ExplicitDistribution:
 
     def __repr__(self) -> str:
         return f"ExplicitDistribution({len(self.support)} profiles, n={self.grid.n})"
+
+
+def _placed_support(grid: ValueGrid, support) -> Iterator[tuple]:
+    """(flat index, profile, profile as given, probability) for each
+    support entry in the given order, the profile converted in the grid's
+    mode; a profile of the wrong length or off the grid raises."""
+    mode = grid.mode
+    for profile, prob in _items(support):
+        key = tuple([convert(v, mode) for v in profile])
+        if len(key) != grid.n:
+            raise DimensionMismatchError(
+                f"profile {profile} has {len(key)} entries, grid has {grid.n} bidders"
+            )
+        try:
+            idx = grid.flat_index(key)
+        except KeyError:
+            raise InvalidInputError(f"support profile {profile} is off the grid") from None
+        yield idx, key, profile, prob
 
 
 class FeasibilitySystem:
@@ -328,33 +396,112 @@ class FeasibilitySystem:
         return f"FeasibilitySystem(n={self.n}, {len(self.vectors)} vectors)"
 
 
-def _check_table_domain(grid: ValueGrid, table, what: str) -> dict:
-    """Reorder a per-profile table canonically, requiring the full grid;
-    the keys become the grid's own profile tuples.  The table is a
-    mapping or a list of (profile, value) pairs, which may not repeat a
-    profile.  Pairs in canonical order, as every writer emits them,
-    are matched position by position against the grid's profiles, so
-    building the result hashes each profile once."""
-    pairs = list(_items(table))
-    profiles = list(grid.profiles())
-    if [key for key, _ in pairs] == profiles:
-        return dict(zip(profiles, [value for _, value in pairs]))
-    table = dict(pairs)
-    if len(table) != len(pairs):
-        seen = set()
-        for key, _ in pairs:
-            if key in seen:
-                raise InvalidInputError(f"{what} repeats profile {key}")
-            seen.add(key)
-    out = {}
-    for profile in profiles:
-        if profile not in table:
-            raise InvalidInputError(f"{what} missing profile {profile}")
-        out[profile] = table[profile]
-    if len(table) != grid.cells():
-        extra = set(table) - set(out)
+class ProfileTable(Mapping):
+    """A read-only per-profile table: rows[k] belongs to the k-th profile
+    of grid.profiles().  t[v] places v on the grid (one position lookup
+    per entry) and raises KeyError for anything that is no grid profile;
+    iteration, items() and values() follow canonical order and place
+    nothing.  A ProfileTable equals any mapping with the same pairs, a
+    dict included."""
+
+    __slots__ = ("grid", "rows")
+
+    def __init__(self, grid: ValueGrid, rows: Iterable):
+        rows = tuple(rows)
+        if len(rows) != grid.cells():
+            raise DimensionMismatchError(
+                f"{len(rows)} rows for {grid.cells()} grid profiles"
+            )
+        self.grid = grid
+        self.rows = rows
+
+    def __getitem__(self, profile):
+        return self.rows[self.grid.flat_index(profile)]
+
+    def __iter__(self) -> Iterator[Profile]:
+        return self.grid.profiles()
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def items(self) -> "_RowItems":
+        return _RowItems(self)
+
+    def values(self) -> "_RowValues":
+        return _RowValues(self)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, ProfileTable):
+            return self.grid == other.grid and self.rows == other.rows
+        return super().__eq__(other)
+
+    def __repr__(self) -> str:
+        return f"ProfileTable({dict(self.items())!r})"
+
+
+class _RowItems(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return zip(self._mapping.grid.profiles(), self._mapping.rows)
+
+
+class _RowValues(ValuesView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return iter(self._mapping.rows)
+
+
+_UNSET = object()  # the row of a profile no entry has placed yet
+
+
+def _check_complete(grid: ValueGrid, rows: list, placed: int, extra, what: str) -> None:
+    """A table whose placed rows (placed of them) leave a grid profile
+    unset, or that has off-grid profiles (extra), is an input error;
+    a missing profile is reported first."""
+    if placed < len(rows):
+        idx = next(k for k, row in enumerate(rows) if row is _UNSET)
+        raise InvalidInputError(f"{what} missing profile {grid.profile_at(idx)}")
+    if extra:
         raise InvalidInputError(f"{what} has off-grid profiles {sorted(extra)[:3]}")
-    return out
+
+
+def _check_table_domain(grid: ValueGrid, table, what: str) -> list:
+    """The rows of a per-profile table in canonical order, requiring the
+    full grid.  A ProfileTable on this grid gives its rows as they are.
+    Any other table is a mapping or an iterable of (profile, row) pairs,
+    which may not repeat a profile; each profile is converted in the
+    grid's mode and placed by value.  A pair at the position canonical
+    order gives it, as every writer emits them, is placed by comparing it
+    with the grid's profile there (identical entries compare without a
+    call); only the others are hashed."""
+    if isinstance(table, ProfileTable) and table.grid == grid:
+        return list(table.rows)
+    mode = grid.mode
+    profiles = list(grid.profiles())
+    rows = [_UNSET] * len(profiles)
+    extra = set()
+    placed = k = 0
+    for profile, row in _items(table):
+        key = _convert_row(profile, mode)
+        if k < len(profiles) and key == profiles[k]:
+            idx = k
+        else:
+            try:
+                idx = grid.flat_index(key)
+            except KeyError:
+                if key in extra:
+                    raise InvalidInputError(f"{what} repeats profile {key}") from None
+                extra.add(key)
+                continue
+        if rows[idx] is not _UNSET:
+            raise InvalidInputError(f"{what} repeats profile {key}")
+        rows[idx] = row
+        placed += 1
+        k = idx + 1
+    _check_complete(grid, rows, placed, extra, what)
+    return rows
 
 
 class InterimMechanism:
@@ -362,9 +509,10 @@ class InterimMechanism:
     per grid profile.  Feasibility (hull membership) is a verifier check,
     not a construction invariant.
 
-    x and p are each a mapping from profiles to rows or an iterable of
-    (profile, row) pairs, which may not repeat a profile; pairs in canonical
-    order are matched to the grid by position."""
+    x and p are ProfileTables on the grid, or mappings from profiles to
+    rows or iterables of (profile, row) pairs, which may not repeat a
+    profile (see _check_table_domain).  Either way the rows then pass the
+    same checks, and the mechanism keeps x and p as ProfileTables."""
 
     __slots__ = ("grid", "x", "p", "mode")
 
@@ -375,38 +523,36 @@ class InterimMechanism:
         p: Union[Mapping[Profile, Sequence[Number]], Iterable[tuple]],
     ):
         mode = grid.mode
-        xs, ps = [], []
-        for profile, row in _items(x):
-            key = _convert_row(profile, mode)
-            vals = _convert_row(row, mode)
-            if len(vals) != grid.n:
-                raise DimensionMismatchError(f"x row at {profile} has wrong length")
+        n = grid.n
+        xs = _check_table_domain(grid, x, "allocation table")
+        for k, row in enumerate(xs):
+            vals = xs[k] = _convert_row(row, mode)
+            if len(vals) != n:
+                raise DimensionMismatchError(f"x row at {grid.profile_at(k)} has wrong length")
             if any(c < 0 or c > 1 for c in vals):
-                raise InvalidInputError(f"allocation outside [0,1] at {profile}")
-            xs.append((key, vals))
-        for profile, row in _items(p):
-            key = _convert_row(profile, mode)
-            vals = _convert_row(row, mode)
-            if len(vals) != grid.n:
-                raise DimensionMismatchError(f"p row at {profile} has wrong length")
-            ps.append((key, vals))
+                raise InvalidInputError(f"allocation outside [0,1] at {grid.profile_at(k)}")
+        ps = _check_table_domain(grid, p, "payment table")
+        for k, row in enumerate(ps):
+            vals = ps[k] = _convert_row(row, mode)
+            if len(vals) != n:
+                raise DimensionMismatchError(f"p row at {grid.profile_at(k)} has wrong length")
         self.grid = grid
-        self.x = _check_table_domain(grid, xs, "allocation table")
-        self.p = _check_table_domain(grid, ps, "payment table")
+        self.x = ProfileTable(grid, xs)
+        self.p = ProfileTable(grid, ps)
         self.mode = mode
 
     @classmethod
-    def _from_tables(cls, grid: ValueGrid, x: dict, p: dict) -> "InterimMechanism":
-        """An InterimMechanism over tables already in the form the
-        constructor builds, checking nothing: x and p are dicts keyed by
-        the grid's own profile tuples in canonical order, with rows of n
-        numbers of the grid's mode (Fraction or float) and x in [0,1].
-        For the conversions in this module, whose inputs were checked when
-        they were constructed."""
+    def _from_tables(cls, grid: ValueGrid, x: Sequence, p: Sequence) -> "InterimMechanism":
+        """An InterimMechanism over rows already in the form the
+        constructor builds, checking nothing: x and p hold one row per
+        grid profile in canonical order, each a tuple of n numbers of the
+        grid's mode (Fraction or float), x in [0,1].  For the conversions
+        in this module, whose inputs were checked when they were
+        constructed."""
         self = object.__new__(cls)
         self.grid = grid
-        self.x = x
-        self.p = p
+        self.x = ProfileTable(grid, x)
+        self.p = ProfileTable(grid, p)
         self.mode = grid.mode
         return self
 
@@ -419,7 +565,7 @@ class InterimMechanism:
         )
 
     def __hash__(self):
-        return hash((self.grid, tuple(self.x.items()), tuple(self.p.items())))
+        return hash((self.grid, self.x.rows, self.p.rows))
 
     def __repr__(self) -> str:
         return f"InterimMechanism(n={self.grid.n}, {self.grid.cells()} profiles)"
@@ -433,9 +579,10 @@ class ExPostMechanism:
     are positive and sum to one per profile.  The losers-pay-zero rule is
     enforced by the verifier (check_expost_ir), so violating tables remain
     expressible; every constructor in this package emits conforming ones.
-    outcomes is a mapping from profiles to outcome rows or an iterable of
-    (profile, rows) pairs, which may not repeat a profile; pairs in canonical
-    order are matched to the grid by position.
+    outcomes is a ProfileTable on the grid, a mapping from profiles to
+    outcome rows or an iterable of (profile, rows) pairs, which may not
+    repeat a profile (see _check_table_domain); the mechanism keeps it as
+    a ProfileTable of tuples of outcome rows.
     """
 
     __slots__ = ("grid", "fs", "outcomes", "mode")
@@ -449,27 +596,31 @@ class ExPostMechanism:
         mode = grid.mode
         if fs.n != grid.n:
             raise DimensionMismatchError("feasibility system and grid disagree on n")
-        table = []
-        for profile, rows in _items(outcomes):
-            key = _convert_row(profile, mode)
+        K = len(fs.vectors)
+        table = _check_table_domain(grid, outcomes, "outcome table")
+        for k, rows in enumerate(table):
             clean = []
             total = 0
             for vec_idx, pays, prob in rows:
-                if not 0 <= vec_idx < len(fs.vectors):
-                    raise InvalidInputError(f"bad vector index {vec_idx} at {profile}")
+                if not 0 <= vec_idx < K:
+                    raise InvalidInputError(
+                        f"bad vector index {vec_idx} at {grid.profile_at(k)}"
+                    )
                 pay = _convert_row(pays, mode)
                 if len(pay) != grid.n:
-                    raise DimensionMismatchError(f"payment row at {profile} has wrong length")
+                    raise DimensionMismatchError(
+                        f"payment row at {grid.profile_at(k)} has wrong length"
+                    )
                 q = convert(prob, mode)
                 if q <= 0:
                     raise InvalidInputError(f"outcome probability {prob} is not positive")
                 total += q
                 clean.append((vec_idx, pay, q))
-            _check_unit_total(total, mode, f"outcome probabilities at {profile}")
-            table.append((key, tuple(clean)))
+            _check_unit_total(total, mode, "outcome probabilities at {}", grid, k)
+            table[k] = tuple(clean)
         self.grid = grid
         self.fs = fs
-        self.outcomes = _check_table_domain(grid, table, "outcome table")
+        self.outcomes = ProfileTable(grid, table)
         self.mode = mode
 
     def __repr__(self) -> str:
@@ -481,9 +632,10 @@ class DeterministicMechanism:
 
     Non-winners pay zero by construction; the winner map generalizes the
     single-item none/bidder choice to an index into the feasibility system.
-    choice and payments are each a mapping from profiles or an iterable of
-    (profile, value) pairs, which may not repeat a profile; pairs in canonical
-    order are matched to the grid by position.
+    choice and payments are each a ProfileTable on the grid, a mapping
+    from profiles or an iterable of (profile, value) pairs, which may not
+    repeat a profile (see _check_table_domain); the mechanism keeps them
+    as ProfileTables.
     """
 
     __slots__ = ("grid", "fs", "choice", "payments", "mode")
@@ -498,28 +650,28 @@ class DeterministicMechanism:
         mode = grid.mode
         if fs.n != grid.n:
             raise DimensionMismatchError("feasibility system and grid disagree on n")
-        ch, ps = [], []
-        for profile, idx in _items(choice):
-            key = _convert_row(profile, mode)
-            if not 0 <= idx < len(fs.vectors):
-                raise InvalidInputError(f"bad vector index {idx} at {profile}")
-            ch.append((key, idx))
-        ch = _check_table_domain(grid, ch, "winner table")
-        for profile, row in _items(payments):
-            pay = _convert_row(row, mode)
+        K = len(fs.vectors)
+        ch = _check_table_domain(grid, choice, "winner table")
+        for k, idx in enumerate(ch):
+            if not 0 <= idx < K:
+                raise InvalidInputError(f"bad vector index {idx} at {grid.profile_at(k)}")
+        ps = _check_table_domain(grid, payments, "payment table")
+        losers = [[i for i, c in enumerate(vec) if c == 0] for vec in fs.vectors]
+        for k, (row, idx) in enumerate(zip(ps, ch)):
+            pay = ps[k] = _convert_row(row, mode)
             if len(pay) != grid.n:
-                raise DimensionMismatchError(f"payment row at {profile} has wrong length")
-            ps.append((_convert_row(profile, mode), pay))
-        ps = _check_table_domain(grid, ps, "payment table")
-        for (profile, pay), idx in zip(ps.items(), ch.values()):
-            vec = fs.vectors[idx]
-            for i, c in enumerate(pay):
-                if vec[i] == 0 and c != 0:
-                    raise InvalidInputError(f"non-winner {i} charged {c} at {profile}")
+                raise DimensionMismatchError(
+                    f"payment row at {grid.profile_at(k)} has wrong length"
+                )
+            for i in losers[idx]:
+                if pay[i] != 0:
+                    raise InvalidInputError(
+                        f"non-winner {i} charged {pay[i]} at {grid.profile_at(k)}"
+                    )
         self.grid = grid
         self.fs = fs
-        self.choice = ch
-        self.payments = ps
+        self.choice = ProfileTable(grid, ch)
+        self.payments = ProfileTable(grid, ps)
         self.mode = mode
 
     def winner(self, profile: Profile) -> Optional[int]:
@@ -538,15 +690,15 @@ class DeterministicMechanism:
         tables are built directly: this mechanism's constructor checked
         everything the interim form requires."""
         rows = [_convert_row(vec, self.mode) for vec in self.fs.vectors]
-        x = {v: rows[idx] for v, idx in self.choice.items()}
-        return InterimMechanism._from_tables(self.grid, x, dict(self.payments))
+        x = [rows[idx] for idx in self.choice.rows]
+        return InterimMechanism._from_tables(self.grid, x, self.payments.rows)
 
     def as_expost(self) -> ExPostMechanism:
         one = 1.0 if self.mode == FLOAT else Fraction(1)
-        rows = {
-            v: [(self.choice[v], self.payments[v], one)] for v in self.grid.profiles()
-        }
-        return ExPostMechanism(self.grid, self.fs, rows)
+        rows = [
+            [(idx, pay, one)] for idx, pay in zip(self.choice.rows, self.payments.rows)
+        ]
+        return ExPostMechanism(self.grid, self.fs, ProfileTable(self.grid, rows))
 
     def __repr__(self) -> str:
         return f"DeterministicMechanism(n={self.grid.n}, {self.grid.cells()} profiles)"
@@ -556,27 +708,28 @@ class DeterministicMechanism:
 # operations
 
 
-def _payment_table(mech, support) -> Mapping[Profile, Sequence]:
-    """The mechanism's expected payments, at least at the support's
-    profiles."""
+def _payment_rows(mech, flat: Sequence[int]) -> Sequence:
+    """The mechanism's expected payment rows in canonical order, at least
+    at the given flat indices."""
     if isinstance(mech, InterimMechanism):
-        return mech.p
+        return mech.p.rows
     if isinstance(mech, DeterministicMechanism):
-        return mech.payments
+        return mech.payments.rows
     if isinstance(mech, ExPostMechanism):
-        return _expost_payments(mech, support)
+        return _expost_payments(mech, flat)
     raise InvalidInputError(f"cannot read payments from {type(mech).__name__}")
 
 
 def expected_revenue(mech, dist: ExplicitDistribution):
-    """Expected total payment under truthful play, summed over the support.
-    An ex-post lottery's payments are summed at the support's profiles
-    only, as interim_of sums them."""
+    """Expected total payment under truthful play, summed over the support
+    in canonical order, each payment row read at the support profile's
+    flat index.  An ex-post lottery's payments are summed at the
+    support's profiles only, as interim_of sums them."""
     if mech.grid != dist.grid:
         raise DimensionMismatchError("mechanism and distribution grids differ")
-    p = _payment_table(mech, dist.support)
+    rows = _payment_rows(mech, dist.flat)
     zero = 0.0 if dist.mode == FLOAT else Fraction(0)
-    return sum((q * sum(p[v]) for v, q in dist.support.items()), zero)
+    return sum((q * sum(rows[idx]) for idx, q in zip(dist.flat, dist.support.values())), zero)
 
 
 def approximation_ratio(mech_revenue, opt_revenue):
@@ -599,47 +752,50 @@ def approximation_ratio(mech_revenue, opt_revenue):
 def interim_of(mech: ExPostMechanism) -> InterimMechanism:
     """Project an ex-post lottery to expected allocations and payments.
 
-    The tables are built directly in canonical order.  The one check the
+    The rows are built directly in canonical order.  The one check the
     constructor would add that the lottery does not already guarantee is
     that each winning probability lies in [0,1]: in float mode the
     probabilities of one profile may sum to just over 1 (the lottery's
     tolerance is 1e-12), and such an allocation is an input error."""
     zero = 0.0 if mech.mode == FLOAT else Fraction(0)
-    x, p = {}, {}
-    for v, rows in mech.outcomes.items():
-        xa = [zero] * mech.grid.n
-        pa = [zero] * mech.grid.n
+    n = mech.grid.n
+    vectors = mech.fs.vectors
+    x, p = [], []
+    for k, rows in enumerate(mech.outcomes.rows):
+        xa = [zero] * n
+        pa = [zero] * n
         for vec_idx, pay, prob in rows:
-            vec = mech.fs.vectors[vec_idx]
-            for i in range(mech.grid.n):
+            vec = vectors[vec_idx]
+            for i in range(n):
                 if vec[i]:
                     xa[i] += prob
                 if pay[i]:
                     pa[i] += prob * pay[i]
         if any(c < 0 or c > 1 for c in xa):
-            raise InvalidInputError(f"allocation outside [0,1] at {v}")
-        x[v] = tuple(xa)
-        p[v] = tuple(pa)
+            raise InvalidInputError(f"allocation outside [0,1] at {mech.grid.profile_at(k)}")
+        x.append(tuple(xa))
+        p.append(tuple(pa))
     return InterimMechanism._from_tables(mech.grid, x, p)
 
 
-def _expost_payments(mech: ExPostMechanism, profiles) -> dict:
-    """interim_of(mech).p at the given profiles.  interim_of's [0,1] check
-    can fail only in float mode, where outcome probabilities may sum to
-    just over 1, so float mode takes interim_of itself; exact mode sums
-    the payments of the given profiles' outcomes alone, as interim_of
-    sums them."""
+def _expost_payments(mech: ExPostMechanism, flat: Sequence[int]) -> Sequence:
+    """interim_of(mech).p.rows, at least at the given flat indices.
+    interim_of's [0,1] check can fail only in float mode, where outcome
+    probabilities may sum to just over 1, so float mode takes interim_of
+    itself; exact mode sums the payments of those profiles' outcomes
+    alone, as interim_of sums them, and leaves the other rows None."""
     if mech.mode == FLOAT:
-        return interim_of(mech).p
+        return interim_of(mech).p.rows
     n = mech.grid.n
-    p = {}
-    for v in profiles:
+    outcomes = mech.outcomes.rows
+    p = [None] * len(outcomes)
+    for idx in flat:
         pa = [Fraction(0)] * n
-        for _vec_idx, pay, prob in mech.outcomes[v]:
+        for _vec_idx, pay, prob in outcomes[idx]:
             for i in range(n):
                 if pay[i]:
                     pa[i] += prob * pay[i]
-        p[v] = pa
+        p[idx] = pa
     return p
 
 
@@ -653,9 +809,8 @@ def canonical_expost(mech: InterimMechanism, fs: FeasibilitySystem) -> ExPostMec
         raise InvalidInputError("canonical ex-post form needs single-item feasibility")
     zero = 0.0 if mech.mode == FLOAT else Fraction(0)
     one = 1.0 if mech.mode == FLOAT else Fraction(1)
-    table = {}
-    for v in mech.grid.profiles():
-        xs, ps = mech.x[v], mech.p[v]
+    table = []
+    for v, xs, ps in zip(mech.grid.profiles(), mech.x.rows, mech.p.rows):
         rows = []
         total = zero
         for i in range(mech.grid.n):
@@ -673,8 +828,8 @@ def canonical_expost(mech: InterimMechanism, fs: FeasibilitySystem) -> ExPostMec
             raise InvalidInputError(f"allocations at {v} sum to {total} > 1")
         if total < 1:
             rows.append((fs.zero_index, (zero,) * mech.grid.n, one - total))
-        table[v] = rows
-    return ExPostMechanism(mech.grid, fs, table)
+        table.append(rows)
+    return ExPostMechanism(mech.grid, fs, ProfileTable(mech.grid, table))
 
 
 def execute(mech: ExPostMechanism, bids: Sequence[Number], seed: int):

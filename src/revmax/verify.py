@@ -165,9 +165,9 @@ def _lines(mech: InterimMechanism):
     verdicts (see the module docstring), both False in float mode."""
     exact = mech.mode != FLOAT
     grids = [_scaled(g) if exact else (1, g) for g in mech.grid.values]
-    profiles = list(mech.x)
-    xcols = list(zip(*mech.x.values()))
-    pcols = list(zip(*mech.p.values()))
+    profiles = list(mech.grid.profiles())
+    xcols = list(zip(*mech.x.rows))
+    pcols = list(zip(*mech.p.rows))
     cache = {}
     for i, idx, k, line in lines([len(vals) for vals in mech.grid.values]):
         if k == 0:
@@ -241,8 +241,9 @@ def check_expost_ir(mech: ExPostMechanism) -> VerifyReport:
     non-winner pays exactly nothing.  The outcome table is in canonical
     order, so walking it needs no lookup."""
     out = []
+    table = list(zip(mech.grid.profiles(), mech.outcomes.rows))
     for i in range(mech.grid.n):
-        for v, outcomes in mech.outcomes.items():
+        for v, outcomes in table:
             for t, (vec_idx, pay, _prob) in enumerate(outcomes):
                 if mech.fs.vectors[vec_idx][i]:
                     if violated(v[i], pay[i], ">=", mech.mode):
@@ -274,7 +275,7 @@ def check_feasible(mech: InterimMechanism, fs: FeasibilitySystem) -> VerifyRepor
     single = fs.is_single_item()
     exact = mech.mode != FLOAT
     out = []
-    for v, x in mech.x.items():
+    for v, x in zip(mech.grid.profiles(), mech.x.rows):
         if single:
             d, nums = _scaled(x) if exact else (1, x)
             if sum(nums) <= d:

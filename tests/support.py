@@ -26,9 +26,14 @@ revmax.verify.check_ir compares the integer line tables of
 check_truthful.  The reference projections build their interim tables
 through the validating InterimMechanism constructor, so the direct
 builds of as_interim and interim_of must give the same tables.
-The reference table check looks every grid profile up in the table, so
-the in-order fast path of revmax.model._check_table_domain must return
-the same table and raise the same errors.  The reference distribution
+The reference mechanism reader builds every mechanism through the public
+constructors from (profile, row) pairs in file order, so
+revmax.io.read_mechanism, which places each line at its profile's flat
+index, must give the same tables.  The reference table check looks
+every grid profile up in the table, so
+revmax.model._check_table_domain, which compares a pair in canonical
+position with the grid's profile there and hashes only the others, must
+return the same rows in the same order and raise the same errors.  The reference distribution
 build keys its duplicate test, strict-grid check and canonical sort by
 the profile tuples, so the flat-index build of ExplicitDistribution must
 return the same support table and raise the same errors.  The reference multi-item checker sums Fraction (or float) products
@@ -44,6 +49,7 @@ return the same interim tables and the same revenue.
 """
 
 import itertools
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -982,6 +988,51 @@ def reference_check_table_domain(grid: ValueGrid, table, what: str) -> dict:
         extra = set(table) - set(out)
         raise InvalidInputError(f"{what} has off-grid profiles {sorted(extra)[:3]}")
     return out
+
+
+def reference_read_mechanism(text: str, mode: Optional[str] = None):
+    """A single-item mechanism file built through the public constructors
+    from (profile, row) pairs in file order: each line decoded by json
+    (decimals as Fractions), each number converted by convert in the
+    header's mode or the given one, the outcome lines of one ex-post
+    profile joined in file order, and universal parts taken in part
+    order.  Returns the mechanism, or the universal list of (part,
+    probability).  Well-formed files only: it reports no input error in
+    the reader's words."""
+    objs = [json.loads(line, parse_float=Fraction) for line in text.splitlines() if line.strip()]
+    head, body = objs[0], objs[1:]
+    mode = mode or head.get("mode", EXACT)
+
+    def row(values):
+        return tuple(convert(c, mode) for c in values)
+
+    grid = ValueGrid([row(vi) for vi in next(o["grid"] for o in body if "grid" in o)], mode)
+    vectors = [o["feasible"] for o in body if "feasible" in o]
+    fs = FeasibilitySystem(grid.n, vectors) if vectors else FeasibilitySystem.single_item(grid.n)
+    body = [o for o in body if "grid" not in o and "feasible" not in o]
+
+    def pairs(lines, key):
+        return [(row(o["profile"]), o[key] if key == "vector" else row(o[key])) for o in lines]
+
+    kind = head["kind"]
+    if kind == "interim":
+        return InterimMechanism(grid, pairs(body, "alloc"), pairs(body, "pay"))
+    if kind == "expost":
+        outcomes = {}
+        for o in body:
+            outcome = (o["vector"], row(o["pay"]), convert(o["prob"], mode))
+            outcomes.setdefault(row(o["profile"]), []).append(outcome)
+        return ExPostMechanism(grid, fs, outcomes)
+    if kind == "deterministic":
+        return DeterministicMechanism(grid, fs, pairs(body, "vector"), pairs(body, "pay"))
+    assert kind == "universal", kind
+    probs = {o["part"]: convert(o["prob"], mode) for o in body if "profile" not in o}
+    parts = []
+    for k in range(len(probs)):
+        lines = [o for o in body if "profile" in o and o["part"] == k]
+        part = DeterministicMechanism(grid, fs, pairs(lines, "vector"), pairs(lines, "pay"))
+        parts.append((part, probs[k]))
+    return parts
 
 
 def reference_check_truthful(mech: InterimMechanism) -> VerifyReport:

@@ -2,6 +2,8 @@
 stdout/stderr split."""
 
 import json
+import os
+import stat
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -106,6 +108,22 @@ def test_output_over_an_existing_file_writes_a_new_file(tmp_path, capsys, old_si
     assert (code, err) == (0, "")
     assert out_path.read_text() + stdout.splitlines(keepends=True)[-1] == stdout
     assert link.read_text() == "x" * old_size
+
+
+def test_output_mode_comes_from_the_umask(tmp_path, capsys):
+    # a new file and a replaced one alike; the old file's mode is not kept
+    path = pair_file(tmp_path)
+    old = tmp_path / "old.ndjson"
+    old.write_text("x")
+    old.chmod(0o600)
+    mask = os.umask(0o027)
+    try:
+        for out_path in (tmp_path / "new.ndjson", old):
+            code, _, err = run(capsys, ["solve-det", path, "--output", str(out_path)])
+            assert (code, err) == (0, "")
+            assert stat.S_IMODE(out_path.stat().st_mode) == 0o640
+    finally:
+        os.umask(mask)
 
 
 def test_output_through_a_symlink_writes_the_target(tmp_path, capsys):

@@ -20,8 +20,14 @@ from revmax import (
     vickrey,
 )
 from revmax import io as rio
+from revmax.model import convert
 from revmax.verify import check_ir, check_truthful
-from support import random_distribution, random_interim, random_m1_instance
+from support import (
+    random_distribution,
+    random_interim,
+    random_m1_instance,
+    reference_read_mechanism,
+)
 
 PAIR = ExplicitDistribution.from_support({(1, 1): F(1, 2), (2, 2): F(1, 2)})
 
@@ -335,3 +341,234 @@ def test_canonical_tables_match_shuffled():
                 values = _items(rio.read_mechanism(text, mode))
                 assert {type(c) for c in _numbers(values)} == {cls}
     assert len(kinds) == 8
+
+
+def _spell(value, style: int):
+    """Another spelling of one number of a file: an exact string as
+    2p/2q (style 0) or, when it is an integer, as a decimal such as
+    "13.0" (style 1); a JSON number of a float file as an int when it is
+    integral (style 0) or as itself."""
+    if type(value) is not str:
+        return int(value) if style == 0 and value == int(value) else value
+    q = F(value)
+    if style == 1 and q.denominator == 1:
+        return f"{q}.0"
+    return f"{2 * q.numerator}/{2 * q.denominator}"
+
+
+def _variants(rng, text):
+    """The file itself, its body lines shuffled (a profile's ex-post
+    outcomes and a universal part's lines keep their order, parts
+    interleave), and copies whose body profiles, or whose grid line
+    alone, spell the numbers otherwise."""
+    head, body = _split(text)
+    out = [text, "".join(head + _shuffled(rng, body))]
+    for style in (0, 1):
+        lines = []
+        for line in body:
+            obj = json.loads(line)
+            if "profile" in obj:
+                obj["profile"] = [_spell(c, style) for c in obj["profile"]]
+            lines.append(rio.dumps_line(obj))
+        out.append("".join(head + _shuffled(rng, lines)))
+    regrid = []
+    for line in head:
+        obj = json.loads(line)
+        if "grid" in obj:
+            obj["grid"] = [[_spell(c, 0) for c in vi] for vi in obj["grid"]]
+        regrid.append(rio.dumps_line(obj))
+    out.append("".join(regrid + body))
+    return out
+
+
+def _read_items(read, text, mode):
+    """The tables read(text, mode) gives, as _items lists them, or the
+    input error it raises."""
+    try:
+        parsed = read(text, mode)
+    except InvalidInputError as exc:
+        return type(exc), str(exc)
+    if isinstance(parsed, list):  # the reference's universal parts
+        parsed = rio.ParsedMechanism("universal", mode, parts=tuple(parsed))
+    elif not isinstance(parsed, rio.ParsedMechanism):
+        parsed = rio.ParsedMechanism(None, mode, mech=parsed)
+    return _items(parsed)
+
+
+def test_reader_matches_reference_reader():
+    """Lines in any order and numbers spelled otherwise than on the grid
+    line read as the public constructors build the same (profile, row)
+    pairs: the same rows with the same number types, in exact and float
+    files and in both modes, or the same input error (a float file's
+    probabilities need not sum to 1 exactly)."""
+    rng = random.Random(41)
+    read = 0
+    for n in [1, 2, 3, 4] * 2:
+        for text in _kind_files(rng, n):
+            for variant in _variants(rng, text):
+                for mode in (None, "exact", "float"):
+                    got = _read_items(rio.read_mechanism, variant, mode)
+                    want = _read_items(reference_read_mechanism, variant, mode)
+                    assert got == want
+                    if isinstance(got[0], type):  # an input error
+                        continue
+                    read += 1
+                    assert [type(c) for c in _numbers(got)] == [
+                        type(c) for c in _numbers(want)
+                    ]
+    assert read > 800
+
+
+def _fault_files():
+    """(name, instance text, mechanism text) for one fault of each kind
+    in each single-item mechanism kind on a fixed grid, each with its
+    body lines in file order and reversed."""
+    grid = ValueGrid([[1, F(5, 2)], [0, 3]])
+    fs = FeasibilitySystem.single_item(2)
+    inst = rio.write_instance(
+        ExplicitDistribution(grid, {v: F(1, 4) for v in grid.profiles()})
+    )
+    det = second_price(grid)
+    texts = {
+        "interim": rio.write_mechanism(det.as_interim()),
+        "expost": rio.write_mechanism(canonical_expost(det.as_interim(), fs)),
+        "deterministic": rio.write_mechanism(det),
+        "universal": rio.write_mechanism(
+            None, parts=[(det, F(1, 3)), (vickrey(grid), F(2, 3))]
+        ),
+    }
+    out = []
+    for kind, text in texts.items():
+        head, body = _split(text)
+        at = next(k for k, line in enumerate(body) if '"profile"' in line)
+        obj = rio.loads_line(body[at])
+
+        def edited(**change):
+            line = rio.dumps_line({**obj, **change})
+            return "".join(head + body[:at] + [line] + body[at + 1 :])
+
+        off = rio.dumps_line({**obj, "profile": ["100"] + obj["profile"][1:]})
+        faults = {
+            "duplicate": "".join(head + body[: at + 1] + body[at:]),
+            "missing": "".join(head + body[:at] + body[at + 1 :]),
+            "off-grid": "".join(head + body + [off]),
+            "pay length": edited(pay=obj["pay"] + ["0"]),
+        }
+        if kind == "interim":
+            faults["alloc length"] = edited(alloc=obj["alloc"] + ["0"])
+        else:
+            faults["vector index"] = edited(vector=7)
+        if kind in ("deterministic", "universal"):
+            # profile (1, 0): bidder 0 wins, so bidder 1 may not pay
+            faults["non-winner charged"] = edited(pay=[obj["pay"][0], "1"])
+        if kind == "universal":
+            k = next(k for k, line in enumerate(body) if '"profile"' not in line)
+            faults["repeated part"] = "".join(head + body[: k + 1] + body[k:])
+        for name, mech in faults.items():
+            top, lines = _split(mech)
+            out.append((f"{kind} {name}", inst, mech))
+            out.append((f"{kind} {name}", inst, "".join(top + lines[::-1])))
+    return out
+
+
+# the message of each fault, in whichever order the body lines come
+_AT = "(Fraction(1, 1), Fraction(0, 1))"  # the faulty line's profile
+_OFF = "[(Fraction(100, 1), Fraction(0, 1))]"
+FAULT_MESSAGES = {
+    "interim duplicate": "duplicate line for profile ['1', '0']",
+    "interim missing": f"allocation table missing profile {_AT}",
+    "interim off-grid": f"allocation table has off-grid profiles {_OFF}",
+    "interim pay length": f"p row at {_AT} has wrong length",
+    "interim alloc length": f"x row at {_AT} has wrong length",
+    "expost duplicate": f"outcome probabilities at {_AT} sum to 2, not 1",
+    "expost missing": f"outcome table missing profile {_AT}",
+    "expost off-grid": f"outcome table has off-grid profiles {_OFF}",
+    "expost pay length": f"payment row at {_AT} has wrong length",
+    "expost vector index": f"bad vector index 7 at {_AT}",
+}
+for _kind in ("deterministic", "universal"):
+    FAULT_MESSAGES.update({
+        f"{_kind} duplicate": "duplicate line for profile ['1', '0']",
+        f"{_kind} missing": f"winner table missing profile {_AT}",
+        f"{_kind} off-grid": f"winner table has off-grid profiles {_OFF}",
+        f"{_kind} pay length": f"payment row at {_AT} has wrong length",
+        f"{_kind} vector index": f"bad vector index 7 at {_AT}",
+        f"{_kind} non-winner charged": f"non-winner 1 charged 1 at {_AT}",
+    })
+FAULT_MESSAGES["universal repeated part"] = "duplicate line for part 0"
+
+
+@pytest.mark.parametrize("command", ["verify", "revenue"])
+def test_malformed_mechanism_files_keep_their_messages(tmp_path, capsys, command):
+    from revmax.cli import main
+
+    for name, inst, mech in _fault_files():
+        ipath, mpath = tmp_path / "inst.ndjson", tmp_path / "mech.ndjson"
+        ipath.write_text(inst)
+        mpath.write_text(mech)
+        code = main([command, str(ipath), str(mpath)])
+        captured = capsys.readouterr()
+        assert (name, code, captured.out) == (name, 2, "")
+        assert (name, captured.err) == (name, f"error: {FAULT_MESSAGES[name]}\n")
+
+
+def _reference_instance(text, mode=None):
+    """The distribution of an instance file built by the public
+    constructor from its (profile, probability) pairs in file order, each
+    number converted first, or the input error it raises."""
+    objs = [json.loads(line, parse_float=F) for line in text.splitlines() if line.strip()]
+    mode = mode or objs[0].get("mode", "exact")
+    try:
+        grid = ValueGrid(next(o["grid"] for o in objs if "grid" in o), mode)
+        pairs = [
+            (tuple(convert(c, mode) for c in o["support"]), convert(o["prob"], mode))
+            for o in objs
+            if "support" in o
+        ]
+        dist = ExplicitDistribution(grid, pairs)
+    except InvalidInputError as exc:
+        return type(exc), str(exc)
+    return list(dist.support.items()), dist.flat
+
+
+def test_instance_reader_places_support_lines_like_the_constructor():
+    """Support lines in any order, spelled otherwise than on the grid
+    line, in exact and float files and in both modes, give the support
+    table the constructor builds from the same pairs; a repeated,
+    off-grid or wrong-length profile raises the constructor's error."""
+    rng = random.Random(43)
+    read = 0
+    for _ in range(60):
+        dist = random_distribution(rng)
+        exact = rio.write_instance(dist)
+        texts = [exact, rio.write_instance(rio.read_instance(exact, "float").dist)]
+        for text in texts:
+            lines = text.splitlines(keepends=True)
+            head, body = lines[:2], lines[2:]
+            obj = json.loads(rng.choice(body))
+            profile = obj["support"]
+
+            def extra(support):
+                return body + [json.dumps({**obj, "support": support}, separators=(",", ":"))]
+
+            faults = [extra(profile), extra(profile + profile[:1]), extra(["100"] + profile[1:])]
+            for style in (0, 1):
+                lines = []
+                for line in body:
+                    o = json.loads(line)
+                    o["support"] = [_spell(c, style) for c in o["support"]]
+                    lines.append(json.dumps(o, sort_keys=True, separators=(",", ":")) + "\n")
+                rng.shuffle(lines)
+                faults.append(lines)
+            for lines in faults:
+                variant = "".join(head + lines)
+                for mode in (None, "exact", "float"):
+                    want = _reference_instance(variant, mode)
+                    try:
+                        parsed = rio.read_instance(variant, mode).dist
+                    except InvalidInputError as exc:
+                        assert (type(exc), str(exc)) == want
+                        continue
+                    assert (list(parsed.support.items()), parsed.flat) == want
+                    read += 1
+    assert read > 300

@@ -18,6 +18,7 @@ from revmax import (
     InvalidInputError,
     MultiItemInstance,
     NonRepresentableError,
+    ProfileTable,
     UndefinedRatioError,
     Valuation,
     ValueGrid,
@@ -655,10 +656,8 @@ def test_table_domain_matches_reference_in_any_order():
             assert str(got.value) == str(exc)
             continue
         got = _check_table_domain(grid, table, "test table")
-        assert list(got.items()) == list(want.items())
-        # keys are the grid's own value objects, not the table's
-        for key, profile in zip(got, grid.profiles()):
-            assert all(a is b for a, b in zip(key, profile))
+        # the rows, in the grid's canonical order
+        assert list(zip(grid.profiles(), got)) == list(want.items())
 
 
 def test_convert_strings_read_as_fraction_reads_them():
@@ -680,3 +679,87 @@ def test_convert_strings_read_as_fraction_reads_them():
     for s in listed + fuzz:
         assert _outcome(lambda: convert(s, EXACT)) == _outcome(lambda: fraction(s)), s
         assert _outcome(lambda: convert(s, FLOAT)) == _outcome(lambda: fraction(s, float)), s
+
+
+def test_profile_table_is_a_read_only_mapping_in_canonical_order():
+    grid = ValueGrid([[0, F(1, 2), 3], [1, 2]])
+    profiles = list(grid.profiles())
+    rows = [(F(k), F(k, 2)) for k in range(len(profiles))]
+    table = ProfileTable(grid, rows)
+    assert len(table) == 6
+    assert list(table) == list(table.keys()) == profiles
+    assert list(table.values()) == rows
+    assert list(table.items()) == list(zip(profiles, rows))
+    assert len(table.items()) == len(table.values()) == 6
+    assert (profiles[3], rows[3]) in table.items()
+    assert (profiles[3], rows[2]) not in table.items()
+    assert rows[5] in table.values()
+    # a key is placed by value, in any spelling that hashes like it
+    for k, v in enumerate(profiles):
+        assert table[v] == rows[k]
+        assert v in table
+    assert table[(F(1, 2), 2)] == table[(0.5, 2.0)] == rows[3]
+    assert table[(3, 1)] == table.get((F(3), F(1))) == rows[4]
+    # anything that is no grid profile is a missing key, not a TypeError
+    unhashable = ([0], 1)
+    for key in [(1, 1), (0, 3), (0,), (0, 1, 1), (), unhashable, [0, 1], "01", 5, None]:
+        with pytest.raises(KeyError):
+            table[key]
+        assert key not in table
+        assert table.get(key, "absent") == "absent"
+    with pytest.raises(TypeError):
+        table[(0, 1)] = rows[0]
+    with pytest.raises(DimensionMismatchError):
+        ProfileTable(grid, rows[:-1])
+
+
+def test_profile_table_equals_mappings_with_the_same_pairs():
+    grid = ValueGrid([[1, 2], [1, 2]])
+    rows = [(F(k), F(0)) for k in range(4)]
+    table = ProfileTable(grid, rows)
+    keyed = dict(zip(grid.profiles(), rows))
+    assert table == keyed and keyed == table
+    assert table == ProfileTable(ValueGrid([[1, 2], [1, 2]]), list(rows))
+    assert table != ProfileTable(grid, rows[::-1])
+    assert table != ProfileTable(ValueGrid([[1, 3], [1, 2]]), rows)
+    assert table != {**keyed, (F(1), F(1)): (F(9), F(0))}
+    assert table != dict(list(keyed.items())[:-1])
+    assert table != rows
+    assert dict(table) == keyed
+    assert repr(table) == f"ProfileTable({keyed!r})"
+
+
+def test_mechanism_tables_are_profile_tables():
+    grid = ValueGrid([[1, 2], [1, 2]])
+    det = second_price(grid)
+    interim = det.as_interim()
+    expost = det.as_expost()
+    tables = [det.choice, det.payments, interim.x, interim.p, expost.outcomes]
+    for table in tables:
+        assert isinstance(table, ProfileTable)
+        assert list(table) == list(grid.profiles())
+    assert interim.x[(2, 1)] == (1, 0)
+    assert interim.p == {v: det.payments[v] for v in grid.profiles()}
+    assert dict(expost.outcomes.items()) == {
+        v: ((det.choice[v], det.payments[v], 1),) for v in grid.profiles()
+    }
+    # a constructor given a mechanism's tables keeps them equal
+    assert InterimMechanism(grid, interim.x, dict(interim.p.items())) == interim
+
+
+def test_constructors_convert_rows_to_the_grid_mode():
+    # rows already of the grid's type are kept; any other entry is
+    # converted, and a float in an exact row is refused as convert refuses it
+    for mode, cls in ((EXACT, F), (FLOAT, float)):
+        grid = ValueGrid([[1, 2]], mode)
+        keys = list(grid.profiles())
+        for x in ([(F(1, 2),), (1,)], [(0.5,), (1.0,)], [("1/2",), (True,)]):
+            p = [(c,) for c in ("0", 1)]
+            if mode == EXACT and isinstance(x[0][0], float):
+                with pytest.raises(InvalidInputError, match="float 0.5 in exact mode"):
+                    InterimMechanism(grid, list(zip(keys, x)), list(zip(keys, p)))
+                continue
+            mech = InterimMechanism(grid, list(zip(keys, x)), list(zip(keys, p)))
+            assert mech.x == {keys[0]: (cls(F(1, 2)),), keys[1]: (cls(1),)}
+            rows = list(mech.x.values()) + list(mech.p.values())
+            assert {type(c) for row in rows for c in row} == {cls}
