@@ -12,8 +12,8 @@ mode flag of the plan is replaced), through revmax.cli.main in one worker
 process per tree that imports that tree's src/.  Output paths are
 relative to the worker's own directory, so both trees see the same argv.
 
-Each solve and solve-multi command is followed by a verify of the
-mechanism it wrote, in the same mode.  Each solve-multi output is also
+Each solve, solve-det and solve-multi command is followed by a verify of
+the mechanism it wrote, in the same mode.  Each solve-multi output is also
 verified once more as a copy whose first pay line is raised by 1 in
 every entry, which fails the replay and so compares the failing
 multi-item reports too.  Each solve output is likewise verified as a
@@ -27,18 +27,31 @@ placement of lines out of order and of numbers not spelled as on the
 grid line is compared too.
 
 For each command the exit code, stdout, stderr and the bytes written to
---output are compared.  A differing solve-multi command is labelled
-`tied` when both trees report the same revenue (in float mode within
-1e-9) and both trees' verify of its output exits 0, and `changed`
-otherwise: the LP optimum can be tied, and then another optimal
-mechanism may be printed.  A differing verify command is labelled
-`certificate` when both trees give the same exit code, the same checks
-and witness count, the same witness lines apart from `feasible` ones,
-`feasible` witnesses at the same profiles, and every certificate the
-change tree alters separates its profile's allocation from the feasible
-vectors; and `changed` otherwise: a hull point has many separating
-certificates.  Exit code 0 when every command agrees, 1 when some differ
-(each is listed), 2 on bad arguments.
+--output are compared.  A differing --float solve, solve-det or
+solve-multi command is labelled `rounded` when both trees' revenues agree
+within 1e-9 relative and the change tree's verify of its output exits 0,
+and `changed` otherwise: a float answer may be rounded from another
+computation of the same optimum.  A differing --exact solve-multi command
+is labelled `tied` when both trees report the same revenue and both
+trees' verify of its output exits 0, and `changed` otherwise: the LP
+optimum can be tied, and then another optimal mechanism may be printed.
+
+A differing verify command is labelled `certificate` when both trees
+give the same exit code, the same checks and witness count, the same
+witness lines apart from `feasible` ones, `feasible` witnesses at the
+same profiles, and every certificate the change tree alters separates
+its profile's allocation from the feasible vectors: a hull point has
+many separating certificates.  A differing --float verify command that
+meets all of these but the same witness lines is labelled `rounded` when
+its witness lines differ only in lhs and rhs, within 1e-9 times
+max(1, |lhs|, |rhs|): it verifies a rounded answer, or an edited copy of
+one.  A differing verify of an edited copy (verify-ones, verify-raised)
+of a solver output labelled `rounded` or `tied` that is not labelled so
+far takes the solver's label when both trees give the same exit code
+and the same verdict for each check: the copies differ because the
+outputs do, and a tied optimum's copy fails at other lines.  Any other
+differing verify command is `changed`.  Exit code 0 when every command
+agrees, 1 when some differ (each is listed), 2 on bad arguments.
 """
 
 from __future__ import annotations
@@ -58,6 +71,9 @@ from types import SimpleNamespace
 
 HERE = Path(__file__).resolve().parent
 MODES = ("--exact", "--float")
+SOLVERS = ("solve", "solve-det", "solve-multi")
+# the verify commands of an edited copy of a solver's output
+EDITED = (" verify-ones", " verify-raised")
 
 
 def _digest(data) -> str:
@@ -149,9 +165,8 @@ def separates(detail: str, profile, argv: list) -> bool:
 
 def report_summary(text: str, argv: list) -> dict:
     """The parts of a verify report that cert_label compares: the summary
-    line, a digest of the witness lines other than feasible ones, and per
-    feasible witness its profile, its certificate and whether that
-    separates."""
+    line, the witness lines other than feasible ones, and per feasible
+    witness its profile, its certificate and whether that separates."""
     rows = [json.loads(line) for line in text.splitlines() if line.strip()]
     if not rows or "passed" not in rows[-1]:
         return {"summary": None, "other": None, "feasible": []}
@@ -162,7 +177,7 @@ def report_summary(text: str, argv: list) -> dict:
          "separates": separates(w["detail"], w["profile"], argv)}
         for w in witnesses if w.get("check") == "feasible"
     ]
-    return {"summary": rows[-1], "other": _digest(json.dumps(other)), "feasible": feasible}
+    return {"summary": rows[-1], "other": other, "feasible": feasible}
 
 
 def worker(tree: str) -> None:
@@ -199,7 +214,7 @@ def worker(tree: str) -> None:
             "stderr": _digest(err.getvalue()),
             "output": _digest(written) if output else None,
         }
-        if argv[0] == "solve-multi":
+        if argv[0] in SOLVERS:
             results[key]["revenue"] = _revenue(out.getvalue())
         if argv[0] == "verify":
             text = written.decode() if written is not None else out.getvalue()
@@ -216,33 +231,79 @@ def _revenue(stdout: str):
         return None
 
 
-def tie_label(key: str, mode: str, parent: dict, change: dict) -> str:
-    """`tied` or `changed` for a differing solve-multi command (see the
-    module docstring)."""
+def tie_label(key: str, parent: dict, change: dict) -> str:
+    """`tied` or `changed` for a differing --exact solve-multi command
+    (see the module docstring)."""
     revenues = [side[key]["revenue"] for side in (parent, change)]
     if None in revenues:
         return "changed"
-    a, b = map(Fraction, revenues)
-    same = abs(a - b) <= 1e-9 if mode == "--float" else a == b
+    same = Fraction(revenues[0]) == Fraction(revenues[1])
     verified = all(side.get(f"{key} verify", {}).get("rc") == 0 for side in (parent, change))
     return "tied" if same and verified else "changed"
 
 
-def cert_label(key: str, parent: dict, change: dict) -> str:
-    """`certificate` or `changed` for a differing verify command (see the
-    module docstring)."""
+def rounded_label(key: str, parent: dict, change: dict) -> str:
+    """`rounded` or `changed` for a differing --float solver command (see
+    the module docstring)."""
+    revenues = [side[key]["revenue"] for side in (parent, change)]
+    if None in revenues:
+        return "changed"
+    a, b = (float(Fraction(r)) for r in revenues)
+    close = abs(a - b) <= 1e-9 * max(abs(a), abs(b))
+    verified = change.get(f"{key} verify", {}).get("rc") == 0
+    return "rounded" if close and verified else "changed"
+
+
+def _rounded_apart(old: dict, new: dict) -> bool:
+    """Whether two witness lines agree in every field but lhs and rhs, and
+    those numbers agree within 1e-9 times max(1, |lhs|, |rhs|), the
+    verifier's float tolerance."""
+    sides = ("lhs", "rhs")
+    if {k: v for k, v in old.items() if k not in sides} != {
+        k: v for k, v in new.items() if k not in sides
+    }:
+        return False
+    for k in sides:
+        a, b = old.get(k), new.get(k)
+        if not all(isinstance(x, (int, float)) for x in (a, b)):
+            if a != b:
+                return False
+        elif abs(a - b) > 1e-9 * max(1, abs(a), abs(b)):
+            return False
+    return True
+
+
+def cert_label(key: str, parent: dict, change: dict, mode: str = "--exact") -> str:
+    """`certificate`, `rounded` or `changed` for a differing verify
+    command (see the module docstring)."""
     p, c = parent[key], change[key]
     if p["rc"] != c["rc"] or "report" not in p or "report" not in c:
         return "changed"
     pr, cr = p["report"], c["report"]
-    if pr["summary"] is None or (pr["summary"], pr["other"]) != (cr["summary"], cr["other"]):
+    if pr["summary"] is None or pr["summary"] != cr["summary"]:
         return "changed"
     if [w["profile"] for w in pr["feasible"]] != [w["profile"] for w in cr["feasible"]]:
         return "changed"
     for old, new in zip(pr["feasible"], cr["feasible"]):
         if old["certificate"] != new["certificate"] and not new["separates"]:
             return "changed"
-    return "certificate"
+    if pr["other"] == cr["other"]:
+        return "certificate"
+    if mode == "--float" and len(pr["other"]) == len(cr["other"]) and all(
+        map(_rounded_apart, pr["other"], cr["other"])
+    ):
+        return "rounded"
+    return "changed"
+
+
+def edited_label(key: str, source: str, parent: dict, change: dict) -> str:
+    """The label of a differing verify of an edited copy of a solver's
+    output, given the solver command's label source (see the module
+    docstring)."""
+    p, c = parent[key], change[key]
+    checks = [(side.get("report", {}).get("summary") or {}).get("checks") for side in (p, c)]
+    same = p["rc"] == c["rc"] and checks[0] is not None and checks[0] == checks[1]
+    return source if same and source in ("rounded", "tied") else "changed"
 
 
 def _seeds(text: str) -> list:
@@ -282,7 +343,7 @@ def plan_commands(tree: Path, seeds: list, inputs: Path) -> list:
                         mixed = f"out/{workload}-s{seed}-{Path(argv[2]).name}.mixed"
                         commands.append([f"{key} mixed", argv[:2] + [mixed] + argv[3:],
                                          output, ["reverse_respell", argv[2], mixed]])
-                    if cmd.kind not in ("solve", "solve-multi") or output is None:
+                    if cmd.kind not in SOLVERS or output is None:
                         continue
                     ipath = argv[1]
                     commands.append([f"{key} verify", ["verify", ipath, output, mode],
@@ -292,7 +353,7 @@ def plan_commands(tree: Path, seeds: list, inputs: Path) -> list:
                         commands.append([f"{key} verify-raised",
                                          ["verify", ipath, raised, mode],
                                          None, ["raise_first_pay", output, raised]])
-                    else:
+                    elif cmd.kind == "solve":
                         ones = f"{output}.ones"
                         commands.append([f"{key} verify-ones",
                                          ["verify", ipath, ones, mode],
@@ -335,21 +396,28 @@ def main(argv=None) -> int:
         return 1
     parent, change = [json.loads(out) for out in outs]
     differ = [(key, argv) for key, argv, *_ in commands if parent[key] != change[key]]
-    labels = {"tied": 0, "certificate": 0, "changed": 0}
+    labels = {"rounded": 0, "tied": 0, "certificate": 0, "changed": 0}
+    given = {}  # label of each differing command so far
     for key, argv in differ:
         fields = [f for f in parent[key] if parent[key][f] != change[key][f]]
         line = f"DIFFERS {key}: {', '.join(fields)}"
         label = None
-        if argv[0] == "solve-multi":
-            label = tie_label(key, argv[-1], parent, change)
+        if argv[0] in SOLVERS and argv[-1] == "--float":
+            label = rounded_label(key, parent, change)
+        elif argv[0] == "solve-multi":
+            label = tie_label(key, parent, change)
         elif argv[0] == "verify":
-            label = cert_label(key, parent, change)
+            label = cert_label(key, parent, change, argv[-1])
+            source = key.rpartition(" ")[0]
+            if label == "changed" and key.endswith(EDITED) and source in given:
+                label = edited_label(key, given[source], parent, change)
+        given[key] = label
         if label:
             labels[label] += 1
             line += f" [{label}]"
         print(line)
     print(f"{len(commands)} commands, {len(commands) - len(differ)} identical, "
-          f"{len(differ)} differ; {labels['tied']} tied, "
+          f"{len(differ)} differ; {labels['rounded']} rounded, {labels['tied']} tied, "
           f"{labels['certificate']} certificate, {labels['changed']} changed")
     return 1 if differ else 0
 

@@ -11,9 +11,12 @@ prefixes could be recombined without changing the result.
 Profiles are assigned in canonical order, one own-value step below
 first, so a winner's critical value is fixed on assignment and revenue
 is a prefix sum carried down the recursion: O(n) per node, a compare per
-complete rule.  Exact mode sums ints (values and masses scaled by the
-lcm of their denominators); float mode adds the products in the order a
-whole-support walk would, profile then bidder.
+complete rule.  The search is exact in either mode: it sums ints, the
+values and masses read through as_integer_ratio() (a float at its binary
+value) and scaled by the lcm of their denominators.  The revenue is
+divided by the scaled masses' total, which is 1 in exact mode and the
+exact total of a float distribution's masses otherwise, and is handed
+back in the distribution's mode.
 """
 
 from __future__ import annotations
@@ -25,12 +28,12 @@ from typing import Optional
 
 from .errors import InvalidInputError, SizeLimitError
 from .model import (
-    FLOAT,
     DeterministicMechanism,
     ExplicitDistribution,
     FeasibilitySystem,
     ProfileTable,
     ValueGrid,
+    convert,
     lines,
 )
 
@@ -70,8 +73,9 @@ def enumerate_deterministic_optimal(
     limits: Optional[EnumLimits] = None,
 ):
     """Exhaust monotone winner functions with critical payments and return
-    (best mechanism, exact revenue); revenue ties keep the first candidate
-    in lexicographic enumeration order."""
+    (best mechanism, revenue); revenue ties keep the first candidate in
+    lexicographic enumeration order.  Revenues are compared exactly, and
+    the best is rounded once in float mode."""
     limits = limits or EnumLimits()
     grid = dist.grid
     n = grid.n
@@ -91,17 +95,15 @@ def enumerate_deterministic_optimal(
         )
 
     profiles = list(grid.profiles())
-    exact = dist.mode != FLOAT
-    # exact revenues are ints over dq * dv, which compare like the rationals
-    dv = lcm(*[x.denominator for vi in grid.values for x in vi]) if exact else 1
-    dq = lcm(*[q.denominator for q in dist.support.values()]) if exact else 1
-    scaled = [
-        [x.numerator * (dv // x.denominator) for x in vi] if exact else vi
-        for vi in grid.values
-    ]
+    # revenues are ints over dq * dv, which compare like the rationals
+    values = [[x.as_integer_ratio() for x in vi] for vi in grid.values]
+    masses = [q.as_integer_ratio() for q in dist.support.values()]
+    dv = lcm(*[d for vi in values for _, d in vi])
+    dq = lcm(*[d for _, d in masses])
+    scaled = [[p * (dv // d) for p, d in vi] for vi in values]
     mass = [0] * cells
-    for idx, q in zip(dist.flat, dist.support.values()):
-        mass[idx] = q.numerator * (dq // q.denominator) if exact else q
+    for idx, (p, d) in zip(dist.flat, masses):
+        mass[idx] = p * (dq // d)
     # down[k][i]: profile index one own-value step below, or -1 at the floor;
     # stepping down is lexicographically smaller, hence already assigned in DFS
     down = [[-1] * n for _ in profiles]
@@ -115,7 +117,6 @@ def enumerate_deterministic_optimal(
     # fits[need]: ascending choices whose winners include the mask need of
     # bidders winning one step below; filled on first use
     fits: dict = {}
-    zero = Fraction(0) if exact else 0.0
 
     choice = [0] * cells
     # crit[k][i]: the profile whose own value is bidder i's critical value
@@ -162,13 +163,13 @@ def enumerate_deterministic_optimal(
                     r += q * cv[i]
             dfs(k + 1, r)
 
-    dfs(0, 0 if exact else 0.0)
+    dfs(0, 0)
     choice[:] = best_choice
     payments = []
     for k in range(cells):
         fix(k)
         vec = vecs[choice[k]]
-        pay = [zero] * n
+        pay = [0] * n
         for i in range(n):
             if vec[i]:
                 pay[i] = profiles[crit[k][i]][i]
@@ -176,4 +177,5 @@ def enumerate_deterministic_optimal(
     mech = DeterministicMechanism(
         grid, fs, ProfileTable(grid, choice), ProfileTable(grid, payments)
     )
-    return mech, Fraction(best_rev, dq * dv) if exact else best_rev
+    # the scaled masses sum to dq times the masses' exact total
+    return mech, convert(Fraction(best_rev, dv * sum(mass)), dist.mode)

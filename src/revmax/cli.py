@@ -327,7 +327,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         dest="mode",
         action="store_const",
         const=FLOAT,
-        help="force floating-point arithmetic",
+        help="force float numbers (solvers still solve exactly and round)",
     )
     p.set_defaults(mode=None)
     p.add_argument("--seed", type=int, default=None, help="echoed into run reports")

@@ -83,9 +83,13 @@ def loads_line(line: str) -> dict:
 
 
 def format_number(x, mode: str):
-    """One number as it appears on the wire for the given mode."""
+    """One number as it appears on the wire for the given mode.  An exact
+    Fraction is written as str(x), any other exact number as the Fraction
+    it equals."""
     if mode == FLOAT:
         return float(x)
+    if type(x) is Fraction:
+        return str(x)
     return str(Fraction(x))
 
 
@@ -680,8 +684,9 @@ def _read_multi_mechanism(rows: list, head: dict, mode: str, memo: dict) -> Pars
 
 
 def _witness_value(v, mode: str):
-    """A witness field on the wire.  An exact-mode Fraction is written as
-    str(v), the string format_number gives it, without building a copy."""
+    """A witness field on the wire.  Most witness values are exact
+    Fractions, so the string format_number gives one is written here
+    first, without the checks and the call."""
     if type(v) is Fraction and mode != FLOAT:
         return str(v)
     if v is None or isinstance(v, (int, str)):

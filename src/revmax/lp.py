@@ -16,10 +16,12 @@ off the final reduced-cost row when it is asked for.
 
 The tableau is sparse: each row, and the reduced-cost row, is a
 {column: numerator} map of its nonzeros, a right-hand-side numerator and
-one positive denominator for the whole row.  In exact mode these are
-ints, so no Fraction is built per entry:
+one positive denominator for the whole row.  These are ints, so no
+Fraction is built per entry:
 
-- a row starts scaled by the lcm of its coefficients' denominators;
+- a row starts scaled by the lcm of its coefficients' denominators,
+  each coefficient read at its exact value through as_integer_ratio()
+  (an int, a Fraction, or a float, whose value is a binary fraction);
 - a pivot makes the pivot row's own entry a in the entering column, which
   the ratio test picks positive, its new denominator;
 - every other row with numerator c in the entering column becomes
@@ -55,14 +57,9 @@ moves; after a stretch of degenerate pivots the solver switches to
 Bland's rule (the lowest index with a positive reduced cost) for the
 rest of the run, which guarantees termination without giving up
 determinism.  The ratio test picks the least rhs/column ratio, the
-lowest basis index on ties; in exact mode it compares the cross products
+lowest basis index on ties; it compares the cross products
 r_i*c_j and r_j*c_i of the two rows' numerators, whose denominators
 cancel.  x is read out as Fraction(rhs, d).
-
-Float mode runs the same code with every denominator 1, scaling the
-pivot row by the reciprocal of its entry and dividing in the ratio test,
-with a 1e-9 feasibility tolerance; it exists for instances too large for
-exact arithmetic.
 """
 
 from __future__ import annotations
@@ -70,11 +67,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from operator import truediv
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .errors import DimensionMismatchError, InvalidInputError, PivotLimitError
-from .model import EXACT, FLOAT
 
 LEQ = "<="
 
@@ -89,15 +84,15 @@ _MAX_PIVOTS = 2_000_000
 @dataclass
 class LPSolution:
     """Outcome of a solve: status is optimal or unbounded; x, objective
-    and dual are set only when optimal.  pivots counts the simplex
-    pivots."""
+    and dual are set only when optimal, as Fractions.  pivots counts the
+    simplex pivots."""
 
     status: str
     x: Optional[tuple] = None
-    objective: Optional[Union[Fraction, float]] = None
+    objective: Optional[Fraction] = None
     pivots: int = 0
     # (reduced-cost numerators, their denominator, first slack column,
-    # number of rows, value) of the final tableau, read by dual
+    # number of rows) of the final tableau, read by dual
     _final: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @property
@@ -106,8 +101,8 @@ class LPSolution:
         reduced cost of row r's slack."""
         if self._final is None:
             return None
-        red, den, first, m, value = self._final
-        return tuple(value(-red.get(first + r, 0), den) for r in range(m))
+        red, den, first, m = self._final
+        return tuple(Fraction(-red.get(first + r, 0), den) for r in range(m))
 
 
 class LinearProgram:
@@ -149,18 +144,12 @@ class LinearProgram:
 
 
 def _integer_row(row: dict, rhs) -> tuple:
-    """(numerators, rhs numerator, denominator) of a row of rationals,
-    scaled by the lcm of their denominators."""
-    d = lcm(rhs.denominator, *[a.denominator for a in row.values()])
-    return (
-        {j: a.numerator * (d // a.denominator) for j, a in row.items()},
-        rhs.numerator * (d // rhs.denominator),
-        d,
-    )
-
-
-def _float_row(row: dict, rhs) -> tuple:
-    return row, rhs, 1
+    """(numerators, rhs numerator, denominator) of a row of exact values,
+    scaled by the lcm of their denominators; zero entries are left out."""
+    ratios = [(j, a.as_integer_ratio()) for j, a in row.items() if a]
+    rn, rd = rhs.as_integer_ratio()
+    d = lcm(rd, *[q for _, (_, q) in ratios])
+    return {j: p * (d // q) for j, (p, q) in ratios}, rn * (d // rd), d
 
 
 def _column_index(rows, ncols: int) -> list:
@@ -208,26 +197,19 @@ def _eliminate(row: dict, r, d, c, a, pitems, pb, i=-1, cols=None) -> tuple:
     return r, d
 
 
-def _pivot(rows, rhs, den, leave: int, enter: int, column: dict, exact: bool, cols):
+def _pivot(rows, rhs, den, leave: int, enter: int, column: dict, cols):
     """In-place pivot on rows[leave][enter], a positive entry; column maps
     each row index to its nonzero numerator in the entering column, and
     the column index cols is kept up to date.  Returns the pivot row's
     items, rhs numerator and denominator, for the reduced costs."""
     prow = rows[leave]
-    if exact:
-        a = prow[enter]
-        q = gcd(a, rhs[leave], *prow.values())
-        if q != 1:
-            rows[leave] = prow = {j: v // q for j, v in prow.items()}
-            rhs[leave] //= q
-        den[leave] = a // q
-    else:
-        piv = prow[enter]
-        if piv != 1:
-            inv = 1 / piv
-            rows[leave] = prow = {j: v * inv for j, v in prow.items()}
-            rhs[leave] = rhs[leave] * inv
-    a, pb = den[leave], rhs[leave]
+    a = prow[enter]
+    q = gcd(a, rhs[leave], *prow.values())
+    if q != 1:
+        rows[leave] = prow = {j: v // q for j, v in prow.items()}
+        rhs[leave] //= q
+    den[leave] = a = a // q
+    pb = rhs[leave]
     pitems = list(prow.items())
     for i, c in column.items():
         if i != leave:
@@ -237,17 +219,16 @@ def _pivot(rows, rhs, den, leave: int, enter: int, column: dict, exact: bool, co
     return pitems, pb, a
 
 
-def _run_simplex(rows, rhs, den, basis, cols, cost, tol, exact: bool):
-    """Maximize cost over the equality system in basic form, whose column
-    index is cols, from a basis of zero-cost columns.
+def _run_simplex(rows, rhs, den, basis, cols, cost: dict):
+    """Maximize cost (a {column: value} map) over the equality system in
+    basic form, whose column index is cols, from a basis of zero-cost
+    columns.
 
     Returns ('optimal', pivots, red) or ('unbounded', pivots, red), red
     being the final reduced-cost row as (numerators, rhs numerator,
     denominator); its rhs is minus the objective.
     """
-    red, robj, rden = (_integer_row if exact else _float_row)(
-        {j: c for j, c in enumerate(cost) if c}, 0
-    )
+    red, robj, rden = _integer_row(cost, 0)
     bland = False
     stall = 0
     for pivots in range(_MAX_PIVOTS):
@@ -256,10 +237,10 @@ def _run_simplex(rows, rhs, den, basis, cols, cost, tol, exact: bool):
         enter = -1
         if bland:
             for j, c in red.items():
-                if c > tol and (enter < 0 or j < enter):
+                if c > 0 and (enter < 0 or j < enter):
                     enter = j
         else:
-            best = tol
+            best = 0
             for j, c in red.items():
                 if c > best:
                     best = c
@@ -270,38 +251,25 @@ def _run_simplex(rows, rhs, den, basis, cols, cost, tol, exact: bool):
             return "optimal", pivots, (red, robj, rden)
         column = {i: rows[i][enter] for i in cols[enter]}
         # least ratio rhs/c over the rows with c > 0, lowest basis index
-        # on ties; the exact test compares r_i*c_leave with r_leave*c_i
+        # on ties, comparing r_i*c_leave with r_leave*c_i
         leave = -1
-        if exact:
-            for i, c in column.items():
-                if c > 0:
-                    r = rhs[i]
-                    if leave >= 0:
-                        u, w = r * cl, rl * c
-                        if u > w or (u == w and basis[i] > basis[leave]):
-                            continue
-                    leave, rl, cl = i, r, c
-        else:
-            best_ratio = None
-            for i, c in column.items():
-                if c > tol:
-                    ratio = rhs[i] / c
-                    if (
-                        best_ratio is None
-                        or ratio < best_ratio
-                        or (ratio == best_ratio and basis[i] < basis[leave])
-                    ):
-                        best_ratio = ratio
-                        leave = i
+        for i, c in column.items():
+            if c > 0:
+                r = rhs[i]
+                if leave >= 0:
+                    u, w = r * cl, rl * c
+                    if u > w or (u == w and basis[i] > basis[leave]):
+                        continue
+                leave, rl, cl = i, r, c
         if leave < 0:
             return "unbounded", pivots, (red, robj, rden)
         f = red[enter]
-        pitems, pb, a = _pivot(rows, rhs, den, leave, enter, column, exact, cols)
+        pitems, pb, a = _pivot(rows, rhs, den, leave, enter, column, cols)
         robj, rden = _eliminate(red, robj, rden, f, a, pitems, pb)
         basis[leave] = enter
         # the objective gains f*pb over both rows' denominators, so f*pb
-        # has the gain's sign (and is the gain itself in float mode)
-        if f * pb > tol:
+        # has the gain's sign
+        if f * pb > 0:
             stall = 0
         else:
             stall += 1
@@ -310,23 +278,10 @@ def _run_simplex(rows, rhs, den, basis, cols, cost, tol, exact: bool):
     raise PivotLimitError(f"simplex did not terminate within {_MAX_PIVOTS} pivots")
 
 
-def solve(lp: LinearProgram, mode: str = EXACT) -> LPSolution:
-    """One-phase simplex solve of the program, from the slack basis, in
-    the requested arithmetic."""
-    if mode == FLOAT:
-        tol, zero = 1e-9, 0.0
-        num = float
-        value, as_row = truediv, _float_row
-    elif mode == EXACT:
-        # int coefficients stay ints: as_row reads numerator and
-        # denominator of either
-        tol, zero = 0, Fraction(0)
-        num = lambda v: v if isinstance(v, (int, Fraction)) else Fraction(v)
-        value, as_row = Fraction, _integer_row
-    else:
-        raise InvalidInputError(f"unknown arithmetic mode {mode!r}")
-    exact = mode == EXACT
-
+def solve(lp: LinearProgram) -> LPSolution:
+    """One-phase simplex solve of the program, from the slack basis.
+    Coefficients may be ints, Fractions or floats; each is read once, at
+    its exact value, and the solution is exact."""
     # Internal columns: a nonnegative variable is one column, a free one
     # the difference of two.  x_j = sum of its signed columns.
     col_of = []
@@ -338,42 +293,39 @@ def solve(lp: LinearProgram, mode: str = EXACT) -> LPSolution:
     # Sparse tableau rows {column: nonzero} over the internal columns, row
     # r's slack at column ncols + r; a column belongs to one variable, so
     # each row sets it at most once.  The slacks are the starting basis.
-    one = num(1)
     width = ncols + len(lp.constraints)
     rows, rhs_col, den = [], [], []
     for r, (coeffs, _, rhs) in enumerate(lp.constraints):
         row = {}
         for j, c in coeffs.items():
-            c = num(c)
-            if c:
-                for col, s in col_of[j]:
-                    row[col] = c if s > 0 else -c
-        row[ncols + r] = one
-        row, rhs, d = as_row(row, num(rhs))
+            for col, s in col_of[j]:
+                row[col] = c if s > 0 else -c
+        row[ncols + r] = 1
+        row, rhs, d = _integer_row(row, rhs)
         rows.append(row)
         rhs_col.append(rhs)
         den.append(d)
     basis = list(range(ncols, width))
 
-    cost = [zero] * width
+    cost = {}
     for j, c in enumerate(lp.objective):
-        c = num(c)
         if c:
             for col, s in col_of[j]:
-                cost[col] = c * s
+                cost[col] = c if s > 0 else -c
     cols = _column_index(rows, width)
     status, pivots, (red, robj, rden) = _run_simplex(
-        rows, rhs_col, den, basis, cols, cost, tol, exact
+        rows, rhs_col, den, basis, cols, cost
     )
     if status == "unbounded":
         return LPSolution("unbounded", pivots=pivots)
 
+    zero = Fraction(0)
     yv = [zero] * width
     for i, bi in enumerate(basis):
-        yv[bi] = value(rhs_col[i], den[i])
+        yv[bi] = Fraction(rhs_col[i], den[i])
     x = [
         yv[cs[0][0]] if len(cs) == 1 else sum((s * yv[col] for col, s in cs), zero)
         for cs in col_of
     ]
-    final = (red, rden, ncols, len(rows), value)
-    return LPSolution("optimal", tuple(x), value(-robj, rden), pivots, final)
+    final = (red, rden, ncols, len(rows))
+    return LPSolution("optimal", tuple(x), Fraction(-robj, rden), pivots, final)

@@ -3,9 +3,12 @@ systems, and the three mechanism representations (interim, ex-post,
 deterministic), plus the operations tying them together.
 
 Quantities are exact fractions.Fraction in the default mode.  Float mode
-keeps plain floats end to end; only construction-time sanity checks apply
-a tolerance here (1e-12 on probability totals), the verifier owns the
-constraint tolerance.
+is an input and output format: the objects here keep plain floats, only
+construction-time sanity checks apply a tolerance here (1e-12 on
+probability totals), and the verifier owns the constraint tolerance.
+The solvers (revmax.optimal, revmax.multi, revmax.brute) convert a float
+instance to its exact binary values at their boundary, solve exactly,
+and round the result to float when they hand it back.
 
 The mode is chosen once, where raw numbers are first converted: by
 ValueGrid (and ExplicitDistribution.from_support, which builds one).

@@ -6,6 +6,11 @@ Assignment counts grow as (n+1)^m, so a size guard protects every entry
 point.  Payments attach to coin outcomes proportionally to realized
 bundle value, which keeps every charge within the winner's bid and the
 empty bundle free.
+
+The revenue LP is solved exactly.  Float is an input and output format:
+a float instance is converted once, at the solver boundary, to the exact
+instance of its binary values (masses divided by their exact total), and
+the mechanism is rounded to float when it is handed back.
 """
 
 from __future__ import annotations
@@ -208,12 +213,10 @@ class MultiMechanism:
 
     def expected_value(self, t: tuple, bidder: int):
         """Expected bundle value of the bidder's own type under the
-        lottery at t."""
+        lottery at t, which is never empty."""
         val = self.inst.types[bidder][t[bidder]]
-        zero = 0.0 if self.inst.mode == FLOAT else Fraction(0)
         return sum(
-            (w * val.of(bundle_mask(self.assignments[a], bidder)) for a, w in self.lotteries[t]),
-            zero,
+            w * val.of(bundle_mask(self.assignments[a], bidder)) for a, w in self.lotteries[t]
         )
 
     def __repr__(self):
@@ -316,12 +319,11 @@ def build_multi_lp(
     def pay(t_idx: int, i: int) -> int:
         return nlam + t_idx * n + i
 
-    zero = 0.0 if inst.mode == FLOAT else Fraction(0)
     num_vars = nlam + len(profiles) * n
-    objective = [zero] * num_vars
+    objective = [0] * num_vars
     for k, t in enumerate(profiles):
         for i in range(n):
-            objective[pay(k, i)] = inst.support.get(t, zero)
+            objective[pay(k, i)] = inst.support.get(t, 0)
 
     lp = LinearProgram(num_vars, objective)
     if allow_negative_payments:
@@ -364,49 +366,58 @@ def build_multi_lp(
     return lp
 
 
+def _exact(inst: MultiItemInstance) -> MultiItemInstance:
+    """The instance in exact arithmetic: inst itself, or for a float
+    instance that of its binary values, each mass divided by the masses'
+    exact total so that they sum to 1."""
+    if inst.mode == EXACT:
+        return inst
+    types = [[Valuation(inst.m, [Fraction(v) for v in t.values]) for t in ts] for ts in inst.types]
+    masses = [Fraction(q) for q in inst.support.values()]
+    total = sum(masses)
+    support = [(t, q / total) for t, q in zip(inst.support, masses)]
+    return MultiItemInstance(inst.m, types, support)
+
+
 def solve_multi(
     inst: MultiItemInstance,
     *,
     allow_negative_payments: bool = False,
     max_assignments: int = MAX_ASSIGNMENTS,
 ):
-    """Solve the multi-item revenue LP in the instance's mode; the
-    returned mechanism is replayed through check_multi before being handed
-    back.  Returns (mechanism, expected revenue), the revenue in the
-    instance's mode."""
+    """Solve the multi-item revenue LP exactly; the exact mechanism is
+    replayed through check_multi before being handed back.  A float
+    instance is solved as its exact copy (_exact), and the mechanism is
+    then rounded to float by its own constructor.  Returns (mechanism,
+    expected revenue), both in the instance's mode."""
+    exact = _exact(inst)
     lp = build_multi_lp(
-        inst,
+        exact,
         allow_negative_payments=allow_negative_payments,
         max_assignments=max_assignments,
     )
-    sol = solve(lp, mode=inst.mode)
+    sol = solve(lp)
     if sol.status != "optimal":
         raise RuntimeError(f"multi-item LP reported {sol.status}; this cannot happen")
     n = inst.n
     profiles = inst.type_profiles()
     K = (n + 1) ** inst.m - 1
     nlam = len(profiles) * K
-    float_mode = inst.mode == FLOAT
-    zero = 0.0 if float_mode else Fraction(0)
-    one = 1.0 if float_mode else Fraction(1)
     lotteries, payments = {}, {}
     for k, t in enumerate(profiles):
         sold = sol.x[k * K : (k + 1) * K]
         # the all-unsold assignment's weight is its row's slack
-        weights = (one - sum(sold, zero),) + sold
-        if float_mode:
-            total = sum(w for w in weights if w > 1e-12)
-            rows = [(a, w / total) for a, w in enumerate(weights) if w > 1e-12]
-        else:
-            rows = [(a, w) for a, w in enumerate(weights) if w > 0]
-        lotteries[t] = rows
+        weights = (1 - sum(sold),) + sold
+        lotteries[t] = [(a, w) for a, w in enumerate(weights) if w]
         payments[t] = tuple(sol.x[nlam + k * n : nlam + (k + 1) * n])
-    mech = MultiMechanism(inst, lotteries, payments)
+    mech = MultiMechanism(exact, lotteries, payments)
     report = check_multi(mech)
     if not report.passed:
         raise RuntimeError(
             f"solved mechanism failed its own replay: {report.witnesses[0]}"
         )
+    if exact is not inst:
+        mech = MultiMechanism(inst, mech.lotteries, mech.payments)
     return mech, multi_revenue(mech)
 
 
@@ -414,8 +425,7 @@ def multi_revenue(mech: MultiMechanism):
     """Expected total payment under truthful play, summed over the
     instance's support."""
     inst = mech.inst
-    zero = 0.0 if inst.mode == FLOAT else Fraction(0)
-    return sum((q * sum(mech.payments[t]) for t, q in inst.support.items()), zero)
+    return sum(q * sum(mech.payments[t]) for t, q in inst.support.items())
 
 
 def check_multi(mech: MultiMechanism) -> VerifyReport:
@@ -522,7 +532,6 @@ def multi_expost(mech: MultiMechanism) -> MultiExPostMechanism:
     value: charge_i(A) = v_i(S_i(A)) * p_i(t) / E[v_i].  Every charge stays
     within the realized value (by interim IR) and empty bundles are free."""
     inst = mech.inst
-    zero = 0.0 if inst.mode == FLOAT else Fraction(0)
     table = {}
     for t in inst.type_profiles():
         ratios = []
@@ -535,7 +544,7 @@ def multi_expost(mech: MultiMechanism) -> MultiExPostMechanism:
                         f"bidder {i} pays {p_i} at {t} but values every "
                         "outcome of the lottery at 0"
                     )
-                ratios.append(zero)
+                ratios.append(0)
             else:
                 ratios.append(p_i / w_i)
         rows = []
@@ -554,15 +563,11 @@ def max_welfare(inst: MultiItemInstance):
     """Full-surplus bound: expected best attainable welfare, by direct
     enumeration of assignments at each support profile."""
     assigns = enumerate_assignments(inst.n, inst.m)
-    zero = 0.0 if inst.mode == FLOAT else Fraction(0)
-    out = zero
+    out = 0
     for t, q in inst.support.items():
         best = None
         for a in assigns:
-            w = sum(
-                (inst.types[i][t[i]].of(bundle_mask(a, i)) for i in range(inst.n)),
-                zero,
-            )
+            w = sum(inst.types[i][t[i]].of(bundle_mask(a, i)) for i in range(inst.n))
             if best is None or w > best:
                 best = w
         out += q * best

@@ -17,7 +17,13 @@ and the optimum equals that of the LP over weights and payments with every
 IC and IR row.  Chain payments are nonnegative, so allowing negative
 payments would change nothing, and there is no switch for it.  Every row
 is <= with right-hand side 0 or 1, the form revmax.lp solves from the
-slack basis.  The arithmetic mode is the distribution's.
+slack basis.
+
+Every solve is exact.  Float is an input and output format: a float
+distribution is converted once, at the solver boundary, to the exact
+distribution of its binary values with each mass divided by the masses'
+exact total (a positive scale of the objective, which changes no pivot),
+and the optimum is rounded to float when it is handed back.
 
 solve_optimal returns the interim optimum and its revenue only.  Its
 ex-post lottery comes from the package's two routes: canonical_expost
@@ -41,6 +47,8 @@ from .model import (
     ExplicitDistribution,
     FeasibilitySystem,
     InterimMechanism,
+    ProfileTable,
+    ValueGrid,
     convert,
     expected_revenue,
     lines,
@@ -49,10 +57,10 @@ from .model import (
 
 @dataclass
 class OptimalResult:
-    """The optimal interim mechanism and its revenue (exact in exact
-    mode).  Its ex-post lottery is canonical_expost(interim, fs) on a
-    single-item system, or per profile decompose_allocation(interim.x[v],
-    fs) on any system."""
+    """The optimal interim mechanism and its revenue, both in the
+    distribution's mode.  Its ex-post lottery is
+    canonical_expost(interim, fs) on a single-item system, or per profile
+    decompose_allocation(interim.x[v], fs) on any system."""
 
     interim: InterimMechanism
     revenue: object
@@ -82,23 +90,24 @@ def build_optimal_lp(dist: ExplicitDistribution, fs: FeasibilitySystem) -> Linea
     """Assemble the allocation-only revenue LP: lottery weights of the
     nonzero vectors per profile, one <= 1 row per profile, adjacent
     monotonicity rows per line, virtual-value objective, in the
-    distribution's mode."""
+    distribution's arithmetic."""
     grid = dist.grid
     if fs.n != grid.n:
         raise DimensionMismatchError("feasibility system and grid disagree on n")
     n = grid.n
-    zero = 0.0 if dist.mode == FLOAT else Fraction(0)
-    mass = [dist.support.get(v, zero) for v in grid.profiles()]
+    mass = [0] * grid.cells()
+    for idx, q in zip(dist.flat, dist.support.values()):
+        mass[idx] = q
     cols, wins = _columns(fs)
     K = len(cols)
 
-    phi = [[zero] * n for _ in mass]
+    phi = [[0] * n for _ in mass]
     monotone = []
     for i, _, k, line in lines([len(w) for w in grid.values]):
         if k:
             continue
         w = grid.values[i]
-        above = zero  # mass of the line above the current value
+        above = 0  # mass of the line above the current value
         for v, wt, nxt in reversed(list(zip(line, w, w[1:] + w[-1:]))):
             phi[v][i] = mass[v] * wt - (nxt - wt) * above
             above += mass[v]
@@ -110,7 +119,7 @@ def build_optimal_lp(dist: ExplicitDistribution, fs: FeasibilitySystem) -> Linea
             monotone.append(row)
 
     objective = [
-        sum((phi_v[i] for i in range(n) if fs.vectors[f][i]), zero)
+        sum((phi_v[i] for i in range(n) if fs.vectors[f][i]), 0)
         for phi_v in phi
         for f in cols
     ]
@@ -122,43 +131,54 @@ def build_optimal_lp(dist: ExplicitDistribution, fs: FeasibilitySystem) -> Linea
     return lp
 
 
+def _exact(dist: ExplicitDistribution) -> ExplicitDistribution:
+    """The distribution in exact arithmetic: dist itself, or for a float
+    distribution that of its binary values, each mass divided by the
+    masses' exact total so that they sum to 1."""
+    if dist.mode == EXACT:
+        return dist
+    grid = ValueGrid([[Fraction(w) for w in vi] for vi in dist.grid.values])
+    masses = [Fraction(q) for q in dist.support.values()]
+    total = sum(masses)
+    support = [(grid.profile_at(idx), q / total) for idx, q in zip(dist.flat, masses)]
+    return ExplicitDistribution(grid, support, strict=False)
+
+
 def solve_optimal(
     dist: ExplicitDistribution, fs: Optional[FeasibilitySystem] = None
 ) -> OptimalResult:
-    """Solve the revenue LP in the distribution's mode and return the
-    optimal interim mechanism: x_i(v) sums profile v's lottery weights on
-    the vectors in which bidder i wins, and payments follow the chain
-    along every line."""
+    """Solve the revenue LP exactly and return the optimal interim
+    mechanism: x_i(v) sums profile v's lottery weights on the vectors in
+    which bidder i wins, and payments follow the chain along every line.
+    A float distribution is solved as its exact copy (_exact), and the
+    mechanism is rounded to float by its own constructor."""
     if fs is None:
         fs = FeasibilitySystem.single_item(dist.grid.n)
-    lp = build_optimal_lp(dist, fs)
-    sol = solve(lp, mode=dist.mode)
+    exact = _exact(dist)
+    sol = solve(build_optimal_lp(exact, fs))
     if sol.status != "optimal":
         # the all-zero mechanism is feasible and every weight is at most 1
         raise RuntimeError(f"revenue LP reported {sol.status}; this cannot happen")
-    grid = dist.grid
+    grid = exact.grid
     n = grid.n
-    profiles = list(grid.profiles())
     cols, wins = _columns(fs)
     K = len(cols)
-    float_mode = dist.mode == FLOAT
-    zero = 0.0 if float_mode else Fraction(0)
-    eps = 1e-12 if float_mode else 0
+    zero = Fraction(0)
 
     xs = []
-    for k in range(len(profiles)):
+    for k in range(grid.cells()):
         weights = sol.x[k * K : (k + 1) * K]
-        x = [sum((w for c in wins[i] if (w := weights[c]) > eps), zero) for i in range(n)]
-        xs.append(tuple(min(1.0, max(0.0, c)) for c in x) if float_mode else tuple(x))
+        xs.append(tuple(sum((w for c in wi if (w := weights[c])), zero) for wi in wins))
 
-    ps = [[zero] * n for _ in profiles]
+    ps = [[zero] * n for _ in xs]
     for i, idx, k, line in lines([len(w) for w in grid.values]):
         # one chain step up from the value below, which canonical order visits first
         last_x = last_p = zero
         if k:
             last_x, last_p = xs[line[k - 1]][i], ps[line[k - 1]][i]
         ps[idx][i] = last_p + grid.values[i][k] * (xs[idx][i] - last_x)
-    interim = InterimMechanism(grid, dict(zip(profiles, xs)), dict(zip(profiles, ps)))
+    out = dist.grid
+    interim = InterimMechanism(out, ProfileTable(out, xs), ProfileTable(out, ps))
     return OptimalResult(interim, expected_revenue(interim, dist))
 
 
@@ -184,16 +204,19 @@ def decompose_allocation(
     every F, and strong duality gives sum_i x_i z_i + z_0 = -gap.  So
     a_i = -z_i / gap and b = z_0 / gap satisfy a.F <= b for every
     feasible F and a.x - b = 1.
-    A negative coordinate x_i needs no LP: a = e_i / x_i and b = 0."""
-    point = tuple(convert(c, mode) for c in x)
+    A negative coordinate x_i needs no LP: a = e_i / x_i and b = 0.
+
+    The LP is solved exactly on the binary values of a float point, and
+    the terms and the certificate are handed back in the given mode."""
+    point = tuple(Fraction(convert(c, mode)) for c in x)
     n = fs.n
     if len(point) != n:
         raise DimensionMismatchError(f"point has {len(point)} coordinates, n={n}")
-    zero = 0.0 if mode == FLOAT else Fraction(0)
+    zero = convert(0, mode)
     for i, c in enumerate(point):
         if c < 0:
             a = [zero] * n
-            a[i] = 1 / c
+            a[i] = convert(1 / c, mode)
             return HullDecomposition(False, certificate=(tuple(a), zero))
 
     lp = LinearProgram(len(fs.vectors), [sum(vec) + 1 for vec in fs.vectors])
@@ -201,13 +224,12 @@ def decompose_allocation(
         row = {f: 1 for f, vec in enumerate(fs.vectors) if vec[i]}
         lp.add_constraint(row, LEQ, point[i])
     lp.add_constraint({f: 1 for f in range(len(fs.vectors))}, LEQ, 1)
-    sol = solve(lp, mode=mode)
-    gap = sum(point, zero) + 1 - sol.objective
+    sol = solve(lp)
+    gap = sum(point) + 1 - sol.objective
     if gap <= (1e-7 if mode == FLOAT else 0):
-        eps = 1e-12 if mode == FLOAT else 0
-        terms = tuple((f, w) for f, w in enumerate(sol.x) if w > eps)
         # a basic solution of n+1 rows carries at most n+1 weights
+        terms = tuple((f, convert(w, mode)) for f, w in enumerate(sol.x) if w)
         return HullDecomposition(True, terms=terms)
     z = [y - 1 for y in sol.dual]
-    a = tuple(-c / gap for c in z[:n])
-    return HullDecomposition(False, certificate=(a, z[n] / gap))
+    a = tuple(convert(-c / gap, mode) for c in z[:n])
+    return HullDecomposition(False, certificate=(a, convert(z[n] / gap, mode)))

@@ -45,7 +45,10 @@ revmax.brute must return the same first optimum and the same revenue.
 The reference optimal solve unpacks the LP optimum through per-profile
 lottery dicts and a validated ex-post mechanism, as the solver once did,
 so solve_optimal, which reads each x_i off its winner columns, must
-return the same interim tables and the same revenue.
+return the same interim tables and the same revenue.  The references are
+exact: a solver given a float instance must return the rounding of what
+they return on the instance's binary copy (binary_distribution,
+binary_multi_instance).
 """
 
 import itertools
@@ -275,6 +278,25 @@ def float_multi_instance(inst):
     """The same instance in float arithmetic."""
     types = [[Valuation(inst.m, t.values, FLOAT) for t in ts] for ts in inst.types]
     return MultiItemInstance(inst.m, types, dict(inst.support), FLOAT)
+
+
+def binary_distribution(dist):
+    """The exact copy of a float distribution that the solvers read: its
+    grid values at their binary values, and each mass at its binary value
+    divided by the exact total of those, so that the masses sum to 1."""
+    grid = ValueGrid([[Fraction(w) for w in vi] for vi in dist.grid.values])
+    total = sum(Fraction(q) for q in dist.support.values())
+    support = {tuple(map(Fraction, v)): Fraction(q) / total for v, q in dist.support.items()}
+    return ExplicitDistribution(grid, support, strict=False)
+
+
+def binary_multi_instance(inst):
+    """The exact copy of a float multi-item instance that solve_multi
+    reads, normalized like binary_distribution's."""
+    types = [[Valuation(inst.m, list(map(Fraction, t.values))) for t in ts] for ts in inst.types]
+    total = sum(Fraction(q) for q in inst.support.values())
+    support = {t: Fraction(q) / total for t, q in inst.support.items()}
+    return MultiItemInstance(inst.m, types, support)
 
 
 def scale_multi_instance(inst, c):
@@ -616,13 +638,13 @@ class ReferenceOptimum:
 def reference_solve_optimal(
     dist: ExplicitDistribution, fs: Optional[FeasibilitySystem] = None
 ) -> ReferenceOptimum:
-    """Solve the revenue LP in the distribution's mode and unpack the
+    """Solve the revenue LP of an exact distribution and unpack the
     optimum into both mechanism forms, with chain payments along every
     line."""
     if fs is None:
         fs = FeasibilitySystem.single_item(dist.grid.n)
     lp = build_optimal_lp(dist, fs)
-    sol = solve(lp, mode=dist.mode)
+    sol = solve(lp)
     if sol.status != "optimal":
         # the all-zero mechanism is feasible and every weight is at most 1
         raise RuntimeError(f"revenue LP reported {sol.status}; this cannot happen")
@@ -631,18 +653,15 @@ def reference_solve_optimal(
     profiles = list(grid.profiles())
     cols = [f for f in range(len(fs.vectors)) if f != fs.zero_index]
     K = len(cols)
-    float_mode = dist.mode == FLOAT
-    zero = 0.0 if float_mode else Fraction(0)
-    one = 1.0 if float_mode else Fraction(1)
-    eps = 1e-12 if float_mode else 0
+    zero = Fraction(0)
 
     xs, lotteries = [], []
     for k in range(len(profiles)):
         weights = dict(zip(cols, sol.x[k * K : (k + 1) * K]))
-        weights[fs.zero_index] = one - sum(weights.values(), zero)
-        weights = {f: w for f, w in sorted(weights.items()) if w > eps}
+        weights[fs.zero_index] = 1 - sum(weights.values(), zero)
+        weights = {f: w for f, w in sorted(weights.items()) if w > 0}
         x = [sum((w for f, w in weights.items() if fs.vectors[f][i]), zero) for i in range(n)]
-        xs.append(tuple(min(1.0, max(0.0, c)) for c in x) if float_mode else tuple(x))
+        xs.append(tuple(x))
         lotteries.append(weights)
 
     ps = [[zero] * n for _ in profiles]
@@ -754,21 +773,16 @@ def _reference_run_simplex(rows, rhs, basis, cost, tol):
     raise RuntimeError("simplex did not terminate within the pivot limit")
 
 
-def reference_solve(lp, mode: str = EXACT) -> LPSolution:
-    """Two-phase simplex solve of a ReferenceProgram or LinearProgram in
-    the requested arithmetic, over dense tableau rows.  Status is
-    optimal, infeasible or unbounded; pivots counts both phases, and
-    phase 1, which includes the pivots that drive leftover artificials
-    out of the basis, runs only when some row has no slack to start the
-    basis, which a LinearProgram never has."""
-    if mode == FLOAT:
-        tol = 1e-9
-        num = float
-    elif mode == EXACT:
-        tol = Fraction(0)
-        num = lambda v: v if isinstance(v, Fraction) else Fraction(v)
-    else:
-        raise InvalidInputError(f"unknown arithmetic mode {mode!r}")
+def reference_solve(lp) -> LPSolution:
+    """Exact two-phase simplex solve of a ReferenceProgram or
+    LinearProgram over dense tableau rows, every coefficient read as
+    Fraction(v) (a float at its binary value).  Status is optimal,
+    infeasible or unbounded; pivots counts both phases, and phase 1, which
+    includes the pivots that drive leftover artificials out of the basis,
+    runs only when some row has no slack to start the basis, which a
+    LinearProgram never has."""
+    tol = Fraction(0)
+    num = lambda v: v if isinstance(v, Fraction) else Fraction(v)
 
     # Internal columns: every original variable becomes one or two
     # nonnegative columns via shift (finite lower), mirror (upper only),
@@ -859,7 +873,7 @@ def reference_solve(lp, mode: str = EXACT) -> LPSolution:
         for col in art_cols:
             cost1[col] = num(-1)
         status, val, phase1 = _reference_run_simplex(rows, rhs_col, basis, cost1, tol)
-        infeas = (-val) > (1e-7 if mode == FLOAT else 0)
+        infeas = -val > 0
         if status != "optimal" or infeas:
             return LPSolution("infeasible", pivots=phase1)
         # Drive leftover artificials out of the basis or drop their rows.
@@ -905,23 +919,22 @@ def reference_solve(lp, mode: str = EXACT) -> LPSolution:
     return LPSolution("optimal", tuple(x), objective, phase1 + phase2)
 
 
-def reference_decompose_allocation(x, fs: FeasibilitySystem, mode: str = EXACT):
-    """The two-phase decomposition: the hull's equality rows solved by
-    phase 1, and outside the hull a second LP over free (a, b) with
+def reference_decompose_allocation(x, fs: FeasibilitySystem):
+    """The exact two-phase decomposition: the hull's equality rows solved
+    by phase 1, and outside the hull a second LP over free (a, b) with
     a.F <= b for every feasible F and a.x - b = 1, both solved by
     reference_solve."""
-    point = tuple(convert(c, mode) for c in x)
+    point = tuple(convert(c) for c in x)
     K = len(fs.vectors)
-    zero = 0.0 if mode == FLOAT else Fraction(0)
+    zero = Fraction(0)
     lp = ReferenceProgram(K, [zero] * K)
     for i in range(fs.n):
         row = {f: 1 for f, vec in enumerate(fs.vectors) if vec[i]}
         lp.add_constraint(row, EQ, point[i])
     lp.add_constraint({f: 1 for f in range(K)}, EQ, 1)
-    sol = reference_solve(lp, mode=mode)
+    sol = reference_solve(lp)
     if sol.status == "optimal":
-        eps = 1e-12 if mode == FLOAT else 0
-        return HullDecomposition(True, terms=tuple((f, w) for f, w in enumerate(sol.x) if w > eps))
+        return HullDecomposition(True, terms=tuple((f, w) for f, w in enumerate(sol.x) if w > 0))
     nv = fs.n + 1
     sep = ReferenceProgram(nv, [zero] * nv)
     for j in range(nv):
@@ -933,7 +946,7 @@ def reference_decompose_allocation(x, fs: FeasibilitySystem, mode: str = EXACT):
     norm = {i: point[i] for i in range(fs.n) if point[i] != 0}
     norm[fs.n] = -1
     sep.add_constraint(norm, EQ, 1)
-    cert = reference_solve(sep, mode=mode)
+    cert = reference_solve(sep)
     assert cert.status == "optimal", cert.status
     return HullDecomposition(False, certificate=(cert.x[: fs.n], cert.x[fs.n]))
 

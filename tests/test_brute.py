@@ -7,8 +7,10 @@ from fractions import Fraction as F
 import pytest
 
 from revmax import (
+    DeterministicMechanism,
     EnumLimits,
     ExplicitDistribution,
+    ProfileTable,
     SizeLimitError,
     ValueGrid,
     check_extension,
@@ -122,17 +124,29 @@ def test_revenue_ties_keep_first_lexicographic_candidate():
 @pytest.mark.parametrize("mode", [EXACT, FLOAT])
 def test_search_matches_reference(mode):
     # the reference walks the whole support at each complete rule: same
-    # first optimum byte for byte, same revenue (bit-equal in float mode,
-    # where both add the same terms in the same order)
-    from support import random_search_instance, reference_enumerate_deterministic_optimal
+    # first optimum byte for byte, same revenue.  A float instance is
+    # searched exactly: its output is the rounding of the reference's on
+    # the instance's binary copy, and passes the float-mode checks
+    from support import (
+        binary_distribution,
+        random_search_instance,
+        reference_enumerate_deterministic_optimal,
+    )
 
     for seed in range(200):
         dist, fs = random_search_instance(random.Random(seed), mode)
         mech, revenue = enumerate_deterministic_optimal(dist, fs)
-        ref_mech, ref_revenue = reference_enumerate_deterministic_optimal(dist, fs)
-        assert rio.write_mechanism(mech) == rio.write_mechanism(ref_mech), seed
-        assert type(revenue) is type(ref_revenue)
+        exact = binary_distribution(dist) if mode == FLOAT else dist
+        ref_mech, ref_revenue = reference_enumerate_deterministic_optimal(exact, fs)
+        grid = dist.grid
+        want = DeterministicMechanism(
+            grid, fs, ProfileTable(grid, ref_mech.choice.rows),
+            ProfileTable(grid, ref_mech.payments.rows),
+        )
+        assert rio.write_mechanism(mech) == rio.write_mechanism(want), seed
         if mode == FLOAT:
-            assert revenue.hex() == ref_revenue.hex(), seed
+            assert type(revenue) is float and revenue == float(ref_revenue), seed
+            interim = mech.as_interim()
+            assert check_truthful(interim).passed and check_ir(interim).passed, seed
         else:
             assert revenue == ref_revenue, seed

@@ -5,7 +5,9 @@ pivot-for-pivot parity with the dense reference solver on integer,
 rational and tie-heavy programs and under Bland's rule throughout, dual
 certificates of every parity optimum, the column index checked against
 a full scan at every pivot, and the same pivots and vertex whether rows
-are reduced always, never or past the width bound."""
+are reduced always, never or past the width bound.  A program with float
+coefficients is solved exactly at their binary values, pivot for pivot
+as the dense reference solves it."""
 
 import itertools
 import random
@@ -27,7 +29,6 @@ from revmax import (
     solve,
 )
 from revmax.lp import LEQ
-from revmax.model import FLOAT
 from support import random_multi_instance, reference_solve
 
 
@@ -133,13 +134,40 @@ def test_redundant_rows_are_harmless():
 
 
 def test_float_mode_runs():
+    # float coefficients are read at their exact values: the answer is exact
     lp = LinearProgram(2, [3.0, 5.0])
     lp.add_constraint({0: 1.0}, LEQ, 4.0)
     lp.add_constraint({1: 2.0}, LEQ, 12.0)
     lp.add_constraint({0: 3.0, 1: 2.0}, LEQ, 18.0)
-    sol = solve(lp, mode="float")
+    sol = solve(lp)
     assert sol.status == "optimal"
-    assert abs(sol.objective - 36.0) < 1e-9
+    assert sol.objective == F(36) and type(sol.objective) is F
+    assert sol.x == (F(2), F(6))
+    lp = LinearProgram(1, [1.0])
+    lp.add_constraint({0: 3.0}, LEQ, 0.1)
+    assert solve(lp).x == (F(0.1) / 3,)
+
+
+def _float_program(lp):
+    """The same program with every objective entry, coefficient and
+    right-hand side rounded to a float."""
+    out = LinearProgram(lp.num_vars, [float(c) for c in lp.objective])
+    for j, free in enumerate(lp.free):
+        if free:
+            out.set_free(j)
+    for row, rel, rhs in lp.constraints:
+        out.add_constraint({j: float(c) for j, c in row.items()}, rel, float(rhs))
+    return out
+
+
+def _assert_float_parity(lp):
+    """The program rounded to floats solves exactly, pivot for pivot as
+    the dense reference solves it at the floats' binary values."""
+    flp = _float_program(lp)
+    got, want = solve(flp), reference_solve(flp)
+    assert (got.status, got.x, got.objective, got.pivots) == (
+        want.status, want.x, want.objective, want.pivots
+    )
 
 
 def _brute_force_optimum(cols, rows, rhs, objective):
@@ -255,11 +283,7 @@ def test_sparse_simplex_matches_dense_reference():
         assert got.objective == want.objective
         assert got.pivots == want.pivots
         seen.add(got.status)
-        got, want = solve(lp, mode=FLOAT), reference_solve(lp, mode=FLOAT)
-        assert got.status == want.status
-        assert got.pivots == want.pivots
-        if want.x is not None:
-            assert all(abs(a - b) <= 1e-9 for a, b in zip(got.x, want.x))
+        _assert_float_parity(lp)
     assert seen == {"optimal", "unbounded"}
 
 
@@ -302,8 +326,7 @@ def test_rational_simplex_matches_dense_reference(monkeypatch):
         assert got.objective == want.objective
         assert got.pivots == want.pivots
         seen.add(got.status)
-        got, want = solve(lp, mode=FLOAT), reference_solve(lp, mode=FLOAT)
-        assert (got.status, got.pivots) == (want.status, want.pivots)
+        _assert_float_parity(lp)
     assert seen == {"optimal", "unbounded"}
     # the ratio test only picks positive entries, which _pivot relies on
     assert min(entries) > 0
@@ -371,8 +394,7 @@ def _assert_parity(programs):
         assert (got.status, got.x, got.objective, got.pivots) == (
             want.status, want.x, want.objective, want.pivots
         )
-        got, want = solve(lp, mode=FLOAT), reference_solve(lp, mode=FLOAT)
-        assert (got.status, got.pivots) == (want.status, want.pivots)
+        _assert_float_parity(lp)
 
 
 def test_tie_heavy_programs_match_dense_reference():
@@ -426,7 +448,7 @@ def test_column_index_matches_full_scan(monkeypatch):
     monkeypatch.setattr(lp_module, "_pivot", checking)
     for lp in _integer_programs() + _rational_programs():
         solve(lp)
-        solve(lp, mode=FLOAT)
+        solve(_float_program(lp))
     assert len(checked) > 1000
 
 

@@ -564,9 +564,9 @@ def test_mode_comes_from_the_grid():
     with pytest.raises(TypeError):
         InterimMechanism(grid, x, pay, FLOAT)
 
-    # the multi-item LP takes the instance's mode
+    # the multi-item LP takes the instance's numbers: its masses are floats
     inst = MultiItemInstance(1, [[Valuation(1, [0.0, 1.0], FLOAT)]], {(0,): 1.0}, FLOAT)
-    assert {type(c) for c in build_multi_lp(inst).objective} == {float}
+    assert {type(c) for c in build_multi_lp(inst).objective if c} == {float}
 
 
 def test_execute_is_deterministic_and_rounds_down():

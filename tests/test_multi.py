@@ -29,6 +29,7 @@ from revmax.model import lines
 from revmax.multi import _bundle_values, bundle_mask
 from support import (
     _random_type_support,
+    binary_multi_instance,
     float_multi_instance,
     random_m1_instance,
     random_multi_instance,
@@ -169,10 +170,11 @@ def _accumulated_multi_lp(inst, allow_negative_payments):
         return nlam + t_idx * n + i
 
     zero = 0.0 if inst.mode == "float" else F(0)
-    objective = [zero] * (nlam + len(profiles) * n)
+    # an objective entry the support sets nothing in is the int 0
+    objective = [0] * (nlam + len(profiles) * n)
     for k, t in enumerate(profiles):
         for i in range(n):
-            objective[pay(k, i)] = inst.support.get(t, zero)
+            objective[pay(k, i)] = inst.support.get(t, 0)
     lp = LinearProgram(len(objective), objective)
     if allow_negative_payments:
         for k in range(len(profiles)):
@@ -226,6 +228,36 @@ def _accumulated_multi_lp(inst, allow_negative_payments):
             value_coeffs(k, i, t[i], -1, row)
             lp.add_constraint(row, LEQ, 0)
     return lp
+
+
+def test_float_solve_multi_rounds_the_exact_solve():
+    # a float instance is solved exactly as its binary copy, whose masses
+    # are divided by their exact total: the mechanism is that solve's
+    # rounded by the float constructor, the revenue the float sum over the
+    # support, and the mechanism passes the float-mode replay
+    rng = random.Random(2411)
+    instances = [
+        random_multi_instance(rng, max_bidders=3, max_items=2, max_types=3)
+        for _ in range(16)
+    ]
+    two = [Valuation(2, [0, F(1, 3), 2, F(7, 3)]), Valuation(2, [0, 1, F(1, 5), 3])]
+    instances.append(
+        MultiItemInstance(2, [two, two[:1]], {(0, 0): F(1, 3), (1, 0): F(2, 3)})
+    )
+    assert sum(inst.m == 2 for inst in instances) >= 5
+    for inst in instances:
+        finst = float_multi_instance(inst)
+        mech, revenue = solve_multi(finst)
+        want, want_revenue = solve_multi(binary_multi_instance(finst))
+        assert mech.lotteries == {
+            t: tuple((a, float(w)) for a, w in rows) for t, rows in want.lotteries.items()
+        }
+        assert mech.payments == {t: tuple(map(float, p)) for t, p in want.payments.items()}
+        total = sum((q * sum(mech.payments[t]) for t, q in finst.support.items()), 0.0)
+        assert type(revenue) is float and revenue.hex() == total.hex()
+        assert abs(revenue - float(want_revenue)) <= 1e-9 * max(1.0, revenue)
+        assert check_multi(mech).passed
+        assert reference_check_multi(mech).passed
 
 
 def _typed(values):

@@ -10,6 +10,8 @@ import pytest
 from revmax import (
     ExplicitDistribution,
     FeasibilitySystem,
+    InterimMechanism,
+    ProfileTable,
     ValueGrid,
     build_optimal_lp,
     canonical_expost,
@@ -25,6 +27,7 @@ from revmax import io as rio
 from revmax.lp import LEQ
 from revmax.model import EXACT, FLOAT
 from support import (
+    binary_distribution,
     in_hull_by_enumeration,
     random_distribution,
     random_feasibility,
@@ -143,19 +146,30 @@ def _float_copy(dist):
 def test_solve_optimal_matches_reference(mode):
     # the reference unpacks through lottery dicts and an ex-post mechanism;
     # the solver reads x_i off bidder i's winner columns and must agree to
-    # the last bit
+    # the last bit.  A float distribution is solved exactly as its binary
+    # copy: the mechanism is the reference's on that copy rounded by the
+    # float constructor, its revenue the float sum over the support, and
+    # it passes the float-mode checks
     rng = random.Random(2413)
     for dist, fs in _reference_instances(rng, 120):
         if mode == FLOAT:
             dist = _float_copy(dist)
         got = solve_optimal(dist, fs)
-        want = reference_solve_optimal(dist, fs)
-        assert rio.write_mechanism(got.interim) == rio.write_mechanism(want.interim)
-        assert type(got.revenue) is type(want.revenue)
+        want = reference_solve_optimal(binary_distribution(dist) if mode == FLOAT else dist, fs)
+        grid = dist.grid
+        rounded = InterimMechanism(
+            grid, ProfileTable(grid, want.interim.x.rows), ProfileTable(grid, want.interim.p.rows)
+        )
+        assert rio.write_mechanism(got.interim) == rio.write_mechanism(rounded)
         if mode == FLOAT:
-            assert got.revenue.hex() == want.revenue.hex()
+            revenue = sum((q * sum(rounded.p[v]) for v, q in dist.support.items()), 0.0)
+            assert type(got.revenue) is float and got.revenue.hex() == revenue.hex()
+            assert abs(got.revenue - float(want.revenue)) <= 1e-9 * max(1.0, got.revenue)
+            assert check_truthful(got.interim).passed
+            assert check_ir(got.interim).passed
+            assert check_feasible(got.interim, fs).passed
         else:
-            assert got.revenue == want.revenue
+            assert type(got.revenue) is F and got.revenue == want.revenue
             assert interim_of(want.expost) == got.interim
 
 
@@ -242,6 +256,40 @@ def test_decompose_matches_two_phase_reference():
             assert _separates(want.certificate, point, fs)
             outside += 1
     assert 100 <= outside <= 200
+
+
+def test_float_decompose_rounds_the_exact_decomposition():
+    # a float point is decomposed exactly at its binary values, with the
+    # hull tolerance 1e-7 on the exact gap: where that binary point is in
+    # the hull the terms are the reference's weights on it, rounded; any
+    # float answer reproduces the point, or separates it, within 1e-7
+    rng = random.Random(1011)
+    exact_terms = outside = 0
+    for _ in range(150):
+        fs = random_feasibility(rng, max_bidders=4, max_vectors=9)
+        hull = random_hull_point(rng, fs)
+        other = tuple(F(rng.randint(-1, 9), rng.choice((1, 2, 3, 4, 6, 7))) for _ in range(fs.n))
+        for point in (hull, other):
+            fpoint = tuple(map(float, point))
+            got = decompose_allocation(fpoint, fs, FLOAT)
+            assert got.in_hull == in_hull_by_enumeration(point, fs)
+            want = reference_decompose_allocation(tuple(map(F, fpoint)), fs)
+            if want.in_hull:
+                assert got.terms == tuple((f, float(w)) for f, w in want.terms)
+                exact_terms += 1
+            if got.in_hull:
+                assert all(type(w) is float and w > 0 for _, w in got.terms)
+                assert abs(sum(w for _, w in got.terms) - 1) <= 1e-7
+                for i, c in enumerate(fpoint):
+                    hit = sum(w for f, w in got.terms if fs.vectors[f][i])
+                    assert abs(hit - c) <= 1e-7
+            else:
+                a, b = got.certificate
+                assert all(type(c) is float for c in a + (b,))
+                assert abs(sum(c * x for c, x in zip(a, fpoint)) - b - 1) <= 1e-7
+                assert all(sum(c * f for c, f in zip(a, vec)) <= b + 1e-7 for vec in fs.vectors)
+                outside += 1
+    assert exact_terms >= 50 and outside >= 100
 
 
 def test_decompose_dimension_mismatch():

@@ -1,6 +1,7 @@
 """Repository hygiene: the benchmark tracer's names resolve in the
 package, no package module imports a name it does not use, and the
-output comparison script labels tied optima and changed certificates."""
+output comparison script labels rounded float answers, tied optima and
+changed certificates."""
 
 import ast
 import importlib
@@ -78,12 +79,47 @@ def test_same_outputs_labels_tied_optima():
     def side(revenue, verify_rc=0):
         return {key: {"revenue": revenue}, f"{key} verify": {"rc": verify_rc}}
 
-    assert tie_label(key, "--exact", side("3/2"), side("3/2")) == "tied"
-    assert tie_label(key, "--exact", side("3/2"), side("7/5")) == "changed"
-    assert tie_label(key, "--exact", side("3/2"), side("3/2", 1)) == "changed"
-    assert tie_label(key, "--exact", side(None), side("3/2")) == "changed"
-    assert tie_label(key, "--float", side("1.5"), side("1.5000000000000002")) == "tied"
-    assert tie_label(key, "--float", side("1.5"), side("1.500001")) == "changed"
+    assert tie_label(key, side("3/2"), side("3/2")) == "tied"
+    assert tie_label(key, side("3/2"), side("7/5")) == "changed"
+    assert tie_label(key, side("3/2"), side("3/2", 1)) == "changed"
+    assert tie_label(key, side(None), side("3/2")) == "changed"
+
+
+def test_same_outputs_labels_rounded_float_answers():
+    rounded_label = _load("same_outputs", ROOT / "scripts" / "same_outputs.py").rounded_label
+    key = "solve-ladder s0 --float solve-n2"
+
+    def side(revenue, verify_rc=0):
+        return {key: {"revenue": revenue}, f"{key} verify": {"rc": verify_rc}}
+
+    parent = side(1.5, verify_rc=1)  # only the change tree's verify counts
+    assert rounded_label(key, parent, side(1.5000000000000002)) == "rounded"
+    assert rounded_label(key, side(1e6), side(1e6 + 1e-4)) == "rounded"
+    assert rounded_label(key, side(0.0), side(0.0)) == "rounded"
+    assert rounded_label(key, side(1e-12), side(2e-12)) == "changed"
+    assert rounded_label(key, parent, side(1.500001)) == "changed"
+    assert rounded_label(key, side(1.5), side(1.5, verify_rc=1)) == "changed"
+    assert rounded_label(key, side(None), side(1.5)) == "changed"
+    assert rounded_label(key, side(1.5), {key: {"revenue": 1.5}}) == "changed"
+
+
+def test_same_outputs_labels_edited_copies_of_rounded_outputs():
+    edited_label = _load("same_outputs", ROOT / "scripts" / "same_outputs.py").edited_label
+    key = "solve-ladder s2 --float solve-n4 verify-ones"
+
+    def side(rc=1, witnesses=16, ir=True):
+        checks = {"ir": ir, "truthful": False}
+        summary = {"checks": checks, "passed": False, "witnesses": witnesses}
+        return {key: {"rc": rc, "report": {"summary": summary}}}
+
+    # a tied optimum's edited copy may fail at other lines
+    assert edited_label(key, "rounded", side(), side(witnesses=15)) == "rounded"
+    assert edited_label(key, "tied", side(), side()) == "tied"
+    assert edited_label(key, "changed", side(), side()) == "changed"
+    assert edited_label(key, "certificate", side(), side()) == "changed"
+    assert edited_label(key, "rounded", side(), side(rc=0)) == "changed"
+    assert edited_label(key, "rounded", side(), side(ir=False)) == "changed"
+    assert edited_label(key, "rounded", {key: {"rc": 1}}, {key: {"rc": 1}}) == "changed"
 
 
 def test_same_outputs_labels_certificates(tmp_path):
@@ -115,3 +151,18 @@ def test_same_outputs_labels_certificates(tmp_path):
     assert so.cert_label(key, parent, side(good, witnesses=2)) == "changed"
     ir = {"check": "ir", "detail": "", "profile": ["1", "1"]}
     assert so.cert_label(key, parent, side(good, other=[ir])) == "changed"
+
+    # in float mode, witness lines whose lhs and rhs moved by rounding only
+    def ic(lhs, rhs, bidder=0):
+        return {"bidder": bidder, "check": "ic", "lhs": lhs, "profile": ["1", "1"], "rhs": rhs}
+
+    base = side(good, other=[ic(-1.0, 7.2e-16), ic(7.0, 8.000000000000007)], witnesses=3)
+    near = side(good, other=[ic(-1.0, -5.5e-17), ic(7.0, 8.0)], witnesses=3)
+    far = side(good, other=[ic(-1.0, 1e-6), ic(7.0, 8.0)], witnesses=3)
+    moved = side(good, other=[ic(-1.0, 0.0, bidder=1), ic(7.0, 8.0)], witnesses=3)
+    fewer = side(good, other=[ic(-1.0, 0.0)], witnesses=3)
+    assert so.cert_label(key, base, near, "--float") == "rounded"
+    assert so.cert_label(key, base, near) == "changed"
+    assert so.cert_label(key, base, base, "--float") == "certificate"
+    for other in (far, moved, fewer):
+        assert so.cert_label(key, base, other, "--float") == "changed"
