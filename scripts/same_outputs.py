@@ -16,7 +16,9 @@ Each solve, solve-det and solve-multi command is followed by a verify of
 the mechanism it wrote, in the same mode.  Each solve-multi output is also
 verified once more as a copy whose first pay line is raised by 1 in
 every entry, which fails the replay and so compares the failing
-multi-item reports too.  Each solve output is likewise verified as a
+multi-item reports too, and once as a copy with its support, assignment
+and pay lines in reverse order, which compares the multi-item reader's
+placement of lines out of order.  Each solve output is likewise verified as a
 copy whose first profile's allocation is all 1s, which lies outside the
 hull of a single-item system with two or more bidders, so failing
 `feasible` witnesses and their certificates are compared too.  Each
@@ -45,11 +47,11 @@ many separating certificates.  A differing --float verify command that
 meets all of these but the same witness lines is labelled `rounded` when
 its witness lines differ only in lhs and rhs, within 1e-9 times
 max(1, |lhs|, |rhs|): it verifies a rounded answer, or an edited copy of
-one.  A differing verify of an edited copy (verify-ones, verify-raised)
-of a solver output labelled `rounded` or `tied` that is not labelled so
-far takes the solver's label when both trees give the same exit code
-and the same verdict for each check: the copies differ because the
-outputs do, and a tied optimum's copy fails at other lines.  Any other
+one.  A differing verify of an edited copy (verify-ones, verify-raised,
+verify-reversed) of a solver output labelled `rounded` or `tied` that is
+not labelled so far takes the solver's label when both trees give the
+same exit code and the same verdict for each check: the copies differ
+because the outputs do, and a tied optimum's copy fails at other lines.  Any other
 differing verify command is `changed`.  Exit code 0 when every command
 agrees, 1 when some differ (each is listed), 2 on bad arguments.
 """
@@ -73,7 +75,7 @@ HERE = Path(__file__).resolve().parent
 MODES = ("--exact", "--float")
 SOLVERS = ("solve", "solve-det", "solve-multi")
 # the verify commands of an edited copy of a solver's output
-EDITED = (" verify-ones", " verify-raised")
+EDITED = (" verify-ones", " verify-raised", " verify-reversed")
 
 
 def _digest(data) -> str:
@@ -129,10 +131,21 @@ def reverse_respell(source: str, target: str) -> None:
     Path(target).write_text("".join(lines))
 
 
+def reverse_multi(source: str, target: str) -> None:
+    """Copy a multi-item mechanism file with its support, assignment and
+    pay lines in reverse order, after the header and bidder lines."""
+    head, body = [], []
+    for line in Path(source).read_text().splitlines(keepends=True):
+        keys = set(json.loads(line))
+        (body if keys & {"support", "assignment", "pay"} else head).append(line)
+    Path(target).write_text("".join(head + body[::-1]))
+
+
 EDITS = {
     "raise_first_pay": raise_first_pay,
     "ones_first_alloc": ones_first_alloc,
     "reverse_respell": reverse_respell,
+    "reverse_multi": reverse_multi,
 }
 
 
@@ -353,6 +366,10 @@ def plan_commands(tree: Path, seeds: list, inputs: Path) -> list:
                         commands.append([f"{key} verify-raised",
                                          ["verify", ipath, raised, mode],
                                          None, ["raise_first_pay", output, raised]])
+                        reversed_ = f"{output}.reversed"
+                        commands.append([f"{key} verify-reversed",
+                                         ["verify", ipath, reversed_, mode],
+                                         None, ["reverse_multi", output, reversed_]])
                     elif cmd.kind == "solve":
                         ones = f"{output}.ones"
                         commands.append([f"{key} verify-ones",

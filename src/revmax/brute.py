@@ -97,7 +97,7 @@ def enumerate_deterministic_optimal(
     profiles = list(grid.profiles())
     # revenues are ints over dq * dv, which compare like the rationals
     values = [[x.as_integer_ratio() for x in vi] for vi in grid.values]
-    masses = [q.as_integer_ratio() for q in dist.support.values()]
+    masses = [q.as_integer_ratio() for q in dist.masses]
     dv = lcm(*[d for vi in values for _, d in vi])
     dq = lcm(*[d for _, d in masses])
     scaled = [[p * (dv // d) for p, d in vi] for vi in values]

@@ -31,14 +31,7 @@ from typing import Optional
 from . import io
 from .brute import EnumLimits, enumerate_deterministic_optimal
 from .errors import BudgetError, InvalidInputError, PivotLimitError, SizeLimitError
-from .model import (
-    EXACT,
-    FLOAT,
-    FeasibilitySystem,
-    approximation_ratio,
-    expected_revenue,
-    interim_of,
-)
+from .model import EXACT, FLOAT, approximation_ratio, expected_revenue, interim_of
 from .multi import MAX_ASSIGNMENTS, check_multi, multi_revenue, solve_multi
 from .optimal import decompose_allocation, solve_optimal
 from .oracle import ExplicitOracle, materialize, with_budget
@@ -179,13 +172,7 @@ def _require_same_grid(grid, inst: io.ParsedInstance) -> None:
 
 
 def _require_same_multi(mech_inst, inst: io.ParsedInstance) -> None:
-    ours = inst.multi
-    if (
-        ours is None
-        or mech_inst.m != ours.m
-        or mech_inst.types != ours.types
-        or mech_inst.support != ours.support
-    ):
+    if inst.multi is None or mech_inst != inst.multi:
         raise InvalidInputError("mechanism embeds a different multi-item instance")
 
 
@@ -266,43 +253,12 @@ def _cmd_ratio(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    rows = io._records(_read(args.point))
-    head, mode = io._header(rows, "kind", args.mode)
-    if head["kind"] != "point":
-        raise InvalidInputError(f'decompose needs a {{"kind":"point"}} file, got {head}')
-    vectors = []
-    point = None
-    for obj in rows[1:]:
-        if "feasible" in obj:
-            vectors.append(io._feasible(obj))
-        elif "point" in obj:
-            if point is not None:
-                raise InvalidInputError("duplicate point line")
-            point = io._parse_row(obj["point"], mode, {})
-        else:
-            raise InvalidInputError(f"unrecognized line {obj}")
-    if point is None or not vectors:
-        raise InvalidInputError("decompose needs feasible lines and one point line")
-    fs = FeasibilitySystem(len(point), vectors)
+    text = _read(args.point)
+    point, fs = io.read_point(text, args.mode)
+    mode = args.mode or io.header_mode(text)
     dec = decompose_allocation(point, fs, mode)
-    if dec.in_hull:
-        out = [io.dumps_line({"in_hull": True})]
-        for f, w in dec.terms:
-            out.append(io.dumps_line({"vector": f, "weight": io.format_number(w, mode)}))
-        _emit("".join(out), args.output)
-        return 0
-    a, b = dec.certificate
-    out = io.dumps_line(
-        {
-            "certificate": {
-                "a": [io.format_number(c, mode) for c in a],
-                "b": io.format_number(b, mode),
-            },
-            "in_hull": False,
-        }
-    )
-    _emit(out, args.output)
-    return 1
+    _emit(io.write_decomposition(dec, mode), args.output)
+    return 0 if dec.in_hull else 1
 
 
 def _cmd_oracle_stats(args) -> int:

@@ -8,12 +8,12 @@ exactly, never through binary floating point.
 
 Instance files open with {"format":1,"model":...,"mode":...} and carry
 grid/feasible/support lines (or bidder type tables for the multi-item
-model).  Mechanism files open with {"format":1,"kind":...,"mode":...}.
-Writers emit profiles in canonical lexicographic order, walking each
-table's rows.  Readers accept the body lines of a single-item file in
-any order: each is placed at its profile's flat index (see _Placer), and
-a mechanism receives its tables as model.ProfileTables, one row per grid
-profile, whose rows its constructor checks.
+model); mechanism files open with {"format":1,"kind":...,"mode":...},
+and point files, the input of decompose, with {"kind":"point"}.  Writers
+emit profiles in canonical order, walking each table's rows and each
+prior's flat support.  Readers accept body lines in any order: each is
+placed at its profile's flat index on the grid (see _Placer) or the type
+product, and a mechanism gets its tables as model.ProfileTables.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from typing import Optional, Sequence
 
 from .errors import InvalidInputError
 from .model import (
-    _UNSET,
     EXACT,
     FLOAT,
     DeterministicMechanism,
@@ -35,8 +34,8 @@ from .model import (
     InterimMechanism,
     ProfileTable,
     ValueGrid,
-    _check_complete,
     _placed_support,
+    _Rows,
     convert,
 )
 from .multi import (
@@ -245,12 +244,9 @@ def write_instance(inst, fs: Optional[FeasibilitySystem] = None) -> str:
     if model == SINGLE_PARAMETER:
         for vec in fs.vectors:
             out.append(dumps_line({"feasible": list(vec)}))
-    for profile, prob in inst.support.items():
-        out.append(
-            dumps_line(
-                {"prob": format_number(prob, mode), "support": _fmt_row(profile, mode)}
-            )
-        )
+    for idx, prob in zip(inst.flat, inst.masses):
+        profile = _fmt_row(inst.grid.profile_at(idx), mode)
+        out.append(dumps_line({"prob": format_number(prob, mode), "support": profile}))
     return "".join(out)
 
 
@@ -262,8 +258,9 @@ def _multi_instance_lines(inst: MultiItemInstance) -> list:
         dumps_line({"bidder": i, "tables": [_fmt_row(t.values, mode) for t in ts]})
         for i, ts in enumerate(inst.types)
     ]
-    for t, prob in inst.support.items():
-        out.append(dumps_line({"prob": format_number(prob, mode), "support": list(t)}))
+    for idx, prob in zip(inst.flat, inst.masses):
+        t = list(inst.profile_at(idx))
+        out.append(dumps_line({"prob": format_number(prob, mode), "support": t}))
     return out
 
 
@@ -322,17 +319,15 @@ def read_instance(text: str, mode: Optional[str] = None) -> ParsedInstance:
 
 
 def _support_entries(lines: list, placer: _Placer):
-    """The support lines placed by their flat index, as
-    ExplicitDistribution._from_placed takes them.  A profile that is no
-    grid profile goes through the constructor's own placement, which
-    rejects it."""
+    """The support lines placed by their flat index, for
+    ExplicitDistribution._from_placed; a profile off the grid goes through
+    the constructor's own placement, which rejects it."""
     grid, mode, memo = placer.grid, placer.mode, placer.memo
     for obj in lines:
         at = placer.place(obj["support"])
         prob = _number(_field(obj, "prob"), mode, memo)
         if type(at) is int:
-            profile = grid.profile_at(at)
-            yield at, profile, profile, prob
+            yield at, grid.profile_at(at), prob
         else:
             yield from _placed_support(grid, [(at, prob)])
 
@@ -477,21 +472,16 @@ def _write_multi_mechanism(mech: MultiMechanism) -> str:
     inst = mech.inst
     mode = inst.mode
     out = [_mech_header(MULTI, mode, items=inst.m)] + _multi_instance_lines(inst)
-    for t in inst.type_profiles():
-        for a_idx, w in mech.lotteries[t]:
+    for t, lottery, pay in zip(inst.profiles(), mech.lotteries.rows, mech.payments.rows):
+        profile = list(t)
+        for a_idx, w in lottery:
             owners = [o if o >= 0 else None for o in mech.assignments[a_idx]]
             out.append(
                 dumps_line(
-                    {
-                        "assignment": owners,
-                        "prob": format_number(w, mode),
-                        "profile": list(t),
-                    }
+                    {"assignment": owners, "prob": format_number(w, mode), "profile": profile}
                 )
             )
-        out.append(
-            dumps_line({"pay": _fmt_row(mech.payments[t], mode), "profile": list(t)})
-        )
+        out.append(dumps_line({"pay": _fmt_row(pay, mode), "profile": profile}))
     return "".join(out)
 
 
@@ -516,6 +506,9 @@ def _field(obj: dict, key: str):
     return obj[key]
 
 
+_REPEAT = "duplicate line for profile {}"
+
+
 def _vector(obj: dict) -> int:
     """A body line's feasible-vector index; the mechanism checks its
     range."""
@@ -525,37 +518,9 @@ def _vector(obj: dict) -> int:
     return raw
 
 
-class _Rows:
-    """The two tables of one mechanism's body lines (interim x and p, or
-    deterministic choice and payments, of the mechanism or of one
-    universal part): each line's pair of rows is placed at the flat index
-    of its profile (see _Placer).  A line may not repeat a profile, and a
-    repeat raises at its line; off-grid profiles are kept for tables(),
-    which reports a missing profile first."""
-
-    __slots__ = ("first", "second", "placed", "extra")
-
-    def __init__(self, cells: int):
-        self.first = [_UNSET] * cells
-        self.second = [_UNSET] * cells
-        self.placed = 0
-        self.extra: set = set()
-
-    def put(self, at, obj: dict, first, second) -> None:
-        if type(at) is int:
-            if self.first[at] is not _UNSET:
-                raise InvalidInputError(f"duplicate line for profile {obj['profile']}")
-            self.first[at] = first
-            self.second[at] = second
-            self.placed += 1
-        elif at in self.extra:
-            raise InvalidInputError(f"duplicate line for profile {obj['profile']}")
-        else:
-            self.extra.add(at)
-
-    def tables(self, grid: ValueGrid, what: str) -> tuple:
-        _check_complete(grid, self.first, self.placed, self.extra, what)
-        return ProfileTable(grid, self.first), ProfileTable(grid, self.second)
+def _pair(rows: _Rows, grid: ValueGrid, what: str) -> tuple:
+    """The two tables of rows put as pairs (interim x and p, or choice and payments)."""
+    return tuple(ProfileTable(grid, table) for table in zip(*rows.table(grid, what).rows))
 
 
 def read_mechanism(text: str, mode: Optional[str] = None) -> ParsedMechanism:
@@ -586,12 +551,12 @@ def read_mechanism(text: str, mode: Optional[str] = None) -> ParsedMechanism:
         raise InvalidInputError("mechanism file lacks a grid line")
     cells = grid.cells()
     if kind == INTERIM:
-        table = _Rows(cells)
+        table = _Rows(cells, _REPEAT)
         for o in body:
             at = placer.place(_field(o, "profile"))
             x = _parse_row(_field(o, "alloc"), mode, memo)
-            table.put(at, o, x, _parse_row(_field(o, "pay"), mode, memo))
-        mech = InterimMechanism(grid, *table.tables(grid, "allocation table"))
+            table.put(at, (x, _parse_row(_field(o, "pay"), mode, memo)), o["profile"])
+        mech = InterimMechanism(grid, *_pair(table, grid, "allocation table"))
         return ParsedMechanism(kind, mode, mech=mech)
     fs = (
         FeasibilitySystem(grid.n, vectors)
@@ -600,32 +565,19 @@ def read_mechanism(text: str, mode: Optional[str] = None) -> ParsedMechanism:
     )
     if kind == EXPOST:
         # a profile's outcome lines may be apart; each joins its profile's row
-        outcomes = [_UNSET] * cells
-        placed = 0
-        extra = set()
+        outcomes = _Rows(cells, _REPEAT)
         for o in body:
             at = placer.place(_field(o, "profile"))
-            outcome = (
-                _vector(o),
-                _parse_row(_field(o, "pay"), mode, memo),
-                _number(_field(o, "prob"), mode, memo),
-            )
-            if type(at) is not int:
-                extra.add(at)
-            elif outcomes[at] is _UNSET:
-                outcomes[at] = [outcome]
-                placed += 1
-            else:
-                outcomes[at].append(outcome)
-        _check_complete(grid, outcomes, placed, extra, "outcome table")
-        mech = ExPostMechanism(grid, fs, ProfileTable(grid, outcomes))
+            vec, pay = _vector(o), _parse_row(_field(o, "pay"), mode, memo)
+            outcomes.join(at, (vec, pay, _number(_field(o, "prob"), mode, memo)))
+        mech = ExPostMechanism(grid, fs, outcomes.table(grid, "outcome table"))
         return ParsedMechanism(kind, mode, mech=mech, fs=fs)
     if kind == DETERMINISTIC:
-        table = _Rows(cells)
+        table = _Rows(cells, _REPEAT)
         for o in body:
             at = placer.place(_field(o, "profile"))
-            table.put(at, o, _vector(o), _parse_row(_field(o, "pay"), mode, memo))
-        mech = DeterministicMechanism(grid, fs, *table.tables(grid, "winner table"))
+            table.put(at, (_vector(o), _parse_row(_field(o, "pay"), mode, memo)), o["profile"])
+        mech = DeterministicMechanism(grid, fs, *_pair(table, grid, "winner table"))
         return ParsedMechanism(kind, mode, mech=mech, fs=fs)
     if kind == UNIVERSAL:
         probs: dict = {}
@@ -641,42 +593,80 @@ def read_mechanism(text: str, mode: Optional[str] = None) -> ParsedMechanism:
                 continue
             at = placer.place(o["profile"])
             if k not in tables:
-                tables[k] = _Rows(cells)
-            tables[k].put(at, o, _vector(o), _parse_row(_field(o, "pay"), mode, memo))
+                tables[k] = _Rows(cells, _REPEAT)
+            tables[k].put(at, (_vector(o), _parse_row(_field(o, "pay"), mode, memo)), o["profile"])
         if sorted(probs) != list(range(len(probs))) or sorted(tables) != sorted(probs):
             raise InvalidInputError("universal parts must be numbered 0..k-1")
         if not probs:
             raise InvalidInputError("universal mechanism file has no parts")
         parts = []
         for k in range(len(probs)):
-            choice, payments = tables[k].tables(grid, "winner table")
+            choice, payments = _pair(tables[k], grid, "winner table")
             parts.append((DeterministicMechanism(grid, fs, choice, payments), probs[k]))
         return ParsedMechanism(kind, mode, fs=fs, parts=tuple(parts))
     raise InvalidInputError(f"unknown mechanism kind {kind!r}")
 
 
 def _read_multi_mechanism(rows: list, head: dict, mode: str, memo: dict) -> ParsedMechanism:
+    """The mechanism of a multi-item file: each assignment and pay line is
+    placed at its type profile's flat index, a profile's assignment lines
+    joining its lottery in file order."""
     inst, rest = _read_multi_body(rows, head, mode, memo)
     index = {a: k for k, a in enumerate(enumerate_assignments(inst.n, inst.m))}
-    lotteries: dict = {}
-    payments: dict = {}
+    lotteries, payments = _Rows(inst.cells(), _REPEAT), _Rows(inst.cells(), _REPEAT)
     for obj in rest:
         if "assignment" in obj:
             owners = _index_list(obj, "assignment")
             if owners not in index:
                 raise InvalidInputError(f"assignment {obj['assignment']} is invalid")
-            lotteries.setdefault(_index_list(obj, "profile"), []).append(
-                (index[owners], _number(_field(obj, "prob"), mode, memo))
-            )
+            at = inst.flat_index(inst._key(_index_list(obj, "profile")))
+            lotteries.join(at, (index[owners], _number(_field(obj, "prob"), mode, memo)))
         elif "pay" in obj:
-            t = _index_list(obj, "profile")
-            if t in payments:
-                raise InvalidInputError(f"duplicate pay line for type profile {t}")
-            payments[t] = _parse_row(obj["pay"], mode, memo)
+            at = inst.flat_index(inst._key(_index_list(obj, "profile")))
+            payments.put(at, _parse_row(obj["pay"], mode, memo), obj["profile"])
         else:
             raise InvalidInputError(f"unrecognized mechanism line {obj}")
-    mech = MultiMechanism(inst, lotteries, payments)
-    return ParsedMechanism(MULTI, mode, mech=mech)
+    tables = lotteries.table(inst, "lottery table"), payments.table(inst, "payment table")
+    return ParsedMechanism(MULTI, mode, mech=MultiMechanism(inst, *tables))
+
+
+# ---------------------------------------------------------------------------
+# points and their decompositions
+
+
+def read_point(text: str, mode: Optional[str] = None) -> tuple:
+    """Decode a point file, a {"kind":"point"} header followed by feasible
+    lines and one point line, into (point, FeasibilitySystem); mode, when
+    given, overrides the header's arithmetic mode."""
+    rows = _records(text)
+    head, mode = _header(rows, "kind", mode)
+    if head["kind"] != "point":
+        raise InvalidInputError(f'decompose needs a {{"kind":"point"}} file, got {head}')
+    vectors = []
+    point = None
+    for obj in rows[1:]:
+        if "feasible" in obj:
+            vectors.append(_feasible(obj))
+        elif "point" in obj:
+            if point is not None:
+                raise InvalidInputError("duplicate point line")
+            point = _parse_row(obj["point"], mode, {})
+        else:
+            raise InvalidInputError(f"unrecognized line {obj}")
+    if point is None or not vectors:
+        raise InvalidInputError("decompose needs feasible lines and one point line")
+    return point, FeasibilitySystem(len(point), vectors)
+
+
+def write_decomposition(dec, mode: str) -> str:
+    """An optimal.HullDecomposition: an in_hull line and a (vector, weight)
+    line per term, or the certificate (a, b) of a point outside the hull."""
+    if dec.in_hull:
+        terms = [dumps_line({"vector": f, "weight": format_number(w, mode)}) for f, w in dec.terms]
+        return dumps_line({"in_hull": True}) + "".join(terms)
+    a, b = dec.certificate
+    cert = {"a": _fmt_row(a, mode), "b": format_number(b, mode)}
+    return dumps_line({"certificate": cert, "in_hull": False})
 
 
 # ---------------------------------------------------------------------------

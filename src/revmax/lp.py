@@ -66,7 +66,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isfinite, lcm
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatchError, InvalidInputError, PivotLimitError
@@ -79,6 +79,7 @@ _STALL_LIMIT = 64
 # denominator once the denominator is wider than this many bits
 _REDUCE_BITS = 62
 _MAX_PIVOTS = 2_000_000
+_EXACT = {int, Fraction}  # coefficient types _check_value passes without a call
 
 
 @dataclass
@@ -105,10 +106,17 @@ class LPSolution:
         return tuple(Fraction(-red.get(first + r, 0), den) for r in range(m))
 
 
+def _check_value(c, what: str, *at) -> None:
+    """c must be an int, a Fraction or a finite float; what.format(*at) names it."""
+    if not (isinstance(c, (int, Fraction)) or isinstance(c, float) and isfinite(c)):
+        raise InvalidInputError(f"{what.format(*at)} is {c!r}, which has no exact finite value")
+
+
 class LinearProgram:
     """Maximize objective . x subject to <= rows with nonnegative
     right-hand sides, over variables that are nonnegative unless
-    set_free makes them free."""
+    set_free makes them free.  Coefficients and right-hand sides are
+    checked where they are given (see _check_value)."""
 
     def __init__(self, num_vars: int, objective: Sequence):
         if num_vars < 0:
@@ -116,6 +124,8 @@ class LinearProgram:
         obj = list(objective)
         if len(obj) != num_vars:
             raise DimensionMismatchError("objective length does not match num_vars")
+        for j in [j for j, c in enumerate(obj) if type(c) not in _EXACT]:
+            _check_value(obj[j], "objective coefficient of variable {}", j)
         self.num_vars = num_vars
         self.objective = obj
         self.constraints: list[tuple[dict, str, object]] = []
@@ -126,14 +136,18 @@ class LinearProgram:
         rhs nonnegative, so that the row's slack can start in the basis."""
         if rel != LEQ:
             raise InvalidInputError(f"unsupported relation {rel!r}: rows are {LEQ}")
+        _check_value(rhs, "right-hand side of row {}", len(self.constraints))
         if rhs < 0:
             raise InvalidInputError(
                 f"negative right-hand side {rhs}: the slack basis must be feasible"
             )
         row = dict(coeffs)
-        for j in row:
-            if not 0 <= j < self.num_vars:
-                raise InvalidInputError(f"constraint references unknown variable {j}")
+        n, r = self.num_vars, len(self.constraints)
+        for j, c in row.items():
+            if not (0 <= j < n and type(c) in _EXACT):  # one test for the common case
+                if not 0 <= j < n:
+                    raise InvalidInputError(f"constraint references unknown variable {j}")
+                _check_value(c, "coefficient of variable {} in row {}", j, r)
         self.constraints.append((row, rel, rhs))
 
     def set_free(self, var: int) -> None:

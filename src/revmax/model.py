@@ -15,21 +15,23 @@ ValueGrid (and ExplicitDistribution.from_support, which builds one).
 Every object built on a grid (distribution and mechanisms) takes the
 grid's mode and converts its own entries with it.
 
-Every per-profile table of a mechanism is a ProfileTable: one row per
-grid profile, in canonical order (the order of grid.profiles(), where a
-profile's flat index is its position).  A lookup t[v] places v on the
-grid; the conversions, expected_revenue and the writers and checkers
-elsewhere walk the rows and place no profile.  A distribution keeps its
-sparse support as a dict in canonical order, with the flat index of
-each support profile in flat.
+A ValueGrid and a revmax.multi.MultiItemInstance are _Products, whose
+profiles are numbered in canonical (lexicographic) order by flat index.
+Every per-profile table of a mechanism is a ProfileTable over one, a row
+per profile in that order, and a prior keeps its support as flat (the
+support profiles' flat indices, in order) and masses, both checked by
+_support; the conversions, revenues, writers and checkers walk these
+rows and place no profile.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_left
 from collections.abc import ItemsView, Mapping, ValuesView
 from fractions import Fraction
+from math import prod
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import (
@@ -144,7 +146,53 @@ def lines(sizes: Sequence[int]) -> Iterator[tuple]:
             yield i, idx, k, range(base, base + size * stride, stride)
 
 
-class ValueGrid:
+class _Product:
+    """A product of per-bidder type sets: _axes[i] lists bidder i's types
+    (grid values, or type indices) and _positions[i] maps each to its
+    index.  Profiles are tuples of one type per bidder, numbered by their
+    flat index in lexicographic order by index."""
+
+    __slots__ = ("_axes", "_positions")
+
+    def _lay_out(self, axes: Sequence[Sequence]) -> None:
+        self._axes = tuple(axes)
+        self._positions = [{x: k for k, x in enumerate(ts)} for ts in self._axes]
+
+    @property
+    def n(self) -> int:
+        return len(self._axes)
+
+    def cells(self) -> int:
+        return prod([len(ts) for ts in self._axes])
+
+    def profiles(self) -> Iterator[Profile]:
+        """All profiles in canonical (lexicographic) order."""
+        return itertools.product(*self._axes)
+
+    def flat_index(self, profile: Profile) -> int:
+        """The profile's position in canonical order, one hash per entry;
+        KeyError when it is no profile of the product (not a tuple, wrong
+        length, an entry not among its bidder's types, or unhashable)."""
+        try:
+            if isinstance(profile, tuple) and len(profile) == len(self._positions):
+                idx = 0
+                for at, v in zip(self._positions, profile):
+                    idx = idx * len(at) + at[v]
+                return idx
+        except (KeyError, TypeError):
+            pass
+        raise KeyError(profile)
+
+    def profile_at(self, idx: int) -> Profile:
+        """The profile at a flat index in canonical order."""
+        out = []
+        for ts in reversed(self._axes):
+            idx, k = divmod(idx, len(ts))
+            out.append(ts[k])
+        return tuple(reversed(out))
+
+
+class ValueGrid(_Product):
     """Per-bidder strictly increasing value supports.
 
     The grid is the common domain of every mechanism table: profiles are
@@ -152,7 +200,7 @@ class ValueGrid:
     by value index.
     """
 
-    __slots__ = ("values", "mode", "_positions")
+    __slots__ = ("values", "mode")
 
     def __init__(self, values: Sequence[Sequence[Number]], mode: str = EXACT):
         rows = []
@@ -169,21 +217,7 @@ class ValueGrid:
             raise InvalidInputError("grid needs at least one bidder")
         self.values = tuple(rows)
         self.mode = mode
-        self._positions = [{x: k for k, x in enumerate(row)} for row in rows]
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-    def cells(self) -> int:
-        out = 1
-        for vi in self.values:
-            out *= len(vi)
-        return out
-
-    def profiles(self) -> Iterator[Profile]:
-        """All grid profiles in canonical (lexicographic) order."""
-        return itertools.product(*self.values)
+        self._lay_out(rows)
 
     def index(self, bidder: int, value) -> int:
         try:
@@ -193,37 +227,17 @@ class ValueGrid:
                 f"value {value} not on bidder {bidder}'s grid"
             ) from exc
 
-    def flat_index(self, profile: Profile) -> int:
-        """The profile's position in canonical order, one hash per entry;
-        KeyError when it is no grid profile (not a tuple, wrong length, an
-        entry off its bidder's grid, or an unhashable entry)."""
-        try:
-            if isinstance(profile, tuple) and len(profile) == len(self._positions):
-                idx = 0
-                for at, v in zip(self._positions, profile):
-                    idx = idx * len(at) + at[v]
-                return idx
-        except (KeyError, TypeError):
-            pass
-        raise KeyError(profile)
-
-    def profile_at(self, idx: int) -> Profile:
-        """The grid profile at a flat index in canonical order."""
-        out = []
-        for vi in reversed(self.values):
-            idx, k = divmod(idx, len(vi))
-            out.append(vi[k])
-        return tuple(reversed(out))
+    def _key(self, profile) -> Profile:
+        """A given profile, its entries converted in the grid's mode."""
+        return _convert_row(profile, self.mode)
 
     def on_grid(self, profile: Profile) -> bool:
-        """Every entry is on its bidder's grid: one hash per entry, where
-        scanning the value tuple would compare up to len(row) rationals."""
+        """Every entry is on its bidder's grid (see flat_index)."""
         try:
-            return len(profile) == self.n and all(
-                v in at for at, v in zip(self._positions, profile)
-            )
-        except TypeError:  # an unhashable entry is on no grid
+            self.flat_index(tuple(profile))
+        except (KeyError, TypeError):  # TypeError: profile is not iterable
             return False
+        return True
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ValueGrid) and self.values == other.values
@@ -245,15 +259,12 @@ class ExplicitDistribution:
 
     support is a mapping from profiles to probabilities or an iterable of
     (profile, probability) pairs, converted in the grid's mode.  Each
-    profile is placed by its flat index in canonical order (one grid
-    lookup per entry), so the duplicate test, the strict-grid coverage
-    test and the canonical sort compare ints; the probabilities are
-    summed in the given order.  flat holds the support profiles' flat
-    indices in the support's (canonical) order, so the rows of a
-    ProfileTable are read at the support without placing a profile.
+    profile is placed by its flat index (one grid lookup per entry), and
+    _support checks and orders the entries on those ints into flat and
+    masses.
     """
 
-    __slots__ = ("grid", "support", "flat", "mode")
+    __slots__ = ("grid", "flat", "masses", "mode")
 
     def __init__(
         self,
@@ -265,47 +276,26 @@ class ExplicitDistribution:
         self._fill(grid, _placed_support(grid, support), strict)
 
     @classmethod
-    def _from_placed(
-        cls, grid: ValueGrid, entries: Iterable[tuple], strict: bool = True
-    ) -> "ExplicitDistribution":
-        """The distribution of support entries a reader placed itself:
-        entries yields (flat index, profile, profile as quoted, probability)
-        as _placed_support does, the profile being the grid's own.  The
-        checks are the constructor's."""
+    def _from_placed(cls, grid: ValueGrid, entries: Iterable[tuple]) -> "ExplicitDistribution":
+        """The distribution of support entries a reader placed itself, as
+        _placed_support yields them; the checks are the constructor's."""
         self = object.__new__(cls)
-        self._fill(grid, entries, strict)
+        self._fill(grid, entries, True)
         return self
 
     def _fill(self, grid: ValueGrid, entries: Iterable[tuple], strict: bool) -> None:
-        mode = grid.mode
-        table = {}  # flat index -> (profile, probability), in the given order
-        for idx, key, profile, prob in entries:
-            if idx in table:
-                raise InvalidInputError(f"duplicate support profile {profile}")
-            q = convert(prob, mode)
-            if q <= 0:
-                raise InvalidInputError(f"support probability {prob} is not positive")
-            table[idx] = (key, q)
-        if not table:
-            raise InvalidInputError("empty support")
-        _check_unit_total(sum([q for _, q in table.values()]), mode, "support probabilities")
-        if strict:
-            stride = grid.cells()
-            for i, vi in enumerate(grid.values):
-                size = len(vi)
-                stride //= size
-                seen = {idx // stride % size for idx in table}
-                if len(seen) < size:
-                    missing = next(v for k, v in enumerate(vi) if k not in seen)
-                    raise InvalidInputError(
-                        f"grid value {missing} of bidder {i} appears in no "
-                        "support profile (pass strict=False for padded grids)"
-                    )
-        flat = sorted(table)
+        unused = strict and (
+            "grid value {t} of bidder {i} appears in no support profile "
+            "(pass strict=False for padded grids)"
+        )
         self.grid = grid
-        self.flat = tuple(flat)
-        self.support = dict([table[idx] for idx in flat])
-        self.mode = mode
+        self.flat, self.masses = _support(grid, entries, unused)
+        self.mode = grid.mode
+
+    @property
+    def support(self) -> dict:
+        """A dict from support profiles to probabilities, built on access."""
+        return dict(zip(map(self.grid.profile_at, self.flat), self.masses))
 
     @classmethod
     def from_support(
@@ -320,31 +310,64 @@ class ExplicitDistribution:
         return cls(ValueGrid(columns, mode), items)
 
     def prob(self, profile: Profile):
-        if not self.grid.on_grid(tuple(profile)):
-            raise InvalidInputError(f"profile {profile} is off the grid")
-        zero = 0.0 if self.mode == FLOAT else Fraction(0)
-        return self.support.get(tuple(profile), zero)
+        try:
+            idx = self.grid.flat_index(tuple(profile))
+        except KeyError:
+            raise InvalidInputError(f"profile {profile} is off the grid") from None
+        k = bisect_left(self.flat, idx)
+        found = k < len(self.flat) and self.flat[k] == idx
+        return self.masses[k] if found else 0.0 if self.mode == FLOAT else Fraction(0)
 
     def __repr__(self) -> str:
-        return f"ExplicitDistribution({len(self.support)} profiles, n={self.grid.n})"
+        return f"ExplicitDistribution({len(self.flat)} profiles, n={self.grid.n})"
 
 
-def _placed_support(grid: ValueGrid, support) -> Iterator[tuple]:
-    """(flat index, profile, profile as given, probability) for each
-    support entry in the given order, the profile converted in the grid's
-    mode; a profile of the wrong length or off the grid raises."""
-    mode = grid.mode
+def _placed_support(space: _Product, support) -> Iterator[tuple]:
+    """(flat index, profile as given, probability) for each support entry
+    in the given order; a profile outside the product raises."""
     for profile, prob in _items(support):
-        key = tuple([convert(v, mode) for v in profile])
-        if len(key) != grid.n:
+        key = space._key(profile)
+        if len(key) != space.n:
             raise DimensionMismatchError(
-                f"profile {profile} has {len(key)} entries, grid has {grid.n} bidders"
+                f"profile {profile} has {len(key)} entries, grid has {space.n} bidders"
             )
         try:
-            idx = grid.flat_index(key)
+            idx = space.flat_index(key)
         except KeyError:
             raise InvalidInputError(f"support profile {profile} is off the grid") from None
-        yield idx, key, profile, prob
+        yield idx, profile, prob
+
+
+def _support(space: _Product, entries: Iterable[tuple], unused) -> tuple:
+    """(flat, masses) of a prior's support over space, from entries of
+    (flat index, profile as given, probability), summed in the given
+    order.  A repeated profile, a probability that is not positive, an
+    empty support, a total other than 1 and, given the message unused
+    (formatted with bidder i and type t, its index k), a type that no
+    support profile holds are input errors."""
+    mode = space.mode
+    table = {}  # flat index -> probability, in the given order
+    for idx, profile, prob in entries:
+        if idx in table:
+            raise InvalidInputError(f"duplicate support profile {profile}")
+        q = convert(prob, mode)
+        if q <= 0:
+            raise InvalidInputError(f"support probability {prob} is not positive")
+        table[idx] = q
+    if not table:
+        raise InvalidInputError("empty support")
+    _check_unit_total(sum(table.values()), mode, "support probabilities")
+    if unused:
+        stride = space.cells()
+        for i, ts in enumerate(space._axes):
+            size = len(ts)
+            stride //= size
+            seen = {idx // stride % size for idx in table}
+            if len(seen) < size:
+                k = next(k for k in range(size) if k not in seen)
+                raise InvalidInputError(unused.format(i=i, k=k, t=ts[k]))
+    flat = sorted(table)
+    return tuple(flat), tuple([table[idx] for idx in flat])
 
 
 class FeasibilitySystem:
@@ -400,12 +423,12 @@ class FeasibilitySystem:
 
 
 class ProfileTable(Mapping):
-    """A read-only per-profile table: rows[k] belongs to the k-th profile
-    of grid.profiles().  t[v] places v on the grid (one position lookup
-    per entry) and raises KeyError for anything that is no grid profile;
-    iteration, items() and values() follow canonical order and place
-    nothing.  A ProfileTable equals any mapping with the same pairs, a
-    dict included."""
+    """A read-only per-profile table over a _Product grid: rows[k] belongs
+    to the k-th profile of grid.profiles().  t[v] places v (one position
+    lookup per entry) and raises KeyError for anything that is no profile
+    of grid; iteration, items() and values() follow canonical order and
+    place nothing.  A ProfileTable equals any mapping with the same
+    pairs, a dict included."""
 
     __slots__ = ("grid", "rows")
 
@@ -459,52 +482,77 @@ class _RowValues(ValuesView):
 _UNSET = object()  # the row of a profile no entry has placed yet
 
 
-def _check_complete(grid: ValueGrid, rows: list, placed: int, extra, what: str) -> None:
-    """A table whose placed rows (placed of them) leave a grid profile
-    unset, or that has off-grid profiles (extra), is an input error;
-    a missing profile is reported first."""
-    if placed < len(rows):
-        idx = next(k for k, row in enumerate(rows) if row is _UNSET)
-        raise InvalidInputError(f"{what} missing profile {grid.profile_at(idx)}")
-    if extra:
-        raise InvalidInputError(f"{what} has off-grid profiles {sorted(extra)[:3]}")
+class _Rows:
+    """The rows of one per-profile table, filled entry by entry at flat
+    indices (at): put gives a profile its row, and a second row raises
+    repeat formatted with the profile as quoted; join appends an item to
+    a profile's row, the list of its entries' items in order.  An at that
+    is no int is an off-grid profile, kept for table(), which raises for
+    a missing profile first and then for off-grid ones."""
+
+    __slots__ = ("rows", "placed", "extra", "repeat")
+
+    def __init__(self, cells: int, repeat: str):
+        self.rows = [_UNSET] * cells
+        self.placed = 0
+        self.extra: set = set()
+        self.repeat = repeat
+
+    def put(self, at, row, quoted) -> None:
+        if type(at) is int:
+            if self.rows[at] is not _UNSET:
+                raise InvalidInputError(self.repeat.format(quoted))
+            self.rows[at] = row
+            self.placed += 1
+        elif at in self.extra:
+            raise InvalidInputError(self.repeat.format(quoted))
+        else:
+            self.extra.add(at)
+
+    def join(self, at, item) -> None:
+        if type(at) is not int:
+            self.extra.add(at)
+        elif self.rows[at] is _UNSET:
+            self.rows[at] = [item]
+            self.placed += 1
+        else:
+            self.rows[at].append(item)
+
+    def table(self, grid: _Product, what: str) -> ProfileTable:
+        if self.placed < len(self.rows):
+            missing = grid.profile_at(next(k for k, r in enumerate(self.rows) if r is _UNSET))
+            raise InvalidInputError(f"{what} missing profile {missing}")
+        if self.extra:
+            raise InvalidInputError(f"{what} has off-grid profiles {sorted(self.extra)[:3]}")
+        return ProfileTable(grid, self.rows)
 
 
-def _check_table_domain(grid: ValueGrid, table, what: str) -> list:
-    """The rows of a per-profile table in canonical order, requiring the
-    full grid.  A ProfileTable on this grid gives its rows as they are.
-    Any other table is a mapping or an iterable of (profile, row) pairs,
-    which may not repeat a profile; each profile is converted in the
-    grid's mode and placed by value.  A pair at the position canonical
+def _check_table_domain(grid: _Product, table, what: str) -> list:
+    """The rows of a per-profile table in canonical order, requiring every
+    profile of grid.  A ProfileTable on this grid gives its rows as they
+    are.  Any other table is a mapping or an iterable of (profile, row)
+    pairs, which may not repeat a profile; each profile is keyed by
+    grid._key and placed by value.  A pair at the position canonical
     order gives it, as every writer emits them, is placed by comparing it
     with the grid's profile there (identical entries compare without a
     call); only the others are hashed."""
     if isinstance(table, ProfileTable) and table.grid == grid:
         return list(table.rows)
-    mode = grid.mode
     profiles = list(grid.profiles())
-    rows = [_UNSET] * len(profiles)
-    extra = set()
-    placed = k = 0
+    rows = _Rows(len(profiles), what + " repeats profile {}")
+    k = 0
     for profile, row in _items(table):
-        key = _convert_row(profile, mode)
+        key = grid._key(profile)
         if k < len(profiles) and key == profiles[k]:
-            idx = k
+            at = k
         else:
             try:
-                idx = grid.flat_index(key)
+                at = grid.flat_index(key)
             except KeyError:
-                if key in extra:
-                    raise InvalidInputError(f"{what} repeats profile {key}") from None
-                extra.add(key)
-                continue
-        if rows[idx] is not _UNSET:
-            raise InvalidInputError(f"{what} repeats profile {key}")
-        rows[idx] = row
-        placed += 1
-        k = idx + 1
-    _check_complete(grid, rows, placed, extra, what)
-    return rows
+                at = key
+        rows.put(at, row, key)
+        k = at + 1 if type(at) is int else k
+    return list(rows.table(grid, what).rows)
 
 
 class InterimMechanism:
@@ -732,7 +780,7 @@ def expected_revenue(mech, dist: ExplicitDistribution):
         raise DimensionMismatchError("mechanism and distribution grids differ")
     rows = _payment_rows(mech, dist.flat)
     zero = 0.0 if dist.mode == FLOAT else Fraction(0)
-    return sum((q * sum(rows[idx]) for idx, q in zip(dist.flat, dist.support.values())), zero)
+    return sum((q * sum(rows[idx]) for idx, q in zip(dist.flat, dist.masses)), zero)
 
 
 def approximation_ratio(mech_revenue, opt_revenue):

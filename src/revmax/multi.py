@@ -2,10 +2,12 @@
 bidders value bundles through full 2^m tables, and the revenue LP ranges
 over lotteries of complete assignments.
 
-Assignment counts grow as (n+1)^m, so a size guard protects every entry
-point.  Payments attach to coin outcomes proportionally to realized
-bundle value, which keeps every charge within the winner's bid and the
-empty bundle free.
+A MultiItemInstance lays its prior out as an ExplicitDistribution does,
+on the product of its type lists, and mechanism tables are ProfileTables
+over that product.  Assignment counts grow as (n+1)^m, so a size guard
+protects every entry point.  Payments attach to coin outcomes
+proportionally to realized bundle value, which keeps every charge within
+the winner's bid and the empty bundle free.
 
 The revenue LP is solved exactly.  Float is an input and output format:
 a float instance is converted once, at the solver boundary, to the exact
@@ -32,8 +34,14 @@ from .model import (
     EXACT,
     FLOAT,
     ExplicitDistribution,
+    ProfileTable,
     ValueGrid,
+    _Product,
+    _check_table_domain,
     _check_unit_total,
+    _convert_row,
+    _placed_support,
+    _support,
     convert,
     lines,
 )
@@ -83,10 +91,14 @@ class Valuation:
         return f"Valuation(m={self.m}, {list(map(str, self.values))})"
 
 
-class MultiItemInstance:
-    """Explicit correlated prior over finite per-bidder type lists."""
+class MultiItemInstance(_Product):
+    """Explicit correlated prior over finite per-bidder type lists, and
+    the product of those lists, whose profiles are tuples of type indices
+    (never converted as numbers).  support maps type profiles to
+    probabilities, or is an iterable of such pairs, and is kept as flat
+    and masses, as an ExplicitDistribution's is."""
 
-    __slots__ = ("m", "types", "support", "mode")
+    __slots__ = ("m", "types", "flat", "masses", "mode")
 
     def __init__(
         self,
@@ -105,52 +117,39 @@ class MultiItemInstance:
                     raise DimensionMismatchError(
                         f"bidder {i} has a type over {t.m} items, expected {m}"
                     )
-        items = support.items() if hasattr(support, "items") else support
-        table = {}
-        total = 0
-        for tprofile, prob in items:
-            key = tuple(tprofile)
-            if len(key) != len(types):
-                raise DimensionMismatchError(f"type profile {key} has wrong length")
-            for i, ti in enumerate(key):
-                if not 0 <= ti < len(types[i]):
-                    raise InvalidInputError(f"bidder {i} has no type {ti}")
-            if key in table:
-                raise InvalidInputError(f"duplicate type profile {key}")
-            q = convert(prob, mode)
-            if q <= 0:
-                raise InvalidInputError(f"probability {prob} is not positive")
-            table[key] = q
-            total += q
-        if not table:
-            raise InvalidInputError("empty support")
-        _check_unit_total(total, mode, "probabilities")
-        for i, ts in enumerate(types):
-            used = {key[i] for key in table}
-            for k in range(len(ts)):
-                if k not in used:
-                    raise InvalidInputError(
-                        f"type {k} of bidder {i} appears in no support profile"
-                    )
         self.m = m
         self.types = tuple(tuple(ts) for ts in types)
-        order = {t: k for k, t in enumerate(self._all_profiles())}
-        self.support = dict(sorted(table.items(), key=lambda kv: order[kv[0]]))
         self.mode = mode
+        self._lay_out([range(len(ts)) for ts in self.types])
+        unused = "type {k} of bidder {i} appears in no support profile"
+        self.flat, self.masses = _support(self, _placed_support(self, support), unused)
 
     @property
-    def n(self) -> int:
-        return len(self.types)
-
-    def _all_profiles(self):
-        return itertools.product(*(range(len(ts)) for ts in self.types))
+    def support(self) -> dict:
+        """A dict from support profiles to probabilities, built on access."""
+        return dict(zip(map(self.profile_at, self.flat), self.masses))
 
     def type_profiles(self) -> list:
         """Full product of type indices, lexicographic."""
-        return list(self._all_profiles())
+        return list(self.profiles())
+
+    def _key(self, profile) -> tuple:
+        """A given type profile as a tuple; one outside the type product
+        is an input error, so no support or table over it holds one."""
+        key = tuple(profile)
+        try:
+            self.flat_index(key)
+        except KeyError:
+            raise InvalidInputError(f"type profile {key} is outside the type product") from None
+        return key
+
+    def __eq__(self, other) -> bool:
+        return self is other or isinstance(other, MultiItemInstance) and (
+            self.m, self.types, self.flat, self.masses
+        ) == (other.m, other.types, other.flat, other.masses)
 
     def __repr__(self):
-        return f"MultiItemInstance(n={self.n}, m={self.m}, {len(self.support)} profiles)"
+        return f"MultiItemInstance(n={self.n}, m={self.m}, {len(self.flat)} profiles)"
 
 
 def enumerate_assignments(n: int, m: int) -> tuple:
@@ -169,7 +168,9 @@ def bundle_mask(assignment: tuple, bidder: int) -> int:
 
 class MultiMechanism:
     """Per type profile, a lottery over complete assignments (sparse, by
-    assignment index) and one payment per bidder."""
+    assignment index) and one payment per bidder.  Each table is given
+    and kept as the interim tables are (see model.InterimMechanism), over
+    the instance's type product."""
 
     __slots__ = ("inst", "assignments", "lotteries", "payments")
 
@@ -179,37 +180,33 @@ class MultiMechanism:
         lotteries: Mapping[tuple, Sequence[tuple]],
         payments: Mapping[tuple, Sequence],
     ):
+        mode = inst.mode
         assigns = enumerate_assignments(inst.n, inst.m)
-        lot, pay = {}, {}
-        for t in inst.type_profiles():
-            if t not in lotteries or t not in payments:
-                raise InvalidInputError(f"mechanism missing type profile {t}")
+        lots = _check_table_domain(inst, lotteries, "lottery table")
+        for k, row in enumerate(lots):
             total = 0
-            rows = []
-            for a_idx, w in lotteries[t]:
+            clean = []
+            for a_idx, w in row:
                 if not 0 <= a_idx < len(assigns):
                     raise InvalidInputError(f"bad assignment index {a_idx}")
-                w = convert(w, inst.mode)
+                w = convert(w, mode)
                 if w <= 0:
                     raise InvalidInputError(f"lottery weight {w} is not positive")
                 total += w
-                rows.append((a_idx, w))
-            _check_unit_total(total, inst.mode, f"lottery weights at {t}")
-            p = tuple(convert(c, inst.mode) for c in payments[t])
-            if len(p) != inst.n:
-                raise DimensionMismatchError(f"payment row at {t} has wrong length")
-            lot[t] = tuple(rows)
-            pay[t] = p
-        for what, table in (("lottery", lotteries), ("payment", payments)):
-            if len(table) != len(lot):
-                extra = next(t for t in table if t not in lot)
-                raise InvalidInputError(
-                    f"{what} at type profile {extra} outside the type product"
+                clean.append((a_idx, w))
+            _check_unit_total(total, mode, "lottery weights at {}", inst, k)
+            lots[k] = tuple(clean)
+        pays = _check_table_domain(inst, payments, "payment table")
+        for k, row in enumerate(pays):
+            pay = pays[k] = _convert_row(row, mode)
+            if len(pay) != inst.n:
+                raise DimensionMismatchError(
+                    f"payment row at {inst.profile_at(k)} has wrong length"
                 )
         self.inst = inst
         self.assignments = assigns
-        self.lotteries = lot
-        self.payments = pay
+        self.lotteries = ProfileTable(inst, lots)
+        self.payments = ProfileTable(inst, pays)
 
     def expected_value(self, t: tuple, bidder: int):
         """Expected bundle value of the bidder's own type under the
@@ -321,9 +318,9 @@ def build_multi_lp(
 
     num_vars = nlam + len(profiles) * n
     objective = [0] * num_vars
-    for k, t in enumerate(profiles):
+    for k, q in zip(inst.flat, inst.masses):
         for i in range(n):
-            objective[pay(k, i)] = inst.support.get(t, 0)
+            objective[pay(k, i)] = q
 
     lp = LinearProgram(num_vars, objective)
     if allow_negative_payments:
@@ -373,9 +370,9 @@ def _exact(inst: MultiItemInstance) -> MultiItemInstance:
     if inst.mode == EXACT:
         return inst
     types = [[Valuation(inst.m, [Fraction(v) for v in t.values]) for t in ts] for ts in inst.types]
-    masses = [Fraction(q) for q in inst.support.values()]
+    masses = [Fraction(q) for q in inst.masses]
     total = sum(masses)
-    support = [(t, q / total) for t, q in zip(inst.support, masses)]
+    support = [(inst.profile_at(idx), q / total) for idx, q in zip(inst.flat, masses)]
     return MultiItemInstance(inst.m, types, support)
 
 
@@ -400,17 +397,17 @@ def solve_multi(
     if sol.status != "optimal":
         raise RuntimeError(f"multi-item LP reported {sol.status}; this cannot happen")
     n = inst.n
-    profiles = inst.type_profiles()
+    cells = inst.cells()
     K = (n + 1) ** inst.m - 1
-    nlam = len(profiles) * K
-    lotteries, payments = {}, {}
-    for k, t in enumerate(profiles):
+    nlam = cells * K
+    lotteries, payments = [], []
+    for k in range(cells):
         sold = sol.x[k * K : (k + 1) * K]
         # the all-unsold assignment's weight is its row's slack
         weights = (1 - sum(sold),) + sold
-        lotteries[t] = [(a, w) for a, w in enumerate(weights) if w]
-        payments[t] = tuple(sol.x[nlam + k * n : nlam + (k + 1) * n])
-    mech = MultiMechanism(exact, lotteries, payments)
+        lotteries.append([(a, w) for a, w in enumerate(weights) if w])
+        payments.append(sol.x[nlam + k * n : nlam + (k + 1) * n])
+    mech = MultiMechanism(exact, ProfileTable(exact, lotteries), ProfileTable(exact, payments))
     report = check_multi(mech)
     if not report.passed:
         raise RuntimeError(
@@ -423,9 +420,9 @@ def solve_multi(
 
 def multi_revenue(mech: MultiMechanism):
     """Expected total payment under truthful play, summed over the
-    instance's support."""
-    inst = mech.inst
-    return sum(q * sum(mech.payments[t]) for t, q in inst.support.items())
+    instance's support in canonical order."""
+    rows = mech.payments.rows
+    return sum(q * sum(rows[idx]) for idx, q in zip(mech.inst.flat, mech.inst.masses))
 
 
 def check_multi(mech: MultiMechanism) -> VerifyReport:
@@ -453,8 +450,7 @@ def check_multi(mech: MultiMechanism) -> VerifyReport:
     mode = inst.mode
     exact = mode != FLOAT
     values = _bundle_values(inst, mech.assignments)
-    profiles = list(mech.payments)
-    lots, pays = list(mech.lotteries.values()), list(mech.payments.values())
+    lots, pays = mech.lotteries.rows, mech.payments.rows
     if exact:
         tables = []
         for per_type in values:
@@ -502,14 +498,14 @@ def check_multi(mech: MultiMechanism) -> VerifyReport:
                 vals = values[i][k]
                 ic.append(
                     Witness(
-                        "multi_ic", i, profiles[idx], j, ">=",
+                        "multi_ic", i, inst.profile_at(idx), j, ">=",
                         worth(vals, idx) - pays[idx][i], worth(vals, q) - pays[q][i],
                     )
                 )
         if violated(Wk[k], P[k], ">=", mode):
             ir.append(
                 Witness(
-                    "multi_ir", i, profiles[idx], None, ">=",
+                    "multi_ir", i, inst.profile_at(idx), None, ">=",
                     worth(values[i][k], idx), pays[idx][i],
                 )
             )
@@ -524,7 +520,7 @@ class MultiExPostMechanism:
     assignment lottery with per-outcome charges."""
 
     inst: MultiItemInstance
-    outcomes: dict  # type profile -> tuple of (assignment index, payments, prob)
+    outcomes: ProfileTable  # rows of (assignment index, payments, prob)
 
 
 def multi_expost(mech: MultiMechanism) -> MultiExPostMechanism:
@@ -532,12 +528,13 @@ def multi_expost(mech: MultiMechanism) -> MultiExPostMechanism:
     value: charge_i(A) = v_i(S_i(A)) * p_i(t) / E[v_i].  Every charge stays
     within the realized value (by interim IR) and empty bundles are free."""
     inst = mech.inst
-    table = {}
-    for t in inst.type_profiles():
+    values = _bundle_values(inst, mech.assignments)
+    table = []
+    for t, lot, pay in zip(inst.profiles(), mech.lotteries.rows, mech.payments.rows):
+        own = [values[i][ti] for i, ti in enumerate(t)]
         ratios = []
-        for i in range(inst.n):
-            w_i = mech.expected_value(t, i)
-            p_i = mech.payments[t][i]
+        for i, p_i in enumerate(pay):
+            w_i = sum(w * own[i][a] for a, w in lot)
             if w_i == 0:
                 if p_i != 0:
                     raise NonRepresentableError(
@@ -547,16 +544,8 @@ def multi_expost(mech: MultiMechanism) -> MultiExPostMechanism:
                 ratios.append(0)
             else:
                 ratios.append(p_i / w_i)
-        rows = []
-        for a_idx, w in mech.lotteries[t]:
-            charge = tuple(
-                inst.types[i][t[i]].of(bundle_mask(mech.assignments[a_idx], i))
-                * ratios[i]
-                for i in range(inst.n)
-            )
-            rows.append((a_idx, charge, w))
-        table[t] = tuple(rows)
-    return MultiExPostMechanism(inst, table)
+        table.append(tuple((a, tuple(v[a] * r for v, r in zip(own, ratios)), w) for a, w in lot))
+    return MultiExPostMechanism(inst, ProfileTable(inst, table))
 
 
 def max_welfare(inst: MultiItemInstance):
@@ -564,7 +553,8 @@ def max_welfare(inst: MultiItemInstance):
     enumeration of assignments at each support profile."""
     assigns = enumerate_assignments(inst.n, inst.m)
     out = 0
-    for t, q in inst.support.items():
+    for idx, q in zip(inst.flat, inst.masses):
+        t = inst.profile_at(idx)
         best = None
         for a in assigns:
             w = sum(inst.types[i][t[i]].of(bundle_mask(a, i)) for i in range(inst.n))
@@ -588,8 +578,9 @@ def single_item_equivalent(inst: MultiItemInstance) -> ExplicitDistribution:
                 f"bidder {i} has two types with the same item value"
             )
         columns.append(vals)
-    support = {}
-    for t, q in inst.support.items():
-        support[tuple(columns[i][ti] for i, ti in enumerate(t))] = q
+    support = [
+        (tuple(columns[i][ti] for i, ti in enumerate(inst.profile_at(idx))), q)
+        for idx, q in zip(inst.flat, inst.masses)
+    ]
     grid = ValueGrid([sorted(c) for c in columns], inst.mode)
     return ExplicitDistribution(grid, support, strict=False)

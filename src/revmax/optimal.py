@@ -96,7 +96,7 @@ def build_optimal_lp(dist: ExplicitDistribution, fs: FeasibilitySystem) -> Linea
         raise DimensionMismatchError("feasibility system and grid disagree on n")
     n = grid.n
     mass = [0] * grid.cells()
-    for idx, q in zip(dist.flat, dist.support.values()):
+    for idx, q in zip(dist.flat, dist.masses):
         mass[idx] = q
     cols, wins = _columns(fs)
     K = len(cols)
@@ -138,7 +138,7 @@ def _exact(dist: ExplicitDistribution) -> ExplicitDistribution:
     if dist.mode == EXACT:
         return dist
     grid = ValueGrid([[Fraction(w) for w in vi] for vi in dist.grid.values])
-    masses = [Fraction(q) for q in dist.support.values()]
+    masses = [Fraction(q) for q in dist.masses]
     total = sum(masses)
     support = [(grid.profile_at(idx), q / total) for idx, q in zip(dist.flat, masses)]
     return ExplicitDistribution(grid, support, strict=False)

@@ -108,7 +108,7 @@ class ExplicitOracle:
         zero = 0.0 if self.dist.mode == FLOAT else 0
         den = zero
         num = zero
-        for profile, q in self.dist.support.items():
+        for profile, q in zip(map(grid.profile_at, self.dist.flat), self.dist.masses):
             if all(profile[j] == vj for j, vj in given.items()):
                 den += q
                 if profile[bidder] == value:

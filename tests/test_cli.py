@@ -559,6 +559,69 @@ def test_multi_mechanism_line_outside_the_product_is_input_error(tmp_path, capsy
     assert err.count("\n") == 1 and "outside the type product" in err
 
 
+def _drop(text, part):
+    return "".join(line for line in text.splitlines(keepends=True) if part not in line)
+
+
+def _support_fault(text, fault):
+    """A multi-item file of _multi_files (support (0,) and (1,) at 1/2
+    each) with one fault in its support lines."""
+    first = next(line for line in text.splitlines(keepends=True) if '"support"' in line)
+    if fault == "duplicate":
+        return text + first
+    if fault == "non-positive":
+        return text.replace(first, first.replace('"1/2"', '"0"'))
+    if fault == "sum":
+        return text.replace(first, first.replace('"1/2"', '"1/3"'))
+    assert fault == "unused"
+    return _drop(text, '"support":[1]').replace('"prob":"1/2","support"', '"prob":"1","support"')
+
+
+_SUPPORT_FAULTS = {
+    "duplicate": "duplicate support profile (0,)",
+    "non-positive": "support probability 0 is not positive",
+    "sum": "support probabilities sum to 5/6, not 1",
+    "unused": "type 1 of bidder 0 appears in no support profile",
+}
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda m: m + '{"pay":["0"],"profile":[0]}\n', "duplicate line for profile [0]"),
+        (lambda m: _drop(m, '"profile":[1]'), "lottery table missing profile (1,)"),
+        (lambda m: _drop(m, '"pay":["1"],"profile":[1]'), "payment table missing profile (1,)"),
+        (lambda m: m + '{"pay":["0"],"profile":[0,0]}\n', "outside the type product"),
+        (lambda m: m + '{"assignment":[0],"prob":"1","profile":[-1]}\n',
+         "outside the type product"),
+    ],
+    ids=["duplicate pay", "missing profile", "missing pay", "wrong length", "negative index"],
+)
+def test_malformed_multi_mechanism_lines_exit_2_through_verify(tmp_path, capsys, edit, message):
+    inst, mech = _multi_files()
+    assert '"pay":["1"],"profile":[1]' in mech  # the fixture the edits expect
+    ipath = write(tmp_path, "multi.ndjson", inst)
+    code, out, err = run(capsys, ["verify", ipath, write(tmp_path, "bad.ndjson", edit(mech))])
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize("target", ["instance", "mechanism"])
+@pytest.mark.parametrize("fault", sorted(_SUPPORT_FAULTS))
+def test_malformed_multi_support_exits_2_through_verify(tmp_path, capsys, target, fault):
+    """A support fault in either file, the instance or the copy of it a
+    mechanism file carries, is an input error with the shared support
+    check's message; the unused-type message names the type index and,
+    unlike the padded-grid message, suggests no strict=False."""
+    files = dict(zip(["instance", "mechanism"], _multi_files()))
+    files[target] = _support_fault(files[target], fault)
+    argv = ["verify", write(tmp_path, "i.ndjson", files["instance"])]
+    code, out, err = run(capsys, argv + [write(tmp_path, "m.ndjson", files["mechanism"])])
+    assert (code, out) == (2, "")
+    assert err == f"error: {_SUPPORT_FAULTS[fault]}\n"
+    assert "strict" not in err
+
+
 def test_mechanism_file_with_two_grid_lines_is_input_error(tmp_path, capsys):
     lines = rio.write_mechanism(vickrey(PAIR.grid)).splitlines(keepends=True)
     lines.insert(1, '{"grid":[["5"],["6"]]}\n')

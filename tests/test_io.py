@@ -11,6 +11,7 @@ from revmax import (
     ExplicitDistribution,
     FeasibilitySystem,
     InvalidInputError,
+    MultiMechanism,
     ValueGrid,
     canonical_expost,
     first_price,
@@ -26,6 +27,8 @@ from support import (
     random_distribution,
     random_interim,
     random_m1_instance,
+    random_multi_instance,
+    random_multi_mechanism,
     reference_read_mechanism,
 )
 
@@ -572,3 +575,61 @@ def test_instance_reader_places_support_lines_like_the_constructor():
                     assert (list(parsed.support.items()), parsed.flat) == want
                     read += 1
     assert read > 300
+
+
+def _shuffle_multi(rng, text):
+    """The lines of a multi-item file after its header in random order,
+    each type profile's assignment lines kept in their order; and the
+    assignment lines of a profile with two or more, if one has, in
+    reverse order."""
+    head, *body = text.splitlines(keepends=True)
+    order = rng.sample(range(len(body)), len(body))
+    groups = {}
+    for k, line in enumerate(body):
+        obj = json.loads(line)
+        if "assignment" in obj:
+            groups.setdefault(tuple(obj["profile"]), []).append(k)
+    for ks in groups.values():  # a profile's assignment lines keep their order
+        slots = sorted(order[k] for k in ks)
+        for k, slot in zip(ks, slots):
+            order[k] = slot
+    shuffled = [line for _, line in sorted(zip(order, body))]
+    flipped = None
+    many = next((ks for ks in groups.values() if len(ks) > 1), None)
+    if many:
+        flipped = list(body)
+        for k, j in zip(many, reversed(many)):
+            flipped[k] = body[j]
+        flipped = head + "".join(flipped)
+    return head + "".join(shuffled), flipped
+
+
+def test_multi_files_read_in_any_line_order():
+    """Multi-item instance and mechanism files whose support, bidder,
+    assignment and pay lines come in any order (a profile's assignment
+    lines apart but in order) read as the same objects as the canonical
+    files; a profile's lottery keeps its lines' order."""
+    rng = random.Random(61)
+    flipped_seen = 0
+    for _ in range(40):
+        inst = random_multi_instance(rng, max_bidders=3, max_items=2, max_types=3)
+        mech = MultiMechanism(inst, *random_multi_mechanism(rng, inst))
+        itext, mtext = rio.write_instance(inst), rio.write_mechanism(mech)
+        for _ in range(3):
+            shuffled, _ = _shuffle_multi(rng, itext)
+            assert rio.read_instance(shuffled).multi == inst
+            assert rio.write_instance(rio.read_instance(shuffled).multi) == itext
+            shuffled, flipped = _shuffle_multi(rng, mtext)
+            got = rio.read_mechanism(shuffled).mech
+            assert got.inst == inst
+            assert got.lotteries == mech.lotteries and got.payments == mech.payments
+            assert rio.write_mechanism(got) == mtext
+        if flipped:
+            got = rio.read_mechanism(flipped).mech
+            assert got.payments == mech.payments
+            changed = [k for k, (a, b) in enumerate(zip(got.lotteries.rows, mech.lotteries.rows))
+                       if a != b]
+            assert len(changed) == 1
+            assert got.lotteries.rows[changed[0]] == mech.lotteries.rows[changed[0]][::-1]
+            flipped_seen += 1
+    assert flipped_seen > 10

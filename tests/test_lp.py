@@ -249,6 +249,27 @@ def test_rejects_malformed_input():
         lp.add_constraint({0: F(1)}, "!=", F(1))
 
 
+@pytest.mark.parametrize(
+    "bad", [None, "1", float("nan"), float("inf"), float("-inf")], ids=repr
+)
+def test_a_number_without_an_exact_finite_value_is_input_error(bad):
+    """A coefficient, objective entry or right-hand side that is None, a
+    string, NaN or infinite is refused where it is given, naming its
+    variable (or row); None used to read as 0, and the others crashed
+    inside solve."""
+    with pytest.raises(InvalidInputError, match="objective coefficient of variable 1 is"):
+        LinearProgram(2, [1, bad])
+    lp = LinearProgram(2, [1, 1])
+    lp.add_constraint({0: 1}, LEQ, 1)
+    with pytest.raises(InvalidInputError, match="coefficient of variable 1 in row 1 is"):
+        lp.add_constraint({0: 1, 1: bad}, LEQ, 1)
+    with pytest.raises(InvalidInputError, match="right-hand side of row 1 is"):
+        lp.add_constraint({0: 1}, LEQ, bad)
+    assert len(lp.constraints) == 1
+    lp.add_constraint({1: F(1, 2)}, LEQ, 1.5)  # exact values of every kind still pass
+    assert solve(lp).objective == 4
+
+
 def _random_program(rng):
     """Small random program with nonnegative and free variables, <= rows
     with nonnegative right-hand sides, and sometimes a redundant scaled

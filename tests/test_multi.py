@@ -3,6 +3,7 @@ bridge to the single-item solver, and proportional ex-post charges."""
 
 import itertools
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -13,8 +14,10 @@ from revmax import (
     MultiItemInstance,
     MultiMechanism,
     NonRepresentableError,
+    ProfileTable,
     SizeLimitError,
     Valuation,
+    ValueGrid,
     build_multi_lp,
     check_multi,
     enumerate_assignments,
@@ -35,6 +38,7 @@ from support import (
     random_multi_instance,
     random_multi_mechanism,
     reference_check_multi,
+    reference_distribution_support,
     reference_multi_lp,
     reference_solve,
     scale_multi_instance,
@@ -551,3 +555,117 @@ def test_check_multi_matches_reference():
         for mode in ("exact", "float")
         for kind in ("multi_ic", "multi_ir", True, False)
     }
+
+
+def test_multi_tables_are_profile_tables_over_the_type_product():
+    """A multi-item mechanism keeps its tables, and its ex-post form its
+    outcomes, as ProfileTables over the instance's type product: rows in
+    canonical order, KeyError for anything off the product, and equal to
+    the dict of the same pairs, from which the same mechanism is built."""
+    inst = MultiItemInstance(
+        1, [[unit(1), unit(2)], [unit(3)]], {(0, 0): F(1, 3), (1, 0): F(2, 3)}
+    )
+    mech, _ = solve_multi(inst)
+    assert inst.type_profiles() == [(0, 0), (1, 0)] == list(inst.profiles())
+    assert [inst.flat_index(t) for t in inst.profiles()] == [0, 1]
+    assert [inst.profile_at(k) for k in range(inst.cells())] == [(0, 0), (1, 0)]
+    for table in (mech.lotteries, mech.payments, multi_expost(mech).outcomes):
+        assert isinstance(table, ProfileTable) and table.grid is inst
+        assert list(table) == [(0, 0), (1, 0)]
+        assert list(table.values()) == list(table.rows)
+        as_dict = dict(zip(inst.profiles(), table.rows))
+        assert table == as_dict and dict(table.items()) == as_dict
+        assert table[(1, 0)] is table.rows[1]
+        for off in [(2, 0), (0, 1), (-1, 0), (0,), (0, 0, 0), [0, 0], ("0", 0)]:
+            with pytest.raises(KeyError):
+                table[off]
+    pairs = reversed(list(mech.lotteries.items()))
+    assert MultiMechanism(inst, pairs, dict(mech.payments)).lotteries == mech.lotteries
+    with pytest.raises(InvalidInputError, match=r"type profile \(2, 0\) is outside the type"):
+        MultiMechanism(inst, {**mech.lotteries, (2, 0): [(0, 1)]}, mech.payments)
+    with pytest.raises(InvalidInputError, match=r"payment table missing profile \(1, 0\)"):
+        MultiMechanism(inst, mech.lotteries, {(0, 0): mech.payments[(0, 0)]})
+    with pytest.raises(InvalidInputError, match=r"lottery table repeats profile \(0, 0\)"):
+        MultiMechanism(inst, list(mech.lotteries.items()) * 2, mech.payments)
+
+
+def _multi_support_case(rng):
+    """Type list sizes and a random support over their product, shuffled,
+    with at most one fault: a repeated, off-product or wrong-length
+    profile, a probability that is not positive, a total other than 1,
+    or no support at all.  Types that no profile holds come by chance."""
+    sizes = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+    profiles = list(itertools.product(*map(range, sizes)))
+    picked = rng.sample(profiles, rng.randint(1, len(profiles)))
+    weights = [rng.randint(1, 4) for _ in picked]
+    support = [(t, F(w, sum(weights))) for t, w in zip(picked, weights)]
+    rng.shuffle(support)
+    at = rng.randrange(len(support))
+    t, q = support[at]
+    fault = rng.randrange(9)
+    if fault == 0:
+        support.insert(rng.randrange(len(support) + 1), (t, q))
+    elif fault == 1:
+        support[at] = (t[:-1] + (sizes[-1] + rng.randint(0, 1),), q)
+    elif fault == 2:
+        support[at] = (t + (0,) if rng.random() < 0.5 else t[:-1], q)
+    elif fault == 3:
+        support[at] = (t, rng.choice([F(0), F(-1, 3)]))
+    elif fault == 4:
+        support[at] = (t, q + F(1, 7))
+    elif fault == 5:
+        support = []
+    return sizes, support
+
+
+def _multi_wording(exc) -> str:
+    """A reference support error on the grid of type indices, in the
+    words MultiItemInstance uses for it."""
+    text = str(exc)
+    unused = re.fullmatch(r"grid value (\d+) (of bidder \d+ appears in no support profile) .*", text)
+    if unused:
+        return f"type {unused[1]} {unused[2]}"
+    off = re.fullmatch(r"(?:support )?profile (.*) (?:is off the grid|has \d+ entries.*)", text)
+    if off:
+        return f"type profile {off[1]} is outside the type product"
+    return text
+
+
+_MULTI_FAULTS = {
+    "duplicate": "duplicate support profile",
+    "outside": "is outside the type product",
+    "non-positive": "is not positive",
+    "sum": "support probabilities sum to",
+    "empty": "empty support",
+    "unused": "appears in no support profile",
+}
+
+
+def test_multi_support_matches_the_reference():
+    """A multi-item support goes through the same check as a single-item
+    one: against the profile-keyed reference build on the grid of type
+    indices it gives the same support in canonical order, or the same
+    error in the multi-item words, whichever fault comes first."""
+    rng = random.Random(2029)
+    seen = set()
+    for _ in range(400):
+        sizes, support = _multi_support_case(rng)
+        types = [[unit(k + 1) for k in range(size)] for size in sizes]
+        grid = ValueGrid([list(range(size)) for size in sizes])
+        try:
+            want = reference_distribution_support(grid, support)
+        except InvalidInputError as exc:
+            with pytest.raises(InvalidInputError) as got:
+                MultiItemInstance(1, types, support)
+            assert str(got.value) == _multi_wording(exc)
+            seen.update(kind for kind, text in _MULTI_FAULTS.items() if text in str(got.value))
+            if isinstance(exc, DimensionMismatchError):
+                seen.add("length")
+            continue
+        inst = MultiItemInstance(1, types, support)
+        assert list(inst.support.items()) == list(want.items())
+        assert inst.flat == tuple(grid.flat_index(v) for v in want)
+        assert inst.masses == tuple(want.values())
+        assert all(type(k) is int for t in inst.support for k in t)
+        seen.add("ok")
+    assert seen == set(_MULTI_FAULTS) | {"length", "ok"}

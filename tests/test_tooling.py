@@ -166,3 +166,28 @@ def test_same_outputs_labels_certificates(tmp_path):
     assert so.cert_label(key, base, base, "--float") == "certificate"
     for other in (far, moved, fewer):
         assert so.cert_label(key, base, other, "--float") == "changed"
+
+
+def test_same_outputs_reverses_multi_item_lines(tmp_path):
+    """The reverse_multi edit keeps the header and bidder lines and
+    reverses the support, assignment and pay lines; the copy still
+    verifies, and its verify is an edited copy of a solver output."""
+    so = _load("same_outputs", ROOT / "scripts" / "same_outputs.py")
+    from revmax import MultiItemInstance, Valuation, solve_multi
+    from revmax import io as rio
+    from revmax.cli import main
+
+    types = [[Valuation(1, [0, 1]), Valuation(1, [0, 3])], [Valuation(1, [0, 2])]]
+    inst = MultiItemInstance(1, types, {(0, 0): "1/3", (1, 0): "2/3"})
+    source, target = tmp_path / "mech.ndjson", tmp_path / "reversed.ndjson"
+    source.write_text(rio.write_mechanism(solve_multi(inst)[0]))
+    so.reverse_multi(str(source), str(target))
+    lines = source.read_text().splitlines(keepends=True)
+    kept = [line for line in lines if '"bidder"' in line or '"kind"' in line]
+    assert len(kept) == 3
+    assert target.read_text() == "".join(kept + [l for l in lines if l not in kept][::-1])
+    assert so.EDITS["reverse_multi"] is so.reverse_multi
+    assert "solve-multi s0 --exact multi verify-reversed".endswith(so.EDITED)
+    ipath = tmp_path / "inst.ndjson"
+    ipath.write_text(rio.write_instance(inst))
+    assert main(["verify", str(ipath), str(target)]) == 0
