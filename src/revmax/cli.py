@@ -31,7 +31,9 @@ from typing import Optional
 from . import io
 from .brute import EnumLimits, enumerate_deterministic_optimal
 from .errors import BudgetError, InvalidInputError, PivotLimitError, SizeLimitError
-from .model import EXACT, FLOAT, approximation_ratio, expected_revenue, interim_of
+from .model import (
+    EXACT, FLOAT, FeasibilitySystem, approximation_ratio, expected_revenue, interim_of
+)
 from .multi import MAX_ASSIGNMENTS, check_multi, multi_revenue, solve_multi
 from .optimal import decompose_allocation, solve_optimal
 from .oracle import ExplicitOracle, materialize, with_budget

@@ -322,14 +322,14 @@ def _support_entries(lines: list, placer: _Placer):
     """The support lines placed by their flat index, for
     ExplicitDistribution._from_placed; a profile off the grid goes through
     the constructor's own placement, which rejects it."""
-    grid, mode, memo = placer.grid, placer.mode, placer.memo
+    mode, memo = placer.mode, placer.memo
     for obj in lines:
         at = placer.place(obj["support"])
         prob = _number(_field(obj, "prob"), mode, memo)
         if type(at) is int:
-            yield at, grid.profile_at(at), prob
+            yield at, prob
         else:
-            yield from _placed_support(grid, [(at, prob)])
+            yield from _placed_support(placer.grid, [(at, prob)])
 
 
 def _index_list(obj: dict, key: str) -> tuple:

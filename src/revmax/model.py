@@ -120,7 +120,7 @@ def _check_unit_total(total, mode: str, what: str, grid=None, idx: int = 0) -> N
     elif total == 1:
         return
     if grid is not None:
-        what = what.format(grid.profile_at(idx))
+        what = what.format(grid.quote(idx))
     raise InvalidInputError(f"{what} sum to {total}, not 1")
 
 
@@ -144,6 +144,11 @@ def lines(sizes: Sequence[int]) -> Iterator[tuple]:
             k = idx // stride % size
             base = idx - k * stride
             yield i, idx, k, range(base, base + size * stride, stride)
+
+
+def _quote(profile: tuple) -> str:
+    """A profile as a tuple of its entries' str (1/2, 2.0, an index), not reprs."""
+    return f"({', '.join(map(str, profile))}{',' if len(profile) == 1 else ''})"
 
 
 class _Product:
@@ -190,6 +195,10 @@ class _Product:
             idx, k = divmod(idx, len(ts))
             out.append(ts[k])
         return tuple(reversed(out))
+
+    def quote(self, idx: int) -> str:
+        """The profile at a flat index as an input error quotes it."""
+        return _quote(self.profile_at(idx))
 
 
 class ValueGrid(_Product):
@@ -323,8 +332,8 @@ class ExplicitDistribution:
 
 
 def _placed_support(space: _Product, support) -> Iterator[tuple]:
-    """(flat index, profile as given, probability) for each support entry
-    in the given order; a profile outside the product raises."""
+    """(flat index, probability) for each support entry in the given
+    order; a profile outside the product raises."""
     for profile, prob in _items(support):
         key = space._key(profile)
         if len(key) != space.n:
@@ -335,21 +344,21 @@ def _placed_support(space: _Product, support) -> Iterator[tuple]:
             idx = space.flat_index(key)
         except KeyError:
             raise InvalidInputError(f"support profile {profile} is off the grid") from None
-        yield idx, profile, prob
+        yield idx, prob
 
 
 def _support(space: _Product, entries: Iterable[tuple], unused) -> tuple:
     """(flat, masses) of a prior's support over space, from entries of
-    (flat index, profile as given, probability), summed in the given
-    order.  A repeated profile, a probability that is not positive, an
-    empty support, a total other than 1 and, given the message unused
-    (formatted with bidder i and type t, its index k), a type that no
-    support profile holds are input errors."""
+    (flat index, probability), summed in the given order.  A repeated
+    profile, a probability that is not positive, an empty support, a
+    total other than 1 and, given the message unused (formatted with
+    bidder i and type t, its index k), a type that no support profile
+    holds are input errors."""
     mode = space.mode
     table = {}  # flat index -> probability, in the given order
-    for idx, profile, prob in entries:
+    for idx, prob in entries:
         if idx in table:
-            raise InvalidInputError(f"duplicate support profile {profile}")
+            raise InvalidInputError(f"duplicate support profile {space.quote(idx)}")
         q = convert(prob, mode)
         if q <= 0:
             raise InvalidInputError(f"support probability {prob} is not positive")
@@ -520,10 +529,11 @@ class _Rows:
 
     def table(self, grid: _Product, what: str) -> ProfileTable:
         if self.placed < len(self.rows):
-            missing = grid.profile_at(next(k for k, r in enumerate(self.rows) if r is _UNSET))
+            missing = grid.quote(next(k for k, r in enumerate(self.rows) if r is _UNSET))
             raise InvalidInputError(f"{what} missing profile {missing}")
         if self.extra:
-            raise InvalidInputError(f"{what} has off-grid profiles {sorted(self.extra)[:3]}")
+            off = ", ".join(map(_quote, sorted(self.extra)[:3]))
+            raise InvalidInputError(f"{what} has off-grid profiles [{off}]")
         return ProfileTable(grid, self.rows)
 
 
@@ -579,14 +589,14 @@ class InterimMechanism:
         for k, row in enumerate(xs):
             vals = xs[k] = _convert_row(row, mode)
             if len(vals) != n:
-                raise DimensionMismatchError(f"x row at {grid.profile_at(k)} has wrong length")
+                raise DimensionMismatchError(f"x row at {grid.quote(k)} has wrong length")
             if any(c < 0 or c > 1 for c in vals):
-                raise InvalidInputError(f"allocation outside [0,1] at {grid.profile_at(k)}")
+                raise InvalidInputError(f"allocation outside [0,1] at {grid.quote(k)}")
         ps = _check_table_domain(grid, p, "payment table")
         for k, row in enumerate(ps):
             vals = ps[k] = _convert_row(row, mode)
             if len(vals) != n:
-                raise DimensionMismatchError(f"p row at {grid.profile_at(k)} has wrong length")
+                raise DimensionMismatchError(f"p row at {grid.quote(k)} has wrong length")
         self.grid = grid
         self.x = ProfileTable(grid, xs)
         self.p = ProfileTable(grid, ps)
@@ -655,12 +665,12 @@ class ExPostMechanism:
             for vec_idx, pays, prob in rows:
                 if not 0 <= vec_idx < K:
                     raise InvalidInputError(
-                        f"bad vector index {vec_idx} at {grid.profile_at(k)}"
+                        f"bad vector index {vec_idx} at {grid.quote(k)}"
                     )
                 pay = _convert_row(pays, mode)
                 if len(pay) != grid.n:
                     raise DimensionMismatchError(
-                        f"payment row at {grid.profile_at(k)} has wrong length"
+                        f"payment row at {grid.quote(k)} has wrong length"
                     )
                 q = convert(prob, mode)
                 if q <= 0:
@@ -705,19 +715,19 @@ class DeterministicMechanism:
         ch = _check_table_domain(grid, choice, "winner table")
         for k, idx in enumerate(ch):
             if not 0 <= idx < K:
-                raise InvalidInputError(f"bad vector index {idx} at {grid.profile_at(k)}")
+                raise InvalidInputError(f"bad vector index {idx} at {grid.quote(k)}")
         ps = _check_table_domain(grid, payments, "payment table")
         losers = [[i for i, c in enumerate(vec) if c == 0] for vec in fs.vectors]
         for k, (row, idx) in enumerate(zip(ps, ch)):
             pay = ps[k] = _convert_row(row, mode)
             if len(pay) != grid.n:
                 raise DimensionMismatchError(
-                    f"payment row at {grid.profile_at(k)} has wrong length"
+                    f"payment row at {grid.quote(k)} has wrong length"
                 )
             for i in losers[idx]:
                 if pay[i] != 0:
                     raise InvalidInputError(
-                        f"non-winner {i} charged {pay[i]} at {grid.profile_at(k)}"
+                        f"non-winner {i} charged {pay[i]} at {grid.quote(k)}"
                     )
         self.grid = grid
         self.fs = fs
@@ -823,7 +833,7 @@ def interim_of(mech: ExPostMechanism) -> InterimMechanism:
                 if pay[i]:
                     pa[i] += prob * pay[i]
         if any(c < 0 or c > 1 for c in xa):
-            raise InvalidInputError(f"allocation outside [0,1] at {mech.grid.profile_at(k)}")
+            raise InvalidInputError(f"allocation outside [0,1] at {mech.grid.quote(k)}")
         x.append(tuple(xa))
         p.append(tuple(pa))
     return InterimMechanism._from_tables(mech.grid, x, p)
@@ -868,7 +878,7 @@ def canonical_expost(mech: InterimMechanism, fs: FeasibilitySystem) -> ExPostMec
             if xs[i] == 0:
                 if ps[i] != 0:
                     raise NonRepresentableError(
-                        f"bidder {i} pays {ps[i]} with zero allocation at {v}"
+                        f"bidder {i} pays {ps[i]} with zero allocation at {_quote(v)}"
                     )
                 continue
             pay = [zero] * mech.grid.n
@@ -876,7 +886,7 @@ def canonical_expost(mech: InterimMechanism, fs: FeasibilitySystem) -> ExPostMec
             rows.append((fs.winner_index(i), tuple(pay), xs[i]))
             total += xs[i]
         if total > 1:
-            raise InvalidInputError(f"allocations at {v} sum to {total} > 1")
+            raise InvalidInputError(f"allocations at {_quote(v)} sum to {total} > 1")
         if total < 1:
             rows.append((fs.zero_index, (zero,) * mech.grid.n, one - total))
         table.append(rows)

@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .errors import (
     DimensionMismatchError,
@@ -33,9 +33,7 @@ from .lp import LEQ, LinearProgram, solve
 from .model import (
     EXACT,
     FLOAT,
-    ExplicitDistribution,
     ProfileTable,
-    ValueGrid,
     _Product,
     _check_table_domain,
     _check_unit_total,
@@ -45,6 +43,7 @@ from .model import (
     convert,
     lines,
 )
+from .optimal import _chain_payments, _virtual_values
 from .verify import VerifyReport, Witness, _scaled, violated
 
 MAX_ASSIGNMENTS = 6561  # (n+1)^m cap, e.g. m <= 8 at n = 2
@@ -201,7 +200,7 @@ class MultiMechanism:
             pay = pays[k] = _convert_row(row, mode)
             if len(pay) != inst.n:
                 raise DimensionMismatchError(
-                    f"payment row at {inst.profile_at(k)} has wrong length"
+                    f"payment row at {inst.quote(k)} has wrong length"
                 )
         self.inst = inst
         self.assignments = assigns
@@ -236,35 +235,37 @@ def _guard(n: int, m: int, max_assignments: int) -> None:
         )
 
 
-def _kept_rows(ts: Sequence[Valuation]) -> tuple:
-    """(pairs, ir) for one bidder's types: the (true, report) pairs whose
-    truthfulness rows build_multi_lp writes, in (true, report) order, and
-    ir[r], whether type r keeps its rationality rows (see build_multi_lp
-    for why the rest are implied)."""
-    T = len(ts)
+def _kept_ir(ts: Sequence[Valuation]) -> list:
+    """ir[r]: whether type r of a general bidder keeps its rationality
+    rows (see build_multi_lp for why the rest are implied)."""
     tables = [t.values for t in ts]
-    ir = [
+    return [
         not any(
-            s != r
-            and all(x >= y for x, y in zip(tables[r], tables[s]))
-            and (s < r or tables[s] != tables[r])
-            for s in range(T)
+            s != r and all(x >= y for x, y in zip(a, b)) and (s < r or a != b)
+            for s, b in enumerate(tables)
         )
-        for r in range(T)
+        for r, a in enumerate(tables)
     ]
-    pairs = [(r, s) for r in range(T) for s in range(T) if r != s]
-    # proportionality is decided on the exact rationals, floats included
-    exact = [tuple(map(Fraction, t)) for t in tables]
-    if T < 2 or len(set(exact)) < T:
-        return pairs, ir
-    base = next(b for b in exact if any(b))
+
+
+def _role(ts: Sequence[Valuation], i: int, assigns: Sequence[tuple]) -> Optional[tuple]:
+    """None unless bidder i's tables are alpha_t * b with pairwise
+    distinct alpha_t >= 0; then (its types by increasing alpha, those
+    alphas, and (a - 1, b(bundle_i(a))) for each assignment a that b
+    values above 0), where b's first nonzero entry is 1 and alpha_t is
+    type t's entry there.  Proportionality is decided on the exact
+    rationals, floats included; alpha and b keep the tables' arithmetic."""
+    exact = [tuple(map(Fraction, t.values)) for t in ts]
+    base = next((t for t in exact if any(t)), None)
+    if base is None or len(set(exact)) < len(exact):
+        return None
     j = next(c for c, x in enumerate(base) if x)
-    alpha = [t[j] / base[j] for t in exact]
-    if any(x != a * y for t, a in zip(exact, alpha) for x, y in zip(t, base)):
-        return pairs, ir
-    order = sorted(range(T), key=alpha.__getitem__)
-    adjacent = set(zip(order, order[1:])) | set(zip(order[1:], order))
-    return [p for p in pairs if p in adjacent], ir
+    if any(x * base[j] != t[j] * y for t in exact for x, y in zip(t, base)):
+        return None
+    top = next(t.values for t in ts if t.values[j])
+    bx = [(a - 1, c) for a, c in enumerate(top[bundle_mask(x, i)] / top[j] for x in assigns) if c]
+    order = sorted(range(len(ts)), key=lambda t: ts[t].values[j])
+    return order, [ts[t].values[j] for t in order], bx
 
 
 def build_multi_lp(
@@ -274,10 +275,11 @@ def build_multi_lp(
     max_assignments: int = MAX_ASSIGNMENTS,
 ) -> LinearProgram:
     """Revenue LP over assignment lotteries, in the instance's mode:
-    lottery weights and payments per type profile, with the single-item
-    program's truthfulness and rationality rows and bundle values in place
-    of unit values.  allow_negative_payments makes the payment variables
-    free; unlike the single-item LP's, this optimum can depend on it.
+    lottery weights per type profile, payments per type profile and
+    bidder that is not single-parameter (_role), with the single-item
+    program's rows and bundle values in place of unit values.
+    allow_negative_payments makes the payment variables free; unlike the
+    single-item LP's, this optimum can depend on it.
 
     Assignment 0 leaves every item unsold, so every bidder values it at 0
     and its weight would appear only in the profile's convexity row.  It
@@ -286,53 +288,46 @@ def build_multi_lp(
     1 - sum.  Every row is <= with right-hand side 0 or 1, the form
     revmax.lp solves from the slack basis.
 
-    Rows that the kept rows imply are left out (_kept_rows); the feasible
-    set is that of the all-pairs, all-IR program.  Both rules read one
-    line of bidder i at a time, with u(r) = v_r . lambda(r) - p(r):
+    Rows that the kept rows imply are left out; the optimum is that of
+    the all-pairs, all-IR program.  Both rules read one line of bidder i
+    at a time, with u(r) = v_r . lambda(r) - p(r):
 
-    - IR.  If type t dominates type s (v_t >= v_s on every bundle), then
+    - Single-parameter bidders, whose tables are pairwise distinct
+      nonnegative multiples alpha * b of one table, have Myerson's
+      program in x = b . lambda (revmax.optimal): no payment columns and
+      no IC or IR rows, only rows keeping x monotone between types
+      adjacent in alpha order, and phi . x in the objective.  solve_multi
+      charges the chain payments, the highest that IC and IR allow; they
+      are nonnegative, so allow_negative_payments changes nothing here.
+      A bidder with two identical tables stays general.
+    - IR of every other bidder, which keeps every IC pair.  If type t
+      dominates type s (v_t >= v_s on every bundle), then
       u(t) >= v_t . lambda(s) - p(s) >= v_s . lambda(s) - p(s) = u(s) by
       IC t -> s and lambda >= 0, so t's IR rows follow from s's.  Only
       types that dominate no other keep them; among identical tables
-      the lowest index keeps its rows.
-    - IC.  A bidder whose tables are pairwise distinct nonnegative
-      multiples alpha * b of one table is single-parameter: with
-      x = b . lambda its rows are Myerson's, and the IC rows between
-      types adjacent in alpha order, both ways, force x monotone and
-      imply every other pair.  Any other bidder keeps every pair.
-      Identical tables tie, and then adjacent rows are not enough: equal
-      types r, s with (x, p) = (1, v) and (0, 0) and a higher c next to
-      s at (0, 0) meet every adjacent row, while c -> r gains."""
+      the lowest index keeps its rows."""
     _guard(inst.n, inst.m, max_assignments)
     n = inst.n
     assigns = enumerate_assignments(n, inst.m)
     K = len(assigns) - 1
-    profiles = inst.type_profiles()
-    nlam = len(profiles) * K
-
-    def lam(t_idx: int, a_idx: int) -> int:
-        return t_idx * K + a_idx - 1
+    cells = inst.cells()
+    nlam = cells * K
+    roles = [_role(ts, i, assigns) for i, ts in enumerate(inst.types)]
+    general = [i for i, role in enumerate(roles) if role is None]
 
     def pay(t_idx: int, i: int) -> int:
-        return nlam + t_idx * n + i
+        return nlam + t_idx * len(general) + general.index(i)
 
-    num_vars = nlam + len(profiles) * n
-    objective = [0] * num_vars
+    mass = [0] * cells
     for k, q in zip(inst.flat, inst.masses):
-        for i in range(n):
-            objective[pay(k, i)] = q
+        mass[k] = q
+    objective = [0] * (nlam + cells * len(general))
+    for k, i in itertools.product(range(cells), general):
+        objective[pay(k, i)] = mass[k]
 
-    lp = LinearProgram(num_vars, objective)
-    if allow_negative_payments:
-        for k in range(len(profiles)):
-            for i in range(n):
-                lp.set_free(pay(k, i))
-
-    for k in range(len(profiles)):
-        lp.add_constraint({lam(k, a): 1 for a in range(1, K + 1)}, LEQ, 1)
-
-    # gain[i][ti] and loss[i][ti]: (lam(t, a) - t*K, +v or -v) for each
-    # assignment a worth v > 0 to bidder i of type ti, so never a = 0.  A
+    # gain[i][ti] and loss[i][ti]: (a - 1, +v or -v), a's column in a
+    # profile's block of K, for each assignment a worth v > 0 to bidder i
+    # of type ti, so never a = 0; bx holds b's entries the same way.  A
     # row takes at most one table per profile and profiles have disjoint
     # lambda columns, so each coefficient is written once.
     gain = [
@@ -341,25 +336,39 @@ def build_multi_lp(
     ]
     loss = [[[(o, -v) for o, v in g] for g in per_type] for per_type in gain]
 
-    ic_pairs, ir_types = zip(*(_kept_rows(ts) for ts in inst.types))
+    phi = [[0] * n for _ in range(cells)]
+    rows = [{k * K + o: 1 for o in range(K)} for k in range(cells)]
     for i, _, k, line in lines([len(ts) for ts in inst.types]):
         if k:
             continue
-        for true_t, rep_t in ic_pairs[i]:
+        if roles[i]:
+            order, w, bx = roles[i]
+            along = [line[t] for t in order]
+            _virtual_values(along, w, mass, phi, i)
+            for q, (o, c) in itertools.product(along, bx):
+                objective[q * K + o] += phi[q][i] * c
+            for lo, hi in zip(along, along[1:]):
+                rows.append({lo * K + o: c for o, c in bx})
+                rows[-1].update((hi * K + o, -c) for o, c in bx)
+            continue
+        for true_t, rep_t in itertools.permutations(range(len(line)), 2):
             k_true, k_rep = line[true_t], line[rep_t]
-            row: dict = {pay(k_rep, i): -1, pay(k_true, i): 1}
-            row.update((k_rep * K + o, v) for o, v in gain[i][true_t])
-            row.update((k_true * K + o, v) for o, v in loss[i][true_t])
-            lp.add_constraint(row, LEQ, 0)
+            rows.append({pay(k_rep, i): -1, pay(k_true, i): 1})
+            rows[-1].update((k_rep * K + o, v) for o, v in gain[i][true_t])
+            rows[-1].update((k_true * K + o, v) for o, v in loss[i][true_t])
+    for i in general:
+        keep = _kept_ir(inst.types[i])
+        for k, t in enumerate(inst.profiles()):
+            if keep[t[i]]:
+                rows.append({pay(k, i): 1})
+                rows[-1].update((k * K + o, v) for o, v in loss[i][t[i]])
 
-    for i in range(n):
-        for k, t in enumerate(profiles):
-            if not ir_types[i][t[i]]:
-                continue
-            row = {pay(k, i): 1}
-            row.update((k * K + o, v) for o, v in loss[i][t[i]])
-            lp.add_constraint(row, LEQ, 0)
-
+    lp = LinearProgram(len(objective), objective)
+    if allow_negative_payments:
+        for k, i in itertools.product(range(cells), general):
+            lp.set_free(pay(k, i))
+    for r, row in enumerate(rows):
+        lp.add_constraint(row, LEQ, 1 if r < cells else 0)
     return lp
 
 
@@ -383,10 +392,13 @@ def solve_multi(
     max_assignments: int = MAX_ASSIGNMENTS,
 ):
     """Solve the multi-item revenue LP exactly; the exact mechanism is
-    replayed through check_multi before being handed back.  A float
-    instance is solved as its exact copy (_exact), and the mechanism is
-    then rounded to float by its own constructor.  Returns (mechanism,
-    expected revenue), both in the instance's mode."""
+    replayed through check_multi, every IC pair and IR row, before being
+    handed back.  A single-parameter bidder pays Myerson's chain along
+    each of its lines in alpha order, p_t = p_{t-1} + alpha_t (x_t -
+    x_{t-1}) from p = x = 0.  A float instance is solved as its exact
+    copy (_exact), and the mechanism is then rounded to float by its own
+    constructor.  Returns (mechanism, expected revenue), both in the
+    instance's mode."""
     exact = _exact(inst)
     lp = build_multi_lp(
         exact,
@@ -396,17 +408,26 @@ def solve_multi(
     sol = solve(lp)
     if sol.status != "optimal":
         raise RuntimeError(f"multi-item LP reported {sol.status}; this cannot happen")
-    n = inst.n
     cells = inst.cells()
-    K = (n + 1) ** inst.m - 1
-    nlam = cells * K
+    assigns = enumerate_assignments(inst.n, inst.m)
+    K = len(assigns) - 1
+    roles = [_role(ts, i, assigns) for i, ts in enumerate(exact.types)]
+    pays = iter(sol.x[cells * K :])  # by profile, then general bidder
     lotteries, payments = [], []
     for k in range(cells):
         sold = sol.x[k * K : (k + 1) * K]
         # the all-unsold assignment's weight is its row's slack
         weights = (1 - sum(sold),) + sold
         lotteries.append([(a, w) for a, w in enumerate(weights) if w])
-        payments.append(sol.x[nlam + k * n : nlam + (k + 1) * n])
+        payments.append([0 if role else next(pays) for role in roles])
+    for i, _, k, line in lines([len(ts) for ts in inst.types]):
+        if roles[i] and not k:
+            order, w, bx = roles[i]
+            along = [line[t] for t in order]
+            # x = b . lambda first; the chain reads each x before it writes p there
+            for q in along:
+                payments[q][i] = sum(c * sol.x[q * K + o] for o, c in bx)
+            _chain_payments(along, w, payments, payments, i)
     mech = MultiMechanism(exact, ProfileTable(exact, lotteries), ProfileTable(exact, payments))
     report = check_multi(mech)
     if not report.passed:
@@ -562,25 +583,3 @@ def max_welfare(inst: MultiItemInstance):
                 best = w
         out += q * best
     return out
-
-
-def single_item_equivalent(inst: MultiItemInstance) -> ExplicitDistribution:
-    """Bridge an m=1 instance to the single-item model: each type becomes
-    its value for the lone item.  Types of one bidder must carry distinct
-    values for the mapping to be a bijection."""
-    if inst.m != 1:
-        raise InvalidInputError("only m=1 instances have a single-item equivalent")
-    columns = []
-    for i, ts in enumerate(inst.types):
-        vals = [t.of(1) for t in ts]
-        if len(set(vals)) != len(vals):
-            raise InvalidInputError(
-                f"bidder {i} has two types with the same item value"
-            )
-        columns.append(vals)
-    support = [
-        (tuple(columns[i][ti] for i, ti in enumerate(inst.profile_at(idx))), q)
-        for idx, q in zip(inst.flat, inst.masses)
-    ]
-    grid = ValueGrid([sorted(c) for c in columns], inst.mode)
-    return ExplicitDistribution(grid, support, strict=False)

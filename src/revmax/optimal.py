@@ -86,6 +86,28 @@ def _columns(fs: FeasibilitySystem) -> tuple:
     return cols, wins
 
 
+def _virtual_values(along: Sequence[int], w: Sequence, mass: Sequence, phi: list, i: int) -> None:
+    """Set phi[v][i] at the flat indices v along one line of bidder i,
+    listed by increasing parameter w: q(w_t) w_t - (w_{t+1} - w_t) times
+    the line's mass above w_t."""
+    above = 0  # mass of the line above the current value
+    for v, wt, nxt in reversed(list(zip(along, w, w[1:] + w[-1:]))):
+        phi[v][i] = mass[v] * wt - (nxt - wt) * above
+        above += mass[v]
+
+
+def _chain_payments(along: Sequence[int], w: Sequence, xs: Sequence, ps: list, i: int) -> None:
+    """Set ps[v][i] along one line of bidder i, listed by increasing
+    parameter w, to Myerson's chain p_t = p_{t-1} + w_t (x_t - x_{t-1})
+    from p_0 = x_0 = 0, where x_t is xs[v][i]."""
+    p = last = 0
+    for v, wt in zip(along, w):
+        x = xs[v][i]
+        p += wt * (x - last)
+        last = x
+        ps[v][i] = p
+
+
 def build_optimal_lp(dist: ExplicitDistribution, fs: FeasibilitySystem) -> LinearProgram:
     """Assemble the allocation-only revenue LP: lottery weights of the
     nonzero vectors per profile, one <= 1 row per profile, adjacent
@@ -106,11 +128,7 @@ def build_optimal_lp(dist: ExplicitDistribution, fs: FeasibilitySystem) -> Linea
     for i, _, k, line in lines([len(w) for w in grid.values]):
         if k:
             continue
-        w = grid.values[i]
-        above = 0  # mass of the line above the current value
-        for v, wt, nxt in reversed(list(zip(line, w, w[1:] + w[-1:]))):
-            phi[v][i] = mass[v] * wt - (nxt - wt) * above
-            above += mass[v]
+        _virtual_values(line, grid.values[i], mass, phi, i)
         if not wins[i]:
             continue
         for lo, hi in zip(line, line[1:]):
@@ -171,12 +189,9 @@ def solve_optimal(
         xs.append(tuple(sum((w for c in wi if (w := weights[c])), zero) for wi in wins))
 
     ps = [[zero] * n for _ in xs]
-    for i, idx, k, line in lines([len(w) for w in grid.values]):
-        # one chain step up from the value below, which canonical order visits first
-        last_x = last_p = zero
-        if k:
-            last_x, last_p = xs[line[k - 1]][i], ps[line[k - 1]][i]
-        ps[idx][i] = last_p + grid.values[i][k] * (xs[idx][i] - last_x)
+    for i, _, k, line in lines([len(w) for w in grid.values]):
+        if not k:
+            _chain_payments(line, grid.values[i], xs, ps, i)
     out = dist.grid
     interim = InterimMechanism(out, ProfileTable(out, xs), ProfileTable(out, ps))
     return OptimalResult(interim, expected_revenue(interim, dist))

@@ -319,6 +319,26 @@ def random_m1_instance(rng, max_bidders=2, max_types=3):
     return MultiItemInstance(1, types, support)
 
 
+def single_item_equivalent(inst: MultiItemInstance) -> ExplicitDistribution:
+    """Bridge an m=1 instance to the single-item model: each type becomes
+    its value for the lone item.  Types of one bidder must carry distinct
+    values for the mapping to be a bijection."""
+    if inst.m != 1:
+        raise InvalidInputError("only m=1 instances have a single-item equivalent")
+    columns = []
+    for i, ts in enumerate(inst.types):
+        vals = [t.of(1) for t in ts]
+        if len(set(vals)) != len(vals):
+            raise InvalidInputError(f"bidder {i} has two types with the same item value")
+        columns.append(vals)
+    support = [
+        (tuple(columns[i][ti] for i, ti in enumerate(inst.profile_at(idx))), q)
+        for idx, q in zip(inst.flat, inst.masses)
+    ]
+    grid = ValueGrid([sorted(c) for c in columns], inst.mode)
+    return ExplicitDistribution(grid, support, strict=False)
+
+
 def _units(n: int, u: int) -> list:
     """All 0/1 vectors with at most u ones, fewest ones first."""
     vecs = [v for v in itertools.product((0, 1), repeat=n) if sum(v) <= u]
@@ -951,6 +971,14 @@ def reference_decompose_allocation(x, fs: FeasibilitySystem):
     return HullDecomposition(False, certificate=(cert.x[: fs.n], cert.x[fs.n]))
 
 
+def quoted(profile: tuple) -> str:
+    """A profile as input errors quote it: like a tuple, with each entry as
+    str writes it (1/2 for a Fraction, 2.0 for a float), never a repr."""
+    if len(profile) == 1:
+        return f"({profile[0]},)"
+    return "(" + ", ".join(str(v) for v in profile) + ")"
+
+
 def reference_distribution_support(grid: ValueGrid, support, strict: bool = True) -> dict:
     """The support table ExplicitDistribution(grid, support, strict=strict)
     builds, by the profile-keyed construction: the grid test, the
@@ -967,7 +995,7 @@ def reference_distribution_support(grid: ValueGrid, support, strict: bool = True
         if not grid.on_grid(key):
             raise InvalidInputError(f"support profile {profile} is off the grid")
         if key in table:
-            raise InvalidInputError(f"duplicate support profile {profile}")
+            raise InvalidInputError(f"duplicate support profile {quoted(key)}")
         q = convert(prob, mode)
         if q <= 0:
             raise InvalidInputError(f"support probability {prob} is not positive")
@@ -995,11 +1023,12 @@ def reference_check_table_domain(grid: ValueGrid, table, what: str) -> dict:
     out = {}
     for profile in grid.profiles():
         if profile not in table:
-            raise InvalidInputError(f"{what} missing profile {profile}")
+            raise InvalidInputError(f"{what} missing profile {quoted(profile)}")
         out[profile] = table[profile]
     if len(table) != grid.cells():
         extra = set(table) - set(out)
-        raise InvalidInputError(f"{what} has off-grid profiles {sorted(extra)[:3]}")
+        off = [quoted(p) for p in sorted(extra)[:3]]
+        raise InvalidInputError(f"{what} has off-grid profiles [{', '.join(off)}]")
     return out
 
 

@@ -33,7 +33,6 @@ from revmax import (
     first_price,
     interim_of,
     materialize,
-    single_item_equivalent,
     solve_multi,
     solve_optimal,
     vickrey,
@@ -53,6 +52,7 @@ from support import (
     reference_revenue,
     scale_distribution,
     scale_multi_instance,
+    single_item_equivalent,
 )
 
 PAIR = ExplicitDistribution.from_support({(1, 1): F(1, 2), (2, 2): F(1, 2)})

@@ -590,7 +590,7 @@ _SUPPORT_FAULTS = {
     [
         (lambda m: m + '{"pay":["0"],"profile":[0]}\n', "duplicate line for profile [0]"),
         (lambda m: _drop(m, '"profile":[1]'), "lottery table missing profile (1,)"),
-        (lambda m: _drop(m, '"pay":["1"],"profile":[1]'), "payment table missing profile (1,)"),
+        (lambda m: _drop(m, '"pay":["2"],"profile":[1]'), "payment table missing profile (1,)"),
         (lambda m: m + '{"pay":["0"],"profile":[0,0]}\n', "outside the type product"),
         (lambda m: m + '{"assignment":[0],"prob":"1","profile":[-1]}\n',
          "outside the type product"),
@@ -599,7 +599,7 @@ _SUPPORT_FAULTS = {
 )
 def test_malformed_multi_mechanism_lines_exit_2_through_verify(tmp_path, capsys, edit, message):
     inst, mech = _multi_files()
-    assert '"pay":["1"],"profile":[1]' in mech  # the fixture the edits expect
+    assert '"pay":["2"],"profile":[1]' in mech  # the fixture the edits expect
     ipath = write(tmp_path, "multi.ndjson", inst)
     code, out, err = run(capsys, ["verify", ipath, write(tmp_path, "bad.ndjson", edit(mech))])
     assert (code, out) == (2, "")
@@ -921,3 +921,32 @@ def test_an_unknown_mode_in_either_header_is_input_error(tmp_path, capsys):
     for argv in (["revenue", inst, bad_mech], ["verify", bad_inst, mech]):
         code, out, err = run(capsys, argv)
         assert (code, out, err) == (2, "", "error: unknown mode 'decimal'\n")
+
+
+@pytest.mark.parametrize("flag", ["--exact", "--float"])
+def test_input_errors_quote_profiles_as_the_file_mode_writes_them(tmp_path, capsys, flag):
+    # a repeated support line, a missing table row and a lottery whose
+    # probabilities miss 1 name the profile entry by entry, never as reprs
+    dist = ExplicitDistribution.from_support({(1,): F(1, 2), (2,): F(1, 2)})
+    interim = solve_optimal(dist).interim
+    inst = rio.write_instance(dist)
+    top = '"profile":["2"]'
+    mechs = {
+        "interim": rio.write_mechanism(interim),
+        "expost": rio.write_mechanism(canonical_expost(interim, FeasibilitySystem.single_item(1))),
+    }
+    assert all(top in text for text in mechs.values())  # the fixture the edits expect
+    at, half = ("(2,)", "1/2") if flag == "--exact" else ("(2.0,)", "0.5")
+    ipath = write(tmp_path, "inst.ndjson", inst)
+    missing = _drop(mechs["interim"], top)
+    short = mechs["expost"].replace('"prob":"1",' + top, '"prob":"1/2",' + top)
+    cases = [
+        (["solve", write(tmp_path, "dup.ndjson", inst + '{"prob":"1/2","support":["2"]}\n')],
+         "duplicate support profile " + at),
+        (["verify", ipath, write(tmp_path, "missing.ndjson", missing)],
+         "allocation table missing profile " + at),
+        (["verify", ipath, write(tmp_path, "short.ndjson", short)],
+         f"outcome probabilities at {at} sum to {half}, not 1"),
+    ]
+    for argv, message in cases:
+        assert run(capsys, argv + [flag]) == (2, "", f"error: {message}\n")

@@ -475,8 +475,8 @@ def _fault_files():
 
 
 # the message of each fault, in whichever order the body lines come
-_AT = "(Fraction(1, 1), Fraction(0, 1))"  # the faulty line's profile
-_OFF = "[(Fraction(100, 1), Fraction(0, 1))]"
+_AT = "(1, 0)"  # the faulty line's profile
+_OFF = "[(100, 0)]"
 FAULT_MESSAGES = {
     "interim duplicate": "duplicate line for profile ['1', '0']",
     "interim missing": f"allocation table missing profile {_AT}",

@@ -10,6 +10,7 @@ import pytest
 
 from revmax import (
     DimensionMismatchError,
+    FeasibilitySystem,
     InvalidInputError,
     MultiItemInstance,
     MultiMechanism,
@@ -19,15 +20,15 @@ from revmax import (
     Valuation,
     ValueGrid,
     build_multi_lp,
+    build_optimal_lp,
     check_multi,
     enumerate_assignments,
     max_welfare,
     multi_expost,
-    single_item_equivalent,
     solve_multi,
     solve_optimal,
 )
-from revmax.lp import LEQ, LinearProgram
+from revmax.lp import LEQ, LinearProgram, solve
 from revmax.model import lines
 from revmax.multi import _bundle_values, bundle_mask
 from support import (
@@ -42,6 +43,7 @@ from support import (
     reference_multi_lp,
     reference_solve,
     scale_multi_instance,
+    single_item_equivalent,
 )
 
 
@@ -81,14 +83,14 @@ def test_lp_shape_for_two_bidders_two_items():
     t = Valuation(2, [0, 1, 1, 2])
     u = Valuation(2, [0, 2, 2, 4])
     cases = [
-        # 4 profiles x 8 assignments that sell something + 8 payments;
-        # rows: 4 convexity, 8 IC (t and 2t make both bidders
-        # single-parameter with two types), 4 IR (t dominates nothing)
-        (_full_support(2, [[t, u], [t, u]]), 40, 16),
+        # t and 2t make both bidders single-parameter, so neither has
+        # payment columns: 4 profiles x 8 assignments that sell something;
+        # rows: 4 convexity, 2 bidders x 2 lines x 1 adjacent monotone row
+        (_full_support(2, [[t, u], [t, u]]), 32, 8),
         # one more input, n=3 and m=1 with values 1, 2, 3: 27 profiles x 3
-        # assignments + 81 payments; rows: 27 convexity, 3 bidders x 9
-        # lines x 4 adjacent IC pairs, 3 x 9 IR at value 1
-        (_full_support(1, [[unit(1), unit(2), unit(3)]] * 3), 162, 162),
+        # assignments; rows: 27 convexity, 3 bidders x 9 lines x 2
+        # adjacent monotone rows
+        (_full_support(1, [[unit(1), unit(2), unit(3)]] * 3), 81, 81),
     ]
     for inst, num_vars, num_rows in cases:
         lp = build_multi_lp(inst)
@@ -155,56 +157,88 @@ def test_slack_form_lp_matches_reference_lp(negative):
 
 
 def _accumulated_multi_lp(inst, allow_negative_payments):
-    """build_multi_lp's program assembled by adding every bundle-value
-    coefficient into zero, column by column, with its row rules applied
-    on their own: a bidder whose tables are pairwise distinct and
-    proportional (every 2x2 cross product agrees) keeps the IC pairs
-    adjacent in the order of table sums, every other bidder all pairs;
-    a type keeps its IR rows unless it weakly dominates another type
-    that is not an identical table of higher index."""
+    """build_multi_lp's program assembled by adding every coefficient into
+    zero, column by column, with its row rules applied on their own.  A
+    bidder with pairwise distinct proportional tables (every 2x2 cross
+    product agrees), not all zero, is single-parameter: with b its first
+    nonzero table divided by that table's first nonzero entry and alpha
+    each type's entry there, it keeps only monotone rows on b . lambda
+    between types adjacent in the order of table sums, and phi . b in the
+    objective of each lambda column.  Every other bidder has payment
+    columns and keeps all IC pairs, and a type keeps its IR rows unless
+    it weakly dominates another type that is not an identical table of
+    higher index."""
     n = inst.n
     K = len(enumerate_assignments(n, inst.m)) - 1
     profiles = inst.type_profiles()
     nlam = len(profiles) * K
-
-    def lam(t_idx, a_idx):
-        return t_idx * K + a_idx - 1
-
-    def pay(t_idx, i):
-        return nlam + t_idx * n + i
-
-    zero = 0.0 if inst.mode == "float" else F(0)
-    # an objective entry the support sets nothing in is the int 0
-    objective = [0] * (nlam + len(profiles) * n)
-    for k, t in enumerate(profiles):
-        for i in range(n):
-            objective[pay(k, i)] = inst.support.get(t, 0)
-    lp = LinearProgram(len(objective), objective)
-    if allow_negative_payments:
-        for k in range(len(profiles)):
-            for i in range(n):
-                lp.set_free(pay(k, i))
-    for k in range(len(profiles)):
-        lp.add_constraint({lam(k, a): 1 for a in range(1, K + 1)}, LEQ, 1)
     values = _bundle_values(inst, enumerate_assignments(n, inst.m))
+    zero = 0.0 if inst.mode == "float" else F(0)
 
-    def value_coeffs(t_idx, i, ti, sign, into):
-        for a_idx, v in enumerate(values[i][ti]):
-            if v:
-                col = lam(t_idx, a_idx)
-                into[col] = into.get(col, zero) + sign * v
-
-    def ic_pair(i, true_t, rep_t):
+    def single_parameter(i):
         tables = [[F(x) for x in t.values] for t in inst.types[i]]
         proportional = all(
             a[x] * b[y] == a[y] * b[x]
             for a, b in itertools.combinations(tables, 2)
             for x, y in itertools.combinations(range(len(a)), 2)
         )
-        if not proportional or len(set(map(tuple, tables))) < len(tables):
-            return True
-        rank = sorted(tables, key=sum)
-        return abs(rank.index(tables[true_t]) - rank.index(tables[rep_t])) == 1
+        distinct = len(set(map(tuple, tables))) == len(tables)
+        return proportional and distinct and any(map(any, tables))
+
+    general = [i for i in range(n) if not single_parameter(i)]
+
+    def lam(t_idx, a_idx):
+        return t_idx * K + a_idx - 1
+
+    def pay(t_idx, i):
+        return nlam + t_idx * len(general) + general.index(i)
+
+    # an objective entry nothing is added to is the int 0
+    objective = [0] * (nlam + len(profiles) * len(general))
+    for k, t in enumerate(profiles):
+        for i in general:
+            objective[pay(k, i)] = inst.support.get(t, 0)
+    rows = [({lam(k, a): 1 for a in range(1, K + 1)}, 1) for k in range(len(profiles))]
+
+    def value_coeffs(t_idx, vals, sign, into):
+        for a_idx, v in enumerate(vals):
+            if v:
+                col = lam(t_idx, a_idx)
+                into[col] = into.get(col, zero) + sign * v
+
+    for i, _, k, line in lines([len(ts) for ts in inst.types]):
+        if k:
+            continue
+        if i in general:
+            for true_t, k_true in enumerate(line):
+                for rep_t, k_rep in enumerate(line):
+                    if rep_t != true_t:
+                        row = {pay(k_rep, i): -1, pay(k_true, i): 1}
+                        value_coeffs(k_rep, values[i][true_t], 1, row)
+                        value_coeffs(k_true, values[i][true_t], -1, row)
+                        rows.append((row, 0))
+            continue
+        ts = [t.values for t in inst.types[i]]
+        first = next(t for t in ts if any(t))
+        j = next(c for c, x in enumerate(first) if x)
+        b = [first[mask] / first[j] for mask in range(len(first))]
+        bvals = [b[bundle_mask(a, i)] for a in enumerate_assignments(n, inst.m)]
+        ranked = sorted(range(len(ts)), key=lambda t: sum(ts[t]))
+        above = 0
+        for r in reversed(range(len(ranked))):
+            t = ranked[r]
+            nxt = ts[ranked[min(r + 1, len(ranked) - 1)]][j]
+            q = inst.support.get(inst.profile_at(line[t]), 0)
+            phi = q * ts[t][j] - (nxt - ts[t][j]) * above
+            above += q
+            for a_idx, v in enumerate(bvals):
+                if v:
+                    objective[lam(line[t], a_idx)] += phi * v
+        for lo, hi in zip(ranked, ranked[1:]):
+            row = {}
+            value_coeffs(line[lo], bvals, 1, row)
+            value_coeffs(line[hi], bvals, -1, row)
+            rows.append((row, 0))
 
     def keeps_ir(i, ti):
         mine = inst.types[i][ti].values
@@ -214,23 +248,19 @@ def _accumulated_multi_lp(inst, allow_negative_payments):
                     return False
         return True
 
-    for i, _, k, line in lines([len(ts) for ts in inst.types]):
-        if k:
-            continue
-        for true_t, k_true in enumerate(line):
-            for rep_t, k_rep in enumerate(line):
-                if rep_t != true_t and ic_pair(i, true_t, rep_t):
-                    row = {pay(k_rep, i): -1, pay(k_true, i): 1}
-                    value_coeffs(k_rep, i, true_t, 1, row)
-                    value_coeffs(k_true, i, true_t, -1, row)
-                    lp.add_constraint(row, LEQ, 0)
-    for i in range(n):
+    for i in general:
         for k, t in enumerate(profiles):
-            if not keeps_ir(i, t[i]):
-                continue
-            row = {pay(k, i): 1}
-            value_coeffs(k, i, t[i], -1, row)
-            lp.add_constraint(row, LEQ, 0)
+            if keeps_ir(i, t[i]):
+                row = {pay(k, i): 1}
+                value_coeffs(k, values[i][t[i]], -1, row)
+                rows.append((row, 0))
+    lp = LinearProgram(len(objective), objective)
+    if allow_negative_payments:
+        for k in range(len(profiles)):
+            for i in general:
+                lp.set_free(pay(k, i))
+    for row, rhs in rows:
+        lp.add_constraint(row, LEQ, rhs)
     return lp
 
 
@@ -289,6 +319,90 @@ def test_multi_lp_rows_match_accumulated_rows():
                 assert (rel, rhs) == (wrel, wrhs)
                 assert list(row) == list(wrow)
                 assert _typed(row.values()) == _typed(wrow.values())
+
+
+# (bidders, types), the m = 1 shapes of the benchmark's solve-multi plan,
+# with the rows, columns and pivots of the LP that gave every bidder
+# payment columns and adjacent IC rows, on _m1_shape_instances' instances
+_M1_PAYMENT_FORM = {
+    (2, 3): (39, 36, 39), (2, 4): (72, 64, 69), (2, 5): (115, 100, 111),
+    (3, 2): (44, 48, 45), (3, 3): (162, 162, 147), (3, 4): (400, 384, 419),
+}
+
+
+def _m1_shape_instances():
+    rng = random.Random(313)
+    for n, t in _M1_PAYMENT_FORM:
+        types = [[unit(v) for v in sorted(rng.sample(range(1, 10), t))] for _ in range(n)]
+        yield (n, t), MultiItemInstance(1, types, _random_type_support(rng, types))
+
+
+def test_m1_lp_is_the_single_item_lp():
+    # every m = 1 bidder is single-parameter, so the program is the
+    # allocation-only LP of the single-item model, row for row
+    for shape, inst in _m1_shape_instances():
+        got = build_multi_lp(inst)
+        dist = single_item_equivalent(inst)
+        want = build_optimal_lp(dist, FeasibilitySystem.single_item(inst.n))
+        assert (got.num_vars, got.objective) == (want.num_vars, want.objective)
+        assert got.constraints == want.constraints
+        rows, cols, pivots = _M1_PAYMENT_FORM[shape]
+        assert len(got.constraints) < rows and got.num_vars < cols
+        if shape == (3, 3):
+            assert (len(got.constraints), got.num_vars) == (81, 81)
+        sol = solve(got)
+        assert sol.pivots < pivots
+        assert sol.objective == solve_optimal(dist).revenue == solve_multi(inst)[1]
+
+
+@pytest.mark.parametrize("negative", [False, True])
+def test_single_parameter_and_general_bidders_share_one_lp(negative):
+    # bidder 0's tables are 2b, b and 3b: single-parameter, listed out of
+    # alpha order; bidder 1's are not proportional, so only it has
+    # payment columns, and the sign switch can matter only to it
+    b = [0, 1, 2, 3]
+    prop = [Valuation(2, [2 * x for x in b]), Valuation(2, b), Valuation(2, [3 * x for x in b])]
+    general = [Valuation(2, [0, 3, 1, 3]), Valuation(2, [0, 1, 2, 4])]
+    rng = random.Random(1011)
+    for _ in range(6):
+        inst = MultiItemInstance(2, [prop, general], _random_type_support(rng, [prop, general]))
+        lp = build_multi_lp(inst, allow_negative_payments=negative)
+        assert lp.num_vars == 6 * 8 + 6  # lambda per profile and sold assignment, p_1 per profile
+        mech, revenue = solve_multi(inst, allow_negative_payments=negative)
+        assert revenue == reference_solve(reference_multi_lp(inst, negative)).objective
+        assert all(pay[0] >= 0 for pay in mech.payments.rows)
+        assert reference_check_multi(mech).passed
+
+
+def test_identical_tables_keep_a_bidder_general():
+    # the tie of build_multi_lp's docstring: a payment column per profile,
+    # every IC pair, and IR only at the lower index of the identical pair
+    inst = MultiItemInstance(
+        1, [[unit(1), unit(1), unit(2)]], {(0,): F(1, 3), (1,): F(1, 6), (2,): F(1, 2)}
+    )
+    lp = build_multi_lp(inst)
+    assert (lp.num_vars, len(lp.constraints)) == (3 + 3, 3 + 6 + 1)
+    mech, revenue = solve_multi(inst)
+    assert revenue == reference_solve(reference_multi_lp(inst)).objective == 1
+    assert reference_check_multi(mech).passed
+
+
+@pytest.mark.parametrize("negative", [False, True])
+def test_an_all_zero_type_is_the_lowest_alpha(negative):
+    # alpha = 0 for the zero table, which comes first in alpha order
+    # however the types are listed; it pays nothing
+    zero = Valuation(2, [0, 0, 0, 0])
+    tables = [Valuation(2, [0, 2, 1, 3]), zero, Valuation(2, [0, 4, 2, 6])]
+    other = [Valuation(2, [0, 1, 1, 1])]
+    rng = random.Random(1012)
+    for types in ([tables, other], [[zero, tables[0], tables[2]]]):
+        inst = MultiItemInstance(2, types, _random_type_support(rng, types))
+        lp = build_multi_lp(inst, allow_negative_payments=negative)
+        assert lp.num_vars == inst.cells() * ((inst.n + 1) ** 2 - 1)  # no payment columns
+        mech, revenue = solve_multi(inst, allow_negative_payments=negative)
+        assert revenue == reference_solve(reference_multi_lp(inst, negative)).objective
+        assert all(pay[0] == 0 for t, pay in mech.payments.items() if types[0][t[0]] is zero)
+        assert reference_check_multi(mech).passed
 
 
 def test_size_guard_raises():

@@ -1,9 +1,10 @@
 """Repository hygiene: the benchmark tracer's names resolve in the
-package, no package module imports a name it does not use, and the
-output comparison script labels rounded float answers, tied optima and
-changed certificates."""
+package, no package module imports a name it does not use or annotates
+with a name it does not bind, and the output comparison script labels
+rounded float answers, tied optima and changed certificates."""
 
 import ast
+import builtins
 import importlib
 import json
 import importlib.util
@@ -69,6 +70,62 @@ def test_no_unused_imports_in_the_package():
     modules = sorted(PACKAGE.glob("*.py"))
     assert modules
     found = {p.name: _unused_imports(p.read_text()) for p in modules}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def _unbound_annotation_names(source: str) -> list:
+    """(line, name) for each name read in an annotation, string
+    annotations included, that the module binds nowhere (by an import, a
+    def, a class or an assignment) and that is no builtin.  Dotted names
+    count by their first part."""
+    tree = ast.parse(source)
+    bound = set(dir(builtins))
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            every = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+            annotations += [a.annotation for a in every if a is not None] + [node.returns]
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    unbound = set()
+    for ann in filter(None, annotations):
+        for node in ast.walk(ann):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                parsed = ast.parse(node.value, mode="eval")
+                names = [n for n in ast.walk(parsed) if isinstance(n, ast.Name)]
+                unbound.update((ann.lineno, n.id) for n in names if n.id not in bound)
+            elif isinstance(node, ast.Name) and node.id not in bound:
+                unbound.add((node.lineno, node.id))
+    return sorted(unbound)
+
+
+def test_unbound_annotation_finder():
+    source = (
+        "from __future__ import annotations\n"
+        "import os\n"
+        "from typing import Optional\n"
+        "class Box: ...\n"
+        "def f(a: Box, b: os.PathLike, *c: Missing, d: 'Optional[Gone]' = None) -> int:\n"
+        "    e: Later = 1\n"
+        "    return e\n"
+        "Later = int\n"
+    )
+    assert _unbound_annotation_names(source) == [(5, "Gone"), (5, "Missing")]
+    assert _unbound_annotation_names("def g(x) -> Absent: ...\n") == [(1, "Absent")]
+
+
+def test_annotation_names_are_bound_in_the_package():
+    # under from __future__ import annotations an unbound name in an
+    # annotation is never evaluated, so only this check sees it
+    modules = sorted(PACKAGE.glob("*.py"))
+    found = {p.name: _unbound_annotation_names(p.read_text()) for p in modules}
     assert {name: names for name, names in found.items() if names} == {}
 
 
