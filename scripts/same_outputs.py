@@ -51,8 +51,12 @@ one.  A differing verify of an edited copy (verify-ones, verify-raised,
 verify-reversed) of a solver output labelled `rounded` or `tied` that is
 not labelled so far takes the solver's label when both trees give the
 same exit code and the same verdict for each check: the copies differ
-because the outputs do, and a tied optimum's copy fails at other lines.  Any other
-differing verify command is `changed`.  Exit code 0 when every command
+because the outputs do, and a tied optimum's copy fails at other lines.
+The verify-raised copy of a `tied` output is instead labelled `tied`
+when each tree's verdicts are those that raising its own first pay line
+must give (raised_verdicts): two tied optima may charge differently at
+that profile, so their raised copies may break different checks.  Any
+other differing verify command is `changed`.  Exit code 0 when every command
 agrees, 1 when some differ (each is listed), 2 on bad arguments.
 """
 
@@ -139,6 +143,51 @@ def reverse_multi(source: str, target: str) -> None:
         keys = set(json.loads(line))
         (body if keys & {"support", "assignment", "pay"} else head).append(line)
     Path(target).write_text("".join(head + body[::-1]))
+
+
+def raised_verdicts(source: str) -> dict:
+    """The verdict of each check that verify must give the raise_first_pay
+    copy of source, a multi-item mechanism file that itself verifies.
+    Raising every bidder's payment at the first pay line's profile t by 1
+    lowers only the utility of reporting truthfully at t, so bidder i's
+    rationality at t breaks iff its expected value there is below its
+    raised payment, and its truthfulness at t breaks iff some misreport
+    beats the raised truthful utility; no other constraint can break.
+    Exact files compare rationals, float files within 1e-9 times
+    max(1, |lhs|, |rhs|), the verifier's tolerance."""
+    objs = _records(source)
+    exact = objs[0].get("mode") != "float"
+    tables = {o["bidder"]: [[Fraction(c) for c in t] for t in o["tables"]]
+              for o in objs if "tables" in o}
+    lots, pays = {}, {}
+    for o in objs:
+        if "assignment" in o:
+            lots.setdefault(tuple(o["profile"]), []).append((o["assignment"], Fraction(o["prob"])))
+        elif "pay" in o:
+            pays[tuple(o["profile"])] = [Fraction(c) for c in o["pay"]]
+    first = next(tuple(o["profile"]) for o in objs if "pay" in o)
+
+    def worth(i: int, ti: int, profile: tuple) -> Fraction:
+        table = tables[i][ti]
+        return sum((w * table[sum(1 << j for j, o in enumerate(owners) if o == i)]
+                    for owners, w in lots.get(profile, [])), Fraction(0))
+
+    def fails(lhs, rhs) -> bool:
+        """Whether lhs >= rhs fails."""
+        if exact:
+            return lhs < rhs
+        return rhs - lhs > Fraction(1e-9) * max(1, abs(lhs), abs(rhs))
+
+    ic = ir = True
+    for i, ti in enumerate(first):
+        paid = pays[first][i] + 1
+        own = worth(i, ti, first)
+        ir = ir and not fails(own, paid)
+        for j in range(len(tables[i])):
+            if j != ti:
+                lie = first[:i] + (j,) + first[i + 1:]
+                ic = ic and not fails(own - paid, worth(i, ti, lie) - pays[lie][i])
+    return {"multi_ic": ic, "multi_ir": ir}
 
 
 EDITS = {
@@ -232,6 +281,11 @@ def worker(tree: str) -> None:
         if argv[0] == "verify":
             text = written.decode() if written is not None else out.getvalue()
             results[key]["report"] = report_summary(text, argv)
+        if edit and edit[0] == "raise_first_pay" and Path(edit[1]).exists():
+            try:
+                results[key]["expected"] = raised_verdicts(edit[1])
+            except (ValueError, KeyError, IndexError, TypeError, StopIteration):
+                results[key]["expected"] = None  # not a readable multi-item file
     json.dump(results, sys.__stdout__)
 
 
@@ -315,6 +369,11 @@ def edited_label(key: str, source: str, parent: dict, change: dict) -> str:
     docstring)."""
     p, c = parent[key], change[key]
     checks = [(side.get("report", {}).get("summary") or {}).get("checks") for side in (p, c)]
+    if source == "tied" and key.endswith(" verify-raised"):
+        # each tied optimum's copy breaks what raising its own pay line must
+        own = all(got is not None and got == side.get("expected")
+                  for got, side in zip(checks, (p, c)))
+        return "tied" if own else "changed"
     same = p["rc"] == c["rc"] and checks[0] is not None and checks[0] == checks[1]
     return source if same and source in ("rounded", "tied") else "changed"
 

@@ -21,6 +21,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from math import isfinite
 from typing import Optional, Sequence
 
 from .errors import InvalidInputError
@@ -46,7 +48,7 @@ from .multi import (
     enumerate_assignments,
 )
 from .oracle import QueryLedger
-from .verify import VerifyReport, Witness
+from .verify import VerifyReport
 
 FORMAT_VERSION = 1
 
@@ -506,7 +508,7 @@ def _field(obj: dict, key: str):
     return obj[key]
 
 
-_REPEAT = "duplicate line for profile {}"
+_REPEAT = "duplicate line for profile {}".format
 
 
 def _vector(obj: dict) -> int:
@@ -673,37 +675,61 @@ def write_decomposition(dec, mode: str) -> str:
 # reports
 
 
-def _witness_value(v, mode: str):
-    """A witness field on the wire.  Most witness values are exact
-    Fractions, so the string format_number gives one is written here
-    first, without the checks and the call."""
-    if type(v) is Fraction and mode != FLOAT:
-        return str(v)
-    if v is None or isinstance(v, (int, str)):
-        return v
+def _witness_json(v, mode: str) -> str:
+    """The JSON text of one witness field in mode: an exact-mode Fraction
+    as its quoted string, a finite float-mode float by float.__repr__, an
+    int by int.__repr__, None as null, a str through the encoder's ASCII
+    escaping, a tuple as an array of its entries.  Other ints and strs
+    (bools, subclasses) go to the encoder as they are, any other number
+    as format_number gives it, so every field reads as the sorted-key
+    encoder writes it."""
+    t = type(v)
+    if t is Fraction and mode != FLOAT:
+        return f'"{v!s}"'
+    if t is float and mode == FLOAT and isfinite(v):
+        return float.__repr__(v)
+    if t is int:
+        return int.__repr__(v)
+    if v is None:
+        return "null"
+    if t is str:
+        return encode_basestring_ascii(v)
     if isinstance(v, tuple):
-        return [_witness_value(c, mode) for c in v]
-    return format_number(v, mode)
-
-
-def witness_line(w: Witness, mode: str) -> str:
-    return dumps_line(
-        {
-            "bidder": w.bidder,
-            "check": w.check,
-            "detail": w.detail,
-            "deviation": _witness_value(w.deviation, mode),
-            "lhs": _witness_value(w.lhs, mode),
-            "profile": _witness_value(w.profile, mode),
-            "relation": w.relation,
-            "rhs": _witness_value(w.rhs, mode),
-        }
-    )
+        return "[" + ",".join([_witness_json(c, mode) for c in v]) + "]"
+    return _ENCODER.encode(v if isinstance(v, (int, str)) else format_number(v, mode))
 
 
 def write_report(report: VerifyReport, mode: str) -> str:
-    """Witness lines followed by one summary line."""
-    out = [witness_line(w, mode) for w in report.witnesses]
+    """Witness lines followed by one summary line.
+
+    A witness line is the object {"bidder","check","detail","deviation",
+    "lhs","profile","relation","rhs"} in that (sorted) key order, with no
+    spaces, exactly as dumps_line writes it: numbers on the wire of mode
+    (an exact quantity as the string "p/q" or "n", a float as a JSON
+    number), profiles as arrays, a missing bidder or deviation as null,
+    strings ASCII-escaped.  The summary line is
+    {"checks":{...},"passed":...,"witnesses":N} with the checks sorted by
+    name.  Each witness line is written from one template.  The text of
+    every field but lhs and rhs is kept by object identity for the rest
+    of the report, since witnesses repeat the same profile tuples, grid
+    values and strings; an identity key, unlike a value key, never mixes
+    1, 1.0 and Fraction(1), which are equal but written differently, and
+    needs no Fraction hash."""
+    memo = {}
+
+    def cached(v) -> str:
+        text = memo.get(id(v))
+        if text is None:
+            text = memo[id(v)] = _witness_json(v, mode)
+        return text
+
+    out = [
+        f'{{"bidder":{cached(w.bidder)},"check":{cached(w.check)},'
+        f'"detail":{cached(w.detail)},"deviation":{cached(w.deviation)},'
+        f'"lhs":{_witness_json(w.lhs, mode)},"profile":{cached(w.profile)},'
+        f'"relation":{cached(w.relation)},"rhs":{_witness_json(w.rhs, mode)}}}\n'
+        for w in report.witnesses
+    ]
     out.append(
         dumps_line(
             {

@@ -32,7 +32,7 @@ from bisect import bisect_left
 from collections.abc import ItemsView, Mapping, ValuesView
 from fractions import Fraction
 from math import prod
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import (
     DimensionMismatchError,
@@ -494,14 +494,15 @@ _UNSET = object()  # the row of a profile no entry has placed yet
 class _Rows:
     """The rows of one per-profile table, filled entry by entry at flat
     indices (at): put gives a profile its row, and a second row raises
-    repeat formatted with the profile as quoted; join appends an item to
-    a profile's row, the list of its entries' items in order.  An at that
-    is no int is an off-grid profile, kept for table(), which raises for
-    a missing profile first and then for off-grid ones."""
+    the message repeat(quoted), quoted being how put's caller names the
+    profile; join appends an item to a profile's row, the list of its
+    entries' items in order.  An at that is no int is an off-grid
+    profile, kept for table(), which raises for a missing profile first
+    and then for off-grid ones."""
 
     __slots__ = ("rows", "placed", "extra", "repeat")
 
-    def __init__(self, cells: int, repeat: str):
+    def __init__(self, cells: int, repeat: Callable[[object], str]):
         self.rows = [_UNSET] * cells
         self.placed = 0
         self.extra: set = set()
@@ -510,11 +511,11 @@ class _Rows:
     def put(self, at, row, quoted) -> None:
         if type(at) is int:
             if self.rows[at] is not _UNSET:
-                raise InvalidInputError(self.repeat.format(quoted))
+                raise InvalidInputError(self.repeat(quoted))
             self.rows[at] = row
             self.placed += 1
         elif at in self.extra:
-            raise InvalidInputError(self.repeat.format(quoted))
+            raise InvalidInputError(self.repeat(quoted))
         else:
             self.extra.add(at)
 
@@ -549,7 +550,11 @@ def _check_table_domain(grid: _Product, table, what: str) -> list:
     if isinstance(table, ProfileTable) and table.grid == grid:
         return list(table.rows)
     profiles = list(grid.profiles())
-    rows = _Rows(len(profiles), what + " repeats profile {}")
+
+    def repeat(at) -> str:
+        return f"{what} repeats profile {grid.quote(at) if type(at) is int else _quote(at)}"
+
+    rows = _Rows(len(profiles), repeat)
     k = 0
     for profile, row in _items(table):
         key = grid._key(profile)
@@ -560,7 +565,7 @@ def _check_table_domain(grid: _Product, table, what: str) -> list:
                 at = grid.flat_index(key)
             except KeyError:
                 at = key
-        rows.put(at, row, key)
+        rows.put(at, row, at)
         k = at + 1 if type(at) is int else k
     return list(rows.table(grid, what).rows)
 

@@ -3,14 +3,12 @@
 ExplicitOracle answers point probabilities and one-coordinate
 conditionals of an explicit distribution over its grid, in the grid's
 arithmetic mode.  Reading the marginal supports is free; everything else
-passes through a thread-safe ledger that counts queries and enforces an
-optional cap atomically, so a query either counts and runs or raises
-without counting.
+passes through a ledger that counts queries and enforces an optional
+cap, so a query either counts and runs or raises without counting.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Mapping, Optional
 
 from .errors import BudgetError, InvalidInputError, UndefinedConditionalError
@@ -24,29 +22,26 @@ def default_budget(grid: ValueGrid) -> int:
 
 
 class QueryLedger:
-    """Counts point and conditional queries; increments are atomic and a
-    budget, when set, caps their total."""
+    """Counts point and conditional queries; a budget, when set, caps
+    their total.  Nothing in the package queries from more than one
+    thread, so the ledger takes no lock."""
 
     def __init__(self, budget: Optional[int] = None):
         if budget is not None and budget < 0:
             raise InvalidInputError("budget cannot be negative")
-        self._lock = threading.Lock()
         self._point = 0
         self._conditional = 0
         self.budget = budget
 
     def charge(self, kind: str) -> None:
-        with self._lock:
-            if self.budget is not None and self._point + self._conditional >= self.budget:
-                raise BudgetError(
-                    f"query budget of {self.budget} exhausted"
-                )
-            if kind == "point":
-                self._point += 1
-            elif kind == "conditional":
-                self._conditional += 1
-            else:
-                raise InvalidInputError(f"unknown query kind {kind!r}")
+        if self.budget is not None and self._point + self._conditional >= self.budget:
+            raise BudgetError(f"query budget of {self.budget} exhausted")
+        if kind == "point":
+            self._point += 1
+        elif kind == "conditional":
+            self._conditional += 1
+        else:
+            raise InvalidInputError(f"unknown query kind {kind!r}")
 
     @property
     def point_queries(self) -> int:
@@ -61,12 +56,11 @@ class QueryLedger:
         return self._point + self._conditional
 
     def snapshot(self) -> dict:
-        with self._lock:
-            return {
-                "point": self._point,
-                "conditional": self._conditional,
-                "budget": self.budget,
-            }
+        return {
+            "point": self._point,
+            "conditional": self._conditional,
+            "budget": self.budget,
+        }
 
 
 class ExplicitOracle:

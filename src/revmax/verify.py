@@ -17,8 +17,13 @@ are put on one positive integer scale (see _lines), under which a
 utility is an int multiple of the rational one, so every comparison
 keeps its outcome.  check_truthful builds these line rows once and
 leaves them on its report; check_ir and check_extension, given that
-report, walk the same rows.  A witness quotes the rational expressions
-themselves, computed only for a comparison that fails.  On a
+report, walk the same rows.  The pair walks compare these ints inline,
+and a witness side comes from the int just compared: a scaled utility u
+on a line of scale C (see _lines) is quoted as the rational u / C, one
+Fraction per side, which equals the rational expression it stands for
+(G[k] X[j] - P[j] over C is g[k] xs[j] - ps[j]); it is built only for a
+comparison that fails.  Float mode compares under violated's tolerance
+and quotes the float utilities it compared.  On a
 single-item system, feasibility is the direct test sum(x) <= 1 (in exact
 mode on the allocation's own integer scale); the hull LP runs only for
 allocations that fail it, to decide them and supply the certificate.
@@ -43,6 +48,7 @@ no line, because tolerance comparisons do not chain.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
@@ -148,8 +154,8 @@ def _verdicts(G, X, P) -> tuple:
 
 def _lines(mech: InterimMechanism):
     """Walk bidders, then profiles in canonical order.  Yields (i, v, k,
-    xs, ps, G, X, P, quiet, calm): k is the index of v[i] on bidder i's
-    grid g, and xs/ps are bidder i's allocation and payment as v[i]
+    xs, ps, G, X, P, C, quiet, calm): k is the index of v[i] on bidder
+    i's grid g, and xs/ps are bidder i's allocation and payment as v[i]
     sweeps the grid with the other values held.  The tables are read as
     one column per bidder in canonical order, and a line (see
     model.lines) is a slice of it; each line is gathered once, at its
@@ -160,11 +166,12 @@ def _lines(mech: InterimMechanism):
     utility for report j is G[a] * X[j] - P[j] times the scale's constant.
     In exact mode they are ints: G[a] = g[a] * Dg, X[j] = xs[j] * Dx * Dp
     and P[j] = ps[j] * Dp * Dg * Dx, with Dg, Dx and Dp the lcm of each
-    list's denominators, so the constant is Dg * Dx * Dp.  In float mode
-    they are g, xs and ps themselves.  quiet and calm are the line's
+    list's denominators, so the constant is 1 / C with C = Dg * Dx * Dp,
+    and a scaled utility u is the rational u / C.  In float mode they are
+    g, xs and ps themselves and C is None.  quiet and calm are the line's
     verdicts (see the module docstring), both False in float mode."""
     exact = mech.mode != FLOAT
-    grids = [_scaled(g) if exact else (1, g) for g in mech.grid.values]
+    grids = [_scaled(g) if exact else (None, g) for g in mech.grid.values]
     profiles = list(mech.grid.profiles())
     xcols = list(zip(*mech.x.rows))
     pcols = list(zip(*mech.p.rows))
@@ -179,12 +186,35 @@ def _lines(mech: InterimMechanism):
                 dp, P = _scaled(ps)
                 X = [c * dp for c in X]
                 P = [c * dg * dx for c in P]
+                C = dg * dx * dp
                 verdicts = _verdicts(G, X, P)
             else:
-                X, P = xs, ps
+                X, P, C = xs, ps, None
                 verdicts = (False, False)
-            cache[line.start] = (xs, ps, G, X, P, *verdicts)
+            cache[line.start] = (xs, ps, G, X, P, C, *verdicts)
         yield (i, profiles[idx], k, *cache[line.start])
+
+
+def _side(u, C):
+    """The quoted value of a utility u on a line of scale C (see _lines):
+    the rational u / C in exact mode, u itself in float mode."""
+    return u if C is None else Fraction(u, C)
+
+
+def _beaten(gv, own, X, P, C) -> list:
+    """(j, quoted u) for each report j of the line whose scaled utility
+    u = gv * X[j] - P[j] breaks own >= u: in exact mode u > own, compared
+    inline; in float mode under violated's tolerance.  A report whose
+    utility is own itself never breaks it, so the caller need not skip
+    the truthful report."""
+    if C is not None:
+        return [
+            (j, Fraction(u, C)) for j, (x, p) in enumerate(zip(X, P)) if (u := gv * x - p) > own
+        ]
+    return [
+        (j, u) for j, (x, p) in enumerate(zip(X, P))
+        if violated(own, (u := gv * x - p), ">=", FLOAT)
+    ]
 
 
 def _line_rows(mech: InterimMechanism, truthful: Optional[VerifyReport]):
@@ -200,23 +230,18 @@ def check_truthful(mech: InterimMechanism) -> VerifyReport:
     """No type gains by reporting a different grid value, in expectation.
     The report keeps the line rows it walked (VerifyReport.line_table)
     for check_ir and check_extension."""
-    mode = mech.mode
     out = []
     rows = list(_lines(mech))
-    for i, v, k, xs, ps, G, X, P, quiet, _calm in rows:
+    for i, v, k, _xs, _ps, G, X, P, C, quiet, _calm in rows:
         if quiet:
             continue
         gk = G[k]
         truth = gk * X[k] - P[k]
-        for j, rep in enumerate(mech.grid.values[i]):
-            if j != k and violated(truth, gk * X[j] - P[j], ">=", mode):
-                vi = v[i]
-                out.append(
-                    Witness(
-                        "truthful", i, v, rep, ">=",
-                        vi * xs[k] - ps[k], vi * xs[j] - ps[j],
-                    )
-                )
+        beaten = _beaten(gk, truth, X, P, C)
+        if beaten:
+            g, lhs = mech.grid.values[i], _side(truth, C)
+            for j, rhs in beaten:
+                out.append(Witness("truthful", i, v, g[j], ">=", lhs, rhs))
     return VerifyReport.build("truthful", out, (mech, rows))
 
 
@@ -228,11 +253,12 @@ def check_ir(
     the rational sides quoted by a witness.  Given truthful, a
     check_truthful report of this same mechanism, it walks that report's
     line rows instead of building them."""
-    mode = mech.mode
     out = []
-    for i, v, k, xs, ps, G, X, P, _quiet, _calm in _line_rows(mech, truthful):
-        if violated(G[k] * X[k], P[k], ">=", mode):
-            out.append(Witness("ir", i, v, None, ">=", v[i] * xs[k], ps[k]))
+    for i, v, k, _xs, ps, G, X, P, C, _quiet, _calm in _line_rows(mech, truthful):
+        worth = G[k] * X[k]
+        broken = worth < P[k] if C is not None else violated(worth, P[k], ">=", FLOAT)
+        if broken:
+            out.append(Witness("ir", i, v, None, ">=", _side(worth, C), ps[k]))
     return VerifyReport.build("ir", out)
 
 
@@ -317,51 +343,55 @@ def check_extension(
             w.lhs, w.rhs, detail="condition a (grid truthfulness)",
         )
         out.append(out_w)
-    mode = mech.mode
-    for i, v, k, xs, ps, G, X, P, _quiet, calm in _line_rows(mech, truthful):
+    for i, v, k, xs, ps, G, X, P, C, _quiet, calm in _line_rows(mech, truthful):
         if calm:
             continue
         g = grid.values[i]
         K = len(g)
         if k < K - 1:
             gn = G[k + 1]
-            lhs = gn * X[k] - P[k]
-            for j in range(K):
-                if j != k and violated(lhs, gn * X[j] - P[j], ">=", mode):
+            own = gn * X[k] - P[k]
+            beaten = _beaten(gn, own, X, P, C)
+            if beaten:
+                lhs = _side(own, C)
+                detail = f"condition b (true value just below {g[k + 1]})"
+                for j, rhs in beaten:
                     out.append(
-                        Witness(
-                            "extension", i, v, g[j], ">=",
-                            g[k + 1] * xs[k] - ps[k], g[k + 1] * xs[j] - ps[j],
-                            detail=f"condition b (true value just below {g[k + 1]})",
-                        )
+                        Witness("extension", i, v, g[j], ">=", lhs, rhs, detail=detail)
                     )
         if k == K - 1:
             for j in range(K - 1):
-                if violated(X[k], X[j], ">=", mode):
+                if C is not None:
+                    steeper = X[k] < X[j]
+                    dearer = X[k] == X[j] and P[k] > P[j]
+                else:
+                    steeper = violated(X[k], X[j], ">=", FLOAT)
+                    dearer = not violated(X[j], X[k], ">=", FLOAT) and violated(
+                        P[k], P[j], "<=", FLOAT
+                    )
+                if steeper:
                     out.append(
                         Witness(
                             "extension", i, v, g[j], ">=", xs[k], xs[j],
                             detail="condition c (slope above the top value)",
                         )
                     )
-                elif not violated(X[j], X[k], ">=", mode):
+                elif dearer:
                     # slopes tie; the top outcome must not cost more
-                    if violated(P[k], P[j], "<=", mode):
-                        out.append(
-                            Witness(
-                                "extension", i, v, g[j], "<=", ps[k], ps[j],
-                                detail="condition c (payment at tied top slope)",
-                            )
-                        )
-        if k == 0:
-            for j in range(K):
-                if violated(G[0] * X[j] - P[j], 0, "<=", mode):
                     out.append(
                         Witness(
-                            "extension", i, v, g[j], "<=", g[0] * xs[j] - ps[j], 0,
-                            detail="condition d (true value below the grid)",
+                            "extension", i, v, g[j], "<=", ps[k], ps[j],
+                            detail="condition c (payment at tied top slope)",
                         )
                     )
+        if k == 0:
+            for j, lhs in _beaten(G[0], 0, X, P, C):
+                out.append(
+                    Witness(
+                        "extension", i, v, g[j], "<=", lhs, 0,
+                        detail="condition d (true value below the grid)",
+                    )
+                )
     return VerifyReport.build("extension", out)
 
 

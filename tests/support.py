@@ -45,7 +45,10 @@ revmax.brute must return the same first optimum and the same revenue.
 The reference optimal solve unpacks the LP optimum through per-profile
 lottery dicts and a validated ex-post mechanism, as the solver once did,
 so solve_optimal, which reads each x_i off its winner columns, must
-return the same interim tables and the same revenue.  The references are
+return the same interim tables and the same revenue.  The reference
+report writer encodes each witness as a dict through the sorted-key JSON
+encoder, so revmax.io.write_report, which fills one template per line,
+must write the same bytes.  The references are
 exact: a solver given a float instance must return the rounding of what
 they return on the instance's binary copy (binary_distribution,
 binary_multi_instance).
@@ -73,6 +76,7 @@ from revmax import (
     Valuation,
     ValueGrid,
 )
+from revmax.io import dumps_line, format_number
 from revmax.lp import _MAX_PIVOTS, _STALL_LIMIT, LEQ, LPSolution, solve
 from revmax.model import EXACT, FLOAT, _check_unit_total, _items, convert, lines
 from revmax.multi import (
@@ -1303,3 +1307,47 @@ def reference_check_multi(mech: MultiMechanism) -> VerifyReport:
     return VerifyReport.merge(
         VerifyReport.build("multi_ic", ic), VerifyReport.build("multi_ir", ir)
     )
+
+
+def _reference_witness_value(v, mode: str):
+    """A witness field on the wire.  Most witness values are exact
+    Fractions, so the string format_number gives one is written here
+    first, without the checks and the call."""
+    if type(v) is Fraction and mode != FLOAT:
+        return str(v)
+    if v is None or isinstance(v, (int, str)):
+        return v
+    if isinstance(v, tuple):
+        return [_reference_witness_value(c, mode) for c in v]
+    return format_number(v, mode)
+
+
+def _reference_witness_line(w: Witness, mode: str) -> str:
+    return dumps_line(
+        {
+            "bidder": w.bidder,
+            "check": w.check,
+            "detail": w.detail,
+            "deviation": _reference_witness_value(w.deviation, mode),
+            "lhs": _reference_witness_value(w.lhs, mode),
+            "profile": _reference_witness_value(w.profile, mode),
+            "relation": w.relation,
+            "rhs": _reference_witness_value(w.rhs, mode),
+        }
+    )
+
+
+def reference_write_report(report: VerifyReport, mode: str) -> str:
+    """Witness lines followed by one summary line, each line a dict
+    encoded by the sorted-key JSON encoder."""
+    out = [_reference_witness_line(w, mode) for w in report.witnesses]
+    out.append(
+        dumps_line(
+            {
+                "checks": {k: bool(v) for k, v in sorted(report.checks.items())},
+                "passed": report.passed,
+                "witnesses": len(report.witnesses),
+            }
+        )
+    )
+    return "".join(out)

@@ -320,7 +320,7 @@ def test_repeated_table_pair_is_input_error():
     for build in builds:
         with pytest.raises(InvalidInputError) as got:
             build()
-        assert "repeats profile (Fraction(1, 1), Fraction(2, 1))" in str(got.value)
+        assert "repeats profile (1, 2)" in str(got.value)
     # the same pairs without the repeat are accepted
     assert InterimMechanism(grid, list(interim.x.items()), interim.p) == interim
 

@@ -248,3 +248,62 @@ def test_same_outputs_reverses_multi_item_lines(tmp_path):
     ipath = tmp_path / "inst.ndjson"
     ipath.write_text(rio.write_instance(inst))
     assert main(["verify", str(ipath), str(target)]) == 0
+
+
+def test_same_outputs_labels_raised_copies_of_tied_optima(tmp_path, capsys):
+    """Two verified mechanisms on the seed-1 multi-n3-m1-t3-dense-6 shape
+    (three bidders, one item, three types each, every type profile in
+    the support): the LP optimum charges nothing at the first profile and
+    a mechanism selling to bidder 0 at price 1 charges 1 there, so their
+    raise_first_pay copies break different checks.  raised_verdicts
+    predicts each copy's verdicts, and a tied output's raised copy is
+    labelled tied when each tree's copy breaks what its own must."""
+    import itertools
+    from fractions import Fraction
+
+    so = _load("same_outputs", ROOT / "scripts" / "same_outputs.py")
+    from revmax import MultiItemInstance, MultiMechanism, Valuation, solve_multi
+    from revmax import io as rio
+    from revmax.cli import main
+
+    types = [[Valuation(1, [0, v]) for v in vs] for vs in ([1, 2, 3], [1, 5, 6], [1, 5, 6])]
+    weights = [3, 2, 8, 2, 2, 3, 6, 8, 7, 2, 3, 9, 7, 7, 1, 9, 5, 4, 1, 1, 6, 7, 7, 6, 8, 3, 1]
+    profiles = itertools.product(range(3), repeat=3)
+    inst = MultiItemInstance(
+        1, types, {t: Fraction(w, 128) for t, w in zip(profiles, weights)}
+    )
+    ipath = tmp_path / "inst.ndjson"
+    ipath.write_text(rio.write_instance(inst))
+    optimum = solve_multi(inst)[0]
+    posted = MultiMechanism(
+        inst, {t: [(1, 1)] for t in inst.type_profiles()}, {t: (1, 0, 0) for t in inst.type_profiles()}
+    )
+    key = "solve-multi s1 --exact multi-n3-m1-t3-dense-6 verify-raised"
+
+    def side(name, mech, mode):
+        source = tmp_path / f"{name}-{mode}.ndjson"
+        source.write_text(rio.write_mechanism(rio.read_mechanism(rio.write_mechanism(mech), mode).mech))
+        assert main(["verify", str(ipath), str(source)]) == 0
+        raised = f"{source}.raised"
+        so.raise_first_pay(str(source), raised)
+        capsys.readouterr()
+        rc = main(["verify", str(ipath), raised])
+        report = so.report_summary(capsys.readouterr().out, ["verify", str(ipath), raised])
+        return {key: {"rc": rc, "report": report, "expected": so.raised_verdicts(str(source))}}
+
+    for mode in ("exact", "float"):
+        a, b = side("optimum", optimum, mode), side("posted", posted, mode)
+        for s, want in ((a, {"multi_ic": True, "multi_ir": False}),
+                        (b, {"multi_ic": False, "multi_ir": False})):
+            assert s[key]["rc"] == 1
+            assert s[key]["report"]["summary"]["checks"] == s[key]["expected"] == want
+        assert so.edited_label(key, "tied", a, b) == "tied"
+        assert so.edited_label(key, "tied", b, a) == "tied"
+        # a copy that breaks other than its own raise must is changed
+        wrong = {key: dict(b[key], expected=a[key]["expected"])}
+        assert so.edited_label(key, "tied", a, wrong) == "changed"
+        assert so.edited_label(key, "tied", a, {key: dict(b[key], expected=None)}) == "changed"
+        # other edits and rounded outputs still need the same verdicts
+        assert so.edited_label(key, "rounded", a, b) == "changed"
+        ones = key.replace("verify-raised", "verify-ones")
+        assert so.edited_label(ones, "tied", {ones: a[key]}, {ones: b[key]}) == "changed"

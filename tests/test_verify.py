@@ -12,12 +12,14 @@ from revmax import (
     FeasibilitySystem,
     InterimMechanism,
     InvalidInputError,
+    MultiMechanism,
     ValueGrid,
     VerifyReport,
     check_expost_ir,
     check_extension,
     check_feasible,
     check_ir,
+    check_multi,
     check_truthful,
     check_universal,
     decompose_allocation,
@@ -30,16 +32,21 @@ from revmax import (
 )
 from revmax.io import write_report
 from revmax.model import EXACT, FLOAT
+from revmax.verify import Witness
 from support import (
+    float_multi_instance,
     random_distribution,
     random_feasibility,
     random_grid,
     random_interim,
+    random_multi_instance,
+    random_multi_mechanism,
     reference_check_expost_ir,
     reference_check_extension,
     reference_check_feasible,
     reference_check_ir,
     reference_check_truthful,
+    reference_write_report,
 )
 
 GRID = ValueGrid([[1, 2], [1, 2]])
@@ -579,3 +586,80 @@ def test_line_table_is_reused_only_for_its_own_mechanism():
     assert check_ir(bad, report) == reference_check_ir(bad)
     assert check_ir(good, check_truthful(bad)) == reference_check_ir(good)
     assert VerifyReport.merge(report).line_table is None
+
+
+def _reports_of_every_kind(mode):
+    """Reports in mode that together hold every witness kind: truthful,
+    ir, feasible, extension conditions a-d, expost_ir, universal parts,
+    multi_ic and multi_ir."""
+    rng = random.Random(2718)
+    reports = []
+    for mech, fs, _must_pass in _parity_cases(rng, 4):
+        if mech.mode == mode:
+            truthful = check_truthful(mech)
+            reports.append(
+                VerifyReport.merge(
+                    truthful,
+                    check_ir(mech, truthful),
+                    check_feasible(mech, fs),
+                    check_extension(mech, truthful),
+                )
+            )
+    reports += [check_expost_ir(_random_expost(rng, mode)) for _ in range(8)]
+    grid = ValueGrid([[1, 2, 4], [1, 3]], mode)
+    reports.append(check_universal([(vickrey(grid), F(1, 2)), (first_price(grid), F(1, 2))]))
+    for _ in range(8):
+        inst = random_multi_instance(rng)
+        lotteries, payments = random_multi_mechanism(rng, inst)
+        if mode == FLOAT:
+            inst = float_multi_instance(inst)
+        reports.append(check_multi(MultiMechanism(inst, lotteries, payments)))
+    return reports
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_report_writer_matches_reference_writer(mode):
+    """write_report's one-template lines are byte for byte the sorted-key
+    JSON encoding of each witness dict, for every witness kind, alone
+    and merged into one report."""
+    reports = _reports_of_every_kind(mode)
+    seen = set()
+    for report in reports:
+        assert write_report(report, mode) == reference_write_report(report, mode)
+        for w in report.witnesses:
+            seen.add((w.check, w.detail[:11]))
+            seen.add((w.check, type(w.bidder), type(w.deviation)))
+    merged = VerifyReport.merge(*reports)
+    assert write_report(merged, mode) == reference_write_report(merged, mode)
+    details = {
+        ("truthful", ""), ("ir", ""), ("feasible", "separating "),
+        ("expost_ir", "outcome 0"), ("expost_ir", "outcome 0: "),
+        ("truthful", "part 1"), ("extension", "part 1: con"),
+        ("multi_ic", ""), ("multi_ir", ""),
+    }
+    details |= {("extension", f"condition {c}") for c in "abcd"}
+    assert details <= seen, details - seen
+    assert ("feasible", type(None), type(None)) in seen
+    assert ("multi_ic", int, int) in seen
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_report_writer_matches_reference_on_odd_values(mode):
+    """Values no checker writes take the encoder's path: bools, floats in
+    exact mode, Fractions in float mode, non-finite floats, escaped
+    strings, nested and mixed tuples; equal values of different types in
+    one report are each written as their own type."""
+    num = F(7, 3) if mode == EXACT else 7 / 3
+    values = [
+        True, None, 0, -5, 10**30, F(1), F(-3, 8), 1.0, 0.1, 2.5e-300,
+        (1, 2), (F(1), F(2)), (1.0, 2.0), ((1, F(1, 2)), ()), "a\"b\u00e9\n",
+    ]
+    if mode == FLOAT:
+        values += [float("inf"), float("-inf"), float("nan")]
+    witnesses = [
+        Witness("odd", None if k % 3 else k, v, values[-1 - k], "==", v, num, detail=str(v))
+        for k, v in enumerate(values)
+    ]
+    witnesses.append(Witness("odd", True, (1, 2), F(1), "<=", 1, 1.0, detail="é"))
+    report = VerifyReport.build("odd", witnesses)
+    assert write_report(report, mode) == reference_write_report(report, mode)
